@@ -12,7 +12,7 @@ module G = Granii_graph
 module Executor = Granii_core.Executor
 module Serve = Granii_serve.Serve
 module Ssim = Granii_serve.Sim
-module Plan_cache = Granii_serve.Plan_cache
+module Plan_cache = Granii_core.Plan_cache
 
 let value_bits_equal a b =
   match (a, b) with

@@ -267,14 +267,6 @@ let select_cmd =
                 on this machine's CPU (random features) and report measured \
                 times plus per-iteration GC allocation.")
   in
-  let workspace =
-    Arg.(value & flag
-         & info [ "workspace" ]
-             ~doc:
-               "With $(b,--execute), run iterations out of a buffer-reuse \
-                workspace arena: outputs are bitwise identical, steady-state \
-                allocation drops to zero.")
-  in
   let engine_spec =
     Arg.(value & opt (some string) None
          & info [ "engine" ] ~docv:"SPEC"
@@ -285,7 +277,7 @@ let select_cmd =
                 $(b,workspace)=on|off, $(b,cache)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop, \
-                $(b,calibration)=off|affine|refit. Omitted keys keep their \
+                $(b,calibration)=off|affine. Omitted keys keep their \
                 defaults; a $(b,locality) key forces the layout (otherwise \
                 selection's choice is used). Illegal combinations are \
                 rejected up front with a typed error. $(b,--engine show) \
@@ -308,7 +300,7 @@ let select_cmd =
                 tiles) or $(b,cbm) (neighbor-dedup delta rows).")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
-      threads models_file execute workspace engine_spec reorder format_
+      threads models_file execute engine_spec reorder format_
       trace_file metrics_file journal_file =
     if threads < 1 then begin
       Printf.eprintf "--threads expects a positive integer\n";
@@ -330,9 +322,6 @@ let select_cmd =
           | Error msg ->
               Printf.eprintf "--engine: %s\n" msg;
               exit 1)
-    in
-    let engine_base =
-      { engine_base with workspace = engine_base.Engine.workspace || workspace }
     in
     (match Engine.create engine_base with
     | Ok e -> Engine.shutdown e
@@ -467,9 +456,7 @@ let select_cmd =
                 (Plan.primitives c.Codegen.plan))))
       ranked;
     (match execute with
-    | None ->
-        if workspace then
-          Printf.eprintf "note: --workspace only matters with --execute N\n"
+    | None -> ()
     | Some iters when iters < 1 ->
         Printf.eprintf "--execute expects a positive integer\n";
         exit 1
@@ -532,7 +519,7 @@ let select_cmd =
        ~doc:"Run the online stage: featurize an input and rank the candidates")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ hw $ iterations $ system
           $ analytic $ auto_calibrate $ threads $ models_file $ execute
-          $ workspace $ engine_spec $ reorder $ format_ $ trace_file_arg
+          $ engine_spec $ reorder $ format_ $ trace_file_arg
           $ metrics_file_arg $ journal_file_arg)
 
 (* granii stats: a fully-telemetered end-to-end run (compile -> featurize ->
@@ -559,11 +546,10 @@ let stats_cmd =
          & info [ "calibration" ] ~docv:"POLICY"
              ~doc:
                "Online-calibration policy of the engine's cost oracle: \
-                $(b,off), $(b,affine) (per-primitive corrections fitted from \
-                the live (predicted, measured) stream) or $(b,refit) (affine \
-                plus incremental GBRT refits). A calibration table (base vs \
-                corrected error and rank inversions per primitive) is \
-                reported after the run.")
+                $(b,off) or $(b,affine) (per-primitive corrections fitted \
+                from the live (predicted, measured) stream). A calibration \
+                table (base vs corrected error and rank inversions per \
+                primitive) is reported after the run.")
   in
   let run model graph k_in k_out iterations threads calibration trace_file
       metrics_file journal_file =
@@ -575,7 +561,7 @@ let stats_cmd =
       match Cost_oracle.calibration_of_string calibration with
       | Some c -> c
       | None ->
-          Printf.eprintf "--calibration expects off, affine or refit\n";
+          Printf.eprintf "--calibration expects off or affine\n";
           exit 1
     in
     let obs = Obs.create () in
@@ -601,7 +587,10 @@ let stats_cmd =
     let h = Dense.random ~seed:1 (G.Graph.n_nodes graph) k_in in
     let bindings = Gnn.Layer.bindings ~graph ~h params in
     let ecfg =
-      Granii.engine_config ~threads ~telemetry:true ~calibration localized
+      { Engine.default_config with
+        threads;
+        locality = localized.Granii.config;
+        calibration }
     in
     let engine =
       match Engine.create ~obs ecfg with
@@ -1063,8 +1052,7 @@ let serve_sim_cmd =
       s.Serve.widened_steps;
     let pc = s.Serve.plan_cache in
     Printf.printf "plan cache  %d hits / %d misses / %d evictions\n"
-      pc.Granii_serve.Plan_cache.hits pc.Granii_serve.Plan_cache.misses
-      pc.Granii_serve.Plan_cache.evictions;
+      pc.Plan_cache.hits pc.Plan_cache.misses pc.Plan_cache.evictions;
     Printf.printf "backpressure retries %d\n" res.Ssim.retries;
     if Obs.Sketch.count sketch > 0 then
       Printf.printf

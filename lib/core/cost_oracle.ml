@@ -5,37 +5,23 @@ module Gbrt = Granii_ml.Gbrt
 
 (* ---- calibration policy ---- *)
 
-type calibration = Off | Affine | Refit
+type calibration = Off | Affine
 
 let calibration_to_string = function
   | Off -> "off"
   | Affine -> "affine"
-  | Refit -> "refit"
 
 let calibration_of_string = function
   | "off" -> Some Off
   | "affine" -> Some Affine
-  | "refit" -> Some Refit
   | _ -> None
 
 (* ---- state ---- *)
-
-(* Refit sample: the featurized model input alongside the pair, so a GBRT
-   can be re-fitted without replaying executions. *)
-type sample = { s_input : float array; s_predicted : float; s_measured : float }
-
-(* Newest-first list, truncated back to [sample_cap] whenever it doubles —
-   amortized O(1) insertion without a second ring implementation. *)
-type sample_series = { mutable items : sample list; mutable count : int }
-
-let sample_cap = 512
-let min_refit_samples = 24
 
 type snapshot = {
   snap_version : int;
   snap_note : string;
   snap_corrections : (string * (float * float)) list;
-  snap_overrides : (string * Gbrt.t) list;
 }
 
 type t = {
@@ -45,9 +31,7 @@ type t = {
   min_pairs : int;
   obs : Obs.t;
   monitor : Obs.Cost_monitor.t;
-  samples : (string, sample_series) Hashtbl.t;
   corrections : (string, float * float) Hashtbl.t;  (* prim -> (a, b) *)
-  overrides : (string, Gbrt.t) Hashtbl.t;
   mutable version : int;
   mutable history : snapshot list;  (* newest first, capped *)
   mutable observed : int;
@@ -67,9 +51,7 @@ let of_model ?(calibration = Off) ?(fit_every = 64) ?(min_pairs = 8) ?obs
     obs = (match obs with Some o -> o | None -> Obs.disabled);
     monitor =
       (match monitor with Some m -> m | None -> Obs.Cost_monitor.create ());
-    samples = Hashtbl.create 16;
     corrections = Hashtbl.create 16;
-    overrides = Hashtbl.create 16;
     version = 0;
     history = [];
     observed = 0;
@@ -120,31 +102,27 @@ let analytic_prim ~threads profile ~env prim =
     0.
     (Primitive.to_kernels env prim)
 
-(* The base model's prediction, overrides included — exactly the old
-   [Cost_model.predict] when no override is installed. *)
+(* The base model's prediction — exactly the old [Cost_model.predict]. *)
 let raw_predict t feats ~env prim =
   let threads = feats.Featurizer.threads in
-  let pname = Primitive.name prim in
-  let learned_input () =
-    Featurizer.primitive_input feats ~dims:(Primitive.instantiated_dims env prim)
-  in
-  match Hashtbl.find_opt t.overrides pname with
-  | Some model -> exp (Gbrt.predict model (learned_input ()))
-  | None -> (
-      match Cost_model.kind t.base with
-      | `Flops ->
-          List.fold_left
-            (fun acc kernel -> acc +. K.flops kernel)
-            0.
-            (Primitive.to_kernels env prim)
-      | `Analytic ->
-          let p = Option.get (Cost_model.profile t.base) in
-          analytic_prim ~threads p ~env prim
-      | `Learned -> (
-          let p = Option.get (Cost_model.profile t.base) in
-          match Cost_model.find_model t.base pname with
-          | Some model -> exp (Gbrt.predict model (learned_input ()))
-          | None -> analytic_prim ~threads p ~env prim))
+  match Cost_model.kind t.base with
+  | `Flops ->
+      List.fold_left
+        (fun acc kernel -> acc +. K.flops kernel)
+        0.
+        (Primitive.to_kernels env prim)
+  | `Analytic ->
+      let p = Option.get (Cost_model.profile t.base) in
+      analytic_prim ~threads p ~env prim
+  | `Learned -> (
+      let p = Option.get (Cost_model.profile t.base) in
+      match Cost_model.find_model t.base (Primitive.name prim) with
+      | Some model ->
+          exp
+            (Gbrt.predict model
+               (Featurizer.primitive_input feats
+                  ~dims:(Primitive.instantiated_dims env prim)))
+      | None -> analytic_prim ~threads p ~env prim)
 
 let predict t feats ~env prim =
   corrected t ~prim:(Primitive.name prim) (raw_predict t feats ~env prim)
@@ -313,7 +291,6 @@ type pass_outcome = {
   current_err : float;
   candidate_err : float;
   accepted : bool;
-  refit_prims : string list;
   version_after : int;
 }
 
@@ -336,10 +313,7 @@ let snapshot_of t note =
     snap_note = note;
     snap_corrections =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.corrections []
-      |> List.sort compare;
-    snap_overrides =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.overrides []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) }
+      |> List.sort compare }
 
 let push_snapshot t note =
   t.history <- snapshot_of t note :: t.history;
@@ -350,67 +324,6 @@ let apply_correction corrections prim p =
   match Hashtbl.find_opt corrections prim with
   | None -> p
   | Some (a, b) -> if p > 0. then exp (a +. (b *. log p)) else p
-
-(* Candidate per-primitive GBRT refits, guarded per primitive on the sample
-   holdout: an override must strictly beat the current corrected prediction
-   on inversions (ties broken by error) before it is adopted into the
-   candidate state. *)
-let refit_candidates t fitted =
-  List.filter_map
-    (fun prim ->
-      match Hashtbl.find_opt t.samples prim with
-      | None -> None
-      | Some ss ->
-          let items = List.rev ss.items (* oldest first *) in
-          let items =
-            List.filter (fun s -> s.s_measured > 0. && s.s_predicted > 0.) items
-          in
-          if List.length items < min_refit_samples then None
-          else begin
-            let train_s, hold_s = split_holdout items in
-            if List.length train_s < 2 then None
-            else begin
-              let features =
-                Array.of_list (List.map (fun s -> s.s_input) train_s)
-              in
-              let labels =
-                Array.of_list (List.map (fun s -> log s.s_measured) train_s)
-              in
-              match Granii_ml.Ml_dataset.make features labels with
-              | exception Invalid_argument _ -> None
-              | ds ->
-                  let params =
-                    { Gbrt.default_params with Gbrt.n_trees = 40 }
-                  in
-                  let model = Gbrt.fit ~params ds in
-                  let n = List.length hold_s in
-                  let meas =
-                    Array.of_list (List.map (fun s -> s.s_measured) hold_s)
-                  in
-                  let cur =
-                    Array.of_list
-                      (List.map
-                         (fun s -> corrected t ~prim s.s_predicted)
-                         hold_s)
-                  in
-                  let cand =
-                    Array.of_list
-                      (List.map
-                         (fun s -> exp (Gbrt.predict model s.s_input))
-                         hold_s)
-                  in
-                  let cur_inv, _ = inversions cur meas n in
-                  let cand_inv, _ = inversions cand meas n in
-                  let cur_err = mean_abs_log_err cur meas n in
-                  let cand_err = mean_abs_log_err cand meas n in
-                  if
-                    cand_inv < cur_inv
-                    || (cand_inv = cur_inv && cand_err < cur_err -. 1e-12)
-                  then Some (prim, model)
-                  else None
-            end
-          end)
-    fitted
 
 let calibrate_pass t =
   let prims = Obs.Cost_monitor.prims t.monitor in
@@ -430,9 +343,6 @@ let calibrate_pass t =
     let fitted = List.map (fun (p, _, _) -> p) per_prim in
     let candidate = Hashtbl.copy t.corrections in
     List.iter (fun (prim, c, _) -> Hashtbl.replace candidate prim c) per_prim;
-    let refits =
-      if t.calibration = Refit then refit_candidates t fitted else []
-    in
     (* pooled holdout: (prim, raw predicted, measured) *)
     let pooled =
       List.concat_map
@@ -447,18 +357,7 @@ let calibrate_pass t =
     in
     let cand =
       Array.of_list
-        (List.map
-           (fun (prim, p, _) ->
-             match List.assoc_opt prim refits with
-             (* an accepted refit replaces the correction for its primitive;
-                scoring the pooled slice must reflect that. The override's
-                holdout prediction needs the stored input, which the pooled
-                pair lacks — approximate with the correction-free raw value,
-                the conservative choice (refits were already guarded
-                per-primitive on their own sample holdout). *)
-             | Some _ -> p
-             | None -> apply_correction candidate prim p)
-           pooled)
+        (List.map (fun (prim, p, _) -> apply_correction candidate prim p) pooled)
     in
     let cur_inv, _ = inversions cur meas n in
     let cand_inv, _ = inversions cand meas n in
@@ -474,11 +373,6 @@ let calibrate_pass t =
       List.iter
         (fun (prim, c, _) -> Hashtbl.replace t.corrections prim c)
         per_prim;
-      List.iter
-        (fun (prim, model) ->
-          Hashtbl.replace t.overrides prim model;
-          Hashtbl.remove t.corrections prim)
-        refits;
       t.version <- t.version + 1
     end;
     Some
@@ -489,7 +383,6 @@ let calibrate_pass t =
         current_err = cur_err;
         candidate_err = cand_err;
         accepted;
-        refit_prims = (if accepted then List.map fst refits else []);
         version_after = t.version }
   end
 
@@ -505,37 +398,14 @@ let calibrate t =
       Obs.count t.obs
         (if o.accepted then "calibrate.accepted" else "calibrate.rejected")
         1;
-      if o.refit_prims <> [] then
-        Obs.count t.obs "calibrate.refit.accepted" (List.length o.refit_prims);
       Obs.gauge t.obs "calibrate.version" (float_of_int t.version);
       Obs.event t.obs Obs.Journal.Calibrate
         ~tag:(if o.accepted then "accepted" else "rejected")
         ~v:(float_of_int o.version_after));
   outcome
 
-let record_sample t ~prim sample =
-  let ss =
-    match Hashtbl.find_opt t.samples prim with
-    | Some ss -> ss
-    | None ->
-        let ss = { items = []; count = 0 } in
-        Hashtbl.replace t.samples prim ss;
-        ss
-  in
-  ss.items <- sample :: ss.items;
-  ss.count <- ss.count + 1;
-  if ss.count > 2 * sample_cap then begin
-    ss.items <- List.filteri (fun i _ -> i < sample_cap) ss.items;
-    ss.count <- sample_cap
-  end
-
-let observe ?input t ~prim ~predicted ~measured =
+let observe t ~prim ~predicted ~measured =
   Obs.Cost_monitor.record t.monitor ~prim ~predicted ~measured;
-  (match input with
-  | Some s_input ->
-      record_sample t ~prim
-        { s_input; s_predicted = predicted; s_measured = measured }
-  | None -> ());
   t.observed <- t.observed + 1;
   let cadence_due = t.calibration <> Off && t.observed mod t.fit_every = 0 in
   let drift_due =
@@ -569,13 +439,9 @@ let rollback t =
   | [] -> false
   | snap :: rest ->
       Hashtbl.reset t.corrections;
-      Hashtbl.reset t.overrides;
       List.iter
         (fun (k, v) -> Hashtbl.replace t.corrections k v)
         snap.snap_corrections;
-      List.iter
-        (fun (k, v) -> Hashtbl.replace t.overrides k v)
-        snap.snap_overrides;
       t.history <- rest;
       (* the version advances: a rolled-back oracle predicts differently
          from the state it replaced, so caches keyed by [name] must miss *)
@@ -635,8 +501,7 @@ let report t =
           rp_base_inv = base_inv;
           rp_corrected_inv = corr_inv;
           rp_inv_pairs = inv_pairs;
-          rp_corrected =
-            Hashtbl.mem t.corrections prim || Hashtbl.mem t.overrides prim })
+          rp_corrected = Hashtbl.mem t.corrections prim })
       prims
   in
   let pooled =

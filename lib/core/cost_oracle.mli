@@ -8,9 +8,7 @@
     wraps a base predictor (analytic | learned | flops) and closes the loop:
     live (predicted, measured) pairs flow into its monitor via {!observe},
     and every [fit_every] observations a calibration pass fits a
-    per-primitive affine correction in log space (and, under [Refit],
-    incrementally refits per-primitive GBRTs from the stored inputs). A
-    candidate model is swapped in only when it passes the A/B guard: it must
+    per-primitive affine correction in log space. A candidate model is swapped in only when it passes the A/B guard: it must
     strictly reduce Kendall rank inversions (ties broken by mean |log
     error|) on a held-out slice of the newest pairs — the quantity plan
     selection actually depends on. Every accepted swap pushes a versioned
@@ -24,12 +22,10 @@
 
 type calibration =
   | Off     (** never fit; predictions are exactly the base model's *)
-  | Affine  (** per-primitive [exp (a + b ln p)] corrections only *)
-  | Refit   (** affine corrections plus incremental per-primitive GBRT
-                refits from stored featurized inputs *)
+  | Affine  (** per-primitive [exp (a + b ln p)] corrections *)
 
 val calibration_to_string : calibration -> string
-(** ["off"] | ["affine"] | ["refit"] — the engine config axis rendering. *)
+(** ["off"] | ["affine"] — the engine config axis rendering. *)
 
 val calibration_of_string : string -> calibration option
 
@@ -69,8 +65,8 @@ val load : string -> t
 
 val save : t -> string -> unit
 (** Persist the {e base} model ({!Cost_model.save}; raises
-    [Invalid_argument] on ablation bases). Corrections and overrides are
-    runtime state and are not persisted. *)
+    [Invalid_argument] on ablation bases). Corrections are runtime state
+    and are not persisted. *)
 
 (** {1 Accessors} *)
 
@@ -112,10 +108,9 @@ val corrected : t -> prim:string -> float -> float
 (** {1 Prediction} *)
 
 val predict : t -> Featurizer.t -> env:Dim.env -> Primitive.t -> float
-(** Predicted runtime of one primitive instance: the per-primitive GBRT
-    override if a refit installed one, else the base model (learned GBRT,
-    analytic roofline with the featurized thread count, or FLOP count),
-    then the affine correction. With no correction and no override this is
+(** Predicted runtime of one primitive instance: the base model (learned
+    GBRT, analytic roofline with the featurized thread count, or FLOP
+    count), then the affine correction. With no correction this is
     bit-for-bit the old [Cost_model.predict]. *)
 
 val predict_plan :
@@ -169,13 +164,9 @@ val plan_adjustment :
 
 (** {1 The feedback loop} *)
 
-val observe :
-  ?input:float array -> t -> prim:string -> predicted:float ->
-  measured:float -> unit
+val observe : t -> prim:string -> predicted:float -> measured:float -> unit
 (** Feed one (predicted, measured) pair — [predicted] must be the {e raw}
-    (uncorrected) prediction. The pair lands in {!monitor}; [input] (the
-    featurized model input) additionally lands in the refit sample store.
-    Every [fit_every] calls, when calibration is not {!Off}, a calibration
+    (uncorrected) prediction. The pair lands in {!monitor}. Every [fit_every] calls, when calibration is not {!Off}, a calibration
     pass runs inline. Each positive pair also feeds the oracle's drift
     detector with the {e corrected} |log error|; when the detector fires,
     a [calibrate.drift.fired] counter and a journal [Drift] event are
@@ -190,8 +181,6 @@ type pass_outcome = {
   current_err : float;          (** pooled mean |ln (corrected/measured)| *)
   candidate_err : float;
   accepted : bool;              (** did the candidate pass the A/B guard *)
-  refit_prims : string list;    (** primitives whose GBRT override was
-                                    accepted this pass ([Refit] only) *)
   version_after : int;
 }
 
@@ -211,7 +200,6 @@ type snapshot = {
   snap_version : int;  (** the version the snapshot captured *)
   snap_note : string;
   snap_corrections : (string * (float * float)) list;
-  snap_overrides : (string * Granii_ml.Gbrt.t) list;
 }
 
 val snapshots : t -> snapshot list
@@ -235,7 +223,7 @@ type prim_report = {
   rp_base_inv : int;      (** within-primitive inversions, raw *)
   rp_corrected_inv : int;
   rp_inv_pairs : int;     (** comparable pairs behind the inversion counts *)
-  rp_corrected : bool;    (** a correction or override is installed *)
+  rp_corrected : bool;    (** a correction is installed *)
 }
 
 type report = {

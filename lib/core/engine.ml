@@ -12,11 +12,7 @@ type config = {
   cache : bool;
   locality : Locality.config;
   keep_intermediates : bool;
-  telemetry : bool;
-  queue_bound : int;
-  batch_window : int;
   calibration : Cost_oracle.calibration;
-  journal : bool;
 }
 
 let default_config =
@@ -25,19 +21,13 @@ let default_config =
     cache = false;
     locality = Locality.default;
     keep_intermediates = true;
-    telemetry = false;
-    queue_bound = 64;
-    batch_window = 0;
-    calibration = Cost_oracle.Off;
-    journal = false }
+    calibration = Cost_oracle.Off }
 
 type error =
   | Invalid_threads of int
   | Cache_with_locality of Locality.config
   | Workspace_cache_discard
   | Cache_graph_mismatch of { expected : string; got : string }
-  | Invalid_queue_bound of int
-  | Invalid_batch_window of int
   | Invalid_format of string
   | Bsr_with_reorder of Locality.config
 
@@ -60,14 +50,6 @@ let error_to_string = function
          graph %s (cached values are only valid for one (graph, bindings) \
          pair)"
         expected got
-  | Invalid_queue_bound q ->
-      Printf.sprintf
-        "engine: queue_bound must be >= 1 (got %d) — the serving runtime \
-         needs at least one admission slot per tenant"
-        q
-  | Invalid_batch_window w ->
-      Printf.sprintf
-        "engine: batch_window must be >= 0 microseconds (got %d)" w
   | Invalid_format f ->
       Printf.sprintf
         "engine: unknown sparse format %s (expected csr, hybrid, bsr or cbm)"
@@ -97,37 +79,43 @@ type cache = {
   tbl : (string, Dispatch.value * float) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable fingerprint : (string * string) option;
-      (* (graph name for the error message, structural fingerprint) *)
+  mutable bound : (Granii_graph.Graph.t * string) option;
+      (* the first graph bound and its structural fingerprint *)
 }
 
 let cache_create () =
-  { tbl = Hashtbl.create 64; cache_hits = 0; cache_misses = 0; fingerprint = None }
+  { tbl = Hashtbl.create 64; cache_hits = 0; cache_misses = 0; bound = None }
 
 let cache_stats c = (c.cache_hits, c.cache_misses)
 
-(* Cheap structural fingerprint: exact counts plus a bounded hash of the
-   adjacency arrays. [Hashtbl.hash_param] walks at most the given number of
-   array elements, so this stays O(1) on huge graphs while still catching
-   any realistic accidental graph swap. *)
+(* Full-content structural fingerprint: the counts plus an MD5 digest of
+   the marshalled [row_ptr] and [col_idx] arrays, so two graphs share a
+   fingerprint only if their adjacency is identical (barring a digest
+   collision). O(n + nnz), paid once per distinct graph binding — never on
+   a per-step path. *)
 let graph_fingerprint (g : Granii_graph.Graph.t) =
   let adj = g.Granii_graph.Graph.adj in
-  Printf.sprintf "n=%d;nnz=%d;rp=%d;ci=%d"
+  Printf.sprintf "n=%d;nnz=%d;adj=%s"
     (Granii_graph.Graph.n_nodes g)
     (Granii_graph.Graph.n_edges g)
-    (Hashtbl.hash_param 256 256 adj.Csr.row_ptr)
-    (Hashtbl.hash_param 256 256 adj.Csr.col_idx)
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string (adj.Csr.row_ptr, adj.Csr.col_idx)
+             [ Marshal.No_sharing ])))
 
+(* Rebinding the very graph the cache was bound to skips the digest, so a
+   candidate sweep over one graph pays for it once. *)
 let cache_bind_graph c (g : Granii_graph.Graph.t) =
-  let fp = graph_fingerprint g in
-  match c.fingerprint with
-  | None -> c.fingerprint <- Some (g.Granii_graph.Graph.name, fp)
-  | Some (name, fp0) ->
-      if not (String.equal fp0 fp) then
+  match c.bound with
+  | Some (g0, _) when g0 == g -> ()
+  | None -> c.bound <- Some (g, graph_fingerprint g)
+  | Some (g0, fp0) ->
+      if not (String.equal fp0 (graph_fingerprint g)) then
         raise
           (Error
              (Cache_graph_mismatch
-                { expected = name; got = g.Granii_graph.Graph.name }))
+                { expected = g0.Granii_graph.Graph.name;
+                  got = g.Granii_graph.Graph.name }))
 
 let cache_find c key =
   match Hashtbl.find_opt c.tbl key with
@@ -175,8 +163,6 @@ let validate (cfg : config) =
     Some (Bsr_with_reorder cfg.locality)
   else if cfg.workspace && cfg.cache && not cfg.keep_intermediates then
     Some Workspace_cache_discard
-  else if cfg.queue_bound < 1 then Some (Invalid_queue_bound cfg.queue_bound)
-  else if cfg.batch_window < 0 then Some (Invalid_batch_window cfg.batch_window)
   else None
 
 let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
@@ -187,12 +173,6 @@ let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
       threads = (match pool with Some p -> Parallel.threads p | None -> cfg.threads);
       workspace = cfg.workspace || workspace <> None;
       cache = cfg.cache || cache <> None;
-      telemetry =
-        (cfg.telemetry
-        || match obs with Some o -> Obs.enabled o | None -> false);
-      journal =
-        (cfg.journal
-        || match obs with Some o -> o.Obs.journal <> None | None -> false);
       calibration =
         (match oracle with
         | Some o -> Cost_oracle.calibration o
@@ -218,24 +198,13 @@ let create ?pool ?workspace ?cache ?obs ?oracle (cfg : config) =
         | Some _ as c -> c
         | None -> if cfg.cache then Some (cache_create ()) else None
       in
-      let obs =
-        match obs with
-        | Some o -> o
-        | None ->
-            if cfg.telemetry then Obs.create ~journal:cfg.journal ()
-            else if cfg.journal then
-              (* journal-only sink: the always-on production journal does
-                 not drag the full metrics/trace machinery along *)
-              Obs.create ~trace:false ~metrics:false ~costmon:false
-                ~journal:true ()
-            else Obs.disabled
-      in
+      let obs = Option.value obs ~default:Obs.disabled in
       let oracle =
         match oracle with
         | Some o -> o
         | None ->
-            (* the calibration feed is the live monitor when telemetry is
-               on, so execution telemetry and the oracle see one pair store *)
+            (* the calibration feed is the live monitor when the sink has
+               one, so execution telemetry and the oracle see one pair store *)
             Cost_oracle.of_model ~calibration:cfg.calibration ~obs
               ?monitor:obs.Obs.costmon
               (Cost_model.analytic Granii_hw.Hw_profile.cpu)
@@ -275,13 +244,11 @@ let onoff = function true -> "on" | false -> "off"
 
 let describe_config (cfg : config) =
   Printf.sprintf
-    "threads=%d,workspace=%s,cache=%s,locality=%s,intermediates=%s,telemetry=%s,queue_bound=%d,batch_window=%d,calibration=%s,journal=%s"
+    "threads=%d,workspace=%s,cache=%s,locality=%s,intermediates=%s,calibration=%s"
     cfg.threads (onoff cfg.workspace) (onoff cfg.cache)
     (Locality.config_to_string cfg.locality)
     (if cfg.keep_intermediates then "keep" else "drop")
-    (onoff cfg.telemetry) cfg.queue_bound cfg.batch_window
     (Cost_oracle.calibration_to_string cfg.calibration)
-    (onoff cfg.journal)
 
 let describe t = describe_config t.cfg
 
@@ -352,33 +319,13 @@ let config_of_string s =
                   Error
                     (Printf.sprintf
                        "engine spec: intermediates expects keep|drop (got %s)" v))
-          | "telemetry" ->
-              let* b = parse_flag key v in
-              Ok { cfg with telemetry = b }
-          | "queue_bound" -> (
-              match int_of_string_opt v with
-              | Some q -> Ok { cfg with queue_bound = q }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: queue_bound expects an integer (got %s)" v))
-          | "batch_window" -> (
-              match int_of_string_opt v with
-              | Some w -> Ok { cfg with batch_window = w }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: batch_window expects an integer (got %s)" v))
-          | "journal" ->
-              let* b = parse_flag key v in
-              Ok { cfg with journal = b }
           | "calibration" -> (
               match Cost_oracle.calibration_of_string v with
               | Some c -> Ok { cfg with calibration = c }
               | None ->
                   Error
                     (Printf.sprintf
-                       "engine spec: calibration expects off|affine|refit (got %s)"
+                       "engine spec: calibration expects off|affine (got %s)"
                        v))
           | _ -> Error (Printf.sprintf "engine spec: unknown key %s" key)))
     (Ok default_config) fields

@@ -23,7 +23,12 @@
 
     Every engine also carries a {!Cost_oracle.t} — the single
     cost-prediction layer — whose online-calibration policy is the
-    [calibration] config axis. *)
+    [calibration] config axis.
+
+    The config holds only axes that change what the engine computes or
+    how it allocates. Serving admission parameters live in
+    [Granii_serve.Serve.config]; the telemetry sink is a resource, handed
+    in through [create ?obs] like a pool or an arena. *)
 
 type config = {
   threads : int;       (** multicore-engine width; 1 = sequential *)
@@ -33,36 +38,16 @@ type config = {
   keep_intermediates : bool;
       (** [false] lets the liveness pass recycle each intermediate's buffer
           the moment its last reader retires (requires the workspace) *)
-  telemetry : bool;
-      (** attach a live {!Granii_obs.Obs} sink (tracing + metrics +
-          cost-model monitor); off = the zero-overhead {!Granii_obs.Obs.disabled}
-          sink *)
-  queue_bound : int;
-      (** serving axis: per-tenant admission-queue capacity (requests); the
-          serving runtime rejects with [Queue_full] beyond it. Must be
-          >= 1. Ignored by direct (non-serving) execution. *)
-  batch_window : int;
-      (** serving axis: how long (microseconds) the batcher may hold an
-          admitted request open waiting for coalescible peers; [0] batches
-          only what is already queued. Must be >= 0. Ignored by direct
-          (non-serving) execution. *)
   calibration : Cost_oracle.calibration;
       (** online cost-model calibration policy of the engine's oracle.
           {!Cost_oracle.Off} (the default) makes the oracle a pure reader of
           its base model — predictions bitwise identical to an uncalibrated
           engine. *)
-  journal : bool;
-      (** attach the always-on production event journal
-          ({!Granii_obs.Obs.Journal}: lock-free per-domain rings recording
-          step executions, plan-cache traffic, calibration swaps,
-          backpressure) even when full [telemetry] is off. Never affects
-          computed outputs. *)
 }
 
 val default_config : config
 (** [threads=1], everything off, {!Locality.default}, keep intermediates,
-    [calibration=Off], [journal=false] — the seed executor's behavior.
-    Serving axes default to [queue_bound=64], [batch_window=0]. *)
+    [calibration=Off] — the seed executor's behavior. *)
 
 type error =
   | Invalid_threads of int
@@ -73,11 +58,6 @@ type error =
           recycling reclaims buffers mid-run, before insertion can pin them *)
   | Cache_graph_mismatch of { expected : string; got : string }
       (** the cache was bound to one graph and used with another *)
-  | Invalid_queue_bound of int
-      (** [queue_bound < 1]: the serving runtime needs at least one
-          admission slot per tenant *)
-  | Invalid_batch_window of int
-      (** [batch_window < 0] microseconds *)
   | Invalid_format of string
       (** unknown sparse-format name on the locality axis (expected [csr],
           [hybrid], [bsr] or [cbm]) *)
@@ -113,14 +93,12 @@ val create :
     already-owned resources ({!Selector.measure} does) — an injected
     resource is never shut down by {!shutdown}, and the stored config is
     normalized to reflect it ([threads] from the injected pool's width,
-    [workspace]/[cache] forced on, [telemetry] on when the injected sink is
-    live, [calibration] from the injected oracle's policy).
-    [config.telemetry = true] without an injected sink builds a fresh
-    all-on {!Granii_obs.Obs.create}; an injected
-    {!Granii_obs.Obs.disabled} keeps telemetry off. Without an injected
-    [oracle], the engine builds one over the analytic host-CPU base model
-    with the config's [calibration] policy, feeding off the live
-    cost-monitor when telemetry is on. *)
+    [workspace]/[cache] forced on, [calibration] from the injected oracle's
+    policy). The telemetry sink is [obs] when given and
+    {!Granii_obs.Obs.disabled} otherwise — the config never creates one.
+    Without an injected [oracle], the engine builds one over the analytic
+    host-CPU base model with the config's [calibration] policy, feeding off
+    the sink's cost monitor when it has one. *)
 
 val create_exn :
   ?pool:Granii_tensor.Parallel.t -> ?workspace:Granii_tensor.Workspace.t ->
@@ -146,8 +124,8 @@ val locality : t -> Locality.config
 val keep_intermediates : t -> bool
 
 val obs : t -> Granii_obs.Obs.t
-(** The telemetry sink; {!Granii_obs.Obs.disabled} unless the config asked
-    for telemetry or a live sink was injected. *)
+(** The telemetry sink; {!Granii_obs.Obs.disabled} unless one was injected
+    through [create ?obs]. *)
 
 val oracle : t -> Cost_oracle.t
 (** The engine's cost-prediction layer. Executor telemetry feeds it the
@@ -181,24 +159,23 @@ val cache_insert : t -> string -> Dispatch.value -> float -> unit
 val describe : t -> string
 
 val describe_config : config -> string
-(** E.g. ["threads=4,workspace=on,cache=off,locality=identity+csr,intermediates=keep,telemetry=off,queue_bound=64,batch_window=0,calibration=off,journal=off"].
+(** E.g. ["threads=4,workspace=on,cache=off,locality=identity+csr,intermediates=keep,calibration=off"].
     Round-trips exactly through {!config_of_string}. *)
 
 val config_of_string : string -> (config, string) result
 (** Parse a comma-separated [key=value] spec; omitted keys keep their
     {!default_config} values, [""] and ["default"] are the default config.
-    Keys: [threads] (int), [workspace]/[cache]/[telemetry] (on|off),
+    Keys: [threads] (int), [workspace]/[cache] (on|off),
     [locality] (<identity|degree|bfs|rcm>+<csr|hybrid|bsr|cbm>),
-    [intermediates] (keep|drop), [queue_bound] (int), [batch_window]
-    (int, microseconds), [calibration] (off|affine|refit), [journal]
-    (on|off). An unknown format name reports the {!Invalid_format}
+    [intermediates] (keep|drop), [calibration] (off|affine). Any other key
+    is a parse error. An unknown format name reports the {!Invalid_format}
     message. *)
 
 (** {2 Structural fingerprinting} (shared with the serving plan cache) *)
 
 val graph_fingerprint : Granii_graph.Graph.t -> string
-(** Cheap structural fingerprint of a graph: exact node/edge counts plus a
-    bounded hash of the adjacency arrays ([Hashtbl.hash_param] walks at most
-    256 elements, so this is O(1) on huge graphs). Used by the subtree
-    cache's graph binding and as the graph component of the serving layer's
-    plan-cache key. *)
+(** Structural fingerprint of a graph: exact node/edge counts plus an MD5
+    digest of the full [row_ptr] and [col_idx] arrays, so structurally
+    different graphs get different fingerprints. O(n + nnz). Used by the
+    subtree cache's graph binding and as the graph component of the serving
+    layer's plan-cache key. *)

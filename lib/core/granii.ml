@@ -118,18 +118,6 @@ let execute_with ?seed ?disable ~engine ~timing ~graph ~bindings decision =
   Executor.exec ?seed ?disable ~engine ~timing ~graph ~bindings
     decision.choice.Selector.candidate.Codegen.plan
 
-let engine_config ?(threads = 1) ?(workspace = false) ?(cache = false)
-    ?(keep_intermediates = true) ?(telemetry = false)
-    ?(calibration = Cost_oracle.Off) (localized : localized_decision) =
-  { Engine.default_config with
-    threads;
-    workspace;
-    cache;
-    locality = localized.config;
-    keep_intermediates;
-    telemetry;
-    calibration }
-
 let simulated_overhead ~profile ~env =
   let featurize =
     Cost_oracle.kernel_time profile

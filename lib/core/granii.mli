@@ -62,7 +62,8 @@ val optimize_localized :
     them) via {!Selector.select_localized}. Pass a singleton [configs] to
     force a layout, or restrict one axis (the CLI's [--reorder]/[--format]).
     With a profile-less oracle the layout adjustment is zero and the
-    result coincides with {!optimize}. Feed [config] to {!engine_config}. *)
+    result coincides with {!optimize}. Put [config] in an
+    {!Engine.config}'s [locality] axis to execute under the chosen layout. *)
 
 val execute_with :
   ?seed:int -> ?disable:string list -> engine:Engine.t ->
@@ -70,18 +71,6 @@ val execute_with :
   bindings:(string * Executor.value) list -> decision -> Executor.report
 (** Runs the selected plan under a validated {!Engine.t} (see
     {!Executor.exec}); [disable] skips named {!Pass} pipeline passes. *)
-
-val engine_config :
-  ?threads:int -> ?workspace:bool -> ?cache:bool ->
-  ?keep_intermediates:bool -> ?telemetry:bool ->
-  ?calibration:Cost_oracle.calibration -> localized_decision ->
-  Engine.config
-(** An engine configuration whose locality axis is the layout
-    {!optimize_localized} picked — the canonical way to turn a localized
-    decision into an engine: feed the result to {!Engine.create} and the
-    engine to {!execute_with}. [calibration] (default
-    {!Cost_oracle.Off}) sets the engine oracle's online-calibration
-    policy. *)
 
 val simulated_overhead :
   profile:Granii_hw.Hw_profile.t -> env:Dim.env -> float

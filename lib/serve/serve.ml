@@ -12,6 +12,7 @@ module Featurizer = Granii_core.Featurizer
 module Cost_oracle = Granii_core.Cost_oracle
 module Locality = Granii_core.Locality
 module Plan = Granii_core.Plan
+module Plan_cache = Granii_core.Plan_cache
 module Dim = Granii_core.Dim
 module Codegen = Granii_core.Codegen
 module Mp = Granii_mp
@@ -47,14 +48,6 @@ let default_config =
     locality = Locality.default;
     calibration = Cost_oracle.Off;
     slo_ms = None }
-
-let with_engine_axes (ec : Engine.config) cfg =
-  { cfg with
-    queue_bound = ec.Engine.queue_bound;
-    batch_window = ec.Engine.batch_window;
-    threads = ec.Engine.threads;
-    locality = ec.Engine.locality;
-    calibration = ec.Engine.calibration }
 
 type reject = Queue_full of { tenant : string; bound : int } | Shutdown
 

@@ -1,12 +1,12 @@
 (** Multi-tenant inference serving over the GRANII engine (DESIGN.md §12).
 
-    A server owns the shared model/parameter registries, a {!Plan_cache}
-    (selection once per distinct input shape), and per-tenant bounded
-    admission queues. Requests name a registered graph, a model and a
-    feature matrix; the scheduler coalesces compatible queued requests —
-    same graph, model and embedding widths, {e across} tenants — into one
-    {!Batch.exec_batch} invocation and scatters the results back to each
-    request's ticket.
+    A server owns the shared model/parameter registries, a
+    {!Granii_core.Plan_cache} (selection once per distinct input shape), and
+    per-tenant bounded admission queues. Requests name a registered graph,
+    a model and a feature matrix; the scheduler coalesces compatible queued
+    requests — same graph, model and embedding widths, {e across} tenants —
+    into one {!Batch.exec_batch} invocation and scatters the results back
+    to each request's ticket.
 
     {2 Scheduler modes}
 
@@ -61,7 +61,8 @@
     regression fires a [serve.drift.fired] counter and a journal [drift]
     event. When the sink has a journal, the server records [request],
     [batch], [backpressure], [slo_breach] and [plan_cache_invalidate]
-    events (plan-cache hit/miss events come from {!Plan_cache} itself).
+    events (plan-cache hit/miss events come from {!Granii_core.Plan_cache}
+    itself).
     An [slo_ms] target turns breach accounting on: per-request latency
     above the target bumps [serve.slo.breaches] and the {!stats} breach
     fields. A width-1 job also feeds the oracle one plan-level
@@ -78,7 +79,8 @@ type config = {
           for late-arriving coalescible requests; [0] (and manual mode)
           batches only what is already queued *)
   max_batch : int;     (** widest coalesced batch, >= 1 *)
-  plan_cache : int;    (** {!Plan_cache} capacity; [0] disables it *)
+  plan_cache : int;
+      (** {!Granii_core.Plan_cache} capacity; [0] disables it *)
   batching : bool;     (** [false]: every job has width 1 (ablation arm) *)
   threads : int;
       (** domain-pool width for manual-mode kernel execution (threaded
@@ -121,11 +123,6 @@ val default_config : config
     [iterations=1], [param_seed=11], default locality, calibration off,
     no SLO. *)
 
-val with_engine_axes : Granii_core.Engine.config -> config -> config
-(** Copy the serving axes an {!Granii_core.Engine.config} carries
-    ([queue_bound], [batch_window], [threads], [locality], [calibration])
-    into a serving config — the bridge from the CLI's [--engine] spec. *)
-
 type reject =
   | Queue_full of { tenant : string; bound : int }
   | Shutdown
@@ -149,7 +146,7 @@ type stats = {
   max_width : int;
   sum_width : int;       (** [sum_width / batches] = mean batch width *)
   widened_steps : int;   (** plan steps executed once over widened operands *)
-  plan_cache : Plan_cache.stats;
+  plan_cache : Granii_core.Plan_cache.stats;
   slo_breaches : int;    (** completions slower than [slo_ms]; [0] without
                              an SLO *)
   first_breach : float option;

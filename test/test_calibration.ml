@@ -79,9 +79,7 @@ let test_guard_rejects_no_improvement () =
   | None -> Alcotest.fail "calibration pass found no primitive to fit"
   | Some o ->
       check_true "a perfect model leaves nothing to win"
-        (not o.Cost_oracle.accepted);
-      check_true "no refits on a rejected pass"
-        (o.Cost_oracle.refit_prims = []));
+        (not o.Cost_oracle.accepted));
   check_true "version unchanged" (Cost_oracle.version oracle = 0);
   check_true "no correction installed"
     (Cost_oracle.correction oracle "spmm" = None);
@@ -148,42 +146,6 @@ let test_rollback () =
   check_true "no second snapshot to restore"
     (not (Cost_oracle.rollback oracle))
 
-let test_refit_policy () =
-  (* Refit = affine corrections plus guarded per-primitive GBRT overrides
-     fitted from stored inputs; the pass-level guard semantics are
-     unchanged, and any adopted override is for a fitted primitive. The
-     32-observation feed is a sustained misprediction, exactly what the
-     default drift detector exists to catch — it would recalibrate
-     mid-feed (that loop has its own tests in test_observability.ml), so
-     a never-firing detector keeps the explicit pass below the first. *)
-  let quiet = Granii_obs.Obs.Drift.create ~lambda:infinity "off" in
-  let oracle =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Refit ~fit_every:1000
-      ~drift:quiet (Cost_model.analytic Hw.Hw_profile.cpu)
-  in
-  for i = 1 to 16 do
-    let p = float_of_int i *. 1e-3 in
-    Cost_oracle.observe ~input:[| p; 1. |] oracle ~prim:"spmm" ~predicted:p
-      ~measured:(20. *. p)
-  done;
-  for i = 1 to 16 do
-    let p = (float_of_int i +. 0.5) *. 1e-3 in
-    Cost_oracle.observe ~input:[| p; 2. |] oracle ~prim:"gemm" ~predicted:p
-      ~measured:(0.01 *. p)
-  done;
-  match Cost_oracle.calibrate oracle with
-  | None -> Alcotest.fail "calibration pass found no primitive to fit"
-  | Some o ->
-      check_true "the crossed feed is accepted under Refit too"
-        o.Cost_oracle.accepted;
-      check_true "refits only for fitted primitives"
-        (List.for_all
-           (fun p -> List.mem p o.Cost_oracle.fitted_prims)
-           o.Cost_oracle.refit_prims);
-      check_true "predictions stay positive and finite"
-        (let c = Cost_oracle.corrected oracle ~prim:"spmm" 5e-3 in
-         Float.is_finite c && c > 0.)
-
 let test_construction_validation () =
   let base = Cost_model.analytic Hw.Hw_profile.cpu in
   List.iter
@@ -205,7 +167,7 @@ let test_construction_validation () =
         (Cost_oracle.calibration_of_string s = expect))
     [ ("off", Some Cost_oracle.Off);
       ("affine", Some Cost_oracle.Affine);
-      ("refit", Some Cost_oracle.Refit);
+      ("refit", None);
       ("sometimes", None) ];
   List.iter
     (fun c ->
@@ -213,7 +175,7 @@ let test_construction_validation () =
         (Cost_oracle.calibration_of_string
            (Cost_oracle.calibration_to_string c)
         = Some c))
-    [ Cost_oracle.Off; Cost_oracle.Affine; Cost_oracle.Refit ]
+    [ Cost_oracle.Off; Cost_oracle.Affine ]
 
 let test_engine_threads_oracle () =
   (* the engine owns an oracle configured by the calibration axis, and an
@@ -226,14 +188,14 @@ let test_engine_threads_oracle () =
     (Cost_oracle.calibration (Engine.oracle e) = Cost_oracle.Affine);
   Engine.shutdown e;
   let injected =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Refit
+    Cost_oracle.of_model ~calibration:Cost_oracle.Affine
       (Cost_model.analytic Hw.Hw_profile.cpu)
   in
   let e = Engine.create_exn ~oracle:injected Engine.default_config in
   check_true "injected oracle is the one stored"
     (Engine.oracle e == injected);
   check_true "config normalized from the injected oracle"
-    ((Engine.config e).Engine.calibration = Cost_oracle.Refit);
+    ((Engine.config e).Engine.calibration = Cost_oracle.Affine);
   Engine.shutdown e
 
 let test_micro_probe () =
@@ -288,8 +250,6 @@ let suite =
       test_off_is_inert;
     Alcotest.test_case "rollback restores the pre-swap state" `Quick
       test_rollback;
-    Alcotest.test_case "Refit policy keeps the guard semantics" `Quick
-      test_refit_policy;
     Alcotest.test_case "construction and policy-string validation" `Quick
       test_construction_validation;
     Alcotest.test_case "engine threads the calibration axis" `Quick

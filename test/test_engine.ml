@@ -81,20 +81,6 @@ let test_illegal_typed () =
         (function Engine.Invalid_threads n -> n = t | _ -> false))
     [ 0; -1; -8 ];
   List.iter
-    (fun q ->
-      expect
-        (Printf.sprintf "queue_bound=%d" q)
-        { Engine.default_config with queue_bound = q }
-        (function Engine.Invalid_queue_bound n -> n = q | _ -> false))
-    [ 0; -1 ];
-  List.iter
-    (fun w ->
-      expect
-        (Printf.sprintf "batch_window=%d" w)
-        { Engine.default_config with batch_window = w }
-        (function Engine.Invalid_batch_window n -> n = w | _ -> false))
-    [ -1; -250 ];
-  List.iter
     (fun locality ->
       expect
         ("cache + " ^ Locality.config_to_string locality)
@@ -112,44 +98,36 @@ let test_illegal_typed () =
 
 let legal_grid =
   List.concat_map
-    (fun (queue_bound, batch_window) ->
+    (fun threads ->
       List.concat_map
-        (fun threads ->
+        (fun workspace ->
           List.concat_map
-            (fun workspace ->
+            (fun cache ->
               List.concat_map
-                (fun cache ->
+                (fun keep_intermediates ->
                   List.concat_map
-                    (fun keep_intermediates ->
-                      List.concat_map
-                        (fun locality ->
-                          List.filter_map
-                            (fun calibration ->
-                              let cfg =
-                                { Engine.default_config with
-                                  threads;
-                                  workspace;
-                                  cache;
-                                  locality;
-                                  keep_intermediates;
-                                  queue_bound;
-                                  batch_window;
-                                  calibration }
-                              in
-                              match Engine.create cfg with
-                              | Ok e ->
-                                  Engine.shutdown e;
-                                  Some cfg
-                              | Error _ -> None)
-                            [ Cost_oracle.Off; Cost_oracle.Affine;
-                              Cost_oracle.Refit ])
-                        Locality.all_configs)
-                    [ true; false ])
-                [ false; true ])
+                    (fun locality ->
+                      List.filter_map
+                        (fun calibration ->
+                          let cfg =
+                            { Engine.threads;
+                              workspace;
+                              cache;
+                              locality;
+                              keep_intermediates;
+                              calibration }
+                          in
+                          match Engine.create cfg with
+                          | Ok e ->
+                              Engine.shutdown e;
+                              Some cfg
+                          | Error _ -> None)
+                        [ Cost_oracle.Off; Cost_oracle.Affine ])
+                    Locality.all_configs)
+                [ true; false ])
             [ false; true ])
-        [ 1; 2 ])
-    (* the serving axes (PR 6): admission-queue bound and batch window *)
-    [ (64, 0); (1, 250); (512, 5000) ]
+        [ false; true ])
+    [ 1; 2 ]
 
 let test_describe_roundtrip () =
   check_true "the legal grid is non-trivial" (List.length legal_grid > 10);
@@ -170,27 +148,21 @@ let test_describe_roundtrip () =
     (match Engine.config_of_string "turbo=yes" with
     | Error _ -> true
     | Ok _ -> false);
-  (* the serving axes parse, and reject non-integers *)
-  check_true "serving axes parse"
-    (match Engine.config_of_string "queue_bound=128,batch_window=500" with
-    | Ok cfg ->
-        cfg.Engine.queue_bound = 128 && cfg.Engine.batch_window = 500
-    | Error _ -> false);
+  (* serving admission parameters belong to Serve.config, the telemetry
+     sink is injected through [create ?obs], and calibration is off|affine:
+     none of these is an engine key *)
   List.iter
     (fun spec ->
       check_true (spec ^ " is a parse error")
         (match Engine.config_of_string spec with
         | Error _ -> true
         | Ok _ -> false))
-    [ "queue_bound=lots"; "batch_window=soon" ];
+    [ "queue_bound=64"; "batch_window=0"; "telemetry=on"; "journal=on";
+      "calibration=refit" ];
   (* the calibration axis (PR 9): the oracle's online-correction policy *)
   check_true "calibration=affine parses"
     (match Engine.config_of_string "calibration=affine" with
     | Ok cfg -> cfg.Engine.calibration = Cost_oracle.Affine
-    | Error _ -> false);
-  check_true "calibration=refit parses"
-    (match Engine.config_of_string "calibration=refit" with
-    | Ok cfg -> cfg.Engine.calibration = Cost_oracle.Refit
     | Error _ -> false);
   check_true "unknown calibration policy is a parse error"
     (match Engine.config_of_string "calibration=sometimes" with
@@ -200,7 +172,7 @@ let test_describe_roundtrip () =
           let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
           go 0
         in
-        has_sub "off|affine|refit" msg
+        has_sub "off|affine" msg
     | Ok _ -> false);
   (* the format axis (PR 7): the grid auto-widened over bsr/cbm, the new
      names parse, and an unknown format gets the typed Invalid_format
@@ -352,11 +324,6 @@ let test_differential_grid () =
         List.filter
           (fun cfg ->
             cfg.Engine.threads = 1
-            (* the serving axes are admission parameters with no effect on
-               execution — one representative point keeps the grid fast *)
-            && cfg.Engine.queue_bound = Engine.default_config.Engine.queue_bound
-            && cfg.Engine.batch_window
-               = Engine.default_config.Engine.batch_window
             (* calibration shapes prediction, never execution; the grid pins
                the acceptance-gated [Off] arm and stays fast *)
             && cfg.Engine.calibration = Cost_oracle.Off
@@ -450,11 +417,47 @@ let test_cache_graph_mismatch () =
        false
      with Engine.Error (Engine.Cache_graph_mismatch _) -> true)
 
+(* Two graphs that agree everywhere except deep inside [col_idx]: a
+   2,000-node ring plus one chord from node 1500, to 1700 or to 1800. A
+   fingerprint that hashes only a bounded prefix of the adjacency arrays
+   cannot tell them apart. *)
+let test_fingerprint_full_content () =
+  let ring_with_chord c =
+    G.Graph.of_edges
+      ~name:(Printf.sprintf "ring+1500-%d" c)
+      ~n:2000
+      ((1500, c) :: List.init 2000 (fun i -> (i, (i + 1) mod 2000)))
+  in
+  let a = ring_with_chord 1700 and b = ring_with_chord 1800 in
+  check_int "same node count" (G.Graph.n_nodes a) (G.Graph.n_nodes b);
+  check_int "same edge count" (G.Graph.n_edges a) (G.Graph.n_edges b);
+  check_true "fingerprints differ"
+    (not
+       (String.equal (Engine.graph_fingerprint a) (Engine.graph_fingerprint b)));
+  check_true "a graph's fingerprint is stable"
+    (String.equal (Engine.graph_fingerprint a)
+       (Engine.graph_fingerprint (ring_with_chord 1700)));
+  let c = Engine.cache_create () in
+  Engine.cache_bind_graph c a;
+  Engine.cache_bind_graph c (ring_with_chord 1700);
+  check_true "a cache bound to one chord refuses the other"
+    (try
+       Engine.cache_bind_graph c b;
+       false
+     with Engine.Error (Engine.Cache_graph_mismatch _) -> true)
+
 (* ---- injected resources normalize the stored config ---- *)
 
 let test_injected_resources_normalize () =
   let e = Engine.default () in
   check_true "bare default engine is the default config"
+    (Engine.config e = Engine.default_config);
+  check_true "an engine built without ?obs has the disabled sink"
+    (not (Granii_obs.Obs.enabled (Engine.obs e)));
+  let live = Granii_obs.Obs.create () in
+  let e = Engine.create_exn ~obs:live Engine.default_config in
+  check_true "an injected sink is the one stored" (Engine.obs e == live);
+  check_true "injecting a sink leaves the config untouched"
     (Engine.config e = Engine.default_config);
   let ws = Granii_tensor.Workspace.create () in
   let e =
@@ -485,5 +488,7 @@ let suite =
       test_multicore_engine_bitwise;
     Alcotest.test_case "cache graph fingerprint" `Quick
       test_cache_graph_mismatch;
+    Alcotest.test_case "fingerprint digests the full adjacency" `Quick
+      test_fingerprint_full_content;
     Alcotest.test_case "injected resources normalize config" `Quick
       test_injected_resources_normalize ]

@@ -305,9 +305,7 @@ let test_disabled_sink_bitwise_identical () =
     Executor.exec ~engine:seed_engine ~timing:Executor.Measure ~graph ~bindings
       plan
   in
-  let live =
-    Engine.create_exn { Engine.default_config with telemetry = true }
-  in
+  let live = Engine.create_exn ~obs:(Obs.create ()) Engine.default_config in
   let r =
     Executor.exec ~engine:live ~timing:Executor.Measure ~graph ~bindings plan
   in
@@ -399,10 +397,17 @@ let test_span_sum_matches_report_iterations () =
        (Trace.aggregate t))
 
 let test_telemetry_describe_roundtrip () =
-  let cfg = { Engine.default_config with telemetry = true } in
-  let s = Engine.describe_config cfg in
+  (* the sink is an injected resource, not a config axis: a telemetered
+     engine describes the same config as a bare one, and that rendering
+     parses back to it *)
+  let cfg = { Engine.default_config with workspace = true } in
+  let e = Engine.create_exn ~obs:(Obs.create ()) cfg in
+  check_true "the injected sink is live" (Obs.enabled (Engine.obs e));
+  let s = Engine.describe e in
+  check_true "describe does not mention telemetry"
+    (String.equal s (Engine.describe_config cfg));
   match Engine.config_of_string s with
-  | Ok cfg' -> check_true "telemetry=on round-trips" (cfg' = cfg)
+  | Ok cfg' -> check_true "a telemetered engine round-trips" (cfg' = cfg)
   | Error e -> Alcotest.fail e
 
 let suite =

@@ -19,7 +19,7 @@ module Mp = Granii_mp
 module Gnn = Granii_gnn
 module Serve = Granii_serve.Serve
 module Batch = Granii_serve.Batch
-module Plan_cache = Granii_serve.Plan_cache
+module Plan_cache = Granii_core.Plan_cache
 module Obs = Granii_obs.Obs
 
 let stress n =
@@ -256,14 +256,10 @@ let test_plan_cache_layout_key () =
   List.iter (fun l -> Plan_cache.add pc (key l) lc) (List.tl layouts);
   check_int "each layout is its own entry" (List.length layouts)
     (Plan_cache.length pc);
-  (* the engine bridge carries the locality axis into the serving config,
-     and a locality-configured server still answers bitwise like the oracle *)
+  (* a locality-configured server still answers bitwise like the oracle *)
   let locality =
     { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Cbm }
   in
-  let ec = { Engine.default_config with locality } in
-  let sc = Serve.with_engine_axes ec Serve.default_config in
-  check_true "locality carried" (sc.Serve.locality = locality);
   with_server
     ~cfg:{ Serve.default_config with batching = false; plan_cache = 8; locality }
     (fun t graph ->
@@ -402,13 +398,6 @@ let test_config () =
   bad "plan_cache" { Serve.default_config with plan_cache = -1 };
   bad "threads" { Serve.default_config with threads = 0 };
   bad "iterations" { Serve.default_config with iterations = 0 };
-  (* the engine's serving axes carry over verbatim *)
-  let ec = { Engine.default_config with queue_bound = 7; batch_window = 13;
-             threads = 2 } in
-  let sc = Serve.with_engine_axes ec Serve.default_config in
-  check_int "queue_bound carried" 7 sc.Serve.queue_bound;
-  check_int "batch_window carried" 13 sc.Serve.batch_window;
-  check_int "threads carried" 2 sc.Serve.threads;
   with_server (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f = Dense.random ~seed:1 n 8 in
@@ -583,7 +572,7 @@ let suite =
       test_shutdown;
     Alcotest.test_case "injected clock scripts latencies" `Quick
       test_manual_clock;
-    Alcotest.test_case "config validation and engine-axis bridge" `Quick
+    Alcotest.test_case "config and argument validation" `Quick
       test_config;
     Alcotest.test_case "serving metrics reach the registry" `Quick
       test_metrics;
