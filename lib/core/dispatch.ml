@@ -106,53 +106,21 @@ let apply_nonlinear ?pool ?ws kind d =
   | Matrix_ir.Log_softmax -> Dense.log_softmax_rows ?pool ?ws d
   | Matrix_ir.Edge_softmax -> err "edge_softmax reached dense map"
 
-(* ---- kernel registry ----
+(* ---- kernel dispatch ----
 
-   One implementation per (backend, primitive, operand format). The format
-   axis is how the locality engine swaps the g-kernels to the hybrid
-   slab+tail, block-sparse or neighbor-dedup layouts without the dispatch
-   loop knowing; the backend axis is the seam future accelerator backends
-   plug into. Non-CSR entries fall back to [Fmt_csr] when absent, so only
-   the primitives that actually have a format-specific kernel need a second
-   registration. *)
-
-type backend = Cpu
+   One CPU kernel per primitive, chosen by a direct match. The operand
+   format is how the locality engine swaps the g-kernels to the hybrid
+   slab+tail, block-sparse or neighbor-dedup layouts without the executor
+   knowing: the SpMM and rank-1 arms ask [form_of] for a localized form of
+   their sparse operand and fall back to CSR when there is none. *)
 
 type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
-
-type impl = ctx -> Granii_graph.Graph.t -> Primitive.t -> value array -> value
-
-let backend_to_string = function Cpu -> "cpu"
 
 let fmt_to_string = function
   | Fmt_csr -> "csr"
   | Fmt_hybrid -> "hybrid"
   | Fmt_bsr -> "bsr"
   | Fmt_cbm -> "cbm"
-
-let registry : (string, impl) Hashtbl.t = Hashtbl.create 64
-
-let key backend fmt name =
-  backend_to_string backend ^ "/" ^ fmt_to_string fmt ^ "/" ^ name
-
-let register ?(backend = Cpu) ?(fmt = Fmt_csr) name impl =
-  Hashtbl.replace registry (key backend fmt name) impl
-
-let lookup ?(backend = Cpu) ~fmt name =
-  match Hashtbl.find_opt registry (key backend fmt name) with
-  | Some impl -> Some impl
-  | None when fmt <> Fmt_csr ->
-      Hashtbl.find_opt registry (key backend Fmt_csr name)
-  | None -> None
-
-let registered ?(backend = Cpu) () =
-  Hashtbl.fold
-    (fun k _ acc ->
-      match String.index_opt k '/' with
-      | Some i when String.sub k 0 i = backend_to_string backend -> k :: acc
-      | _ -> acc)
-    registry []
-  |> List.sort_uniq compare
 
 (* The format a step executes under: non-CSR only when the locality engine
    has a registered localized form for the step's sparse operand (the lookup
@@ -177,158 +145,90 @@ let format_of ctx (prim : Primitive.t) (args : value array) =
           match form_fmt m with Some fmt -> fmt | None -> Fmt_csr)
       | _ -> Fmt_csr)
 
-let exec ?(backend = Cpu) ctx (prim : Primitive.t) graph (args : value array) =
-  let fmt = format_of ctx prim args in
-  match lookup ~backend ~fmt (Primitive.name prim) with
-  | Some impl -> impl ctx graph prim args
-  | None ->
-      err "no %s kernel registered for %s" (backend_to_string backend)
-        (Primitive.name prim)
-
-(* ---- default CPU kernels ---- *)
-
-let bad_arity prim args =
-  err "primitive %a applied to %d arguments" Primitive.pp prim (Array.length args)
-
-let () =
-  let reg name f = register name f in
-  reg "gemm" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| a; b |] -> Vdense (Dense.matmul ?pool ?ws (dense a) (dense b))
-      | _ -> bad_arity prim args);
-  let spmm_csr : impl = fun { pool; ws; _ } _g prim args ->
-    match args with
-    | [| a; b |] -> Vdense (Spmm.run ?pool ?ws (sparse a) (dense b))
-    | _ -> bad_arity prim args
-  in
-  (* Localized SpMM: run the kernel of whatever form the layout bracket
-     registered for this operand; CSR when the memo misses (per-iteration
-     fresh values). *)
-  let spmm_form : impl = fun ctx _g prim args ->
-    match args with
-    | [| a; b |] -> (
-        let m = sparse a in
-        match form_of ctx m with
-        | Some (Fhybrid h) ->
-            Vdense (Hybrid.spmm ?pool:ctx.pool ?ws:ctx.ws h (dense b))
-        | Some (Fbsr bm) ->
-            Vdense (Bsr.spmm ?pool:ctx.pool ?ws:ctx.ws bm (dense b))
-        | Some (Fcbm cm) ->
-            Vdense (Cbm.spmm ?pool:ctx.pool ?ws:ctx.ws cm (dense b))
-        | None -> Vdense (Spmm.run ?pool:ctx.pool ?ws:ctx.ws m (dense b)))
-    | _ -> bad_arity prim args
-  in
-  (* Primitive.name splits SpMM by weightedness; the CPU kernel serves both *)
-  List.iter
-    (fun name ->
-      reg name spmm_csr;
-      register ~fmt:Fmt_hybrid name spmm_form;
-      register ~fmt:Fmt_bsr name spmm_form;
-      register ~fmt:Fmt_cbm name spmm_form)
-    [ "spmm_w"; "spmm_u" ];
-  reg "dspmm" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| a; b |] -> Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
-      | _ -> bad_arity prim args);
-  reg "sddmm_rank1" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| dl; a; dr |] -> Vsparse (Sddmm.rank1 ?pool ?ws (sparse a) (diag dl) (diag dr))
-      | _ -> bad_arity prim args);
-  register ~fmt:Fmt_hybrid "sddmm_rank1" (fun ctx _g prim args ->
-      match args with
-      | [| dl; a; dr |] -> (
-          let m = sparse a in
-          match form_of ctx m with
-          | Some (Fhybrid h) ->
-              Vsparse (Hybrid.rank1 ?pool:ctx.pool ?ws:ctx.ws h (diag dl) (diag dr))
-          | Some (Fbsr _) | Some (Fcbm _) | None ->
-              (* rank-1 gains nothing from tiles or dedup: the k=1 dot is
-                 the value read itself *)
-              Vsparse (Sddmm.rank1 ?pool:ctx.pool ?ws:ctx.ws m (diag dl) (diag dr)))
-      | _ -> bad_arity prim args);
-  reg "diag_scale" (fun { pool; ws; _ } _g prim args ->
-      match (prim, args) with
-      | Primitive.Diag_scale { side = `Left }, [| d; a |] ->
-          Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
-      | Primitive.Diag_scale { side = `Right }, [| a; d |] ->
-          Vsparse (Sparse_ops.scale_cols ?pool ?ws (sparse a) (diag d))
-      | _ -> bad_arity prim args);
-  reg "row_broadcast" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| d; x |] -> Vdense (Dense.row_broadcast ?pool ?ws (diag d) (dense x))
-      | _ -> bad_arity prim args);
-  reg "col_broadcast" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| x; d |] -> Vdense (Dense.col_broadcast ?pool ?ws (dense x) (diag d))
-      | _ -> bad_arity prim args);
-  reg "diag_combine" (fun { ws; _ } _g prim args ->
-      match args with
-      | [| a; b |] ->
-          let da = diag a and db = diag b in
-          let n = Array.length da in
-          if Array.length db <> n then err "diag_combine: dimension mismatch";
-          let out = Workspace.alloc_uninit ws n in
-          for i = 0 to n - 1 do
-            out.(i) <- da.(i) *. db.(i)
-          done;
-          Vdiag out
-      | _ -> bad_arity prim args);
-  reg "sparse_add" (fun { ws; _ } _g _prim parts ->
+let exec ctx (prim : Primitive.t) graph (args : value array) =
+  let pool = ctx.pool and ws = ctx.ws in
+  match (prim, args) with
+  | Primitive.Gemm _, [| a; b |] ->
+      Vdense (Dense.matmul ?pool ?ws (dense a) (dense b))
+  | Primitive.Spmm _, [| a; b |] -> (
+      (* both weightednesses share one kernel *)
+      let m = sparse a in
+      match form_of ctx m with
+      | Some (Fhybrid h) -> Vdense (Hybrid.spmm ?pool ?ws h (dense b))
+      | Some (Fbsr bm) -> Vdense (Bsr.spmm ?pool ?ws bm (dense b))
+      | Some (Fcbm cm) -> Vdense (Cbm.spmm ?pool ?ws cm (dense b))
+      | None -> Vdense (Spmm.run ?pool ?ws m (dense b)))
+  | Primitive.Dense_sparse_mm _, [| a; b |] ->
+      Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
+  | Primitive.Sddmm_rank1, [| dl; a; dr |] -> (
+      let m = sparse a in
+      match form_of ctx m with
+      | Some (Fhybrid h) ->
+          Vsparse (Hybrid.rank1 ?pool ?ws h (diag dl) (diag dr))
+      | Some (Fbsr _) | Some (Fcbm _) | None ->
+          (* rank-1 gains nothing from tiles or dedup: the k=1 dot is the
+             value read itself *)
+          Vsparse (Sddmm.rank1 ?pool ?ws m (diag dl) (diag dr)))
+  | Primitive.Diag_scale { side = `Left }, [| d; a |] ->
+      Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
+  | Primitive.Diag_scale { side = `Right }, [| a; d |] ->
+      Vsparse (Sparse_ops.scale_cols ?pool ?ws (sparse a) (diag d))
+  | Primitive.Row_broadcast _, [| d; x |] ->
+      Vdense (Dense.row_broadcast ?pool ?ws (diag d) (dense x))
+  | Primitive.Col_broadcast _, [| x; d |] ->
+      Vdense (Dense.col_broadcast ?pool ?ws (dense x) (diag d))
+  | Primitive.Diag_combine, [| a; b |] ->
+      let da = diag a and db = diag b in
+      let n = Array.length da in
+      if Array.length db <> n then err "diag_combine: dimension mismatch";
+      let out = Workspace.alloc_uninit ws n in
+      for i = 0 to n - 1 do
+        out.(i) <- da.(i) *. db.(i)
+      done;
+      Vdiag out
+  | Primitive.Sparse_add _, [||] -> err "sparse_add with no operands"
+  | Primitive.Sparse_add _, parts ->
       let as_csr = function
         | Vdiag d -> diag_to_csr ?ws d
         | Vsparse s -> s
         | Vdense _ -> err "sparse_add over a dense operand"
       in
-      match Array.length parts with
-      | 0 -> err "sparse_add with no operands"
-      | len ->
-          let acc = ref (as_csr parts.(0)) in
-          for i = 1 to len - 1 do
-            acc := Sparse_ops.add !acc (as_csr parts.(i))
-          done;
-          Vsparse !acc);
-  reg "dense_add" (fun { pool; ws; _ } _g _prim parts ->
-      match Array.length parts with
-      | 0 -> err "dense_add with no operands"
-      | len ->
-          let acc = ref (dense parts.(0)) in
-          for i = 1 to len - 1 do
-            let next = Dense.add ?pool ?ws !acc (dense parts.(i)) in
-            (* fold temporaries (never the first operand, which a caller may
-               still hold) go straight back to the arena *)
-            if i > 1 then Workspace.give_back ws !acc.Dense.data;
-            acc := next
-          done;
-          Vdense !acc);
-  reg "edge_score" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| mask; feats; a_src; a_dst |] ->
-          Vsparse
-            (edge_score ?pool ?ws (sparse mask) (dense feats) (dense a_src)
-               (dense a_dst))
-      | _ -> bad_arity prim args);
-  reg "edge_softmax" (fun { pool; ws; _ } _g prim args ->
-      match args with
-      | [| a |] -> Vsparse (Sparse_ops.row_softmax ?pool ?ws (sparse a))
-      | _ -> bad_arity prim args);
-  reg "dense_map" (fun { pool; ws; _ } _g prim args ->
-      match (prim, args) with
-      | Primitive.Dense_map { kind; _ }, [| a |] ->
-          Vdense (apply_nonlinear ?pool ?ws kind (dense a))
-      | _ -> bad_arity prim args);
-  let degree : impl = fun _ctx graph prim args ->
-    match (prim, args) with
-    | Primitive.Degree { power; _ }, [| _graph_token |] -> (
-        match power with
-        | Primitive.Inv_sqrt -> Vdiag (Granii_graph.Graph.norm_inv_sqrt graph)
-        | Primitive.Inv ->
-            Vdiag
-              (Granii_tensor.Vector.pow (-1.)
-                 (Granii_graph.Graph.degrees_tilde graph)))
-    | _ -> bad_arity prim args
-  in
-  (* binned vs rowptr is a cost-model distinction; one value-level kernel *)
-  List.iter (fun name -> reg name degree) [ "degree_rowptr"; "degree_binned" ]
+      let acc = ref (as_csr parts.(0)) in
+      for i = 1 to Array.length parts - 1 do
+        acc := Sparse_ops.add !acc (as_csr parts.(i))
+      done;
+      Vsparse !acc
+  | Primitive.Dense_add _, [||] -> err "dense_add with no operands"
+  | Primitive.Dense_add _, parts ->
+      let acc = ref (dense parts.(0)) in
+      for i = 1 to Array.length parts - 1 do
+        let next = Dense.add ?pool ?ws !acc (dense parts.(i)) in
+        (* fold temporaries (never the first operand, which a caller may
+           still hold) go straight back to the arena *)
+        if i > 1 then Workspace.give_back ws !acc.Dense.data;
+        acc := next
+      done;
+      Vdense !acc
+  | Primitive.Edge_score _, [| mask; feats; a_src; a_dst |] ->
+      Vsparse
+        (edge_score ?pool ?ws (sparse mask) (dense feats) (dense a_src)
+           (dense a_dst))
+  | Primitive.Edge_softmax, [| a |] ->
+      Vsparse (Sparse_ops.row_softmax ?pool ?ws (sparse a))
+  | Primitive.Dense_map { kind; _ }, [| a |] ->
+      Vdense (apply_nonlinear ?pool ?ws kind (dense a))
+  | Primitive.Degree { power; _ }, [| _graph_token |] -> (
+      (* binned vs rowptr is a cost-model distinction; one value-level
+         kernel *)
+      match power with
+      | Primitive.Inv_sqrt -> Vdiag (Granii_graph.Graph.norm_inv_sqrt graph)
+      | Primitive.Inv ->
+          Vdiag
+            (Granii_tensor.Vector.pow (-1.)
+               (Granii_graph.Graph.degrees_tilde graph)))
+  | _ ->
+      err "primitive %a applied to %d arguments" Primitive.pp prim
+        (Array.length args)
 
 (* Kernels of a step, sized from the actual operand values (so sampling or
    precomputed sparse intermediates are charged their true nnz). *)

@@ -1,13 +1,12 @@
-(** Kernel dispatch: concrete values and the primitive → kernel registry.
+(** Kernel dispatch: concrete values and the primitive → kernel match.
 
     This is the lowest layer of the execution stack
-    ([Dispatch] < {!Engine} < {!Pass} < {!Executor}): it knows how to apply
-    one {!Primitive.t} to concrete operand {!value}s and nothing about
-    plans, phases, caching or timing. Implementations are looked up in a
-    registry keyed by {e (backend, primitive name, operand format)} — the
-    seam future accelerator backends and batched/sharded kernels plug into.
-    The CPU kernels for every primitive (and the hybrid-format variants of
-    the gather-bound g-kernels) are registered at module initialization. *)
+    ([Dispatch] < {!Engine} < {!Executor}): it knows how to apply one
+    {!Primitive.t} to concrete operand {!value}s and nothing about plans,
+    phases, caching or timing. {!exec} picks the CPU kernel with a direct
+    match on the primitive and its operands; the gather-bound g-kernels
+    (SpMM, rank-1 SDDMM) run from a localized hybrid / BSR / CBM form when
+    the context holds one for their sparse operand. *)
 
 type value =
   | Vdense of Granii_tensor.Dense.t
@@ -16,7 +15,7 @@ type value =
 
 exception Execution_error of string
 (** Raised on an argument-kind or arity mismatch (which would indicate an
-    enumeration bug), and on unregistered primitives. *)
+    enumeration bug). *)
 
 val shape_of : value -> int * int
 
@@ -53,28 +52,9 @@ type ctx = {
 
 val plain : ctx
 
-(** {2 Registry} *)
-
-type backend = Cpu
+(** {2 Dispatch} *)
 
 type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
-
-type impl = ctx -> Granii_graph.Graph.t -> Primitive.t -> value array -> value
-(** One kernel implementation. The primitive is passed through so one entry
-    can serve a whole family (e.g. both [Diag_scale] sides). *)
-
-val register : ?backend:backend -> ?fmt:fmt -> string -> impl -> unit
-(** [register name impl] binds [impl] for primitives whose
-    {!Primitive.name} is [name] (defaults: [Cpu], [Fmt_csr]). Re-registering
-    replaces the previous implementation. *)
-
-val lookup : ?backend:backend -> fmt:fmt -> string -> impl option
-(** Non-CSR formats fall back to the [Fmt_csr] entry when no format-specific
-    kernel is registered, so only primitives with a genuine localized
-    variant need extra registrations. *)
-
-val registered : ?backend:backend -> unit -> string list
-(** Registry keys for a backend, sorted — a diagnostic view. *)
 
 val fmt_to_string : fmt -> string
 
@@ -82,13 +62,11 @@ val format_of : ctx -> Primitive.t -> value array -> fmt
 (** The operand format {!exec} would dispatch a step under — exposed so the
     telemetry layer can attribute a span to the kernel that actually ran. *)
 
-val exec :
-  ?backend:backend -> ctx -> Primitive.t -> Granii_graph.Graph.t ->
-  value array -> value
-(** Execute one primitive: pick the operand format (non-CSR when the context
-    has a registered localized form for the step's sparse operand), look the
-    implementation up and run it. Raises {!Execution_error} when no
-    implementation is registered. *)
+val exec : ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
+(** Execute one primitive: SpMM and rank-1 SDDMM run from the context's
+    localized form of their sparse operand when it has one, every other
+    primitive (and those two without a form) from CSR. Raises
+    {!Execution_error} on an argument-kind or arity mismatch. *)
 
 val kernels_of_step :
   Primitive.t -> Granii_graph.Graph.t -> value array -> value ->

@@ -36,8 +36,8 @@ type config = {
   cache : bool;        (** shared-subtree execution cache across runs *)
   locality : Locality.config;  (** graph layout the plans execute under *)
   keep_intermediates : bool;
-      (** [false] lets the liveness pass recycle each intermediate's buffer
-          the moment its last reader retires (requires the workspace) *)
+      (** [false] lets the executor recycle each intermediate's buffer the
+          moment its last reader retires (requires the workspace) *)
   calibration : Cost_oracle.calibration;
       (** online cost-model calibration policy of the engine's oracle.
           {!Cost_oracle.Off} (the default) makes the oracle a pure reader of

@@ -17,7 +17,6 @@ type report = {
   layout_time : float;
   per_step : (Primitive.t * Plan.phase * float) list;
   intermediates : (int * value) list;
-  trace : string list;
 }
 
 exception Execution_error = Dispatch.Execution_error
@@ -147,199 +146,47 @@ let run_metrics (obs : Obs.t) ws before =
 (* ---- the dispatch loop ----
 
    All policy lives elsewhere: the engine owns pool/workspace/cache/layout
-   and was validated at construction; the pass pipeline decided what is
-   wired in (argument lowering, liveness recycling, layout bracketing,
-   cache keys). What remains here is: resolve arguments, dispatch each step
-   through the kernel registry, time it, and recycle dead buffers. *)
-
-let exec_prepared ~seed ~engine ~timing ~graph ~bindings (prep : Pass.prepared) =
-  let pool = Engine.pool engine and ws = Engine.workspace engine in
-  let obs = Engine.obs engine in
-  let tr = obs.Obs.trace in
-  let exec_span = bracket_span tr ~cat:"engine" "execute" in
-  let cache =
-    match (Engine.cache engine, prep.Pass.cache_keys) with
-    | Some c, Some keys ->
-        Engine.cache_bind_graph c graph;
-        Some (c, keys)
-    | _ -> None
-  in
-  let orig_n = Granii_graph.Graph.n_nodes graph in
-  let layout_span = bracket_span tr ~cat:"engine" "layout" in
-  let lstate, graph, bindings =
-    Pass.Layout.enter ~locality:prep.Pass.locality ~graph ~bindings
-  in
-  List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
-  bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
-  let ctx = { Dispatch.pool; ws; localize = Pass.Layout.form_of lstate } in
-  (match ws with Some w -> Workspace.reclaim w | None -> ());
-  let ws_before = Option.map Workspace.stats ws in
-  let steps = prep.Pass.steps in
-  let n = Array.length steps in
-  let slots : value option array = Array.make n None in
-  let lookup = function
-    | Plan.Computed i -> (
-        match slots.(i) with
-        | Some v -> v
-        | None -> err "step t%d used before being computed" i)
-    | Plan.Input "__graph__" ->
-        (* Token argument of Degree steps; its value is never inspected. *)
-        Vsparse graph.Granii_graph.Graph.adj
-    | Plan.Input name -> (
-        match List.assoc_opt name bindings with
-        | Some v -> v
-        | None -> err "unbound input %s" name)
-  in
-  let arg_values i (s : Plan.step) =
-    match prep.Pass.args with
-    | Some srcs -> Array.map lookup srcs.(i)
-    | None -> Array.of_list (List.map lookup s.Plan.args)
-  in
-  let free_dead_after i =
-    match prep.Pass.live with
-    | None -> ()
-    | Some lv ->
-        List.iter
-          (fun d ->
-            match slots.(d) with
-            | None -> ()
-            | Some v ->
-                List.iter
-                  (fun a ->
-                    (* a fold that degenerates to the identity can make two
-                       slots (or a slot and a binding) share one backing
-                       array — never recycle an array a live slot still
-                       reads. Bindings are safe automatically: the workspace
-                       only takes back buffers it issued. *)
-                    let shared = ref false in
-                    Array.iteri
-                      (fun j s ->
-                        match s with
-                        | Some sv when j <> d && Dispatch.shares_backing a sv ->
-                            shared := true
-                        | _ -> ())
-                      slots;
-                    if not !shared then Workspace.give_back ws a)
-                  (Dispatch.backing_arrays v);
-                slots.(d) <- None)
-          (Liveness.dead_after lv i)
-  in
-  let threads = Engine.threads engine in
-  let setup_time = ref 0. and iteration_time = ref 0. in
-  let per_step = ref [] in
-  Array.iteri
-    (fun i (s : Plan.step) ->
-      let args = arg_values i s in
-      let sp = step_span_enter tr s in
-      let cached =
-        match cache with
-        | None -> None
-        | Some (c, keys) -> Engine.cache_find c keys.(i)
-      in
-      if cache <> None then
-        Obs.count obs
-          (match cached with Some _ -> "cache.hits" | None -> "cache.misses")
-          1;
-      let value, elapsed =
-        match (cached, timing) with
-        | Some (v, measured), Measure ->
-            (* the work is genuinely skipped; charge what it cost when it ran *)
-            (v, measured)
-        | Some (v, _), Simulate profile ->
-            (* simulated jitter is seeded per step index, which differs
-               between plans — recompute the analytic time for THIS step so
-               a cache hit is timing-transparent in Simulate mode *)
-            (v, analytic_time ~threads ~seed profile s graph args v)
-        | None, Measure ->
-            let v, t =
-              Timer.measure_wall (fun () ->
-                  Dispatch.exec ctx s.Plan.prim graph args)
-            in
-            Engine.cache_insert engine s.Plan.skey v t;
-            costmon_record ~engine ~threads s graph args v t;
-            (v, t)
-        | None, Simulate profile ->
-            let v = Dispatch.exec ctx s.Plan.prim graph args in
-            let t = analytic_time ~threads ~seed profile s graph args v in
-            Engine.cache_insert engine s.Plan.skey v t;
-            (v, t)
-      in
-      step_span_exit tr sp ~threads ~ctx s args value elapsed;
-      step_observe obs s elapsed;
-      slots.(s.Plan.idx) <- Some value;
-      (* setup outputs are iteration-stable: candidates for the localized form *)
-      if s.Plan.phase = Plan.Setup then Pass.Layout.register lstate value;
-      (match s.Plan.phase with
-      | Plan.Setup -> setup_time := !setup_time +. elapsed
-      | Plan.Per_iteration -> iteration_time := !iteration_time +. elapsed);
-      per_step := (s.Plan.prim, s.Plan.phase, elapsed) :: !per_step;
-      free_dead_after s.Plan.idx)
-    steps;
-  let output = lookup prep.Pass.plan.Plan.output in
-  let intermediates =
-    if Engine.keep_intermediates engine then begin
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        match slots.(i) with Some v -> acc := (i, v) :: !acc | None -> ()
-      done;
-      !acc
-    end
-    else []
-  in
-  let exit_span = bracket_span tr ~cat:"engine" "layout" in
-  let output, intermediates, layout_time =
-    Pass.Layout.exit_ lstate ~n:orig_n output intermediates
-  in
-  bracket_exit tr exit_span ~attrs:[ ("stage", "exit") ] ();
-  run_metrics obs ws ws_before;
-  bracket_exit tr exec_span
-    ~attrs:[ ("plan", prep.Pass.plan.Plan.name) ]
-    ();
-  { output;
-    setup_time = !setup_time;
-    iteration_time = !iteration_time;
-    layout_time;
-    per_step = List.rev !per_step;
-    intermediates;
-    trace = prep.Pass.trace }
-
-let exec ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings (plan : Plan.t) =
-  exec_prepared ~seed ~engine ~timing ~graph ~bindings
-    (Pass.prepare ?disable engine plan)
-
-(* ---- steady-state iteration driver ----
-
-   [exec] pays per-step bookkeeping (argument lists, timing closures) that
-   is invisible for a single execution but IS the allocation profile of a
-   trainer epoch loop or a profiling sweep. This driver hoists all of it:
-   argument arrays are preallocated per step and input bindings resolved
-   once, setup steps run once, and each iteration re-executes only the
+   and was validated at construction. One loop serves a single run and the
+   steady state alike — a single run is [iterations = 1]. Argument arrays
+   are built once per step with input operands resolved up front, setup
+   steps run once, and each further iteration re-executes only the
    per-iteration steps after returning the previous iteration's buffers to
-   the workspace arena — so with a workspace engine the loop body performs
-   no per-step minor allocation beyond what the kernels themselves do. The
-   subtree cache is {e not} consulted here: per-iteration steps recompute
-   identical values by construction, so serving them from the cache would
-   make the steady state it exists to measure meaningless. *)
+   the workspace arena, so with a workspace engine the loop body performs
+   no per-step minor allocation beyond what the kernels themselves do.
 
-let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
-    ~iterations (plan : Plan.t) =
+   The subtree cache is consulted on the first pass only (setup steps and
+   iteration 1): later iterations recompute identical values by
+   construction, and serving them from the cache would fake the steady
+   state. Under [workspace=on,intermediates=drop] each value's buffer is
+   recycled after its last reader (in execution order, see {!Liveness});
+   setup values are read again by every iteration, so they are recycled
+   during the last iteration only. *)
+
+let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
+    (plan : Plan.t) =
   if iterations < 1 then invalid_arg "Executor.exec_iterations: iterations < 1";
-  let prep = Pass.prepare ?disable engine plan in
   let pool = Engine.pool engine and ws = Engine.workspace engine in
   let obs = Engine.obs engine in
   let tr = obs.Obs.trace in
   let exec_span = bracket_span tr ~cat:"engine" "execute" in
+  let cache = Engine.cache engine in
+  Option.iter (fun c -> Engine.cache_bind_graph c graph) cache;
+  let live =
+    if (not (Engine.keep_intermediates engine)) && ws <> None then
+      Some (Liveness.analyze plan)
+    else None
+  in
   (match ws with Some w -> Workspace.reclaim w | None -> ());
   let ws_before = Option.map Workspace.stats ws in
   let orig_n = Granii_graph.Graph.n_nodes graph in
   let layout_span = bracket_span tr ~cat:"engine" "layout" in
   let lstate, graph, bindings =
-    Pass.Layout.enter ~locality:prep.Pass.locality ~graph ~bindings
+    Pass.Layout.enter ~locality:(Engine.locality engine) ~graph ~bindings
   in
   List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
   bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
   let ctx = { Dispatch.pool; ws; localize = Pass.Layout.form_of lstate } in
-  let steps = prep.Pass.steps in
+  let steps = Array.of_list plan.Plan.steps in
   let n = Array.length steps in
   let slots : value option array = Array.make n None in
   let graph_token = Vsparse graph.Granii_graph.Graph.adj in
@@ -350,19 +197,14 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
       | Some v -> v
       | None -> err "unbound input %s" name
   in
-  let args_src =
-    match prep.Pass.args with
-    | Some srcs -> srcs
-    | None -> Array.map (fun (s : Plan.step) -> Array.of_list s.Plan.args) steps
-  in
+  let args_src = Array.map (fun (s : Plan.step) -> Array.of_list s.Plan.args) steps in
   (* input operands never change across iterations: resolve them once; the
      placeholder in Computed positions is overwritten before first use *)
   let args_val =
     Array.map
-      (fun src ->
-        Array.map
-          (function Plan.Input name -> resolve name | Plan.Computed _ -> graph_token)
-          src)
+      (Array.map (function
+        | Plan.Input name -> resolve name
+        | Plan.Computed _ -> graph_token))
       args_src
   in
   let refresh_args i =
@@ -377,64 +219,107 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
     done;
     dst
   in
-  let per_step_time = Array.make n 0. in
-  let threads = Engine.threads engine in
-  let exec_step (s : Plan.step) args =
-    let sp = step_span_enter tr s in
-    let v, t =
-      match timing with
-      | Measure ->
-          let t0 = Timer.wall () in
-          let v = Dispatch.exec ctx s.Plan.prim graph args in
-          let t = Timer.wall () -. t0 in
-          costmon_record ~engine ~threads s graph args v t;
-          (v, t)
-      | Simulate profile ->
-          let v = Dispatch.exec ctx s.Plan.prim graph args in
-          (v, analytic_time ~threads ~seed profile s graph args v)
-    in
-    step_span_exit tr sp ~threads ~ctx s args v t;
-    step_observe obs s t;
-    (v, t)
-  in
   let is_iter =
     Array.map (fun (s : Plan.step) -> s.Plan.phase = Plan.Per_iteration) steps
   in
-  let setup_time = ref 0. in
-  Array.iteri
-    (fun i (s : Plan.step) ->
-      if not is_iter.(i) then begin
-        let v, t = exec_step s (refresh_args i) in
-        slots.(i) <- Some v;
-        Pass.Layout.register lstate v;
-        per_step_time.(i) <- t;
-        setup_time := !setup_time +. t
-      end)
-    steps;
-  (* arrays backing setup values must survive every iteration, even when a
-     per-iteration step's value degenerates to sharing one of them *)
-  let setup_backing =
-    Array.to_list steps
-    |> List.concat_map (fun (s : Plan.step) ->
-           if is_iter.(s.Plan.idx) then []
-           else
-             match slots.(s.Plan.idx) with
-             | Some v -> Dispatch.backing_arrays v
-             | None -> [])
+  let per_step_time = Array.make n 0. in
+  let threads = Engine.threads engine in
+  (* run step [i] and return its time; [first] marks the pass that may be
+     served from (and fills) the subtree cache *)
+  let run_step ~first i =
+    let s = Array.unsafe_get steps i in
+    let args = refresh_args i in
+    let sp = step_span_enter tr s in
+    let cached =
+      match cache with
+      | Some c when first ->
+          let hit = Engine.cache_find c s.Plan.skey in
+          Obs.count obs
+            (match hit with Some _ -> "cache.hits" | None -> "cache.misses")
+            1;
+          hit
+      | _ -> None
+    in
+    let v, t =
+      match (cached, timing) with
+      | Some (v, measured), Measure ->
+          (* the work is genuinely skipped; charge what it cost when it ran *)
+          (v, measured)
+      | Some (v, _), Simulate profile ->
+          (* simulated jitter is seeded per step index, which differs
+             between plans — recompute the analytic time for THIS step so
+             a cache hit is timing-transparent in Simulate mode *)
+          (v, analytic_time ~threads ~seed profile s graph args v)
+      | None, Measure ->
+          let t0 = Timer.wall () in
+          let v = Dispatch.exec ctx s.Plan.prim graph args in
+          let t = Timer.wall () -. t0 in
+          if first then Engine.cache_insert engine s.Plan.skey v t;
+          costmon_record ~engine ~threads s graph args v t;
+          (v, t)
+      | None, Simulate profile ->
+          let v = Dispatch.exec ctx s.Plan.prim graph args in
+          let t = analytic_time ~threads ~seed profile s graph args v in
+          if first then Engine.cache_insert engine s.Plan.skey v t;
+          (v, t)
+    in
+    step_span_exit tr sp ~threads ~ctx s args v t;
+    step_observe obs s t;
+    slots.(i) <- Some v;
+    per_step_time.(i) <- t;
+    t
   in
+  let give_back_unshared d v =
+    if ws <> None then
+      List.iter
+        (fun a ->
+          (* a fold that degenerates to the identity can make two slots (or a
+             slot and a binding) share one backing array — never recycle an
+             array a live slot still reads. Bindings are safe automatically:
+             the workspace only takes back buffers it issued. *)
+          let shared = ref false in
+          Array.iteri
+            (fun j s ->
+              match s with
+              | Some sv when j <> d && Dispatch.shares_backing a sv ->
+                  shared := true
+              | _ -> ())
+            slots;
+          if not !shared then Workspace.give_back ws a)
+        (Dispatch.backing_arrays v)
+  in
+  let free_dead_after ~last i =
+    match live with
+    | None -> ()
+    | Some lv ->
+        List.iter
+          (fun d ->
+            match slots.(d) with
+            | Some v when last || is_iter.(d) ->
+                give_back_unshared d v;
+                slots.(d) <- None
+            | _ -> ())
+          (Liveness.dead_after lv i)
+  in
+  let setup_time = ref 0. in
+  for i = 0 to n - 1 do
+    if not is_iter.(i) then begin
+      setup_time := !setup_time +. run_step ~first:true i;
+      (* setup outputs are iteration-stable: candidates for the localized
+         form *)
+      Option.iter (Pass.Layout.register lstate) slots.(i);
+      free_dead_after ~last:true i
+    end
+  done;
+  (* iteration slots are released between iterations; each of the first
+     [iterations - 1] iterations recycles everything it produced *)
   let release_iteration_slots () =
     for i = 0 to n - 1 do
-      if is_iter.(i) then begin
-        (match slots.(i) with
-        | Some v ->
-            List.iter
-              (fun a ->
-                if not (List.exists (fun sb -> sb == a) setup_backing) then
-                  Workspace.give_back ws a)
-              (Dispatch.backing_arrays v)
-        | None -> ());
-        slots.(i) <- None
-      end
+      match slots.(i) with
+      | Some v when is_iter.(i) ->
+          give_back_unshared i v;
+          slots.(i) <- None
+      | _ -> ()
     done
   in
   let total_iter_time = ref 0. in
@@ -450,17 +335,14 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
     in
     for i = 0 to n - 1 do
       if is_iter.(i) then begin
-        let s = Array.unsafe_get steps i in
-        let v, t = exec_step s (refresh_args i) in
-        slots.(i) <- Some v;
-        per_step_time.(i) <- t;
-        total_iter_time := !total_iter_time +. t
+        total_iter_time := !total_iter_time +. run_step ~first:(it = 1) i;
+        free_dead_after ~last:(it = iterations) i
       end
     done;
     bracket_exit tr it_span ()
   done;
   let output =
-    match prep.Pass.plan.Plan.output with
+    match plan.Plan.output with
     | Plan.Computed i -> (
         match slots.(i) with
         | Some v -> v
@@ -469,9 +351,8 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
   in
   let per_step =
     Array.to_list
-      (Array.map
-         (fun (s : Plan.step) ->
-           (s.Plan.prim, s.Plan.phase, per_step_time.(s.Plan.idx)))
+      (Array.mapi
+         (fun i (s : Plan.step) -> (s.Plan.prim, s.Plan.phase, per_step_time.(i)))
          steps)
   in
   let intermediates =
@@ -492,16 +373,17 @@ let exec_iterations ?(seed = 0) ?disable ~engine ~timing ~graph ~bindings
   run_metrics obs ws ws_before;
   bracket_exit tr exec_span
     ~attrs:
-      [ ("plan", prep.Pass.plan.Plan.name);
-        ("iterations", string_of_int iterations) ]
+      [ ("plan", plan.Plan.name); ("iterations", string_of_int iterations) ]
     ();
   { output;
     setup_time = !setup_time;
     iteration_time = !total_iter_time /. float_of_int iterations;
     layout_time;
     per_step;
-    intermediates;
-    trace = prep.Pass.trace }
+    intermediates }
+
+let exec ?seed ~engine ~timing ~graph ~bindings plan =
+  exec_iterations ?seed ~engine ~timing ~graph ~bindings ~iterations:1 plan
 
 let estimate ?(seed = 0) ~profile ~env (plan : Plan.t) =
   let setup = ref 0. and iter = ref 0. in

@@ -1,12 +1,13 @@
 (** Plan execution, with real or simulated timing.
 
     The executor is the thin top of the execution stack
-    ({!Dispatch} < {!Engine} < {!Pass} < [Executor]): {!exec} prepares the
-    plan through the pass pipeline and then runs a dispatch loop that
-    resolves arguments, routes each step through the kernel registry and
-    accumulates times. Everything configurable — pool, workspace arena,
-    subtree cache, locality layout, liveness policy — lives in the
-    {!Engine.t} the caller constructs once.
+    ({!Dispatch} < {!Engine} < [Executor]): one dispatch loop,
+    {!exec_iterations}, resolves arguments, routes each step through
+    {!Dispatch.exec} and accumulates times; {!exec} is its single-iteration
+    case. Setup steps run first, then the per-iteration steps, each in plan
+    order. Everything configurable — pool, workspace arena, subtree cache,
+    locality layout, liveness policy — lives in the {!Engine.t} the caller
+    constructs once.
 
     Every step is {e always} executed for real (so numerical results can be
     cross-checked between candidates); what differs is the clock:
@@ -28,10 +29,11 @@
     so all values produced by the previous run on the same workspace are
     invalidated by the next one — copy anything you keep. Outputs are
     bitwise identical to the allocating path. With
-    [keep_intermediates = false], the {!Pass.liveness} pass additionally
-    recycles each intermediate's buffer the moment its last reader retires
-    (the default keeps them alive — {!Granii_gnn.Autodiff} reads every
-    intermediate in its backward pass).
+    [keep_intermediates = false], the executor additionally recycles each
+    intermediate's buffer the moment its last reader retires ({!Liveness};
+    setup values only in the last iteration). The default keeps them alive
+    — {!Granii_gnn.Autodiff} reads every intermediate in its backward
+    pass.
 
     With a cache engine, steps whose {!Plan.step.skey} was already executed
     are served from the shared-subtree cache instead of re-executed, so a
@@ -87,9 +89,6 @@ type report = {
       (** every step's output, by step index — consumed by the reverse pass
           of {!Granii_gnn.Autodiff}; empty when run with
           [keep_intermediates = false] *)
-  trace : string list;
-      (** names of the {!Pass} pipeline passes that prepared this run, in
-          application order *)
 }
 
 exception Execution_error of string
@@ -105,33 +104,33 @@ val apply :
     run on the multicore engine ({!Granii_hw.Domain_pool}); with [?ws],
     outputs are drawn from the workspace arena. *)
 
-val exec :
-  ?seed:int -> ?disable:string list -> engine:Engine.t -> timing:timing ->
-  graph:Granii_graph.Graph.t ->
-  bindings:(string * value) list -> Plan.t -> report
-(** Executes the plan once under the engine's configuration. Leaf names are
-    resolved in [bindings]; the graph's {m \tilde A} and normalization
-    vector are available to [Degree] steps. [disable] skips the named
-    {!Pass} pipeline passes (ablation/debugging). Raises
-    {!Execution_error} on an unbound input or an argument-kind mismatch
-    (which would indicate an enumeration bug), and {!Engine.Error} on a
-    cache/graph fingerprint mismatch. Bindings must not be backed by
-    buffers issued from the engine's own workspace. *)
-
 val exec_iterations :
-  ?seed:int -> ?disable:string list -> engine:Engine.t -> timing:timing ->
+  ?seed:int -> engine:Engine.t -> timing:timing ->
   graph:Granii_graph.Graph.t ->
   bindings:(string * value) list -> iterations:int -> Plan.t -> report
-(** Steady-state driver: setup steps run once, per-iteration steps run
-    [iterations] times with fixed bindings, re-using preallocated argument
-    arrays and (with a workspace engine) re-using the previous iteration's
-    buffers — the loop the trainer, profiler and selection micro-benchmarks
-    actually sit in. [iteration_time] is the {e mean} per-iteration time;
-    [per_step] and [intermediates] reflect the last iteration. The
-    engine's subtree cache is {e not} consulted (per-iteration steps
-    recompute identical values by construction, so cache hits would fake
-    the steady state this driver measures). Raises [Invalid_argument] when
-    [iterations < 1]. *)
+(** Executes the plan under the engine's configuration: setup steps run
+    once, per-iteration steps run [iterations] times with fixed bindings,
+    re-using preallocated argument arrays and (with a workspace engine) the
+    previous iteration's buffers — the loop the trainer, profiler and
+    selection micro-benchmarks sit in. Leaf names are resolved in
+    [bindings]; the graph's {m \tilde A} and normalization vector are
+    available to [Degree] steps. [iteration_time] is the {e mean}
+    per-iteration time; [per_step] lists the steps in plan order, with the
+    last iteration's times, and [intermediates] reflect the last iteration.
+    The engine's subtree cache is consulted on the first pass only (setup
+    steps and iteration 1): later iterations recompute identical values by
+    construction, and cache hits there would fake the steady state. Raises
+    [Invalid_argument] when [iterations < 1], {!Execution_error} on an
+    unbound input or an argument-kind mismatch (which would indicate an
+    enumeration bug), and {!Engine.Error} on a cache/graph fingerprint
+    mismatch. Bindings must not be backed by buffers issued from the
+    engine's own workspace. *)
+
+val exec :
+  ?seed:int -> engine:Engine.t -> timing:timing ->
+  graph:Granii_graph.Graph.t ->
+  bindings:(string * value) list -> Plan.t -> report
+(** [exec_iterations ~iterations:1]: one run of the plan. *)
 
 (** {2 Analytic estimation} *)
 

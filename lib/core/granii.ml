@@ -114,8 +114,8 @@ let optimize_localized ?obs ~oracle ~graph ~k_in ~k_out ?(iterations = 100)
     config = lc.Selector.config;
     base_cost = lc.Selector.base_cost }
 
-let execute_with ?seed ?disable ~engine ~timing ~graph ~bindings decision =
-  Executor.exec ?seed ?disable ~engine ~timing ~graph ~bindings
+let execute_with ?seed ~engine ~timing ~graph ~bindings decision =
+  Executor.exec ?seed ~engine ~timing ~graph ~bindings
     decision.choice.Selector.candidate.Codegen.plan
 
 let simulated_overhead ~profile ~env =

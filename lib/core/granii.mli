@@ -66,11 +66,11 @@ val optimize_localized :
     {!Engine.config}'s [locality] axis to execute under the chosen layout. *)
 
 val execute_with :
-  ?seed:int -> ?disable:string list -> engine:Engine.t ->
+  ?seed:int -> engine:Engine.t ->
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->
   bindings:(string * Executor.value) list -> decision -> Executor.report
-(** Runs the selected plan under a validated {!Engine.t} (see
-    {!Executor.exec}); [disable] skips named {!Pass} pipeline passes. *)
+(** Runs the selected plan once under a validated {!Engine.t} (see
+    {!Executor.exec}). *)
 
 val simulated_overhead :
   profile:Granii_hw.Hw_profile.t -> env:Dim.env -> float

@@ -1,27 +1,42 @@
 (* Liveness over straight-line plans.
 
    A plan is already in SSA-like form — step [i] defines value [t_i] exactly
-   once and later steps read it by index — so liveness is a single backward
-   scan: the last use of [t_i] is the largest step index whose args mention
-   [Computed i]; the plan output lives forever. [dead_after j] inverts that
-   relation into "the values whose last reader is step [j]", which is what
-   an executor consults to recycle buffers the moment a step retires. *)
+   once and later steps read it by index — so liveness is a single scan. The
+   executor runs setup steps first and per-iteration steps after, each in
+   plan order, so "last" means last in that execution order: the last use of
+   [t_i] is its reader executed latest; the plan output lives forever.
+   [dead_after j] inverts that relation into "the values whose last reader
+   is step [j]", which is what an executor consults to recycle buffers the
+   moment a step retires. *)
 
 type t = {
   n : int;
   last_use : int array;
   dead_after : int list array;
   output : int option;
+  order : int array; (* step indices in execution order *)
 }
 
 let analyze (p : Plan.t) =
   let n = List.length p.steps in
+  (* execution position: setup steps before every per-iteration step *)
+  let rank = Array.make n 0 in
+  List.iter
+    (fun (s : Plan.step) ->
+      rank.(s.Plan.idx) <-
+        (match s.Plan.phase with
+        | Plan.Setup -> s.Plan.idx
+        | Plan.Per_iteration -> n + s.Plan.idx))
+    p.Plan.steps;
   let last_use = Array.make n (-1) in
   List.iter
     (fun (s : Plan.step) ->
       List.iter
         (function
-          | Plan.Computed i -> if s.Plan.idx > last_use.(i) then last_use.(i) <- s.Plan.idx
+          | Plan.Computed i ->
+              let u = last_use.(i) in
+              if u < 0 || rank.(s.Plan.idx) > rank.(u) then
+                last_use.(i) <- s.Plan.idx
           | Plan.Input _ -> ())
         s.Plan.args)
     p.Plan.steps;
@@ -37,7 +52,9 @@ let analyze (p : Plan.t) =
         dead_after.(d) <- i :: dead_after.(d)
       end)
     last_use;
-  { n; last_use; dead_after; output }
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> compare rank.(a) rank.(b)) order;
+  { n; last_use; dead_after; output; order }
 
 let last_use t i =
   if i < 0 || i >= t.n then invalid_arg "Liveness.last_use: index out of range";
@@ -50,15 +67,16 @@ let dead_after t j =
 let output t = t.output
 
 let max_live t =
-  (* simulate the step sequence: value i is born at step i and dies after
+  (* simulate the execution order: value i is born at step i and dies after
      [last_use] — the high-water mark of simultaneously live values bounds
      the buffer count a recycling executor needs *)
   let live = ref 0 and peak = ref 0 in
-  for i = 0 to t.n - 1 do
-    incr live;
-    if !live > !peak then peak := !live;
-    live := !live - List.length t.dead_after.(i)
-  done;
+  Array.iter
+    (fun i ->
+      incr live;
+      if !live > !peak then peak := !live;
+      live := !live - List.length t.dead_after.(i))
+    t.order;
   !peak
 
 let pp ppf t =

@@ -3,75 +3,7 @@ module Hybrid = Granii_sparse.Hybrid
 module Reorder = Granii_graph.Reorder
 module Dense = Granii_tensor.Dense
 
-type prepared = {
-  plan : Plan.t;
-  steps : Plan.step array;
-  args : Plan.source array array option;
-  live : Liveness.t option;
-  locality : Locality.config;
-  cache_keys : string array option;
-  trace : string list;
-}
-
-let base (plan : Plan.t) =
-  { plan;
-    steps = Array.of_list plan.Plan.steps;
-    args = None;
-    live = None;
-    locality = Locality.default;
-    cache_keys = None;
-    trace = [] }
-
-type pass = {
-  name : string;
-  enabled : Engine.t -> bool;
-  transform : Engine.t -> prepared -> prepared;
-}
-
-let lowering =
-  { name = "lowering";
-    enabled = (fun _ -> true);
-    transform =
-      (fun _ p ->
-        { p with
-          args =
-            Some (Array.map (fun (s : Plan.step) -> Array.of_list s.Plan.args) p.steps)
-        }) }
-
-let liveness =
-  { name = "liveness";
-    enabled =
-      (fun e -> (not (Engine.keep_intermediates e)) && Engine.workspace e <> None);
-    transform = (fun _ p -> { p with live = Some (Liveness.analyze p.plan) }) }
-
-let locality_layout =
-  { name = "locality-layout";
-    enabled = (fun e -> not (Locality.is_default (Engine.locality e)));
-    transform = (fun e p -> { p with locality = Engine.locality e }) }
-
-let cache_keying =
-  { name = "cache-keying";
-    enabled = (fun e -> Engine.cache e <> None);
-    transform =
-      (fun _ p ->
-        { p with
-          cache_keys = Some (Array.map (fun (s : Plan.step) -> s.Plan.skey) p.steps)
-        }) }
-
-let all = [ lowering; liveness; locality_layout; cache_keying ]
-
-let apply engine pass p =
-  if List.mem pass.name p.trace then p
-  else if pass.enabled engine then
-    { (pass.transform engine p) with trace = p.trace @ [ pass.name ] }
-  else p
-
-let prepare ?(disable = []) engine plan =
-  List.fold_left
-    (fun p pass -> if List.mem pass.name disable then p else apply engine pass p)
-    (base plan) all
-
-(* ---- locality boundary (runtime half of the locality-layout pass) ----
+(* ---- locality boundary ----
 
    Under a non-default [Locality.config] the run is bracketed: graph and
    bindings are permuted on entry, the plan executes entirely in the new id

@@ -157,7 +157,7 @@ let collect_measured ?(seed = 0) ?graphs ?sizes ?(runs = 3) () =
                 (fun template ->
                   let args = measured_args env graph template in
                   let time =
-                    Granii_hw.Timer.measure_n ~warmup:1 ~n:runs (fun () ->
+                    Granii_hw.Timer.measure_n_wall ~warmup:1 ~n:runs (fun () ->
                         Granii_tensor.Workspace.reclaim ws;
                         Executor.apply ~ws template graph args)
                   in

@@ -32,8 +32,9 @@ val collect_measured :
   ?seed:int -> ?graphs:Granii_graph.Graph.t list -> ?sizes:int list ->
   ?runs:int -> unit -> datasets
 (** Like {!collect}, but labels come from {e actually executing} every
-    primitive on the host CPU and timing it ([runs] timed repetitions,
-    default [3]) — the paper's real data-collection procedure applied to the
+    primitive on the host CPU and timing it on the wall clock — the clock
+    the executor's measured steps and the cost monitor use ([runs] timed
+    repetitions, default [3]) — the paper's real data-collection procedure applied to the
     one machine that physically exists here. Defaults to a smaller grid
     ([sizes = [8; 16; 32; 64]] and a scaled-down pool) so the sweep stays in
     seconds; a cost model trained on this data predicts host-CPU runtimes. *)

@@ -1236,153 +1236,16 @@ let record_cost t ~prim ~predicted ~measured =
 let event t kind ~tag ~v =
   match t.journal with None -> () | Some j -> Journal.record j kind ~tag ~v
 
-(* ---- minimal JSON well-formedness checker ----
+(* ---- a small JSON reader and well-formedness checker ----
 
-   Used by the exporter tests and the CI telemetry checker; accepts exactly
-   the JSON grammar (RFC 8259), reports the failing byte offset. *)
+   Accepts exactly the JSON grammar (RFC 8259) and reports the failing byte
+   offset. [parse] feeds bin/bench_gate.ml's artifact-vs-baseline diff;
+   [validate] is [parse] with the value dropped, for the exporter tests and
+   the CI telemetry checker. Numbers all land in [Num] (floats); \uXXXX
+   escapes decode to UTF-8 without surrogate pairing. *)
 
 module Json = struct
   exception Bad of int * string
-
-  let validate s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let bump () = incr pos in
-    let fail msg = raise (Bad (!pos, msg)) in
-    let rec ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          bump ();
-          ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> bump ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal l =
-      String.iter (fun c -> expect c) l
-    in
-    let string_ () =
-      expect '"';
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> bump ()
-        | Some '\\' -> (
-            bump ();
-            match peek () with
-            | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-                bump ();
-                go ()
-            | Some 'u' ->
-                bump ();
-                for _ = 1 to 4 do
-                  match peek () with
-                  | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> bump ()
-                  | _ -> fail "bad \\u escape"
-                done;
-                go ()
-            | _ -> fail "bad escape")
-        | Some c when Char.code c < 0x20 -> fail "control char in string"
-        | Some _ ->
-            bump ();
-            go ()
-      in
-      go ()
-    in
-    let number () =
-      (match peek () with Some '-' -> bump () | _ -> ());
-      let digits () =
-        let saw = ref false in
-        let rec go () =
-          match peek () with
-          | Some '0' .. '9' ->
-              saw := true;
-              bump ();
-              go ()
-          | _ -> ()
-        in
-        go ();
-        if not !saw then fail "expected digit"
-      in
-      digits ();
-      (match peek () with
-      | Some '.' ->
-          bump ();
-          digits ()
-      | _ -> ());
-      match peek () with
-      | Some ('e' | 'E') ->
-          bump ();
-          (match peek () with Some ('+' | '-') -> bump () | _ -> ());
-          digits ()
-      | _ -> ()
-    in
-    let rec value () =
-      ws ();
-      match peek () with
-      | Some '{' ->
-          bump ();
-          ws ();
-          if peek () = Some '}' then bump ()
-          else begin
-            let rec members () =
-              ws ();
-              string_ ();
-              ws ();
-              expect ':';
-              value ();
-              ws ();
-              match peek () with
-              | Some ',' ->
-                  bump ();
-                  members ()
-              | Some '}' -> bump ()
-              | _ -> fail "expected , or }"
-            in
-            members ()
-          end
-      | Some '[' ->
-          bump ();
-          ws ();
-          if peek () = Some ']' then bump ()
-          else begin
-            let rec elements () =
-              value ();
-              ws ();
-              match peek () with
-              | Some ',' ->
-                  bump ();
-                  elements ()
-              | Some ']' -> bump ()
-              | _ -> fail "expected , or ]"
-            in
-            elements ()
-          end
-      | Some '"' -> string_ ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> fail "expected a JSON value"
-    in
-    match
-      value ();
-      ws ();
-      if !pos <> n then fail "trailing garbage"
-    with
-    | () -> Ok ()
-    | exception Bad (at, msg) ->
-        Error (Printf.sprintf "invalid JSON at byte %d: %s" at msg)
-
-  (* ---- a small JSON reader on the same grammar ----
-
-     Used by bin/bench_gate.ml to compare BENCH_*.json artifacts against
-     their committed baselines. Numbers all land in [Num] (floats);
-     \uXXXX escapes decode to UTF-8 without surrogate pairing. *)
 
   type value =
     | Null
@@ -1572,6 +1435,8 @@ module Json = struct
     | v -> Ok v
     | exception Bad (at, msg) ->
         Error (Printf.sprintf "invalid JSON at byte %d: %s" at msg)
+
+  let validate s = Result.map ignore (parse s)
 
   let member k = function
     | Obj fields -> List.assoc_opt k fields

@@ -346,10 +346,6 @@ val event : t -> Journal.kind -> tag:string -> v:float -> unit
 (** {1 JSON checker / reader} *)
 
 module Json : sig
-  val validate : string -> (unit, string) result
-  (** Accepts exactly RFC 8259 JSON; the error names the failing byte
-      offset. Used by the exporter tests and the CI telemetry checker. *)
-
   type value =
     | Null
     | Bool of bool
@@ -359,9 +355,14 @@ module Json : sig
     | Obj of (string * value) list
 
   val parse : string -> (value, string) result
-  (** Same grammar as {!validate}, building a {!value}. All numbers land
-      in [Num]. Used by [bin/bench_gate.ml] to diff bench artifacts
-      against committed baselines. *)
+  (** Accepts exactly RFC 8259 JSON, building a {!value}; the error names
+      the failing byte offset. All numbers land in [Num]. Used by
+      [bin/bench_gate.ml] to diff bench artifacts against committed
+      baselines. *)
+
+  val validate : string -> (unit, string) result
+  (** [parse] with the value dropped. Used by the exporter tests and the CI
+      telemetry checker. *)
 
   val member : string -> value -> value option
   (** Field lookup on an [Obj]; [None] otherwise. *)

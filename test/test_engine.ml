@@ -1,7 +1,7 @@
 (* The engine layer: config legality as typed errors, describe/parse
-   round-trips, pass-pipeline idempotence and tracing, and the differential
-   guarantee — every legal engine configuration executes every model
-   bitwise-identically to the seed (plain) path. *)
+   round-trips, and the differential guarantee — every legal engine
+   configuration executes every model bitwise-identically to the seed
+   (plain) path. *)
 
 open Granii_core
 open Test_util
@@ -199,111 +199,6 @@ let test_describe_roundtrip () =
              (Engine.error_to_string (Engine.Invalid_format "xyz"))
     | Ok _ -> false)
 
-(* ---- pass pipeline: idempotence and ordering ---- *)
-
-let prepared_plan () =
-  let _, compiled = compile_model (Mp.Mp_models.find "gcn") in
-  (List.hd compiled.Codegen.candidates).Codegen.plan
-
-let engines_with_distinct_passes () =
-  [ ("default", Engine.default ());
-    ( "cache",
-      Engine.create_exn { Engine.default_config with cache = true } );
-    ( "locality",
-      Engine.create_exn
-        { Engine.default_config with
-          locality = List.hd non_default_localities } );
-    ( "ws+drop",
-      Engine.create_exn
-        { Engine.default_config with
-          workspace = true;
-          keep_intermediates = false } ) ]
-
-let test_pass_idempotent () =
-  let plan = prepared_plan () in
-  List.iter
-    (fun (ename, engine) ->
-      List.iter
-        (fun (pass : Pass.pass) ->
-          let once = Pass.apply engine pass (Pass.base plan) in
-          let twice = Pass.apply engine pass once in
-          check_true
-            (Printf.sprintf "%s under %s engine is idempotent" pass.Pass.name
-               ename)
-            (once = twice))
-        Pass.all;
-      (* the full pipeline is idempotent too: re-applying every pass to a
-         prepared plan changes nothing *)
-      let prep = Pass.prepare engine plan in
-      let again =
-        List.fold_left (fun p pass -> Pass.apply engine pass p) prep Pass.all
-      in
-      check_true
-        (Printf.sprintf "full pipeline under %s engine is idempotent" ename)
-        (prep = again))
-    (engines_with_distinct_passes ())
-
-let test_pass_trace () =
-  let plan = prepared_plan () in
-  let expected = function
-    | "default" -> [ "lowering" ]
-    | "cache" -> [ "lowering"; "cache-keying" ]
-    | "locality" -> [ "lowering"; "locality-layout" ]
-    | "ws+drop" -> [ "lowering"; "liveness" ]
-    | _ -> assert false
-  in
-  List.iter
-    (fun (ename, engine) ->
-      let prep = Pass.prepare engine plan in
-      check_true
-        (Printf.sprintf "%s engine: trace is %s" ename
-           (String.concat "," (expected ename)))
-        (prep.Pass.trace = expected ename))
-    (engines_with_distinct_passes ())
-
-let test_trace_in_report () =
-  let graph = G.Generators.erdos_renyi ~seed:3 ~n:40 ~avg_degree:4. () in
-  let model = Mp.Mp_models.find "gcn" in
-  let low, compiled = compile_model model in
-  let _, bindings = setup_bindings ~k_in:9 ~k_out:7 low graph in
-  let plan = (List.hd compiled.Codegen.candidates).Codegen.plan in
-  let engine =
-    Engine.create_exn { Engine.default_config with cache = true }
-  in
-  let r =
-    Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan
-  in
-  check_true "report records the applied passes in order"
-    (r.Executor.trace = [ "lowering"; "cache-keying" ])
-
-let test_all_disabled_is_seed () =
-  (* with every pass disabled the executor degenerates to the seed path:
-     bitwise-identical outputs on all three models *)
-  let graph = G.Generators.barabasi_albert ~seed:5 ~n:60 ~m:3 () in
-  let disable = List.map (fun (p : Pass.pass) -> p.Pass.name) Pass.all in
-  List.iter
-    (fun name ->
-      let model = Mp.Mp_models.find name in
-      let low, compiled = compile_model model in
-      let _, bindings = setup_bindings ~k_in:9 ~k_out:7 low graph in
-      List.iter
-        (fun (c : Codegen.ccand) ->
-          let reference =
-            Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure
-              ~graph ~bindings c.Codegen.plan
-          in
-          let bare =
-            Executor.exec ~engine:(Engine.default ()) ~disable
-              ~timing:Executor.Measure ~graph ~bindings c.Codegen.plan
-          in
-          check_true
-            (Printf.sprintf "%s/%s: all-passes-disabled is the seed path"
-               name c.Codegen.plan.Plan.name)
-            (value_bits_equal reference.Executor.output bare.Executor.output);
-          check_true "no pass in the trace" (bare.Executor.trace = []))
-        compiled.Codegen.candidates)
-    [ "gcn"; "gat"; "gin" ]
-
 (* ---- the differential acceptance grid ----
 
    Every legal engine configuration must execute GCN, GAT and GIN
@@ -476,12 +371,6 @@ let suite =
       test_illegal_typed;
     Alcotest.test_case "legal configs round-trip describe" `Quick
       test_describe_roundtrip;
-    Alcotest.test_case "passes idempotent" `Quick test_pass_idempotent;
-    Alcotest.test_case "pass trace per engine" `Quick test_pass_trace;
-    Alcotest.test_case "trace surfaces in the report" `Quick
-      test_trace_in_report;
-    Alcotest.test_case "all passes disabled = seed path" `Quick
-      test_all_disabled_is_seed;
     Alcotest.test_case "differential grid vs seed path" `Quick
       test_differential_grid;
     Alcotest.test_case "multicore engine bitwise" `Quick

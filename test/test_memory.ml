@@ -211,6 +211,58 @@ let test_run_iterations_no_ws () =
        false
      with Invalid_argument _ -> true)
 
+(* Liveness recycling in the steady-state driver: under
+   workspace=on,intermediates=drop a three-iteration run keeps every output
+   bit and ends with a smaller arena than the same run keeping its
+   intermediates — buffers die at their last reader inside each iteration,
+   while setup values survive until the last one. *)
+let test_iterations_recycle () =
+  let graph = small_graph () in
+  let arena_words keep_intermediates plan bindings =
+    let ws = Workspace.create () in
+    let r =
+      Executor.exec_iterations
+        ~engine:
+          (Engine.create_exn ~workspace:ws
+             { Engine.default_config with keep_intermediates })
+        ~timing ~graph ~bindings ~iterations:3 plan
+    in
+    let s = Workspace.stats ws in
+    (r, s.Workspace.held_words + s.Workspace.issued_words)
+  in
+  List.iter
+    (fun (m : Mp.Mp_ast.model) ->
+      let low, compiled = compile_model m in
+      let _, bindings = setup_bindings ~k_in:9 low graph in
+      let name = m.Mp.Mp_ast.name in
+      let dropped_total = ref 0 and kept_total = ref 0 in
+      List.iter
+        (fun (c : Codegen.ccand) ->
+          let plan = c.Codegen.plan in
+          let reference =
+            Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings
+              plan
+          in
+          let dropped, dropped_words = arena_words false plan bindings in
+          let _, kept_words = arena_words true plan bindings in
+          check_true
+            (Printf.sprintf "%s/%s: drop x3 output bitwise" name plan.Plan.name)
+            (value_bits_equal reference.Executor.output dropped.Executor.output);
+          check_true
+            (Printf.sprintf "%s/%s: drop x3 never holds more arena words"
+               name plan.Plan.name)
+            (dropped_words <= kept_words);
+          dropped_total := !dropped_total + dropped_words;
+          kept_total := !kept_total + kept_words)
+        compiled.Codegen.candidates;
+      (* a candidate whose values all differ in size has nothing to reuse;
+         across a model's candidates recycling must show *)
+      check_true
+        (Printf.sprintf "%s: drop x3 holds fewer arena words (%d < %d)" name
+           !dropped_total !kept_total)
+        (!dropped_total < !kept_total))
+    [ Mp.Mp_models.gcn; Mp.Mp_models.gat; Mp.Mp_models.gin ]
+
 (* A reused buffer must never leak one run's data into the next: execute
    with two different inputs alternately on one arena and check each result
    against the allocating path. *)
@@ -291,6 +343,37 @@ let test_cache_hits_and_equality () =
   let hits, misses = Engine.cache_stats cache in
   check_true "shared subtrees were actually served from the cache" (hits > 0);
   check_true "distinct subtrees were computed once each" (misses > 0)
+
+(* The steady-state driver shares the subtree cache: after [exec] of one
+   candidate, a three-iteration run of a sibling is served the subtrees they
+   share on its first pass, and still returns the cache-less output. *)
+let test_cache_serves_iterations () =
+  let graph = small_graph () in
+  let low, compiled = compile_model Mp.Mp_models.gcn in
+  let _, bindings = setup_bindings ~k_in:9 low graph in
+  match compiled.Codegen.candidates with
+  | first :: sibling :: _ ->
+      let engine =
+        Engine.create_exn { Engine.default_config with cache = true }
+      in
+      let cache = Option.get (Engine.cache engine) in
+      ignore
+        (Executor.exec ~engine ~timing ~graph ~bindings first.Codegen.plan);
+      let hits_before, _ = Engine.cache_stats cache in
+      let r =
+        Executor.exec_iterations ~engine ~timing ~graph ~bindings
+          ~iterations:3 sibling.Codegen.plan
+      in
+      let hits_after, _ = Engine.cache_stats cache in
+      check_true "exec_iterations is served from the cache"
+        (hits_after > hits_before);
+      let reference =
+        Executor.exec_iterations ~engine:(Engine.default ()) ~timing ~graph
+          ~bindings ~iterations:3 sibling.Codegen.plan
+      in
+      check_true "cached exec_iterations output bitwise equal"
+        (value_bits_equal reference.Executor.output r.Executor.output)
+  | _ -> Alcotest.fail "GCN compiles to at least two candidates"
 
 let test_cache_timing_transparent () =
   (* In simulate mode a cache hit must charge the same deterministic time
@@ -428,9 +511,13 @@ let suite =
     Alcotest.test_case "liveness on GCN candidates" `Quick test_liveness_gcn ]
   @ List.map model_case Mp.Mp_models.all
   @ [ Alcotest.test_case "run_iterations without workspace" `Quick test_run_iterations_no_ws;
+      Alcotest.test_case "exec_iterations recycles under drop" `Quick
+        test_iterations_recycle;
       Alcotest.test_case "no stale aliasing across runs" `Quick test_no_stale_aliasing;
       Alcotest.test_case "reclaim invalidates previous output" `Quick test_reclaim_invalidates;
       Alcotest.test_case "subtree cache hits & equality" `Quick test_cache_hits_and_equality;
+      Alcotest.test_case "subtree cache serves exec_iterations" `Quick
+        test_cache_serves_iterations;
       Alcotest.test_case "subtree cache timing-transparent" `Quick test_cache_timing_transparent;
       Alcotest.test_case "workspace + cache legal (epoch-pinned)" `Quick
         test_cache_workspace_legal;
