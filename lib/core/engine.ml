@@ -79,8 +79,8 @@ type cache = {
   tbl : (string, Dispatch.value * float) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable bound : (Granii_graph.Graph.t * string) option;
-      (* the first graph bound and its structural fingerprint *)
+  mutable bound : Granii_graph.Graph.t option;
+      (* the first graph bound; compared by [Graph.fingerprint] *)
 }
 
 let cache_create () =
@@ -88,29 +88,12 @@ let cache_create () =
 
 let cache_stats c = (c.cache_hits, c.cache_misses)
 
-(* Full-content structural fingerprint: the counts plus an MD5 digest of
-   the marshalled [row_ptr] and [col_idx] arrays, so two graphs share a
-   fingerprint only if their adjacency is identical (barring a digest
-   collision). O(n + nnz), paid once per distinct graph binding — never on
-   a per-step path. *)
-let graph_fingerprint (g : Granii_graph.Graph.t) =
-  let adj = g.Granii_graph.Graph.adj in
-  Printf.sprintf "n=%d;nnz=%d;adj=%s"
-    (Granii_graph.Graph.n_nodes g)
-    (Granii_graph.Graph.n_edges g)
-    (Digest.to_hex
-       (Digest.string
-          (Marshal.to_string (adj.Csr.row_ptr, adj.Csr.col_idx)
-             [ Marshal.No_sharing ])))
-
-(* Rebinding the very graph the cache was bound to skips the digest, so a
-   candidate sweep over one graph pays for it once. *)
 let cache_bind_graph c (g : Granii_graph.Graph.t) =
   match c.bound with
-  | Some (g0, _) when g0 == g -> ()
-  | None -> c.bound <- Some (g, graph_fingerprint g)
-  | Some (g0, fp0) ->
-      if not (String.equal fp0 (graph_fingerprint g)) then
+  | None -> c.bound <- Some g
+  | Some g0 ->
+      let fp = Granii_graph.Graph.fingerprint in
+      if not (String.equal (fp g0) (fp g)) then
         raise
           (Error
              (Cache_graph_mismatch

@@ -170,12 +170,3 @@ val config_of_string : string -> (config, string) result
     [intermediates] (keep|drop), [calibration] (off|affine). Any other key
     is a parse error. An unknown format name reports the {!Invalid_format}
     message. *)
-
-(** {2 Structural fingerprinting} (shared with the serving plan cache) *)
-
-val graph_fingerprint : Granii_graph.Graph.t -> string
-(** Structural fingerprint of a graph: exact node/edge counts plus an MD5
-    digest of the full [row_ptr] and [col_idx] arrays, so structurally
-    different graphs get different fingerprints. O(n + nnz). Used by the
-    subtree cache's graph binding and as the graph component of the serving
-    layer's plan-cache key. *)

@@ -15,8 +15,8 @@
     {!key_of}. They differ only in the graph component of the key:
 
     - serving keys on the {e exact} structural fingerprint
-      ({!Engine.graph_fingerprint}) — registered graphs are long-lived and
-      a plan must never leak across structures;
+      ({!Granii_graph.Graph.fingerprint}) — registered graphs are
+      long-lived and a plan must never leak across structures;
     - the trainer keys on the {e bucketed} fingerprint
       ({!bucketed_fingerprint}) — sampled subgraphs are all different, so
       exact keying would trivially miss on every batch; bucketing by
@@ -37,7 +37,7 @@
 
 type key = {
   graph_fp : string;
-      (** {!Engine.graph_fingerprint} (exact, serving) or
+      (** {!Granii_graph.Graph.fingerprint} (exact, serving) or
           {!bucketed_fingerprint} (sampled mini-batches) *)
   model : string;
   k_in : int;

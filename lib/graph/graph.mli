@@ -5,14 +5,22 @@
     (self-loops added), and the GCN normalization vector is
     {m \tilde D^{-1/2}}. *)
 
+type memo
+(** Per-graph derived operands ({!with_self_loops}, {!fingerprint}), each
+    built on first use and then shared. Safe to fill from several domains
+    at once. *)
+
 type t = private {
   name : string;
   adj : Granii_sparse.Csr.t;  (** unweighted adjacency, no self-loops *)
+  memo : memo;
 }
 
 val make : name:string -> Granii_sparse.Csr.t -> t
-(** Wraps an adjacency matrix. Raises [Invalid_argument] if it is not square.
-    Values, if any, are dropped — graphs here are structural. *)
+(** Wraps an adjacency matrix with an empty {!memo}. Raises
+    [Invalid_argument] if it is not square. Values, if any, are dropped —
+    graphs here are structural. The matrix must not be mutated afterwards:
+    the memoized operands are derived from it. *)
 
 val of_edges : name:string -> n:int -> (int * int) list -> t
 (** Builds an undirected graph from an edge list (both directions stored,
@@ -32,13 +40,29 @@ val avg_degree : t -> float
 val max_degree : t -> int
 
 val with_self_loops : t -> Granii_sparse.Csr.t
-(** {m \tilde A = A + I}, unweighted. *)
+(** {m \tilde A = A + I}, unweighted: each row holds the row's distinct
+    columns plus the diagonal, sorted. The first call builds it in one
+    O(n + nnz) pass over the rows (a row that is not already strictly
+    increasing is sorted first); every later call, from any domain, returns
+    the physically same memoized CSR. It is shared: callers must not mutate
+    its arrays. *)
 
 val degrees_tilde : t -> Granii_tensor.Vector.t
-(** Degrees of {m \tilde A} (each node's degree + 1) as floats. *)
+(** {m \tilde D}: the row sums of {m \tilde A} (its row lengths, from the
+    memoized {!with_self_loops}) as floats. That is each node's degree + 1,
+    except that a diagonal entry already stored in [adj] (or a duplicate
+    column) is counted once, as in {m \tilde A}. *)
 
 val norm_inv_sqrt : t -> Granii_tensor.Vector.t
 (** {m \tilde D^{-1/2}}: the GCN normalization vector. *)
+
+val fingerprint : t -> string
+(** Structural fingerprint: exact node/edge counts plus an MD5 digest of the
+    marshalled [adj] [row_ptr] and [col_idx] arrays, so structurally
+    different graphs get different fingerprints (barring a digest
+    collision); the name is ignored. O(n + nnz) on first call, memoized like
+    {!with_self_loops}. Keys the engine's subtree-cache binding and the
+    serving plan cache. *)
 
 val is_symmetric : t -> bool
 

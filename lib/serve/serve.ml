@@ -75,7 +75,6 @@ type stats = {
 
 type graph_entry = {
   graph : Graph.t;
-  fp : string;
   mutable feats : Featurizer.t option;
 }
 
@@ -141,7 +140,8 @@ let locked t f =
 
 (* ---- job selection (lock held) ---- *)
 
-let jkey (p : pending) = (p.gentry.fp, p.model, p.k_in, p.k_out)
+let jkey (p : pending) =
+  (Graph.fingerprint p.gentry.graph, p.model, p.k_in, p.k_out)
 
 let depth_gauge t (ten : tenant) =
   Obs.gauge t.obs
@@ -273,8 +273,8 @@ let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
     t.oracle_name <- oname
   end;
   let key =
-    Plan_cache.key_of ~graph_fp:ge.fp ~model ~k_in ~k_out ~hw:oname
-      ~threads:t.cfg.threads ~locality:t.cfg.locality
+    Plan_cache.key_of ~graph_fp:(Graph.fingerprint ge.graph) ~model ~k_in
+      ~k_out ~hw:oname ~threads:t.cfg.threads ~locality:t.cfg.locality
   in
   let lc =
     match Plan_cache.find t.pc key with
@@ -570,13 +570,16 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
     List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
+(* Registration derives the graph's memoized operands (fingerprint and
+   self-loop adjacency) outside the lock, so no request pays for them. *)
 let register_graph t ~name graph =
+  ignore (Graph.fingerprint graph : string);
+  ignore (Graph.with_self_loops graph : Csr.t);
   locked t (fun () ->
       if Hashtbl.mem t.graphs name then
         invalid_arg
           (Printf.sprintf "Serve.register_graph: %s already registered" name);
-      Hashtbl.replace t.graphs name
-        { graph; fp = Engine.graph_fingerprint graph; feats = None })
+      Hashtbl.replace t.graphs name { graph; feats = None })
 
 let tenant_of t name =
   match Hashtbl.find_opt t.tenants name with

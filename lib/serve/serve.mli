@@ -172,8 +172,10 @@ val create :
     see {!Granii_core.Locality.legal}). *)
 
 val register_graph : t -> name:string -> Granii_graph.Graph.t -> unit
-(** Graphs are server state, named at registration. Re-registering a name
-    raises [Invalid_argument]. *)
+(** Graphs are server state, named at registration. Registration derives
+    the graph's {!Granii_graph.Graph.fingerprint} and
+    {!Granii_graph.Graph.with_self_loops}, so no request pays for them.
+    Re-registering a name raises [Invalid_argument]. *)
 
 val submit :
   t -> tenant:string -> graph:string -> model:string -> k_out:int ->

@@ -1,5 +1,8 @@
 open Granii_graph
 open Test_util
+module Csr = Granii_sparse.Csr
+module Coo = Granii_sparse.Coo
+module Prng = Granii_tensor.Prng
 
 let test_of_edges () =
   let g = Graph.of_edges ~name:"tri" ~n:3 [ (0, 1); (1, 2); (2, 0); (1, 1) ] in
@@ -15,6 +18,100 @@ let test_self_loops_and_norm () =
   check_float "degree includes self loop" 2. d.(0);
   let norm = Graph.norm_inv_sqrt g in
   check_float "norm is deg^-1/2" (1. /. sqrt 2.) norm.(0)
+
+(* The COO construction of A~ = A + I that the linear build replaced: every
+   stored entry plus the diagonal, sorted and deduplicated by [Coo.make].
+   Kept as the reference the linear build must match bit for bit. *)
+let coo_self_loops (g : Graph.t) =
+  let n = Graph.n_nodes g in
+  let entries = ref [] in
+  Csr.iter (fun i j _ -> entries := (i, j, 1.) :: !entries) g.Graph.adj;
+  for i = 0 to n - 1 do
+    entries := (i, i, 1.) :: !entries
+  done;
+  Csr.of_coo ~keep_values:false
+    (Coo.make ~n_rows:n ~n_cols:n (Array.of_list !entries))
+
+let bitwise_equal (a : Csr.t) (b : Csr.t) =
+  a.Csr.n_rows = b.Csr.n_rows && a.Csr.n_cols = b.Csr.n_cols
+  && a.Csr.row_ptr = b.Csr.row_ptr && a.Csr.col_idx = b.Csr.col_idx
+  && a.Csr.values = None && b.Csr.values = None
+
+let graph_of_rows ~name rows =
+  let n = Array.length rows in
+  let row_ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + Array.length r) rows;
+  Graph.make ~name
+    (Csr.make ~n_rows:n ~n_cols:n ~row_ptr
+       ~col_idx:(Array.concat (Array.to_list rows))
+       ~values:None)
+
+(* Sorted rows, each column kept with probability [p]: stored diagonals
+   and isolated nodes both occur. *)
+let sorted_rows rng ~n ~p =
+  Array.init n (fun _ ->
+      Array.of_list (List.filter (fun _ -> Prng.bool rng p) (List.init n Fun.id)))
+
+(* Adjacencies the linear build must handle: n = 0 and n = 1, stars,
+   isolated nodes and stored diagonals in sorted rows, rows left unsorted
+   by [Reorder.permute_csr], and arbitrary rows (any order, duplicate
+   columns, diagonals, empty rows) through [Csr.make]. *)
+let adjacency_gen =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, return 0); (1, return 1); (6, int_range 2 16) ] in
+  let* shape = int_range 0 3 in
+  let* seed = int_range 0 10_000 in
+  let rng = Prng.create seed in
+  return
+    (match shape with
+    | 0 when n >= 1 -> Generators.star ~n
+    | 1 ->
+        graph_of_rows ~name:"arbitrary"
+          (Array.init n (fun _ ->
+               Array.init (Prng.int rng 5) (fun _ -> Prng.int rng n)))
+    | 2 ->
+        let g = graph_of_rows ~name:"sorted" (sorted_rows rng ~n ~p:0.2) in
+        let perm = Array.init n Fun.id in
+        Prng.shuffle_in_place rng perm;
+        Graph.make ~name:"permuted"
+          (Reorder.permute_csr
+             (Reorder.of_perm ~strategy:Reorder.Degree_sort perm)
+             g.Graph.adj)
+    | _ -> graph_of_rows ~name:"sorted" (sorted_rows rng ~n ~p:0.15))
+
+let test_self_loops_match_coo =
+  qtest ~count:500 "with_self_loops is bitwise the COO construction"
+    adjacency_gen (fun g -> bitwise_equal (Graph.with_self_loops g) (coo_self_loops g))
+
+let test_self_loops_memoized () =
+  let g = Generators.rmat ~seed:3 ~scale:8 ~edge_factor:8 () in
+  check_true "second call returns the same CSR"
+    (Graph.with_self_loops g == Graph.with_self_loops g);
+  check_true "second call returns the same fingerprint"
+    (Graph.fingerprint g == Graph.fingerprint g)
+
+(* Four domains force a fresh graph's A~ at once: none raises, and every
+   one gets the single memoized matrix. *)
+let test_self_loops_concurrent () =
+  let fresh () = Generators.rmat ~seed:4 ~scale:10 ~edge_factor:8 () in
+  let reference = coo_self_loops (fresh ()) in
+  for _ = 1 to 5 do
+    let g = fresh () in
+    let go = Atomic.make false in
+    let domains =
+      List.init 4 (fun _ ->
+          Domain.spawn (fun () ->
+              while not (Atomic.get go) do Domain.cpu_relax () done;
+              Graph.with_self_loops g))
+    in
+    Atomic.set go true;
+    let results = List.map Domain.join domains in
+    List.iter
+      (fun a ->
+        check_true "structurally equal to the reference" (bitwise_equal a reference);
+        check_true "the memoized matrix" (a == Graph.with_self_loops g))
+      results
+  done
 
 let test_generator_er () =
   let g = Generators.erdos_renyi ~seed:1 ~n:500 ~avg_degree:8. () in
@@ -135,6 +232,9 @@ let test_features_encoding =
 let suite =
   [ Alcotest.test_case "of_edges" `Quick test_of_edges;
     Alcotest.test_case "self loops and norm" `Quick test_self_loops_and_norm;
+    test_self_loops_match_coo;
+    Alcotest.test_case "self loops memoized" `Quick test_self_loops_memoized;
+    Alcotest.test_case "self loops concurrent force" `Quick test_self_loops_concurrent;
     Alcotest.test_case "erdos-renyi" `Quick test_generator_er;
     Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
     Alcotest.test_case "barabasi-albert skew" `Quick test_generator_ba_skew;

@@ -76,6 +76,40 @@ let test_gcn_against_dense_reference () =
         (Dense.equal_approx ~eps:1e-8 expected out))
     compiled.Codegen.candidates
 
+(* A stored diagonal entry is counted once in A~, so D~ = rowsum(A~), not
+   degree + 1. Reference built densely from the adjacency. *)
+let test_gcn_stored_self_loop () =
+  let adj =
+    Granii_sparse.Csr.make ~n_rows:3 ~n_cols:3 ~row_ptr:[| 0; 1; 4; 5 |]
+      ~col_idx:[| 1; 0; 1; 2; 1 |] ~values:None
+  in
+  let graph = G.Graph.make ~name:"path3+loop" adj in
+  let low, compiled, _ = compile_model Mp.Mp_models.gcn in
+  let _, bindings, h, params = setup_bindings ~k_in:4 low graph in
+  let a_dense = Granii_sparse.Csr.to_dense adj in
+  for i = 0 to 2 do Dense.set a_dense i i 1. done;
+  let d =
+    Array.init 3 (fun i ->
+        let s = ref 0. in
+        for j = 0 to 2 do s := !s +. Dense.get a_dense i j done;
+        1. /. sqrt !s)
+  in
+  let w = List.assoc "W" params in
+  let expected =
+    Dense.relu
+      (Dense.row_broadcast d
+         (Dense.matmul a_dense (Dense.row_broadcast d (Dense.matmul h w))))
+  in
+  List.iter
+    (fun c ->
+      let out = dense_of_output (run_candidate ~graph ~bindings c) in
+      let diff = Dense.max_abs_diff expected out in
+      check_true
+        (Printf.sprintf "%s uses D~ = rowsum(A~) (diff %.2e)"
+           c.Codegen.plan.Plan.name diff)
+        (diff < 1e-12))
+    compiled.Codegen.candidates
+
 (* Hand-written reference for GAT. *)
 let test_gat_against_dense_reference () =
   let graph = small_graph ~seed:6 ~n:30 () in
@@ -257,6 +291,7 @@ let model_case m =
 let suite =
   List.map model_case Mp.Mp_models.all
   @ [ Alcotest.test_case "GCN dense reference" `Quick test_gcn_against_dense_reference;
+      Alcotest.test_case "GCN with a stored self-loop" `Quick test_gcn_stored_self_loop;
       Alcotest.test_case "GAT dense reference" `Quick test_gat_against_dense_reference;
       Alcotest.test_case "setup/iteration phases" `Quick test_phases;
       Alcotest.test_case "baseline does not hoist" `Quick test_no_hoist_baseline;
