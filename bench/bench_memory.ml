@@ -1,7 +1,7 @@
 (* Memory-system behavior of the executor: per-iteration Gc allocation with
-   and without a workspace arena (must be bitwise identical), the cache-tiled
-   GEMM vs the untiled kernel, and the shared-subtree cache's hit rate over a
-   full selection sweep. All numbers here are real host-CPU measurements. *)
+   and without a workspace arena (must be bitwise identical) and the
+   cache-tiled GEMM vs the untiled kernel. All numbers here are real host-CPU
+   measurements. *)
 
 open Bench_common
 open Granii_core
@@ -121,85 +121,8 @@ let run_gemm () =
       ("tiled_ms", F (ms t_t));
       ("speedup", F (t_u /. t_t)) ]
 
-let run_cache graph =
-  let model = Granii_mp.Mp_models.gcn in
-  let _, comp, _ = compiled model ~binned:false in
-  let k_in, k_out = (32, 32) in
-  let n = G.Graph.n_nodes graph in
-  let env = env_of graph ~k_in ~k_out in
-  let low, _, _ = compiled model ~binned:false in
-  let params = Gnn.Layer.init_params ~seed:9 ~env low in
-  let h = Dense.random ~seed:10 n k_in in
-  let bindings = Gnn.Layer.bindings ~graph ~h params in
-  let (ranked, (hits, misses)), t =
-    let t0 = Granii_hw.Timer.now () in
-    let r =
-      Selector.measure ~timing:Executor.Measure ~graph ~bindings ~env
-        ~iterations:100 comp
-    in
-    (r, Granii_hw.Timer.now () -. t0)
-  in
-  let steps =
-    List.fold_left
-      (fun acc ((c : Codegen.ccand), _) -> acc + List.length c.Codegen.plan.Plan.steps)
-      0 ranked
-  in
-  Printf.printf
-    "subtree cache over %d gcn candidates (%d steps total): %d hits / %d misses (%.0f%% skipped), sweep %.1f ms\n"
-    (List.length ranked) steps hits misses
-    (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)))
-    (ms t);
-  json_add ~bench:"mem"
-    [ ("kind", S "subtree_cache");
-      ("candidates", I (List.length ranked));
-      ("cache_hits", I hits);
-      ("cache_misses", I misses);
-      ("sweep_ms", F (ms t)) ]
-
-(* workspace + cache is a legal engine combination (entries are epoch-pinned:
-   copied out of the arena on insert, so arena reclaim cannot corrupt them);
-   show the hit rate a repeated run gets and that the output stays bitwise
-   identical to the plain engine's. *)
-let run_ws_cache graph =
-  let model = Granii_mp.Mp_models.gcn in
-  let low, comp, _ = compiled model ~binned:false in
-  let k_in, k_out = (32, 32) in
-  let n = G.Graph.n_nodes graph in
-  let env = env_of graph ~k_in ~k_out in
-  let cand = candidate_for comp ~k_in ~k_out in
-  let params = Gnn.Layer.init_params ~seed:9 ~env low in
-  let h = Dense.random ~seed:10 n k_in in
-  let bindings = Gnn.Layer.bindings ~graph ~h params in
-  let plan = cand.Codegen.plan in
-  let reference =
-    Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure ~graph
-      ~bindings plan
-  in
-  let engine =
-    Engine.create_exn ~obs:!Bench_common.obs
-      { Engine.default_config with workspace = true; cache = true }
-  in
-  ignore (Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan);
-  let r = Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan in
-  let hits, misses =
-    match Engine.cache engine with
-    | Some c -> Engine.cache_stats c
-    | None -> (0, 0)
-  in
-  let identical = value_equal reference.Executor.output r.Executor.output in
-  Printf.printf
-    "workspace+cache engine (epoch-pinned entries): %d hits / %d misses over \
-     two runs, bitwise %s\n"
-    hits misses
-    (if identical then "yes" else "NO");
-  json_add ~bench:"mem"
-    [ ("kind", S "workspace_cache");
-      ("cache_hits", I hits);
-      ("cache_misses", I misses);
-      ("bitwise_identical", B identical) ]
-
 let run () =
-  section "Memory: workspace reuse, tiled GEMM, shared-subtree cache (host CPU)";
+  section "Memory: workspace reuse, tiled GEMM (host CPU)";
   let graph =
     if !smoke then G.Generators.erdos_renyi ~seed:7 ~n:512 ~avg_degree:8. ()
     else G.Generators.rmat ~seed:7 ~scale:11 ~edge_factor:8 ()
@@ -215,6 +138,4 @@ let run () =
   run_model Granii_mp.Mp_models.gcn ~k_in:32 ~k_out:32 ~iters graph;
   run_model Granii_mp.Mp_models.gat ~k_in:16 ~k_out:64 ~iters graph;
   hr ();
-  run_gemm ();
-  run_cache graph;
-  run_ws_cache graph
+  run_gemm ()

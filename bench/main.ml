@@ -21,7 +21,7 @@ let benches =
     ("acc", "Sec. VI-G: cost-model accuracy on held-out graphs", Bench_costmodel.run);
     ("real", "Validation: measured host CPU vs simulator", Bench_real.run);
     ("micro", "Bechamel microbenchmarks of the real kernels", Bench_micro.run);
-    ("mem", "Memory: workspace reuse, tiled GEMM, subtree cache", Bench_memory.run);
+    ("mem", "Memory: workspace reuse, tiled GEMM", Bench_memory.run);
     ("locality", "Locality: reordering + hybrid format speedups and amortization", Bench_locality.run);
     ("formats", "Formats: BSR tiles and CBM dedup vs CSR", Bench_formats.run);
     ("ext", "Extensions: multi-head GAT, executed stacks, deep hops", Bench_ext.run);

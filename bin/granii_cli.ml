@@ -274,7 +274,7 @@ let select_cmd =
                "Execution-engine configuration for $(b,--execute), as \
                 comma-separated key=value pairs parsed by \
                 $(b,Engine.config_of_string): $(b,threads)=N, \
-                $(b,workspace)=on|off, $(b,cache)=on|off, \
+                $(b,workspace)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop, \
                 $(b,calibration)=off|affine. Omitted keys keep their \
@@ -380,13 +380,9 @@ let select_cmd =
         Locality.default :: List.filter (fun c -> not (Locality.is_default c)) cross
       else cross
     in
-    (* a locality= key in --engine overrides the joint argmin's layout axis;
-       a cache without one restricts the search to the default layout (the
-       only one a cache-enabled engine can legally execute) *)
+    (* a locality= key in --engine overrides the joint argmin's layout axis *)
     let configs =
-      if engine_forces_locality then [ engine_base.Engine.locality ]
-      else if engine_base.Engine.cache then [ Locality.default ]
-      else configs
+      if engine_forces_locality then [ engine_base.Engine.locality ] else configs
     in
     let obs = obs_of_flags ~trace_file ~metrics_file ~journal_file in
     let sys = Sys_.System.find system in

@@ -90,7 +90,7 @@ let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
 (* Predicted-vs-measured pair for the cost oracle and the cost-model
    monitor: the raw (uncorrected) analytic prediction under the oracle's
    base profile against the wall clock — only computed when the monitor is
-   live or calibration is on, and only for genuinely measured steps. With
+   live or calibration is on, and only for measured steps. With
    calibration on, [Cost_oracle.observe] records into the oracle's pair
    store (physically the live monitor, when telemetry is on) and triggers
    the periodic fit; a live monitor that is {e not} the oracle's store is
@@ -145,8 +145,8 @@ let run_metrics (obs : Obs.t) ws before =
 
 (* ---- the dispatch loop ----
 
-   All policy lives elsewhere: the engine owns pool/workspace/cache/layout
-   and was validated at construction. One loop serves a single run and the
+   All policy lives elsewhere: the engine owns pool/workspace/layout and was
+   validated at construction. One loop serves a single run and the
    steady state alike — a single run is [iterations = 1]. Argument arrays
    are built once per step with input operands resolved up front, setup
    steps run once, and each further iteration re-executes only the
@@ -154,13 +154,10 @@ let run_metrics (obs : Obs.t) ws before =
    the workspace arena, so with a workspace engine the loop body performs
    no per-step minor allocation beyond what the kernels themselves do.
 
-   The subtree cache is consulted on the first pass only (setup steps and
-   iteration 1): later iterations recompute identical values by
-   construction, and serving them from the cache would fake the steady
-   state. Under [workspace=on,intermediates=drop] each value's buffer is
-   recycled after its last reader (in execution order, see {!Liveness});
-   setup values are read again by every iteration, so they are recycled
-   during the last iteration only. *)
+   Under [workspace=on,intermediates=drop] each value's buffer is recycled
+   after its last reader (in execution order, see {!Liveness}); setup
+   values are read again by every iteration, so they are recycled during
+   the last iteration only. *)
 
 let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     (plan : Plan.t) =
@@ -169,8 +166,6 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   let obs = Engine.obs engine in
   let tr = obs.Obs.trace in
   let exec_span = bracket_span tr ~cat:"engine" "execute" in
-  let cache = Engine.cache engine in
-  Option.iter (fun c -> Engine.cache_bind_graph c graph) cache;
   let live =
     if (not (Engine.keep_intermediates engine)) && ws <> None then
       Some (Liveness.analyze plan)
@@ -224,44 +219,21 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   in
   let per_step_time = Array.make n 0. in
   let threads = Engine.threads engine in
-  (* run step [i] and return its time; [first] marks the pass that may be
-     served from (and fills) the subtree cache *)
-  let run_step ~first i =
+  let run_step i =
     let s = Array.unsafe_get steps i in
     let args = refresh_args i in
     let sp = step_span_enter tr s in
-    let cached =
-      match cache with
-      | Some c when first ->
-          let hit = Engine.cache_find c s.Plan.skey in
-          Obs.count obs
-            (match hit with Some _ -> "cache.hits" | None -> "cache.misses")
-            1;
-          hit
-      | _ -> None
-    in
     let v, t =
-      match (cached, timing) with
-      | Some (v, measured), Measure ->
-          (* the work is genuinely skipped; charge what it cost when it ran *)
-          (v, measured)
-      | Some (v, _), Simulate profile ->
-          (* simulated jitter is seeded per step index, which differs
-             between plans — recompute the analytic time for THIS step so
-             a cache hit is timing-transparent in Simulate mode *)
-          (v, analytic_time ~threads ~seed profile s graph args v)
-      | None, Measure ->
+      match timing with
+      | Measure ->
           let t0 = Timer.wall () in
           let v = Dispatch.exec ctx s.Plan.prim graph args in
           let t = Timer.wall () -. t0 in
-          if first then Engine.cache_insert engine s.Plan.skey v t;
           costmon_record ~engine ~threads s graph args v t;
           (v, t)
-      | None, Simulate profile ->
+      | Simulate profile ->
           let v = Dispatch.exec ctx s.Plan.prim graph args in
-          let t = analytic_time ~threads ~seed profile s graph args v in
-          if first then Engine.cache_insert engine s.Plan.skey v t;
-          (v, t)
+          (v, analytic_time ~threads ~seed profile s graph args v)
     in
     step_span_exit tr sp ~threads ~ctx s args v t;
     step_observe obs s t;
@@ -304,7 +276,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   let setup_time = ref 0. in
   for i = 0 to n - 1 do
     if not is_iter.(i) then begin
-      setup_time := !setup_time +. run_step ~first:true i;
+      setup_time := !setup_time +. run_step i;
       (* setup outputs are iteration-stable: candidates for the localized
          form *)
       Option.iter (Pass.Layout.register lstate) slots.(i);
@@ -335,7 +307,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     in
     for i = 0 to n - 1 do
       if is_iter.(i) then begin
-        total_iter_time := !total_iter_time +. run_step ~first:(it = 1) i;
+        total_iter_time := !total_iter_time +. run_step i;
         free_dead_after ~last:(it = iterations) i
       end
     done;

@@ -5,12 +5,13 @@
     {!exec_iterations}, resolves arguments, routes each step through
     {!Dispatch.exec} and accumulates times; {!exec} is its single-iteration
     case. Setup steps run first, then the per-iteration steps, each in plan
-    order. Everything configurable — pool, workspace arena, subtree cache,
-    locality layout, liveness policy — lives in the {!Engine.t} the caller
+    order. Everything configurable — pool, workspace arena, locality
+    layout, liveness policy — lives in the {!Engine.t} the caller
     constructs once.
 
     Every step is {e always} executed for real (so numerical results can be
-    cross-checked between candidates); what differs is the clock:
+    cross-checked between candidates) and timed; what differs is the
+    clock:
 
     - [Measure]: host wall-clock per step — the "real CPU" mode;
     - [Simulate profile]: each step is charged the analytic
@@ -34,17 +35,6 @@
     setup values only in the last iteration). The default keeps them alive
     — {!Granii_gnn.Autodiff} reads every intermediate in its backward
     pass.
-
-    With a cache engine, steps whose {!Plan.step.skey} was already executed
-    are served from the shared-subtree cache instead of re-executed, so a
-    selection or profiling sweep executes each common subexpression once per
-    input rather than once per candidate plan. The cache is fingerprinted
-    against the first graph it runs on and raises
-    [Engine.Error (Cache_graph_mismatch _)] on any other; keeping the
-    bindings fixed remains the caller's contract. Workspace and cache
-    {e can} be combined (entries are epoch-pinned: copied out of the arena
-    on insert) — except under [keep_intermediates = false], which
-    {!Engine.create} rejects as {!Engine.Workspace_cache_discard}.
 
     {2 Locality}
 
@@ -117,14 +107,10 @@ val exec_iterations :
     available to [Degree] steps. [iteration_time] is the {e mean}
     per-iteration time; [per_step] lists the steps in plan order, with the
     last iteration's times, and [intermediates] reflect the last iteration.
-    The engine's subtree cache is consulted on the first pass only (setup
-    steps and iteration 1): later iterations recompute identical values by
-    construction, and cache hits there would fake the steady state. Raises
-    [Invalid_argument] when [iterations < 1], {!Execution_error} on an
-    unbound input or an argument-kind mismatch (which would indicate an
-    enumeration bug), and {!Engine.Error} on a cache/graph fingerprint
-    mismatch. Bindings must not be backed by buffers issued from the
-    engine's own workspace. *)
+    Raises [Invalid_argument] when [iterations < 1] and {!Execution_error}
+    on an unbound input or an argument-kind mismatch (which would indicate
+    an enumeration bug). Bindings must not be backed by buffers issued from
+    the engine's own workspace. *)
 
 val exec :
   ?seed:int -> engine:Engine.t -> timing:timing ->

@@ -9,7 +9,6 @@ type step = {
   prim : Primitive.t;
   args : source list;
   phase : phase;
-  skey : string;
 }
 
 type t = {
@@ -33,12 +32,10 @@ let of_tree ?(hoist = true) ?(degree_leaves = []) ~name tree =
     List.mapi
       (fun i (leaf_name, spec) ->
         ( leaf_name,
-          let prim = Primitive.Degree { binned = spec.binned; power = spec.power } in
           { idx = i;
-            prim;
+            prim = Primitive.Degree { binned = spec.binned; power = spec.power };
             args = [ Input "__graph__" ];
-            phase = (if hoist then Setup else Per_iteration);
-            skey = Format.asprintf "%a(__graph__)" Primitive.pp prim } ))
+            phase = (if hoist then Setup else Per_iteration) } ))
       used_degree_leaves
   in
   let offset = List.length degree_steps in
@@ -64,8 +61,7 @@ let of_tree ?(hoist = true) ?(degree_leaves = []) ~name tree =
         { idx = i + offset;
           prim = o.Assoc_tree.prim;
           args = List.map source_of_node o.Assoc_tree.args;
-          phase = (if hoist && graph_only then Setup else Per_iteration);
-          skey = o.Assoc_tree.okey })
+          phase = (if hoist && graph_only then Setup else Per_iteration) })
       ops
   in
   let steps = List.map snd degree_steps @ op_steps in

@@ -33,11 +33,6 @@ type step = {
   prim : Primitive.t;
   args : source list;
   phase : phase;
-  skey : string;
-      (** Structural key of the subexpression this step computes — the
-          association tree's CSE key, stable across every candidate plan of
-          the same model, so executors can cache shared subtrees between
-          plans (for [Degree] steps, derived from the primitive alone). *)
 }
 
 type t = {

@@ -25,32 +25,17 @@ let measure ?seed ?pool ?obs ~timing ~graph ~bindings ~env ~iterations
     (compiled : Codegen.t) =
   let scenario = scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out in
   let cands = Codegen.for_scenario compiled scenario in
-  (* One cache-enabled engine across every candidate: plans of the same
-     model overlap heavily (the reuse-vs-recompute structure differs in a
-     few steps), so each common subexpression executes once per input
-     instead of once per plan. Valid because all candidates run on the same
-     (graph, bindings) — the engine's cache fingerprints the graph. *)
-  let engine =
-    Engine.create_exn ?pool ?obs
-      { Engine.default_config with cache = true; keep_intermediates = false }
-  in
-  let timed =
-    List.map
-      (fun (c : Codegen.ccand) ->
-        let report =
-          Executor.exec ?seed ~engine ~timing ~graph ~bindings c.Codegen.plan
-        in
-        ( c,
-          Executor.total_time ~setup:report.Executor.setup_time
-            ~iteration:report.Executor.iteration_time ~iterations ))
-      cands
-  in
-  let stats =
-    match Engine.cache engine with
-    | Some c -> Engine.cache_stats c
-    | None -> (0, 0)
-  in
-  (List.sort (fun (_, a) (_, b) -> compare a b) timed, stats)
+  let engine = Engine.create_exn ?pool ?obs Engine.default_config in
+  List.map
+    (fun (c : Codegen.ccand) ->
+      let report =
+        Executor.exec ?seed ~engine ~timing ~graph ~bindings c.Codegen.plan
+      in
+      ( c,
+        Executor.total_time ~setup:report.Executor.setup_time
+          ~iteration:report.Executor.iteration_time ~iterations ))
+    cands
+  |> List.sort (fun (_, a) (_, b) -> compare a b)
 
 type localized_choice = {
   lchoice : choice;

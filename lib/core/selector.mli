@@ -69,10 +69,10 @@ val measure :
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->
   bindings:(string * Executor.value) list ->
   env:Dim.env -> iterations:int -> Codegen.t ->
-  (Codegen.ccand * float) list * (int * int)
+  (Codegen.ccand * float) list
 (** Ground-truth companion to {!rank}: {e executes} every
     scenario-compatible candidate on a concrete input and returns them
     sorted by measured (or simulated) total time at [iterations], cheapest
-    first, plus the [(hits, misses)] of the shared-subtree cache — all
-    candidates run on one cache-enabled {!Engine.t}, so each common
-    subexpression executes once per input instead of once per plan. *)
+    first. Every step of every candidate executes and is timed on one
+    plain {!Engine.t}, so a live [obs] cost monitor receives one
+    (predicted, measured) pair per step of each candidate. *)

@@ -91,10 +91,6 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
           invalid_arg
             "Trainer.train_minibatch: the engine must keep intermediates \
              (autodiff reads them in the backward pass)";
-        if Core.Engine.cache e <> None then
-          invalid_arg
-            "Trainer.train_minibatch: the engine must not carry a subtree \
-             cache (it binds to one graph; every batch is a fresh subgraph)";
         e
     | None -> Core.Engine.default ()
   in

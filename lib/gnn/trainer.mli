@@ -84,9 +84,8 @@ val train_minibatch :
     {!Granii_obs.Obs} trace
     (loader-side durations are retro-dated on the orchestrator thread).
 
-    The engine must keep intermediates and must {e not} carry a subtree
-    cache (it binds to a single graph; every batch is a fresh subgraph) —
-    raises [Invalid_argument] otherwise. Raises [Invalid_argument] on bad
+    The engine must keep intermediates (autodiff reads them) — raises
+    [Invalid_argument] otherwise. Raises [Invalid_argument] on bad
     [fanouts], [batch_size], [epochs] or an all-[false] mask. *)
 
 val inference_time :

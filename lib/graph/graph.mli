@@ -61,8 +61,7 @@ val fingerprint : t -> string
     marshalled [adj] [row_ptr] and [col_idx] arrays, so structurally
     different graphs get different fingerprints (barring a digest
     collision); the name is ignored. O(n + nnz) on first call, memoized like
-    {!with_self_loops}. Keys the engine's subtree-cache binding and the
-    serving plan cache. *)
+    {!with_self_loops}. Keys the serving plan cache. *)
 
 val is_symmetric : t -> bool
 

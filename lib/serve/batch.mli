@@ -33,9 +33,8 @@
     is {e bitwise identical} to executing the plan per request sequentially
     — the differential tests in [test/test_serve.ml] pin exactly that.
 
-    Runs under the default graph layout with no workspace arena and no
-    subtree cache (the serving runtime's execution restriction, DESIGN.md
-    §12); the optional pool is the same bitwise-transparent multicore
+    Runs under the default graph layout with no workspace arena (the
+    serving runtime's execution restriction, DESIGN.md §12); the optional pool is the same bitwise-transparent multicore
     engine the sequential executor uses. *)
 
 type stats = {

@@ -52,9 +52,6 @@ let setup_bindings ?(seed = 11) ~k_in ~k_out low graph =
   let h = Dense.random ~seed:(seed + 1) n k_in in
   (env, Gnn.Layer.bindings ~graph ~h params)
 
-let non_default_localities =
-  List.filter (fun c -> not (Locality.is_default c)) Locality.all_configs
-
 (* ---- legality: every illegal config is a typed error ---- *)
 
 let test_illegal_typed () =
@@ -79,20 +76,7 @@ let test_illegal_typed () =
         (Printf.sprintf "threads=%d" t)
         { Engine.default_config with threads = t }
         (function Engine.Invalid_threads n -> n = t | _ -> false))
-    [ 0; -1; -8 ];
-  List.iter
-    (fun locality ->
-      expect
-        ("cache + " ^ Locality.config_to_string locality)
-        { Engine.default_config with cache = true; locality }
-        (function Engine.Cache_with_locality c -> c = locality | _ -> false))
-    non_default_localities;
-  expect "workspace + cache + drop"
-    { Engine.default_config with
-      workspace = true;
-      cache = true;
-      keep_intermediates = false }
-    (function Engine.Workspace_cache_discard -> true | _ -> false)
+    [ 0; -1; -8 ]
 
 (* ---- every legal config round-trips through describe ---- *)
 
@@ -102,30 +86,26 @@ let legal_grid =
       List.concat_map
         (fun workspace ->
           List.concat_map
-            (fun cache ->
+            (fun keep_intermediates ->
               List.concat_map
-                (fun keep_intermediates ->
-                  List.concat_map
-                    (fun locality ->
-                      List.filter_map
-                        (fun calibration ->
-                          let cfg =
-                            { Engine.threads;
-                              workspace;
-                              cache;
-                              locality;
-                              keep_intermediates;
-                              calibration }
-                          in
-                          match Engine.create cfg with
-                          | Ok e ->
-                              Engine.shutdown e;
-                              Some cfg
-                          | Error _ -> None)
-                        [ Cost_oracle.Off; Cost_oracle.Affine ])
-                    Locality.all_configs)
-                [ true; false ])
-            [ false; true ])
+                (fun locality ->
+                  List.filter_map
+                    (fun calibration ->
+                      let cfg =
+                        { Engine.threads;
+                          workspace;
+                          locality;
+                          keep_intermediates;
+                          calibration }
+                      in
+                      match Engine.create cfg with
+                      | Ok e ->
+                          Engine.shutdown e;
+                          Some cfg
+                      | Error _ -> None)
+                    [ Cost_oracle.Off; Cost_oracle.Affine ])
+                Locality.all_configs)
+            [ true; false ])
         [ false; true ])
     [ 1; 2 ]
 
@@ -149,8 +129,8 @@ let test_describe_roundtrip () =
     | Error _ -> true
     | Ok _ -> false);
   (* serving admission parameters belong to Serve.config, the telemetry
-     sink is injected through [create ?obs], and calibration is off|affine:
-     none of these is an engine key *)
+     sink is injected through [create ?obs], calibration is off|affine, and
+     the shared-subtree cache is gone: none of these is an engine key *)
   List.iter
     (fun spec ->
       check_true (spec ^ " is a parse error")
@@ -158,7 +138,7 @@ let test_describe_roundtrip () =
         | Error _ -> true
         | Ok _ -> false))
     [ "queue_bound=64"; "batch_window=0"; "telemetry=on"; "journal=on";
-      "calibration=refit" ];
+      "calibration=refit"; "cache=on" ];
   (* the calibration axis (PR 9): the oracle's online-correction policy *)
   check_true "calibration=affine parses"
     (match Engine.config_of_string "calibration=affine" with
@@ -234,7 +214,7 @@ let test_differential_grid () =
           List.iter
             (fun cfg ->
               let engine = Engine.create_exn cfg in
-              (* two runs so a cache-enabled engine also serves hits *)
+              (* two runs so a workspace engine also reuses its arena *)
               ignore
                 (Executor.exec ~engine ~timing:Executor.Measure ~graph
                    ~bindings c.Codegen.plan);
@@ -272,45 +252,7 @@ let test_multicore_engine_bitwise () =
   check_true "threads=2 engine output bitwise"
     (value_bits_equal reference.Executor.output r.Executor.output)
 
-(* ---- cache graph fingerprint ---- *)
-
-let test_cache_graph_mismatch () =
-  let model = Mp.Mp_models.find "gcn" in
-  let low, compiled = compile_model model in
-  let plan = (List.hd compiled.Codegen.candidates).Codegen.plan in
-  let g1 = G.Generators.erdos_renyi ~seed:1 ~n:30 ~avg_degree:4. () in
-  let g2 = G.Generators.erdos_renyi ~seed:2 ~n:31 ~avg_degree:4. () in
-  let _, b1 = setup_bindings ~k_in:9 ~k_out:7 low g1 in
-  let _, b2 = setup_bindings ~k_in:9 ~k_out:7 low g2 in
-  let engine =
-    Engine.create_exn { Engine.default_config with cache = true }
-  in
-  ignore
-    (Executor.exec ~engine ~timing:Executor.Measure ~graph:g1 ~bindings:b1
-       plan);
-  check_true "reusing a bound cache on a different graph is a typed error"
-    (try
-       ignore
-         (Executor.exec ~engine ~timing:Executor.Measure ~graph:g2
-            ~bindings:b2 plan);
-       false
-     with Engine.Error (Engine.Cache_graph_mismatch _ as e) ->
-       String.length (Engine.error_to_string e) > 0);
-  (* the same graph keeps working afterwards *)
-  ignore
-    (Executor.exec ~engine ~timing:Executor.Measure ~graph:g1 ~bindings:b1
-       plan);
-  (* equal node counts with different structure still mismatch — the
-     fingerprint hashes the adjacency arrays, not just the dimensions *)
-  let g3 = G.Generators.erdos_renyi ~seed:9 ~n:30 ~avg_degree:4. () in
-  let _, b3 = setup_bindings ~k_in:9 ~k_out:7 low g3 in
-  check_true "same-size different-structure graph is still a mismatch"
-    (try
-       ignore
-         (Executor.exec ~engine ~timing:Executor.Measure ~graph:g3
-            ~bindings:b3 plan);
-       false
-     with Engine.Error (Engine.Cache_graph_mismatch _) -> true)
+(* ---- graph fingerprint ---- *)
 
 (* Two graphs that agree everywhere except deep inside [col_idx]: a
    2,000-node ring plus one chord from node 1500, to 1700 or to 1800. A
@@ -331,15 +273,7 @@ let test_fingerprint_full_content () =
        (String.equal (G.Graph.fingerprint a) (G.Graph.fingerprint b)));
   check_true "a graph's fingerprint is stable"
     (String.equal (G.Graph.fingerprint a)
-       (G.Graph.fingerprint (ring_with_chord 1700)));
-  let c = Engine.cache_create () in
-  Engine.cache_bind_graph c a;
-  Engine.cache_bind_graph c (ring_with_chord 1700);
-  check_true "a cache bound to one chord refuses the other"
-    (try
-       Engine.cache_bind_graph c b;
-       false
-     with Engine.Error (Engine.Cache_graph_mismatch _) -> true)
+       (G.Graph.fingerprint (ring_with_chord 1700)))
 
 (* ---- injected resources normalize the stored config ---- *)
 
@@ -375,8 +309,6 @@ let suite =
       test_differential_grid;
     Alcotest.test_case "multicore engine bitwise" `Quick
       test_multicore_engine_bitwise;
-    Alcotest.test_case "cache graph fingerprint" `Quick
-      test_cache_graph_mismatch;
     Alcotest.test_case "fingerprint digests the full adjacency" `Quick
       test_fingerprint_full_content;
     Alcotest.test_case "injected resources normalize config" `Quick

@@ -405,20 +405,6 @@ let test_bsr_reorder_rejected () =
   check_true "identity+bsr stays legal"
     (Locality.legal { Locality.strategy = G.Reorder.Identity; format = Locality.Bsr })
 
-let test_cache_with_formats_rejected () =
-  List.iter
-    (fun locality ->
-      match
-        Engine.create { Engine.default_config with cache = true; locality }
-      with
-      | Error (Engine.Cache_with_locality c) ->
-          check_true "error carries the offending layout" (c = locality)
-      | Ok _ | Error _ ->
-          Alcotest.fail
-            ("cache + " ^ Locality.config_to_string locality
-           ^ " must be rejected"))
-    format_localities
-
 (* ---- joint selection ---- *)
 
 let test_selector_picks_bsr () =
@@ -504,8 +490,6 @@ let suite =
     Alcotest.test_case "engine grid bitwise" `Quick test_engine_grid_bitwise;
     Alcotest.test_case "bsr + reorder rejected" `Quick
       test_bsr_reorder_rejected;
-    Alcotest.test_case "cache + formats rejected" `Quick
-      test_cache_with_formats_rejected;
     Alcotest.test_case "selector picks bsr" `Quick test_selector_picks_bsr;
     Alcotest.test_case "selector picks cbm" `Quick test_selector_picks_cbm;
     Alcotest.test_case "selector flops never picks formats" `Quick

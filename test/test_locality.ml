@@ -293,25 +293,6 @@ let test_run_iterations_localized () =
       check_true "layout work is accounted" (r.Executor.layout_time > 0.))
     all_localities
 
-let test_cache_locality_rejected () =
-  (* the legality matrix lives in Engine.create: a cache combined with a
-     non-default layout is a typed error (cached values would live in a
-     permuted vertex id space), also when the cache arrives by injection. *)
-  let locality =
-    { Locality.strategy = Reorder.Degree_sort; format = Locality.Hybrid }
-  in
-  (match Engine.create { Engine.default_config with cache = true; locality } with
-  | Error (Engine.Cache_with_locality c) ->
-      check_true "error carries the offending layout" (c = locality)
-  | Ok _ | Error _ -> Alcotest.fail "cache + locality must be rejected");
-  check_true "an injected cache raises the same typed error"
-    (try
-       ignore
-         (Engine.create_exn ~cache:(Engine.cache_create ())
-            { Engine.default_config with locality });
-       false
-     with Engine.Error (Engine.Cache_with_locality _) -> true)
-
 (* ---- featurizer layout statistics ---- *)
 
 let test_layout_features () =
@@ -410,7 +391,6 @@ let suite =
     Alcotest.test_case "executor roundtrip gcn" `Quick test_executor_roundtrip_gcn;
     Alcotest.test_case "executor roundtrip gat" `Quick test_executor_roundtrip_gat;
     Alcotest.test_case "run_iterations localized" `Quick test_run_iterations_localized;
-    Alcotest.test_case "cache + locality rejected" `Quick test_cache_locality_rejected;
     Alcotest.test_case "layout features" `Quick test_layout_features;
     Alcotest.test_case "selector picks hybrid" `Quick test_selector_picks_hybrid;
     Alcotest.test_case "selector forced csr" `Quick test_selector_forced_csr;

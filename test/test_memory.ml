@@ -1,6 +1,6 @@
 (* The memory system: workspace arena semantics, liveness analysis, bitwise
    equality of workspace-backed execution against the allocating path, and
-   the shared-subtree execution cache. *)
+   the ground-truth selection sweep. *)
 
 open Granii_core
 open Test_util
@@ -11,6 +11,7 @@ module Csr = Granii_sparse.Csr
 module G = Granii_graph
 module Mp = Granii_mp
 module Gnn = Granii_gnn
+module Obs = Granii_obs.Obs
 
 (* ---- helpers ---- *)
 
@@ -321,141 +322,48 @@ let test_reclaim_invalidates () =
   check_true "second run reuses the first run's output buffer"
     (d1.Dense.data == d2.Dense.data)
 
-(* ---- shared-subtree cache ---- *)
+(* ---- ground-truth selection sweep ---- *)
 
-let test_cache_hits_and_equality () =
-  let graph = small_graph () in
-  let low, compiled = compile_model Mp.Mp_models.gcn in
-  let _, bindings = setup_bindings ~k_in:9 low graph in
-  let cache = Engine.cache_create () in
-  List.iter
-    (fun (c : Codegen.ccand) ->
-      let plan = c.Codegen.plan in
-      let reference = Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings plan in
-      let cached =
-        Executor.exec ~engine:(Engine.create_exn ~cache Engine.default_config)
-          ~timing ~graph ~bindings plan
-      in
-      check_true
-        (Printf.sprintf "%s: cached output bitwise equal" plan.Plan.name)
-        (value_bits_equal reference.Executor.output cached.Executor.output))
-    compiled.Codegen.candidates;
-  let hits, misses = Engine.cache_stats cache in
-  check_true "shared subtrees were actually served from the cache" (hits > 0);
-  check_true "distinct subtrees were computed once each" (misses > 0)
-
-(* The steady-state driver shares the subtree cache: after [exec] of one
-   candidate, a three-iteration run of a sibling is served the subtrees they
-   share on its first pass, and still returns the cache-less output. *)
-let test_cache_serves_iterations () =
-  let graph = small_graph () in
-  let low, compiled = compile_model Mp.Mp_models.gcn in
-  let _, bindings = setup_bindings ~k_in:9 low graph in
-  match compiled.Codegen.candidates with
-  | first :: sibling :: _ ->
-      let engine =
-        Engine.create_exn { Engine.default_config with cache = true }
-      in
-      let cache = Option.get (Engine.cache engine) in
-      ignore
-        (Executor.exec ~engine ~timing ~graph ~bindings first.Codegen.plan);
-      let hits_before, _ = Engine.cache_stats cache in
-      let r =
-        Executor.exec_iterations ~engine ~timing ~graph ~bindings
-          ~iterations:3 sibling.Codegen.plan
-      in
-      let hits_after, _ = Engine.cache_stats cache in
-      check_true "exec_iterations is served from the cache"
-        (hits_after > hits_before);
-      let reference =
-        Executor.exec_iterations ~engine:(Engine.default ()) ~timing ~graph
-          ~bindings ~iterations:3 sibling.Codegen.plan
-      in
-      check_true "cached exec_iterations output bitwise equal"
-        (value_bits_equal reference.Executor.output r.Executor.output)
-  | _ -> Alcotest.fail "GCN compiles to at least two candidates"
-
-let test_cache_timing_transparent () =
-  (* In simulate mode a cache hit must charge the same deterministic time
-     the step would have been charged uncached. *)
-  let graph = small_graph () in
-  let low, compiled = compile_model Mp.Mp_models.gcn in
-  let _, bindings = setup_bindings ~k_in:9 low graph in
-  let cache = Engine.cache_create () in
-  List.iter
-    (fun (c : Codegen.ccand) ->
-      let plan = c.Codegen.plan in
-      let plain =
-        Executor.exec ~seed:5 ~engine:(Engine.default ()) ~timing ~graph
-          ~bindings plan
-      in
-      let cached =
-        Executor.exec ~seed:5
-          ~engine:(Engine.create_exn ~cache Engine.default_config)
-          ~timing ~graph ~bindings plan
-      in
-      check_float ~eps:1e-12
-        (Printf.sprintf "%s: setup time unchanged by caching" plan.Plan.name)
-        plain.Executor.setup_time cached.Executor.setup_time;
-      check_float ~eps:1e-12
-        (Printf.sprintf "%s: iteration time unchanged by caching" plan.Plan.name)
-        plain.Executor.iteration_time cached.Executor.iteration_time)
-    compiled.Codegen.candidates
-
-let test_cache_workspace_legal () =
-  (* workspace + cache is legal when intermediates are kept: cache entries
-     are epoch-pinned (copied out of the arena on insert), so arena reuse
-     across runs cannot corrupt them. *)
-  let graph = small_graph () in
-  let low, compiled = compile_model Mp.Mp_models.gcn in
-  let _, bindings = setup_bindings ~k_in:9 low graph in
-  let c = List.hd compiled.Codegen.candidates in
-  let plan = c.Codegen.plan in
-  let reference = Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings plan in
-  let engine =
-    Engine.create_exn
-      { Engine.default_config with workspace = true; cache = true }
-  in
-  ignore (Executor.exec ~engine ~timing ~graph ~bindings plan);
-  let second = Executor.exec ~engine ~timing ~graph ~bindings plan in
-  let hits, _ =
-    match Engine.cache engine with
-    | Some cc -> Engine.cache_stats cc
-    | None -> (0, 0)
-  in
-  check_true "second run is served from the cache" (hits > 0);
-  check_true "workspace+cache output bitwise equal to the plain run"
-    (value_bits_equal reference.Executor.output second.Executor.output)
-
-let test_cache_workspace_discard_rejected () =
-  (* the one still-illegal corner: dropping intermediates while both a
-     workspace and a cache are on (reclaimed buffers could alias pinned
-     entries' producers mid-run) is rejected with a typed error. *)
-  check_true "workspace + cache + drop is rejected with a typed error"
-    (match
-       Engine.create
-         { Engine.default_config with
-           workspace = true;
-           cache = true;
-           keep_intermediates = false }
-     with
-    | Error Engine.Workspace_cache_discard -> true
-    | Ok _ | Error _ -> false)
-
+(* Every scenario-compatible candidate is executed and ranked, and with a
+   cost monitor on the sink every step of every candidate reports one
+   (predicted, measured) pair: nothing is served without being timed. *)
 let test_selector_measure () =
   let graph = small_graph () in
   let low, compiled = compile_model Mp.Mp_models.gcn in
   let env, bindings = setup_bindings ~k_in:9 low graph in
-  let ranked, (hits, misses) =
+  let cands =
+    Codegen.for_scenario compiled
+      (Selector.scenario_of ~k_in:env.Dim.k_in ~k_out:env.Dim.k_out)
+  in
+  let ranked =
     Selector.measure ~timing ~graph ~bindings ~env ~iterations:100 compiled
   in
-  check_true "at least one candidate measured" (ranked <> []);
+  check_int "one entry per scenario-compatible candidate"
+    (List.length cands) (List.length ranked);
   let costs = List.map snd ranked in
   check_true "sorted cheapest first"
     (List.for_all2 ( <= )
        (List.filteri (fun i _ -> i < List.length costs - 1) costs)
        (List.tl costs));
-  check_true "sweep shares subtrees across candidates" (hits > 0 && misses > 0)
+  let obs = Obs.create ~trace:false ~metrics:false ~journal:false () in
+  let measured =
+    Selector.measure ~obs ~timing:Executor.Measure ~graph ~bindings ~env
+      ~iterations:100 compiled
+  in
+  check_int "measured sweep: one entry per candidate" (List.length cands)
+    (List.length measured);
+  let cm = Option.get obs.Obs.costmon in
+  let pairs =
+    List.fold_left
+      (fun acc p -> acc + List.length (Obs.Cost_monitor.series_pairs cm p))
+      0 (Obs.Cost_monitor.prims cm)
+  in
+  let steps =
+    List.fold_left
+      (fun acc (c : Codegen.ccand) -> acc + List.length c.Codegen.plan.Plan.steps)
+      0 cands
+  in
+  check_int "one cost pair per step of every candidate" steps pairs
 
 (* ---- dense kernel paths exercised with a workspace ---- *)
 
@@ -515,14 +423,6 @@ let suite =
         test_iterations_recycle;
       Alcotest.test_case "no stale aliasing across runs" `Quick test_no_stale_aliasing;
       Alcotest.test_case "reclaim invalidates previous output" `Quick test_reclaim_invalidates;
-      Alcotest.test_case "subtree cache hits & equality" `Quick test_cache_hits_and_equality;
-      Alcotest.test_case "subtree cache serves exec_iterations" `Quick
-        test_cache_serves_iterations;
-      Alcotest.test_case "subtree cache timing-transparent" `Quick test_cache_timing_transparent;
-      Alcotest.test_case "workspace + cache legal (epoch-pinned)" `Quick
-        test_cache_workspace_legal;
-      Alcotest.test_case "workspace + cache + drop rejected" `Quick
-        test_cache_workspace_discard_rejected;
       Alcotest.test_case "selector measure sweep" `Quick test_selector_measure;
       Alcotest.test_case "tiled gemm bitwise" `Quick test_tiled_gemm_bitwise;
       Alcotest.test_case "tiled sparse kernels bitwise" `Quick test_tiled_sparse_bitwise ]

@@ -272,7 +272,7 @@ let test_minibatch_bitwise_differential () =
         (seq.Gnn.Trainer.stall_time = 0.))
     [ (1, false); (2, false); (1, true); (2, true) ]
 
-(* the trainer rejects engines autodiff or per-batch graphs cannot use *)
+(* the trainer rejects engines autodiff cannot use *)
 let test_minibatch_engine_legality () =
   let g = graph () in
   let n = G.Graph.n_nodes g in
@@ -293,13 +293,9 @@ let test_minibatch_engine_legality () =
     Engine.create_exn
       { Engine.default_config with workspace = true; keep_intermediates = false }
   in
-  (match attempt dropping with
+  match attempt dropping with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted an intermediate-dropping engine");
-  let cached = Engine.create_exn { Engine.default_config with cache = true } in
-  match attempt cached with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted a cache-carrying engine"
+  | _ -> Alcotest.fail "accepted an intermediate-dropping engine"
 
 (* ---- the shared keying policy: bucketed fingerprints ---- *)
 
