@@ -1,9 +1,8 @@
-(* Serving runtime: what the plan cache and request batching buy under
-   closed-loop load (lib/serve). Real host-CPU measurements: each arm runs
-   the same request stream against a fresh server with the feature toggled,
-   so the JSON rows carry the ablation the tentpole promises — selection
-   amortized to one miss per shape, batching raising throughput. Every arm
-   additionally checks one served response bitwise against the
+(* Serving runtime: what the plan cache buys under closed-loop load
+   (lib/serve). Real host-CPU measurements: each arm runs the same request
+   stream against a fresh server with the plan cache on or off, so the JSON
+   rows carry the ablation — selection amortized to one miss per shape.
+   Every arm additionally checks one served response bitwise against the
    single-threaded oracle. *)
 
 open Bench_common
@@ -24,19 +23,14 @@ let value_bits_equal a b =
            x.Dense.data y.Dense.data
   | _ -> false
 
-let arm_name ~batching ~cache =
-  Printf.sprintf "batch=%s cache=%s"
-    (if batching then "on" else "off")
-    (if cache then "on" else "off")
+let arm_name ~cache = if cache then "cache=on" else "cache=off"
 
 let run_arm ?obs (graph : G.Graph.t) ~model ~k_in ~k_out ~clients ~requests
-    ~batching ~cache ~workers ~window =
+    ~cache ~workers =
   let obs = match obs with Some o -> o | None -> !Bench_common.obs in
   let cfg =
     { Serve.default_config with
       workers;
-      batching;
-      batch_window = window;
       plan_cache = (if cache then Serve.default_config.Serve.plan_cache else 0) }
   in
   let server = Serve.create ~obs cfg in
@@ -70,7 +64,7 @@ let run_arm ?obs (graph : G.Graph.t) ~model ~k_in ~k_out ~clients ~requests
   (res, bitwise)
 
 let run () =
-  section "Serving: plan-cache amortization + request batching (host CPU)";
+  section "Serving: plan-cache amortization (host CPU)";
   let graph =
     if !smoke then G.Generators.erdos_renyi ~n:400 ~avg_degree:6. ()
     else G.Generators.erdos_renyi ~n:3000 ~avg_degree:8. ()
@@ -81,25 +75,24 @@ let run () =
   Printf.printf "%s on %s (n=%d nnz=%d) %d->%d, %d requests per arm\n\n" model
     graph.G.Graph.name (G.Graph.n_nodes graph) (G.Graph.n_edges graph) k_in
     k_out requests;
-  Printf.printf "  %-8s %-22s %9s %9s %9s %6s %9s  %s\n" "clients" "arm"
-    "req/s" "p50 ms" "p99 ms" "width" "cache h/m" "oracle";
+  Printf.printf "  %-8s %-22s %9s %9s %9s %9s  %s\n" "clients" "arm"
+    "req/s" "p50 ms" "p99 ms" "cache h/m" "oracle";
   List.iter
     (fun clients ->
       let baseline = ref None in
       List.iter
-        (fun (batching, cache) ->
+        (fun cache ->
           let res, bitwise =
-            run_arm graph ~model ~k_in ~k_out ~clients ~requests ~batching
-              ~cache ~workers:0 ~window:0
+            run_arm graph ~model ~k_in ~k_out ~clients ~requests ~cache
+              ~workers:0
           in
-          if (not batching) && not cache then baseline := Some res.Ssim.throughput;
+          if not cache then baseline := Some res.Ssim.throughput;
           let s = res.Ssim.stats in
           let pc = s.Serve.plan_cache in
-          Printf.printf "  %-8d %-22s %9.1f %9.3f %9.3f %6.2f %6d/%-3d  %s\n"
-            clients
-            (arm_name ~batching ~cache)
-            res.Ssim.throughput (1000. *. res.Ssim.p50) (1000. *. res.Ssim.p99)
-            res.Ssim.mean_width pc.Plan_cache.hits pc.Plan_cache.misses
+          Printf.printf "  %-8d %-22s %9.1f %9.3f %9.3f %6d/%-3d  %s\n"
+            clients (arm_name ~cache) res.Ssim.throughput
+            (1000. *. res.Ssim.p50) (1000. *. res.Ssim.p99)
+            pc.Plan_cache.hits pc.Plan_cache.misses
             (if bitwise then "[bitwise ok]" else "[MISMATCH]");
           json_add ~bench:"serve"
             [ ("kind", S "sweep");
@@ -108,16 +101,12 @@ let run () =
               ("workers", I 0);
               ("clients", I clients);
               ("requests", I requests);
-              ("batching", B batching);
               ("plan_cache", B cache);
               ("throughput_rps", F res.Ssim.throughput);
               ("p50_s", F res.Ssim.p50);
               ("p99_s", F res.Ssim.p99);
               ("mean_latency_s", F res.Ssim.mean_latency);
-              ("mean_width", F res.Ssim.mean_width);
-              ("max_width", I s.Serve.max_width);
               ("batches", I s.Serve.batches);
-              ("widened_steps", I s.Serve.widened_steps);
               ("cache_hits", I pc.Plan_cache.hits);
               ("cache_misses", I pc.Plan_cache.misses);
               ("cache_evictions", I pc.Plan_cache.evictions);
@@ -128,34 +117,31 @@ let run () =
                  | Some b when b > 0. -> res.Ssim.throughput /. b
                  | _ -> 1.));
               ("bitwise", B bitwise) ])
-        [ (false, false); (false, true); (true, false); (true, true) ])
+        [ false; true ])
     client_grid;
-  (* one threaded-mode row: worker domains with a batch window, checking the
-     concurrent scheduler end-to-end under load *)
+  (* one threaded-mode row: two worker domains, checking the concurrent
+     scheduler end-to-end under load *)
   let clients = List.fold_left max 1 client_grid in
   let res, bitwise =
-    run_arm graph ~model ~k_in ~k_out ~clients ~requests ~batching:true
-      ~cache:true ~workers:2 ~window:200
+    run_arm graph ~model ~k_in ~k_out ~clients ~requests ~cache:true
+      ~workers:2
   in
   let s = res.Ssim.stats in
   let pc = s.Serve.plan_cache in
-  Printf.printf "  %-8d %-22s %9.1f %9.3f %9.3f %6.2f %6d/%-3d  %s\n" clients
-    "workers=2 window=200us" res.Ssim.throughput (1000. *. res.Ssim.p50)
-    (1000. *. res.Ssim.p99) res.Ssim.mean_width pc.Plan_cache.hits
-    pc.Plan_cache.misses
+  Printf.printf "  %-8d %-22s %9.1f %9.3f %9.3f %6d/%-3d  %s\n" clients
+    "workers=2" res.Ssim.throughput (1000. *. res.Ssim.p50)
+    (1000. *. res.Ssim.p99) pc.Plan_cache.hits pc.Plan_cache.misses
     (if bitwise then "[bitwise ok]" else "[MISMATCH]");
   json_add ~bench:"serve"
     [ ("kind", S "threaded");
       ("graph", S graph.G.Graph.name);
       ("model", S model);
       ("workers", I 2);
-      ("window_us", I 200);
       ("clients", I clients);
       ("requests", I requests);
       ("throughput_rps", F res.Ssim.throughput);
       ("p50_s", F res.Ssim.p50);
       ("p99_s", F res.Ssim.p99);
-      ("mean_width", F res.Ssim.mean_width);
       ("batches", I s.Serve.batches);
       ("cache_hits", I pc.Plan_cache.hits);
       ("cache_misses", I pc.Plan_cache.misses);
@@ -169,7 +155,7 @@ let run () =
   let run_obs obs =
     fst
       (run_arm ~obs graph ~model ~k_in ~k_out ~clients:obs_clients ~requests
-         ~batching:true ~cache:true ~workers:0 ~window:0)
+         ~cache:true ~workers:0)
   in
   (* throwaway warm-up so neither arm pays one-time compilation; then the
      arms alternate three times and each keeps its best p50/p99 — a single

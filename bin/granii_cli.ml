@@ -949,21 +949,6 @@ let serve_sim_cmd =
     Arg.(value & opt int 64
          & info [ "queue-bound" ] ~doc:"Per-tenant admission-queue capacity.")
   in
-  let window =
-    Arg.(value & opt int 0
-         & info [ "window" ] ~docv:"USEC"
-             ~doc:"Microseconds a worker holds a partial batch open for \
-                   late-arriving coalescible requests.")
-  in
-  let max_batch =
-    Arg.(value & opt int 8
-         & info [ "max-batch" ] ~doc:"Widest coalesced batch.")
-  in
-  let no_batch =
-    Arg.(value & flag
-         & info [ "no-batch" ]
-             ~doc:"Disable request coalescing (every execution has width 1).")
-  in
   let no_plan_cache =
     Arg.(value & flag
          & info [ "no-plan-cache" ]
@@ -987,8 +972,7 @@ let serve_sim_cmd =
                 breach rate and time-to-first-breach.")
   in
   let run model graph k_in k_out requests clients tenants workers queue_bound
-      window max_batch no_batch no_plan_cache threads seed slo trace_file
-      metrics_file journal_file =
+      no_plan_cache threads seed slo trace_file metrics_file journal_file =
     if k_in < 1 || k_out < 1 || requests < 1 || clients < 1 || tenants < 1 then begin
       Printf.eprintf
         "--kin, --kout, --requests, --clients and --tenants expect positive \
@@ -1000,10 +984,7 @@ let serve_sim_cmd =
       { Serve.default_config with
         workers;
         queue_bound;
-        batch_window = window;
-        max_batch;
         plan_cache = (if no_plan_cache then 0 else Serve.default_config.Serve.plan_cache);
-        batching = not no_batch;
         threads;
         slo_ms = slo }
     in
@@ -1031,21 +1012,15 @@ let serve_sim_cmd =
     Printf.printf
       "serve-sim: %s on %s (n=%d nnz=%d) %d->%d\n\
        %d requests, %d clients across %d tenants; workers=%d threads=%d \
-       queue_bound=%d window=%dus max_batch=%d batching=%s plan_cache=%d\n\n"
+       queue_bound=%d plan_cache=%d\n\n"
       model.Mp.Mp_ast.name graph.G.Graph.name (G.Graph.n_nodes graph)
       (G.Graph.n_edges graph) k_in k_out requests clients tenants workers
-      threads queue_bound window max_batch
-      (if no_batch then "off" else "on")
-      cfg.Serve.plan_cache;
+      threads queue_bound cfg.Serve.plan_cache;
     Printf.printf "completed   %d in %.3f s  =  %.1f req/s\n" s.Serve.completed
       res.Ssim.wall res.Ssim.throughput;
     Printf.printf "latency     p50 %.3f ms   p99 %.3f ms   mean %.3f ms\n"
       (1000. *. res.Ssim.p50) (1000. *. res.Ssim.p99)
       (1000. *. res.Ssim.mean_latency);
-    Printf.printf
-      "batches     %d (mean width %.2f, max %d), %d widened steps\n"
-      s.Serve.batches res.Ssim.mean_width s.Serve.max_width
-      s.Serve.widened_steps;
     let pc = s.Serve.plan_cache in
     Printf.printf "plan cache  %d hits / %d misses / %d evictions\n"
       pc.Plan_cache.hits pc.Plan_cache.misses pc.Plan_cache.evictions;
@@ -1075,12 +1050,11 @@ let serve_sim_cmd =
     (Cmd.info "serve-sim"
        ~doc:
          "Drive the multi-tenant serving runtime with closed-loop simulated \
-          load and report latency percentiles, throughput, batching and SLO \
-          stats")
+          load and report latency percentiles, throughput, plan-cache and \
+          SLO stats")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ requests $ clients
-          $ tenants $ workers $ queue_bound $ window $ max_batch $ no_batch
-          $ no_plan_cache $ threads $ seed $ slo $ trace_file_arg
-          $ metrics_file_arg $ journal_file_arg)
+          $ tenants $ workers $ queue_bound $ no_plan_cache $ threads $ seed
+          $ slo $ trace_file_arg $ metrics_file_arg $ journal_file_arg)
 
 let main =
   let doc = "GRANII: input-aware selection and ordering of GNN primitives" in

@@ -668,7 +668,6 @@ module Journal = struct
   type kind =
     | Step
     | Request
-    | Batch
     | Plan_cache_hit
     | Plan_cache_miss
     | Plan_cache_invalidate
@@ -679,22 +678,21 @@ module Journal = struct
     | Mark
 
   let kinds =
-    [| Step; Request; Batch; Plan_cache_hit; Plan_cache_miss;
+    [| Step; Request; Plan_cache_hit; Plan_cache_miss;
        Plan_cache_invalidate; Calibrate; Drift; Backpressure; Slo_breach;
        Mark |]
 
   let kind_code = function
     | Step -> 0
     | Request -> 1
-    | Batch -> 2
-    | Plan_cache_hit -> 3
-    | Plan_cache_miss -> 4
-    | Plan_cache_invalidate -> 5
-    | Calibrate -> 6
-    | Drift -> 7
-    | Backpressure -> 8
-    | Slo_breach -> 9
-    | Mark -> 10
+    | Plan_cache_hit -> 2
+    | Plan_cache_miss -> 3
+    | Plan_cache_invalidate -> 4
+    | Calibrate -> 5
+    | Drift -> 6
+    | Backpressure -> 7
+    | Slo_breach -> 8
+    | Mark -> 9
 
   let kind_of_code c =
     if c >= 0 && c < Array.length kinds then kinds.(c) else Mark
@@ -702,7 +700,6 @@ module Journal = struct
   let kind_to_string = function
     | Step -> "step"
     | Request -> "request"
-    | Batch -> "batch"
     | Plan_cache_hit -> "plan_cache_hit"
     | Plan_cache_miss -> "plan_cache_miss"
     | Plan_cache_invalidate -> "plan_cache_invalidate"

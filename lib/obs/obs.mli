@@ -178,7 +178,6 @@ module Journal : sig
   type kind =
     | Step                   (** one measured plan-step execution *)
     | Request                (** one serving request fulfilled *)
-    | Batch                  (** one training batch executed *)
     | Plan_cache_hit
     | Plan_cache_miss
     | Plan_cache_invalidate  (** oracle version bump invalidated cached plans *)

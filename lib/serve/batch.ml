@@ -1,8 +1,7 @@
 module Dense = Granii_tensor.Dense
-module D = Granii_core.Dispatch
+module Engine = Granii_core.Engine
+module Executor = Granii_core.Executor
 module Plan = Granii_core.Plan
-module Primitive = Granii_core.Primitive
-module Matrix_ir = Granii_core.Matrix_ir
 
 type stats = {
   width : int;
@@ -11,203 +10,29 @@ type stats = {
   scattered_steps : int;
 }
 
-let err fmt =
-  Format.kasprintf (fun s -> raise (Granii_core.Executor.Execution_error s)) fmt
-
-(* A batch-dependent value: per-request column blocks, materialized lazily
-   in whichever of the two representations a consumer asks for first. Both
-   memos are kept so a wide producer feeding both a widened and a scattered
-   consumer pays each conversion once. *)
-type dep = {
-  mutable wide : Dense.t option;   (** [n x (B*k)] concatenation *)
-  mutable per : D.value array option;  (** request-order blocks *)
-}
-
-type repr = Shared of D.value | Dep of dep
-
-(* Column-independent primitives: each output column is computed from the
-   same column of the dependent operand(s) only, so executing once over
-   concatenated per-request columns is bitwise identical to executing per
-   request (the batching legality rule — see batch.mli). *)
-let widenable (p : Primitive.t) =
-  match p with
-  | Primitive.Spmm _ | Primitive.Row_broadcast _ | Primitive.Dense_add _ ->
-      true
-  | Primitive.Dense_map
-      { kind = Matrix_ir.Relu | Matrix_ir.Leaky_relu | Matrix_ir.Sigmoid; _ }
-    ->
-      true
-  | _ -> false
-
 let exec_batch ?pool ~graph ~bindings ~input ~features (plan : Plan.t) =
-  let b = List.length features in
-  if b = 0 then invalid_arg "Batch.exec_batch: empty batch";
+  if features = [] then invalid_arg "Batch.exec_batch: empty batch";
   let n_nodes = Granii_graph.Graph.n_nodes graph in
-  let k =
-    match features with f :: _ -> f.Dense.cols | [] -> assert false
-  in
   List.iter
     (fun (f : Dense.t) ->
       if f.Dense.rows <> n_nodes then
         invalid_arg
           (Printf.sprintf
              "Batch.exec_batch: feature rows %d do not match graph nodes %d"
-             f.Dense.rows n_nodes);
-      if f.Dense.cols <> k then
-        invalid_arg "Batch.exec_batch: mixed feature widths in one batch")
+             f.Dense.rows n_nodes))
     features;
-  let ctx = { D.pool; ws = None; localize = None } in
-  let steps = Array.of_list plan.Plan.steps in
-  let n = Array.length steps in
-  (* which steps transitively depend on the per-request input leaf *)
-  let dep_step = Array.make n false in
-  Array.iter
-    (fun (s : Plan.step) ->
-      dep_step.(s.Plan.idx) <-
-        List.exists
-          (function
-            | Plan.Input name -> String.equal name input
-            | Plan.Computed i -> dep_step.(i))
-          s.Plan.args)
-    steps;
-  let input_dep =
-    { wide = None;
-      per = Some (Array.of_list (List.map (fun f -> D.Vdense f) features)) }
-  in
-  let slots : repr option array = Array.make n None in
-  let resolve = function
-    | Plan.Input name when String.equal name input -> Dep input_dep
-    | Plan.Input "__graph__" ->
-        Shared (D.Vsparse graph.Granii_graph.Graph.adj)
-    | Plan.Input name -> (
-        match List.assoc_opt name bindings with
-        | Some v -> Shared v
-        | None -> err "unbound input %s" name)
-    | Plan.Computed i -> (
-        match slots.(i) with
-        | Some r -> r
-        | None -> err "step t%d used before being computed" i)
-  in
-  (* request-order blocks of a dependent value, splitting the wide form on
-     first demand *)
-  let per_of (d : dep) =
-    match d.per with
-    | Some a -> a
-    | None ->
-        let wide = match d.wide with Some w -> w | None -> assert false in
-        let a =
-          Array.of_list
-            (List.map (fun m -> D.Vdense m) (Dense.split_cols wide b))
-        in
-        d.per <- Some a;
-        a
-  in
-  (* the wide form, when every per-request block is dense *)
-  let wide_of (d : dep) =
-    match d.wide with
-    | Some w -> Some w
-    | None ->
-        let a = match d.per with Some a -> a | None -> assert false in
-        let dense_blocks =
-          Array.fold_right
-            (fun v acc ->
-              match (v, acc) with
-              | D.Vdense m, Some l -> Some (m :: l)
-              | _ -> None)
-            a (Some [])
-        in
-        Option.map
-          (fun blocks ->
-            let w = Dense.concat_cols blocks in
-            d.wide <- Some w;
-            w)
-          dense_blocks
-  in
-  (* a widened step needs: the operand pattern of a column-independent
-     kernel (dependent operands dense, shared operands verbatim) *)
-  let widen_args prim (args : repr array) =
-    let ok_pattern =
-      match prim with
-      | Primitive.Spmm _ | Primitive.Row_broadcast _ -> (
-          match args with [| Shared _; Dep _ |] -> true | _ -> false)
-      | Primitive.Dense_add _
-      | Primitive.Dense_map
-          { kind = Matrix_ir.Relu | Matrix_ir.Leaky_relu | Matrix_ir.Sigmoid;
-            _ } ->
-          Array.length args > 0
-          && Array.for_all (function Dep _ -> true | _ -> false) args
-      | _ -> false
-    in
-    if not ok_pattern then None
-    else
-      let wides =
-        Array.map
-          (function
-            | Shared v -> Some v
-            | Dep d -> Option.map (fun w -> D.Vdense w) (wide_of d))
-          args
-      in
-      if Array.for_all Option.is_some wides then
-        Some (Array.map Option.get wides)
-      else None
-  in
-  let shared_steps = ref 0
-  and widened_steps = ref 0
-  and scattered_steps = ref 0 in
-  Array.iter
-    (fun (s : Plan.step) ->
-      let args = Array.of_list (List.map resolve s.Plan.args) in
-      let repr =
-        if not dep_step.(s.Plan.idx) then begin
-          incr shared_steps;
-          let vals =
-            Array.map
-              (function Shared v -> v | Dep _ -> assert false)
-              args
-          in
-          Shared (D.exec ctx s.Plan.prim graph vals)
-        end
-        else
-          match
-            if widenable s.Plan.prim then widen_args s.Plan.prim args
-            else None
-          with
-          | Some wide_args -> (
-              incr widened_steps;
-              match D.exec ctx s.Plan.prim graph wide_args with
-              | D.Vdense w -> Dep { wide = Some w; per = None }
-              | v ->
-                  err "widened step %s produced a non-dense %a"
-                    (Primitive.name s.Plan.prim) D.pp_value v)
-          | None ->
-              incr scattered_steps;
-              let per_args =
-                Array.map
-                  (function
-                    | Shared v -> `S v
-                    | Dep d -> `P (per_of d))
-                  args
-              in
-              let outs =
-                Array.init b (fun i ->
-                    let vals =
-                      Array.map
-                        (function `S v -> v | `P a -> a.(i))
-                        per_args
-                    in
-                    D.exec ctx s.Plan.prim graph vals)
-              in
-              Dep { wide = None; per = Some outs }
-      in
-      slots.(s.Plan.idx) <- Some repr)
-    steps;
+  let engine = Engine.create_exn ?pool Engine.default_config in
   let outputs =
-    match resolve plan.Plan.output with
-    | Shared v -> List.init b (fun _ -> v)
-    | Dep d -> Array.to_list (per_of d)
+    List.map
+      (fun f ->
+        (Executor.exec ~engine ~timing:Executor.Measure ~graph
+           ~bindings:((input, Executor.Vdense f) :: bindings)
+           plan)
+          .Executor.output)
+      features
   in
   ( outputs,
-    { width = b;
-      shared_steps = !shared_steps;
-      widened_steps = !widened_steps;
-      scattered_steps = !scattered_steps } )
+    { width = List.length features;
+      shared_steps = 0;
+      widened_steps = 0;
+      scattered_steps = List.length plan.Plan.steps } )

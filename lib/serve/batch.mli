@@ -1,47 +1,19 @@
-(** Batched plan execution: one dispatch-loop invocation for N requests.
+(** A batch of requests, executed one {!Granii_core.Executor.exec} run at a
+    time.
 
-    All requests in a batch execute the {e same} plan on the {e same} graph
-    with the {e same} shared bindings (weights, adjacency, constants); only
-    the designated input leaf (the feature matrix ["H"]) differs per
-    request. The batch executor classifies each plan step once:
-
-    - {b shared} — does not transitively depend on the input leaf
-      (setup/precompute steps, weight-only algebra): executed {e once} for
-      the whole batch instead of once per request;
-    - {b widened} — depends on the input and is column-independent with
-      exactly its dense operands per-request (SpMM, row-broadcast,
-      elementwise maps, dense addition): the per-request operands are
-      concatenated along the feature dimension and the kernel runs {e once}
-      over the wide matrix — one SpMM over an [n x (B*k)] RHS instead of
-      [B] SpMMs over [n x k];
-    - {b scattered} — everything else (GEMM against a shared weight,
-      attention scoring, softmax): executed per request on per-request
-      slices.
-
-    {2 The batching legality rule}
-
-    A step may be widened only when (a) every input-dependent operand is a
-    per-request dense matrix of identical shape across the batch, (b) every
-    other operand is shared verbatim, and (c) the kernel computes each
-    output column from the same column of the dependent operand(s) only —
-    true for SpMM (per-output-element accumulation over a row's nonzeros,
-    column-independent by construction, see [lib/sparse/spmm.ml]),
-    row-broadcast, elementwise maps (relu/leaky-relu/sigmoid) and
-    elementwise dense addition; false for GEMM (contraction mixes columns),
-    column-broadcast (the scaling vector is indexed by column), and
-    row-softmax (normalizes across columns). Consequently batched execution
-    is {e bitwise identical} to executing the plan per request sequentially
-    — the differential tests in [test/test_serve.ml] pin exactly that.
-
-    Runs under the default graph layout with no workspace arena (the
-    serving runtime's execution restriction, DESIGN.md §12); the optional pool is the same bitwise-transparent multicore
-    engine the sequential executor uses. *)
+    The server does not use this module: every served request is its own
+    executor run (DESIGN.md §12). It remains only because the repository
+    benchmark ([perfbench/]) still calls it, and is deleted when that
+    benchmark stops doing so. Nothing is widened or shared across requests,
+    so the outputs are bitwise those of per-request
+    {!Granii_core.Executor.exec} calls on a default engine. *)
 
 type stats = {
-  width : int;           (** requests coalesced into this invocation *)
-  shared_steps : int;    (** steps executed once for the whole batch *)
-  widened_steps : int;   (** steps executed once over widened operands *)
-  scattered_steps : int; (** steps executed once per request *)
+  width : int;           (** requests in this invocation *)
+  shared_steps : int;    (** always [0] *)
+  widened_steps : int;   (** always [0] *)
+  scattered_steps : int; (** the plan's step count: every step runs once
+                             per request *)
 }
 
 val exec_batch :
@@ -53,8 +25,8 @@ val exec_batch :
   Granii_core.Plan.t ->
   Granii_core.Executor.value list * stats
 (** [exec_batch ~graph ~bindings ~input ~features plan] executes [plan]
-    once per feature matrix and returns the outputs in request order.
-    [bindings] must bind every plan input except [input]; every feature
-    matrix must have the graph's row count and equal width. Raises
-    [Invalid_argument] on an empty batch or mismatched feature shapes, and
+    once per feature matrix, with that matrix bound to [input], and returns
+    the outputs in request order. [bindings] must bind every other plan
+    input. Raises [Invalid_argument] on an empty batch or a feature matrix
+    whose row count is not the graph's node count, and
     {!Granii_core.Executor.Execution_error} on unbound inputs. *)

@@ -21,10 +21,7 @@ module Layer = Granii_gnn.Layer
 type config = {
   workers : int;
   queue_bound : int;
-  batch_window : int;
-  max_batch : int;
   plan_cache : int;
-  batching : bool;
   threads : int;
   profile : Granii_hw.Hw_profile.t;
   iterations : int;
@@ -37,10 +34,7 @@ type config = {
 let default_config =
   { workers = 0;
     queue_bound = 64;
-    batch_window = 0;
-    max_batch = 8;
     plan_cache = 32;
-    batching = true;
     threads = 1;
     profile = Granii_hw.Hw_profile.cpu;
     iterations = 1;
@@ -65,9 +59,7 @@ type stats = {
   completed : int;
   rejected : int;
   batches : int;
-  max_width : int;
   sum_width : int;
-  widened_steps : int;
   plan_cache : Plan_cache.stats;
   slo_breaches : int;
   first_breach : float option;
@@ -80,8 +72,8 @@ type graph_entry = {
 
 type tenant = {
   tname : string;
-  mutable queue : pending list;  (* arrival order *)
-  mutable busy : bool;  (* a width-1 job currently uses this arena *)
+  queue : pending Queue.t;  (* arrival order *)
+  mutable busy : bool;  (* a job currently uses this arena *)
   ws : Workspace.t;
   sketch : Obs.Sketch.t;  (* rolling latency quantiles, fixed memory *)
   tdrift : Obs.Drift.t;  (* Page–Hinkley over the tenant's p99 stream *)
@@ -100,8 +92,8 @@ and pending = {
 }
 
 type job = {
-  mutable reqs : pending list;  (* id order *)
-  mutable use_arena : bool;     (* width-1 job holding [powner]'s arena *)
+  req : pending;
+  use_arena : bool;  (* the job holds [req.powner]'s arena *)
 }
 
 type t = {
@@ -125,10 +117,6 @@ type t = {
   mutable submitted : int;
   mutable completed : int;
   mutable rejected : int;
-  mutable batches : int;
-  mutable max_width : int;
-  mutable sum_width : int;
-  mutable widened_steps : int;
   mutable slo_breaches : int;
   mutable first_breach : float option;  (* clock time of the first breach *)
   mutable oracle_name : string;  (* last plan-cache key component used *)
@@ -140,86 +128,30 @@ let locked t f =
 
 (* ---- job selection (lock held) ---- *)
 
-let jkey (p : pending) =
-  (Graph.fingerprint p.gentry.graph, p.model, p.k_in, p.k_out)
-
 let depth_gauge t (ten : tenant) =
   Obs.gauge t.obs
     ("serve.queue.depth." ^ ten.tname)
-    (float_of_int (List.length ten.queue))
+    (float_of_int (Queue.length ten.queue))
 
-let remove_from_queue t (p : pending) =
-  p.powner.queue <- List.filter (fun q -> q.id <> p.id) p.powner.queue;
-  depth_gauge t p.powner
-
-(* Coalesce queued requests compatible with [p0] — same graph, model and
-   widths, across all tenants — in global arrival order. *)
-let collect_compatible t (p0 : pending) ~room =
-  let key = jkey p0 in
-  let matching = ref [] in
-  Hashtbl.iter
-    (fun _ ten ->
-      List.iter
-        (fun p -> if jkey p = key then matching := p :: !matching)
-        ten.queue)
-    t.tenants;
-  let sorted = List.sort (fun a b -> compare a.id b.id) !matching in
-  let taken = List.filteri (fun i _ -> i < room) sorted in
-  List.iter (remove_from_queue t) taken;
-  taken
-
+(* The oldest queued request across all tenants: every queue is in arrival
+   order, so it is the head with the smallest id. *)
 let pick t =
   let oldest = ref None in
   Hashtbl.iter
     (fun _ ten ->
-      match ten.queue with
-      | [] -> ()
-      | p :: _ -> (
-          match !oldest with
-          | Some o when o.id < p.id -> ()
-          | _ -> oldest := Some p))
+      match (Queue.peek_opt ten.queue, !oldest) with
+      | None, _ -> ()
+      | Some p, Some o when o.id < p.id -> ()
+      | Some p, _ -> oldest := Some p)
     t.tenants;
-  match !oldest with
-  | None -> None
-  | Some p0 ->
-      let reqs =
-        if t.cfg.batching && t.cfg.max_batch > 1 then
-          collect_compatible t p0 ~room:t.cfg.max_batch
-        else begin
-          remove_from_queue t p0;
-          [ p0 ]
-        end
-      in
-      let use_arena =
-        match reqs with
-        | [ p ] when not p.powner.busy ->
-            p.powner.busy <- true;
-            true
-        | _ -> false
-      in
-      Some { reqs; use_arena }
-
-(* Late widening through the batch window: the job's requests are already
-   off the queues, so only newly arrived (or previously incompatible-head)
-   requests are added. *)
-let collect_more t (j : job) =
-  match j.reqs with
-  | [] -> ()
-  | p0 :: _ ->
-      let room = t.cfg.max_batch - List.length j.reqs in
-      if room > 0 then begin
-        let extra = collect_compatible t p0 ~room in
-        if extra <> [] then begin
-          j.reqs <-
-            List.sort (fun a b -> compare a.id b.id) (j.reqs @ extra);
-          if j.use_arena then begin
-            (match j.reqs with
-            | p :: _ -> p.powner.busy <- false
-            | [] -> ());
-            j.use_arena <- false
-          end
-        end
-      end
+  Option.map
+    (fun p ->
+      ignore (Queue.pop p.powner.queue : pending);
+      depth_gauge t p.powner;
+      let use_arena = not p.powner.busy in
+      p.powner.busy <- true;
+      { req = p; use_arena })
+    !oldest
 
 (* ---- plan and parameter resolution (lock held) ---- *)
 
@@ -296,16 +228,9 @@ let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
   lc.Selector.lchoice.Selector.candidate.Codegen.plan
 
 let resolve t (j : job) =
-  match j.reqs with
-  | [] -> assert false
-  | p :: _ ->
-      let plan =
-        select_plan t p.gentry ~model:p.model ~k_in:p.k_in ~k_out:p.k_out
-      in
-      let params =
-        params_for t p.gentry ~model:p.model ~k_in:p.k_in ~k_out:p.k_out
-      in
-      (plan, params)
+  let p = j.req in
+  ( select_plan t p.gentry ~model:p.model ~k_in:p.k_in ~k_out:p.k_out,
+    params_for t p.gentry ~model:p.model ~k_in:p.k_in ~k_out:p.k_out )
 
 (* ---- execution (no lock unless manual mode) ---- *)
 
@@ -322,78 +247,49 @@ let copy_value = function
       | Some v -> Executor.Vsparse (Csr.with_values s (Array.copy v)))
   | Executor.Vdiag d -> Executor.Vdiag (Array.copy d)
 
+(* Every request is one executor run under the configured layout, drawing
+   its buffers from the tenant's arena when no other job holds it. *)
 let execute ?pool ~locality (j : job) (plan, params) =
-  match j.reqs with
-  | [] -> assert false
-  | [ p ] ->
-      let bindings =
-        Layer.bindings ~graph:p.gentry.graph ~h:p.features params
-      in
-      (* the width-1 path runs under the configured layout (arena + locality
-         is legal; the cache axis is off here). The batch path below stays
-         on the default layout: widening happens in the original id space,
-         and layout is bitwise-transparent, so any plan is correct there. *)
-      let cfg = { Engine.default_config with locality } in
-      let engine =
-        if j.use_arena then
-          Engine.create_exn ?pool ~workspace:p.powner.ws cfg
-        else Engine.create_exn ?pool cfg
-      in
-      let r =
-        Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
-          ~bindings plan
-      in
-      let out =
-        if j.use_arena then copy_value r.Executor.output
-        else r.Executor.output
-      in
-      ([ out ], 0)
-  | p0 :: _ as reqs ->
-      let shared =
-        List.filter
-          (fun (name, _) -> name <> "H")
-          (Layer.bindings ~graph:p0.gentry.graph ~h:p0.features params)
-      in
-      let outs, bstats =
-        Batch.exec_batch ?pool ~graph:p0.gentry.graph ~bindings:shared
-          ~input:"H"
-          ~features:(List.map (fun p -> p.features) reqs)
-          plan
-      in
-      (outs, bstats.Batch.widened_steps)
+  let p = j.req in
+  let bindings = Layer.bindings ~graph:p.gentry.graph ~h:p.features params in
+  let cfg = { Engine.default_config with locality } in
+  let engine =
+    if j.use_arena then Engine.create_exn ?pool ~workspace:p.powner.ws cfg
+    else Engine.create_exn ?pool cfg
+  in
+  let r =
+    Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
+      ~bindings plan
+  in
+  if j.use_arena then copy_value r.Executor.output else r.Executor.output
 
 (* ---- completion (lock held) ---- *)
 
-(* The serving half of the calibration loop: a width-1 job is one clean
+(* The serving half of the calibration loop: every request is one clean
    (predicted, measured) pair at plan granularity, mirroring the trainer's
    per-batch feed (same raw analytic prediction, same ["plan:<name>"]
-   correction key). Batched jobs are skipped — widening changes the work
-   the prediction models. *)
-let feed_oracle t (j : job) (plan : Plan.t) dt =
-  match j.reqs with
-  | [ p ] when t.cfg.calibration <> Cost_oracle.Off && dt > 0. ->
-      let prof =
-        match Cost_oracle.profile t.oracle with
-        | Some pr -> pr
-        | None -> Granii_hw.Hw_profile.cpu
-      in
-      let n = Graph.n_nodes p.gentry.graph in
-      let env =
-        { Dim.n;
-          nnz = Graph.n_edges p.gentry.graph + n;
-          k_in = p.k_in;
-          k_out = p.k_out }
-      in
-      let predicted =
-        Cost_oracle.analytic_plan ~threads:t.cfg.threads prof ~env
-          ~iterations:1 plan
-      in
-      Cost_oracle.observe t.oracle ~prim:("plan:" ^ plan.Plan.name)
-        ~predicted ~measured:dt
-  | _ -> ()
+   correction key). *)
+let feed_oracle t (p : pending) (plan : Plan.t) dt =
+  if t.cfg.calibration <> Cost_oracle.Off && dt > 0. then begin
+    let prof =
+      match Cost_oracle.profile t.oracle with
+      | Some pr -> pr
+      | None -> Granii_hw.Hw_profile.cpu
+    in
+    let n = Graph.n_nodes p.gentry.graph in
+    let env =
+      { Dim.n; nnz = Graph.n_edges p.gentry.graph + n; k_in = p.k_in;
+        k_out = p.k_out }
+    in
+    let predicted =
+      Cost_oracle.analytic_plan ~threads:t.cfg.threads prof ~env
+        ~iterations:1 plan
+    in
+    Cost_oracle.observe t.oracle ~prim:("plan:" ^ plan.Plan.name)
+      ~predicted ~measured:dt
+  end
 
-(* Per-tenant rolling quantile gauges plus the p99 drift feed, once per
-   distinct tenant in the job. *)
+(* Per-tenant rolling quantile gauges plus the p99 drift feed. *)
 let tenant_gauges t (ten : tenant) =
   (match t.obs.Obs.metrics with
   | None -> ()
@@ -414,48 +310,26 @@ let tenant_gauges t (ten : tenant) =
     end
   end
 
-let fulfill t (j : job) (plan : Plan.t) outs widened dt =
+let fulfill t (j : job) (plan : Plan.t) value dt =
+  let p = j.req in
   let now = t.clock () in
-  let width = List.length j.reqs in
-  List.iter2
-    (fun p v ->
-      let latency = now -. p.t_submit in
-      p.ticket.result <- Some { value = v; latency; width };
-      t.completed <- t.completed + 1;
-      Obs.count t.obs "serve.requests.completed" 1;
-      Obs.observe t.obs "serve.latency" latency;
-      Obs.event t.obs Obs.Journal.Request ~tag:p.powner.tname ~v:latency;
-      Obs.Sketch.add p.powner.sketch latency;
-      match t.cfg.slo_ms with
-      | Some ms when latency *. 1000. > ms ->
-          t.slo_breaches <- t.slo_breaches + 1;
-          if t.first_breach = None then t.first_breach <- Some now;
-          Obs.count t.obs "serve.slo.breaches" 1;
-          Obs.event t.obs Obs.Journal.Slo_breach ~tag:p.powner.tname
-            ~v:latency
-      | _ -> ())
-    j.reqs outs;
-  let seen = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
-      if not (Hashtbl.mem seen p.powner.tname) then begin
-        Hashtbl.replace seen p.powner.tname ();
-        tenant_gauges t p.powner
-      end)
-    j.reqs;
-  t.batches <- t.batches + 1;
-  t.sum_width <- t.sum_width + width;
-  if width > t.max_width then t.max_width <- width;
-  t.widened_steps <- t.widened_steps + widened;
-  Obs.count t.obs "serve.batches" 1;
-  Obs.gauge t.obs "serve.batch.width" (float_of_int width);
-  Obs.event t.obs Obs.Journal.Batch ~tag:plan.Plan.name
-    ~v:(float_of_int width);
-  feed_oracle t j plan dt;
-  if j.use_arena then (
-    match j.reqs with
-    | p :: _ -> p.powner.busy <- false
-    | [] -> ());
+  let latency = now -. p.t_submit in
+  p.ticket.result <- Some { value; latency; width = 1 };
+  t.completed <- t.completed + 1;
+  Obs.count t.obs "serve.requests.completed" 1;
+  Obs.observe t.obs "serve.latency" latency;
+  Obs.event t.obs Obs.Journal.Request ~tag:p.powner.tname ~v:latency;
+  Obs.Sketch.add p.powner.sketch latency;
+  (match t.cfg.slo_ms with
+  | Some ms when latency *. 1000. > ms ->
+      t.slo_breaches <- t.slo_breaches + 1;
+      if t.first_breach = None then t.first_breach <- Some now;
+      Obs.count t.obs "serve.slo.breaches" 1;
+      Obs.event t.obs Obs.Journal.Slo_breach ~tag:p.powner.tname ~v:latency
+  | _ -> ());
+  tenant_gauges t p.powner;
+  feed_oracle t p plan dt;
+  if j.use_arena then p.powner.busy <- false;
   Condition.broadcast t.done_cv
 
 (* ---- worker loop (threaded mode) ---- *)
@@ -471,29 +345,15 @@ let worker_loop t =
     match !job with
     | None -> Mutex.unlock t.m (* shutting down with empty queues *)
     | Some j ->
-        let resolved =
-          if
-            t.cfg.batching && t.cfg.batch_window > 0
-            && List.length j.reqs < t.cfg.max_batch
-            && not t.shutting
-          then begin
-            (* hold the job open for late-arriving coalescible requests *)
-            Mutex.unlock t.m;
-            Unix.sleepf (float_of_int t.cfg.batch_window *. 1e-6);
-            Mutex.lock t.m;
-            collect_more t j;
-            resolve t j
-          end
-          else resolve t j
-        in
+        let resolved = resolve t j in
         Mutex.unlock t.m;
         (* workers run kernels sequentially: the shared domain pool is not
            reentrant across domains *)
         let et0 = t.clock () in
-        let outs, widened = execute ~locality:t.cfg.locality j resolved in
+        let out = execute ~locality:t.cfg.locality j resolved in
         let dt = t.clock () -. et0 in
         Mutex.lock t.m;
-        fulfill t j (fst resolved) outs widened dt;
+        fulfill t j (fst resolved) out dt;
         Mutex.unlock t.m;
         next ()
   in
@@ -508,11 +368,8 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
   | Some s when not (Float.is_finite s && s > 0.) ->
       invalid_arg "Serve.create: slo_ms must be > 0"
   | _ -> ());
-  if cfg.max_batch < 1 then invalid_arg "Serve.create: max_batch must be >= 1";
   if cfg.threads < 1 then invalid_arg "Serve.create: threads must be >= 1";
   if cfg.workers < 0 then invalid_arg "Serve.create: workers must be >= 0";
-  if cfg.batch_window < 0 then
-    invalid_arg "Serve.create: batch_window must be >= 0";
   if cfg.plan_cache < 0 then
     invalid_arg "Serve.create: plan_cache must be >= 0";
   if cfg.iterations < 1 then
@@ -558,10 +415,6 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
       submitted = 0;
       completed = 0;
       rejected = 0;
-      batches = 0;
-      max_width = 0;
-      sum_width = 0;
-      widened_steps = 0;
       slo_breaches = 0;
       first_breach = None;
       oracle_name = Cost_oracle.name oracle }
@@ -587,7 +440,7 @@ let tenant_of t name =
   | None ->
       let ten =
         { tname = name;
-          queue = [];
+          queue = Queue.create ();
           busy = false;
           ws = Workspace.create ();
           sketch = Obs.Sketch.create ();
@@ -621,7 +474,7 @@ let submit t ~tenant ~graph ~model ~k_out ~features =
       end
       else begin
         let ten = tenant_of t tenant in
-        if List.length ten.queue >= t.cfg.queue_bound then begin
+        if Queue.length ten.queue >= t.cfg.queue_bound then begin
           t.rejected <- t.rejected + 1;
           Obs.count t.obs "serve.requests.rejected" 1;
           Obs.event t.obs Obs.Journal.Backpressure ~tag:tenant
@@ -642,7 +495,7 @@ let submit t ~tenant ~graph ~model ~k_out ~features =
               t_submit = t.clock ();
               ticket = { result = None } }
           in
-          ten.queue <- ten.queue @ [ p ];
+          Queue.push p ten.queue;
           t.submitted <- t.submitted + 1;
           Obs.count t.obs "serve.requests.submitted" 1;
           depth_gauge t ten;
@@ -662,12 +515,12 @@ let pump t =
       | Some j ->
           let resolved = resolve t j in
           let et0 = t.clock () in
-          let outs, widened =
+          let out =
             Obs.span t.obs "serve.exec" (fun () ->
                 execute ?pool:t.pool ~locality:t.cfg.locality j resolved)
           in
           let dt = t.clock () -. et0 in
-          fulfill t j (fst resolved) outs widened dt;
+          fulfill t j (fst resolved) out dt;
           true)
 
 let drain t = while pump t do () done
@@ -695,7 +548,7 @@ let await t (ticket : ticket) =
 let queue_depth t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
-      | Some ten -> List.length ten.queue
+      | Some ten -> Queue.length ten.queue
       | None -> 0)
 
 let shutdown t =
@@ -733,10 +586,8 @@ let stats t =
       { submitted = t.submitted;
         completed = t.completed;
         rejected = t.rejected;
-        batches = t.batches;
-        max_width = t.max_width;
-        sum_width = t.sum_width;
-        widened_steps = t.widened_steps;
+        batches = t.completed;
+        sum_width = t.completed;
         plan_cache = Plan_cache.stats t.pc;
         slo_breaches = t.slo_breaches;
         first_breach = t.first_breach })

@@ -3,23 +3,22 @@
     A server owns the shared model/parameter registries, a
     {!Granii_core.Plan_cache} (selection once per distinct input shape), and
     per-tenant bounded admission queues. Requests name a registered graph,
-    a model and a feature matrix; the scheduler coalesces compatible queued
-    requests — same graph, model and embedding widths, {e across} tenants —
-    into one {!Batch.exec_batch} invocation and scatters the results back
-    to each request's ticket.
+    a model and a feature matrix. The scheduler takes the oldest queued
+    request across all tenants and serves it with one
+    {!Granii_core.Executor.exec} run; requests are never coalesced.
 
     {2 Scheduler modes}
 
     - [workers = 0] ({b manual mode}): nothing runs until the caller pumps.
-      {!submit} only enqueues; {!pump} synchronously picks, batches and
-      executes one job; {!drain} pumps until every queue is empty. With an
-      injected [?clock] this makes request interleavings fully scripted —
-      the deterministic concurrency harness of [test/test_serve.ml].
+      {!submit} only enqueues; {!pump} synchronously picks and executes one
+      request; {!drain} pumps until every queue is empty. With an injected
+      [?clock] this makes request interleavings fully scripted — the
+      deterministic concurrency harness of [test/test_serve.ml].
     - [workers > 0] ({b threaded mode}): that many OCaml 5 domains run the
       same pick/execute loop concurrently, coordinated by one mutex and two
       condition variables. Kernels run sequentially inside each worker
       (the shared domain pool is not reentrant across domains); concurrency
-      comes from overlapping independent jobs.
+      comes from overlapping independent requests.
 
     {2 Admission control and backpressure}
 
@@ -33,18 +32,17 @@
 
     {2 Memory}
 
-    Each tenant owns a private workspace arena, used only for single-request
-    (width-1) executions and never shared across tenants; response values
+    Each tenant owns a private workspace arena, never shared across
+    tenants. A request runs in its tenant's arena unless another worker is
+    already using it, in which case it allocates normally. Response values
     are copied out of the arena before the ticket completes, so a response
-    is never invalidated by a later request. Batched executions allocate
-    normally (no arena). Serving defaults to the default graph layout —
-    per-request reordering rarely amortizes (DESIGN.md §12) — but a config
-    may opt width-1 execution into a locality axis.
+    is never invalidated by a later request. Serving defaults to the
+    default graph layout — per-request reordering rarely amortizes
+    (DESIGN.md §12) — but a config may opt into a locality axis.
 
     {2 Telemetry}
 
     With a live sink: [serve.requests.submitted/completed/rejected],
-    [serve.batches], [serve.batch.width] (gauge),
     [serve.plan_cache.hits/misses/evictions], [serve.queue.depth.<tenant>]
     (gauge) and a [serve.latency] log-bucketed histogram, plus
     [serve.select] / [serve.exec] spans (spans on the scheduler's
@@ -60,12 +58,12 @@
     ({!Granii_obs.Obs.Drift}) over its rolling p99 — a sustained latency
     regression fires a [serve.drift.fired] counter and a journal [drift]
     event. When the sink has a journal, the server records [request],
-    [batch], [backpressure], [slo_breach] and [plan_cache_invalidate]
-    events (plan-cache hit/miss events come from {!Granii_core.Plan_cache}
+    [backpressure], [slo_breach] and [plan_cache_invalidate] events
+    (plan-cache hit/miss events come from {!Granii_core.Plan_cache}
     itself).
     An [slo_ms] target turns breach accounting on: per-request latency
     above the target bumps [serve.slo.breaches] and the {!stats} breach
-    fields. A width-1 job also feeds the oracle one plan-level
+    fields. Every request also feeds the oracle one plan-level
     (predicted, measured) pair — the serving half of the calibration loop,
     mirroring the trainer's per-batch feed — so a calibrating server
     recalibrates (and, on drift, recalibrates {e out of cadence}) from its
@@ -74,14 +72,8 @@
 type config = {
   workers : int;       (** worker domains; [0] = manual (pump-driven) mode *)
   queue_bound : int;   (** per-tenant admission-queue capacity, >= 1 *)
-  batch_window : int;
-      (** microseconds a threaded worker holds a sub-[max_batch] job open
-          for late-arriving coalescible requests; [0] (and manual mode)
-          batches only what is already queued *)
-  max_batch : int;     (** widest coalesced batch, >= 1 *)
   plan_cache : int;
       (** {!Granii_core.Plan_cache} capacity; [0] disables it *)
-  batching : bool;     (** [false]: every job has width 1 (ablation arm) *)
   threads : int;
       (** domain-pool width for manual-mode kernel execution (threaded
           workers always run kernels sequentially); also part of the plan
@@ -93,16 +85,13 @@ type config = {
           default [1] charges setup steps at full price *)
   param_seed : int;
       (** server-side parameters are Glorot-initialized per
-          (model, K_in, K_out) from this seed and shared by every tenant —
-          batches may span tenants because weights are server state *)
+          (model, K_in, K_out) from this seed and shared by every tenant:
+          weights are server state *)
   locality : Granii_core.Locality.config;
-      (** layout axis for selection and width-1 execution; part of the plan
-          cache key, so engines that localize differently never share a
-          plan. Default {!Granii_core.Locality.default} — per-request
-          reordering rarely amortizes (DESIGN.md §12). Batched jobs always
-          execute under the default layout (widening happens in the
-          original id space; layout is bitwise-transparent, so any cached
-          plan is correct there). *)
+      (** layout axis for selection and execution; part of the plan cache
+          key, so engines that localize differently never share a plan.
+          Default {!Granii_core.Locality.default} — per-request reordering
+          rarely amortizes (DESIGN.md §12). *)
   calibration : Granii_core.Cost_oracle.calibration;
       (** calibration policy of the server's {!Granii_core.Cost_oracle}
           (default {!Granii_core.Cost_oracle.Off}). The plan cache is keyed
@@ -118,10 +107,9 @@ type config = {
 }
 
 val default_config : config
-(** [workers=0], [queue_bound=64], [batch_window=0], [max_batch=8],
-    [plan_cache=32], [batching=true], [threads=1], host-CPU profile,
-    [iterations=1], [param_seed=11], default locality, calibration off,
-    no SLO. *)
+(** [workers=0], [queue_bound=64], [plan_cache=32], [threads=1], host-CPU
+    profile, [iterations=1], [param_seed=11], default locality, calibration
+    off, no SLO. *)
 
 type reject =
   | Queue_full of { tenant : string; bound : int }
@@ -132,7 +120,7 @@ val reject_to_string : reject -> string
 type response = {
   value : Granii_core.Executor.value;  (** the plan output for this request *)
   latency : float;  (** seconds from {!submit} to completion *)
-  width : int;      (** how many requests shared the executor invocation *)
+  width : int;      (** always [1]: every request is its own executor run *)
 }
 
 type ticket
@@ -142,10 +130,8 @@ type stats = {
   submitted : int;
   completed : int;
   rejected : int;
-  batches : int;         (** executor invocations *)
-  max_width : int;
-  sum_width : int;       (** [sum_width / batches] = mean batch width *)
-  widened_steps : int;   (** plan steps executed once over widened operands *)
+  batches : int;         (** executor runs; always [completed] *)
+  sum_width : int;       (** sum of response widths; always [completed] *)
   plan_cache : Granii_core.Plan_cache.stats;
   slo_breaches : int;    (** completions slower than [slo_ms]; [0] without
                              an SLO *)
@@ -165,9 +151,8 @@ val create :
     detector); by default the server builds one over the analytic model of
     [cfg.profile] with [cfg.calibration]. With an injection the stored
     config's [calibration] is normalized to the oracle's actual policy.
-    Raises [Invalid_argument] on a non-positive
-    [queue_bound]/[max_batch]/[threads], negative
-    [workers]/[batch_window]/[plan_cache], [iterations < 1], a non-positive
+    Raises [Invalid_argument] on a non-positive [queue_bound]/[threads],
+    negative [workers]/[plan_cache], [iterations < 1], a non-positive
     [slo_ms] or an illegal [locality] (bsr with a non-identity ordering —
     see {!Granii_core.Locality.legal}). *)
 
@@ -194,10 +179,9 @@ val await : t -> ticket -> response
     the completion condition. *)
 
 val pump : t -> bool
-(** Manual mode only: pick the oldest queued request, coalesce its
-    compatible peers (up to [max_batch], across tenants), execute, fulfill.
-    Returns [false] when every queue was empty. Raises [Invalid_argument]
-    in threaded mode. *)
+(** Manual mode only: pick the oldest queued request across all tenants,
+    execute it, fulfill its ticket. Returns [false] when every queue was
+    empty. Raises [Invalid_argument] in threaded mode. *)
 
 val drain : t -> unit
 (** {!pump} until empty (manual mode only). *)
@@ -238,6 +222,6 @@ val oracle :
   features:Granii_tensor.Dense.t -> Granii_core.Executor.value
 (** The single-threaded reference: run this one request synchronously
     through {!Granii_core.Executor.exec} on a default engine with the
-    server's own parameters and selection (bypassing queues, batching and
-    the plan cache's counters). Differential tests compare every served
+    server's own parameters and selection (bypassing queues and the plan
+    cache's counters). Differential tests compare every served
     response against this. *)

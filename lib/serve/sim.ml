@@ -21,7 +21,6 @@ type result = {
   p50 : float;
   p99 : float;
   mean_latency : float;
-  mean_width : float;
   retries : int;
   stats : Serve.stats;
   breach_rate : float;
@@ -93,10 +92,6 @@ let run server load =
   let mean_latency =
     List.fold_left ( +. ) 0. lat /. float_of_int (List.length lat)
   in
-  let mean_width =
-    if stats.Serve.batches = 0 then 0.
-    else float_of_int stats.Serve.sum_width /. float_of_int stats.Serve.batches
-  in
   let breach_rate =
     if stats.Serve.completed = 0 then 0.
     else
@@ -108,7 +103,6 @@ let run server load =
     p50 = percentile lat 50.;
     p99 = percentile lat 99.;
     mean_latency;
-    mean_width;
     retries = !retries;
     stats;
     breach_rate;

@@ -31,7 +31,6 @@ type result = {
   p50 : float;             (** median latency, seconds *)
   p99 : float;
   mean_latency : float;
-  mean_width : float;      (** mean executor-invocation batch width *)
   retries : int;           (** submissions rejected by backpressure *)
   stats : Serve.stats;
   breach_rate : float;

@@ -1,15 +1,13 @@
 (* The serving runtime (lib/serve): deterministic concurrency harness.
 
    Manual mode (workers = 0) makes every interleaving scripted — nothing
-   executes until the test pumps the scheduler — so batch coalescing,
-   plan-cache counters, backpressure at the exact queue bound, arena
-   isolation and graceful shutdown are all checked against hand counts.
-   The batching legality rule is pinned differentially: a coalesced batch
-   must be bitwise identical to executing each request sequentially. The
-   threaded scheduler is covered by a randomized stress test (2-4 worker
-   domains, mixed graphs/widths/tenants) where every response is compared
-   against the single-threaded oracle; GRANII_STRESS multiplies the trial
-   count (the @serve-stress alias). *)
+   executes until the test pumps the scheduler — so plan-cache counters,
+   backpressure at the exact queue bound, arena isolation, the oracle feed
+   and graceful shutdown are all checked against hand counts. Every served
+   request is one executor run. The threaded scheduler is covered by a
+   randomized stress test (2-4 worker domains, mixed graphs/widths/tenants)
+   where every response is compared against the single-threaded oracle;
+   GRANII_STRESS multiplies the trial count (the @serve-stress alias). *)
 
 open Granii_core
 open Test_util
@@ -91,12 +89,11 @@ let test_plan_cache_unit () =
   check_int "disabled: empty" 0 (Plan_cache.length off);
   check_int "disabled: misses counted" 1 (Plan_cache.stats off).Plan_cache.misses
 
-(* ---- the batching legality rule, pinned differentially ---- *)
+(* ---- Batch.exec_batch: per-request executor runs ---- *)
 
-(* For every model: a direct Batch.exec_batch over B feature matrices must
-   be bitwise identical to B sequential Executor.exec calls on the same
-   plan — the widened steps (SpMM over a [n x B*k] RHS, elementwise maps)
-   may not perturb a single bit. *)
+(* For every model: Batch.exec_batch over B feature matrices must be
+   bitwise identical to B sequential Executor.exec calls on the same plan,
+   in request order. *)
 let test_batch_differential () =
   let graph = small_graph () in
   let feats = Featurizer.extract graph in
@@ -120,11 +117,9 @@ let test_batch_differential () =
         List.init b (fun i ->
             Dense.random ~seed:(100 + i) (G.Graph.n_nodes graph) k_in)
       in
-      let outs, bstats =
+      let outs, _ =
         Batch.exec_batch ~graph ~bindings:shared ~input:"H" ~features plan
       in
-      check_int (model_name ^ ": batch width") b bstats.Batch.width;
-      check_int (model_name ^ ": one output per request") b (List.length outs);
       List.iteri
         (fun i (f, out) ->
           let r =
@@ -139,67 +134,25 @@ let test_batch_differential () =
                model_name i)
             (Test_engine.value_bits_equal r.Executor.output out))
         (List.combine features outs);
-      (* plans with batch-dependent steps must actually widen or scatter;
-         the step classes partition the plan *)
-      check_int
-        (model_name ^ ": step classes partition the plan")
-        (List.length plan.Plan.steps)
-        (bstats.Batch.shared_steps + bstats.Batch.widened_steps
-        + bstats.Batch.scattered_steps))
+      (* an empty batch and a feature row count that is not the graph's are
+         caller bugs *)
+      let invalid name features =
+        match
+          Batch.exec_batch ~graph ~bindings:shared ~input:"H" ~features plan
+        with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail (model_name ^ ": " ^ name ^ " accepted")
+      in
+      invalid "empty batch" [];
+      invalid "feature row mismatch"
+        [ Dense.random ~seed:1 (G.Graph.n_nodes graph + 1) k_in ])
     [ "gcn"; "gin"; "sgc"; "tagcn"; "gat"; "sage" ]
-
-(* ---- coalescing: N queued requests, one executor invocation ---- *)
-
-let test_coalescing () =
-  with_server
-    ~cfg:{ Serve.default_config with max_batch = 8 }
-    (fun t graph ->
-      let n = G.Graph.n_nodes graph in
-      let k_in = 8 and k_out = 4 in
-      let features =
-        List.init 4 (fun i -> Dense.random ~seed:(10 + i) n k_in)
-      in
-      let tickets =
-        List.mapi
-          (fun i f ->
-            submit_exn t ~tenant:(Printf.sprintf "t%d" (i mod 2)) ~k_out
-              ~features:f)
-          features
-      in
-      List.iter
-        (fun tk -> check_true "pending before pump" (Serve.poll t tk = None))
-        tickets;
-      check_true "one pump serves the whole batch" (Serve.pump t);
-      check_true "queues empty after the batch" (not (Serve.pump t));
-      let s = Serve.stats t in
-      check_int "one executor invocation" 1 s.Serve.batches;
-      check_int "batch width 4" 4 s.Serve.max_width;
-      check_int "all completed" 4 s.Serve.completed;
-      check_true "widened steps executed" (s.Serve.widened_steps > 0);
-      (* every response is bitwise the sequential oracle's answer *)
-      List.iter2
-        (fun tk f ->
-          match Serve.poll t tk with
-          | None -> Alcotest.fail "ticket not completed"
-          | Some r ->
-              check_int "response width" 4 r.Serve.width;
-              check_true "bitwise equal to the oracle"
-                (Test_engine.value_bits_equal r.Serve.value
-                   (Serve.oracle t ~graph:"g" ~model:"gcn" ~k_out ~features:f)))
-        tickets features;
-      (* incompatible requests (different k_out) never share a batch *)
-      let f = Dense.random ~seed:50 n k_in in
-      let _ = submit_exn t ~tenant:"t0" ~k_out:4 ~features:f in
-      let _ = submit_exn t ~tenant:"t1" ~k_out:6 ~features:f in
-      Serve.drain t;
-      let s = Serve.stats t in
-      check_int "incompatible widths stay separate" 3 s.Serve.batches)
 
 (* ---- plan cache through the server: hand-counted hits/misses ---- *)
 
 let test_plan_cache_counts () =
   with_server
-    ~cfg:{ Serve.default_config with batching = false; plan_cache = 8 }
+    ~cfg:{ Serve.default_config with plan_cache = 8 }
     (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let submit k_out seed =
@@ -261,7 +214,7 @@ let test_plan_cache_layout_key () =
     { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Cbm }
   in
   with_server
-    ~cfg:{ Serve.default_config with batching = false; plan_cache = 8; locality }
+    ~cfg:{ Serve.default_config with plan_cache = 8; locality }
     (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f = Dense.random ~seed:61 n 8 in
@@ -310,12 +263,9 @@ let test_backpressure () =
 (* ---- arena isolation: a response survives later requests ---- *)
 
 let test_arena_isolation () =
-  (* batching off so every execution is width 1 and uses its tenant's
-     arena — the path where a stale response would be overwritten if the
-     runtime skipped the copy-out *)
-  with_server
-    ~cfg:{ Serve.default_config with batching = false }
-    (fun t graph ->
+  (* every execution uses its tenant's arena — the path where a stale
+     response would be overwritten if the runtime skipped the copy-out *)
+  with_server (fun t graph ->
       let n = G.Graph.n_nodes graph in
       let f1 = Dense.random ~seed:1 n 8 and f2 = Dense.random ~seed:2 n 8 in
       let tk1 = submit_exn t ~tenant:"a" ~k_out:4 ~features:f1 in
@@ -375,11 +325,32 @@ let test_manual_clock () =
       now := 0.25;
       let tk2 = submit_exn t ~tenant:"b" ~k_out:4 ~features:f in
       now := 1.0;
-      check_true "pump" (Serve.pump t);
+      Serve.drain t;
       let r = Option.get (Serve.poll t tk) in
       let r2 = Option.get (Serve.poll t tk2) in
       check_float "latency measured on the injected clock" 1.0 r.Serve.latency;
       check_float "second submission's scripted latency" 0.75 r2.Serve.latency)
+
+(* ---- the oracle feed: one (predicted, measured) pair per request ---- *)
+
+let test_oracle_feed () =
+  with_server
+    ~cfg:{ Serve.default_config with calibration = Cost_oracle.Affine }
+    (fun t graph ->
+      let n = G.Graph.n_nodes graph in
+      let oracle = Serve.serve_oracle t in
+      let before = Cost_oracle.observed oracle in
+      let tickets =
+        List.init 4 (fun i ->
+            submit_exn t ~tenant:(Printf.sprintf "t%d" (i mod 2)) ~k_out:4
+              ~features:(Dense.random ~seed:(10 + i) n 8))
+      in
+      Serve.drain t;
+      List.iter
+        (fun tk -> check_true "drained" (Serve.poll t tk <> None))
+        tickets;
+      check_int "one oracle observation per request" 4
+        (Cost_oracle.observed oracle - before))
 
 (* ---- config plumbing and argument validation ---- *)
 
@@ -392,9 +363,7 @@ let test_config () =
         Alcotest.fail (name ^ ": invalid config accepted")
   in
   bad "queue_bound" { Serve.default_config with queue_bound = 0 };
-  bad "max_batch" { Serve.default_config with max_batch = 0 };
   bad "workers" { Serve.default_config with workers = -1 };
-  bad "batch_window" { Serve.default_config with batch_window = -1 };
   bad "plan_cache" { Serve.default_config with plan_cache = -1 };
   bad "threads" { Serve.default_config with threads = 0 };
   bad "iterations" { Serve.default_config with iterations = 0 };
@@ -448,7 +417,6 @@ let test_metrics () =
       check_int "submitted counter" 1 (counter "serve.requests.submitted");
       check_int "completed counter" 1 (counter "serve.requests.completed");
       check_int "rejected counter" 1 (counter "serve.requests.rejected");
-      check_int "batches counter" 1 (counter "serve.batches");
       check_int "plan-cache miss counter" 1 (counter "serve.plan_cache.misses");
       check_true "latency histogram populated"
         (List.mem_assoc "serve.latency" (Obs.Metrics.histograms m));
@@ -468,8 +436,6 @@ let test_threaded_stress () =
       { Serve.default_config with
         workers;
         queue_bound = 8;
-        max_batch = 4;
-        batch_window = (if trial mod 2 = 0 then 100 else 0);
         plan_cache = 8 }
     in
     let t = Serve.create cfg in
@@ -527,9 +493,9 @@ let test_threaded_stress () =
     check_int
       (Printf.sprintf "trial %d: rejections equal observed retries" trial)
       !retries s.Serve.rejected;
-    check_true
-      (Printf.sprintf "trial %d: batches cover completions" trial)
-      (s.Serve.sum_width = n_req);
+    check_int
+      (Printf.sprintf "trial %d: one executor run per completion" trial)
+      s.Serve.completed s.Serve.batches;
     (* no request lost or double-answered: polling again returns the same
        completed response object *)
     let expected = Hashtbl.create 32 in
@@ -538,6 +504,9 @@ let test_threaded_stress () =
         (match Serve.poll t tk with
         | Some r' -> check_true "stable completion" (r' == r)
         | None -> Alcotest.fail "completed ticket lost its response");
+        check_int
+          (Printf.sprintf "trial %d: every response has width 1" trial)
+          1 r.Serve.width;
         let key = (graph, f.Dense.data.(0), model, k_out) in
         let reference =
           match Hashtbl.find_opt expected key with
@@ -558,8 +527,6 @@ let suite =
       test_plan_cache_unit;
     Alcotest.test_case "batching legality: batch bitwise = sequential" `Quick
       test_batch_differential;
-    Alcotest.test_case "coalescing: N requests, one invocation" `Quick
-      test_coalescing;
     Alcotest.test_case "plan cache: served hits/misses vs hand count" `Quick
       test_plan_cache_counts;
     Alcotest.test_case "plan cache: layout axis keys plans" `Quick
@@ -572,6 +539,8 @@ let suite =
       test_shutdown;
     Alcotest.test_case "injected clock scripts latencies" `Quick
       test_manual_clock;
+    Alcotest.test_case "calibrating server feeds one pair per request" `Quick
+      test_oracle_feed;
     Alcotest.test_case "config and argument validation" `Quick
       test_config;
     Alcotest.test_case "serving metrics reach the registry" `Quick
