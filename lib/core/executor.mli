@@ -47,9 +47,12 @@
     inverse-permuted back to the original vertex order before the report is
     built. The permutation is {e stable} (each row keeps its entry order),
     so for structure-preserving plans (every GCN/GAT composition) the
-    returned values are bitwise identical to an unpermuted run; plans that
-    re-sort sparse structure (e.g. GIN's [Sparse_add]) may differ in entry
-    order but not in semantics. Bindings are classified by shape: n×_ dense
+    returned values are bitwise identical to an unpermuted run. GIN's
+    [Sparse_add] is the exception: [Sparse_ops.add] emits every row sorted by
+    column, so under a layout a row's entry order (and with it the
+    accumulation order of the SpMM that consumes the sum) differs from the
+    unpermuted run's; results may differ in the last bits but not in
+    semantics. Bindings are classified by shape: n×_ dense
     values are row-permuted, n×n sparse values symmetrically permuted,
     length-n diagonals permuted, everything else passed through — a k×k
     weight matrix is only at risk when k = n, which the compositions never

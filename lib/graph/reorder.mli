@@ -11,9 +11,11 @@
     sparse kernels sees the same term sequence and results stay bitwise equal
     to the unpermuted run once outputs are inverse-permuted. The price: the
     permuted matrix's rows are not sorted by column index, so it must not be
-    fed to consumers that binary-search within rows ([Csr.get]) or merge
-    sorted rows ([Sparse_ops.add]). The executor keeps permuted matrices
-    internal to a run for exactly this reason. *)
+    fed to consumers that binary-search within rows ([Csr.get]).
+    [Sparse_ops.add] accepts such rows but sorts each one by column, so its
+    result's entry order is not the stable permutation of the unpermuted
+    sum's. The executor keeps permuted matrices internal to a run for
+    exactly this reason. *)
 
 type strategy = Identity | Degree_sort | Bfs | Rcm
 

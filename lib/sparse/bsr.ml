@@ -4,11 +4,10 @@ module Workspace = Granii_tensor.Workspace
 
 (* Block-sparse rows (BSR): the matrix is tiled into r x c blocks and only
    the nonempty blocks are stored, each as a small dense tile (row-major,
-   zero-filled padding). SpMM then runs the dense-GEMM register tile per
-   block row — the PR 2 packed micro-kernel shape, 4 output rows x 2 feature
-   columns of accumulators — instead of a pointer-chase per entry, which is
-   what makes the format profitable on dense-leaning hardware (Balog et al.,
-   1906.11786).
+   zero-filled padding). SpMM then runs a register tile per block row — its
+   own 4 output rows x 2 feature columns of float-ref accumulators — instead
+   of a pointer-chase per entry, which is what makes the format profitable
+   on dense-leaning hardware (Balog et al., 1906.11786).
 
    Bitwise contract with the Csr kernels: blocks are sorted by block column
    and tile columns ascend inside each block, so a row's real entries are
@@ -151,8 +150,8 @@ let to_csr b =
       Csr.with_values src out
 
 (* SpMM, plus-times, lowered to dense tiles. Within one block row the inner
-   structure is the packed 4x2 GEMM micro-kernel (Dense.matmul's register
-   tile): four output rows by two feature columns of accumulators, reduction
+   structure is BSR's own 4x2 register tile (Dense.matmul uses a 2x4 one):
+   four output rows by two feature columns of accumulators, reduction
    running over (block, tile column) — i.e. ascending source column. Real
    entries hit in Csr order; padding adds signed zeros; see the module
    comment for why both leave the bits of [Spmm.run src bd] intact. *)

@@ -1,8 +1,8 @@
 (** Block-sparse rows (BSR): r x c dense tiles over the nonempty blocks.
 
     The locality engine's dense-hardware format (Balog et al., 1906.11786):
-    SpMM and SDDMM lower to small dense GEMM tiles — the packed 4x2 register
-    micro-kernel of [Dense.matmul] run per block row — so the sparse
+    SpMM and SDDMM lower to small dense GEMM tiles — a 4x2 register
+    micro-kernel of BSR's own, run per block row — so the sparse
     g-kernels ride the dense pipe instead of the gather pipe. Profitable
     when the graph has block structure ({!fill} close to 1); at low fill the
     tiles are mostly padding and the cost model keeps CSR.

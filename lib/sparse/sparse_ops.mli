@@ -16,8 +16,15 @@ val scale_bilateral : ?pool:Granii_tensor.Parallel.t -> ?ws:Granii_tensor.Worksp
     normalization precomputation (equals {!Sddmm.rank1}). *)
 
 val add : Csr.t -> Csr.t -> Csr.t
-(** Sparse-sparse addition; the result's structure is the union. Raises
-    [Invalid_argument] on a shape mismatch. *)
+(** Sparse-sparse addition; the result's structure is the union, every row
+    sorted by column with no repeats, and the result is always weighted.
+    Raises [Invalid_argument] on a shape mismatch. O(n + nnz) when both
+    operands' rows are strictly increasing: each row is a two-pointer merge,
+    and a column stored in both is [A + B]. Any other row (permuted by
+    [Reorder.permute_csr], or repeating a column through
+    {!Csr.make}) is sorted on its own: its entries are ordered by column,
+    then by source position (A's entries in storage order, then B's), and
+    each column's run is summed left to right in that order. *)
 
 val row_softmax : ?pool:Granii_tensor.Parallel.t -> ?ws:Granii_tensor.Workspace.t ->
   Csr.t -> Csr.t

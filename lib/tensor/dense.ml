@@ -106,13 +106,12 @@ let matmul_unblocked ?pool ?ws a b =
    with [?ws] it comes from the workspace, making steady-state GEMM
    allocation-free apart from the output itself. *)
 
-let mr = 4
-let nr = 2
+let mr = 2
+let nr = 4
 let panel_words = 32_768 (* 256 KB of packed B per column block *)
 
-(* Accumulation scratch: [mr * nr] floats reused across every micro-tile of
-   a chunk (flat float arrays store doubles unboxed; a [float ref] would box
-   on every store). *)
+(* Edge tiles ([mb < mr] or [cb < nr]) accumulate in an [mr * nr] scratch
+   array reused across every edge tile of a chunk. *)
 let micro_generic ~acc ~ad ~panel ~out ~k ~n ~i0 ~mb ~pb ~jbase ~cb =
   Array.fill acc 0 (mr * nr) 0.;
   for kk = 0 to k - 1 do
@@ -133,33 +132,42 @@ let micro_generic ~acc ~ad ~panel ~out ~k ~n ~i0 ~mb ~pb ~jbase ~cb =
     done
   done
 
-(* Specialized full 4x2 tile: 8 accumulators, B loaded once per k and reused
-   across the four rows. Same per-output accumulation order as the generic
-   kernel. *)
-let micro_4x2 ~acc ~ad ~panel ~out ~k ~n ~i0 ~pb ~jbase =
-  Array.fill acc 0 8 0.;
-  let a0 = i0 * k and a1 = (i0 + 1) * k and a2 = (i0 + 2) * k and a3 = (i0 + 3) * k in
+(* Specialized full 2x4 tile: eight accumulators in local float refs, which
+   ocamlopt keeps unboxed in registers because they never escape. The four
+   B values are loaded once per k and reused across both rows. Same
+   per-output accumulation order as the generic kernel. The tile shape was
+   chosen by measurement: with float-ref accumulators throughout, 2x4 ran
+   ~10% faster than 4x2 and ~25% faster than 4x4 on the executor's shapes
+   (m in 4096-9216, k and n in 32-256) on an x86-64 host. *)
+let micro_2x4 ~ad ~panel ~out ~k ~n ~i0 ~pb ~jbase =
+  let a0 = i0 * k and a1 = (i0 + 1) * k in
+  let c00 = ref 0. and c01 = ref 0. and c02 = ref 0. and c03 = ref 0. in
+  let c10 = ref 0. and c11 = ref 0. and c12 = ref 0. and c13 = ref 0. in
   for kk = 0 to k - 1 do
     let pk = pb + (kk * nr) in
     let b0 = Array.unsafe_get panel pk and b1 = Array.unsafe_get panel (pk + 1) in
+    let b2 = Array.unsafe_get panel (pk + 2) and b3 = Array.unsafe_get panel (pk + 3) in
     let x0 = Array.unsafe_get ad (a0 + kk) in
-    Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (x0 *. b0));
-    Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (x0 *. b1));
+    c00 := !c00 +. (x0 *. b0);
+    c01 := !c01 +. (x0 *. b1);
+    c02 := !c02 +. (x0 *. b2);
+    c03 := !c03 +. (x0 *. b3);
     let x1 = Array.unsafe_get ad (a1 + kk) in
-    Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (x1 *. b0));
-    Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (x1 *. b1));
-    let x2 = Array.unsafe_get ad (a2 + kk) in
-    Array.unsafe_set acc 4 (Array.unsafe_get acc 4 +. (x2 *. b0));
-    Array.unsafe_set acc 5 (Array.unsafe_get acc 5 +. (x2 *. b1));
-    let x3 = Array.unsafe_get ad (a3 + kk) in
-    Array.unsafe_set acc 6 (Array.unsafe_get acc 6 +. (x3 *. b0));
-    Array.unsafe_set acc 7 (Array.unsafe_get acc 7 +. (x3 *. b1))
+    c10 := !c10 +. (x1 *. b0);
+    c11 := !c11 +. (x1 *. b1);
+    c12 := !c12 +. (x1 *. b2);
+    c13 := !c13 +. (x1 *. b3)
   done;
-  for r = 0 to 3 do
-    let orow = ((i0 + r) * n) + jbase in
-    Array.unsafe_set out orow (Array.unsafe_get acc (r * nr));
-    Array.unsafe_set out (orow + 1) (Array.unsafe_get acc ((r * nr) + 1))
-  done
+  let o0 = (i0 * n) + jbase in
+  Array.unsafe_set out o0 !c00;
+  Array.unsafe_set out (o0 + 1) !c01;
+  Array.unsafe_set out (o0 + 2) !c02;
+  Array.unsafe_set out (o0 + 3) !c03;
+  let o1 = o0 + n in
+  Array.unsafe_set out o1 !c10;
+  Array.unsafe_set out (o1 + 1) !c11;
+  Array.unsafe_set out (o1 + 2) !c12;
+  Array.unsafe_set out (o1 + 3) !c13
 
 let blocked_rows ~ad ~bd ~out ~panel ~acc ~m:_ ~k ~n lo hi =
   let nc =
@@ -192,7 +200,7 @@ let blocked_rows ~ad ~bd ~out ~panel ~acc ~m:_ ~k ~n lo hi =
         let cb = min nr (!j0 + ncb - jbase) in
         let pb = mp * k * nr in
         if mb = mr && cb = nr then
-          micro_4x2 ~acc ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~jbase
+          micro_2x4 ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~jbase
         else micro_generic ~acc ~ad ~panel ~out ~k ~n ~i0:!i0 ~mb ~pb ~jbase ~cb
       done;
       i0 := !i0 + mb

@@ -368,21 +368,35 @@ let test_selector_measure () =
 (* ---- dense kernel paths exercised with a workspace ---- *)
 
 let test_tiled_gemm_bitwise () =
-  (* shapes straddling the blocking threshold and panel boundaries *)
-  List.iter
-    (fun (m, k, n) ->
-      let a = Dense.random ~seed:(m + k) m k and b = Dense.random ~seed:n k n in
-      let plain = Dense.matmul_unblocked a b in
-      let tiled = Dense.matmul a b in
-      check_true
-        (Printf.sprintf "gemm %dx%dx%d tiled = untiled bitwise" m k n)
-        (bits_equal plain.Dense.data tiled.Dense.data);
-      let ws = Workspace.create () in
-      let with_ws = Dense.matmul ~ws a b in
-      check_true
-        (Printf.sprintf "gemm %dx%dx%d ws path bitwise" m k n)
-        (bits_equal plain.Dense.data with_ws.Dense.data))
-    [ (5, 7, 3); (37, 41, 53); (64, 64, 64); (130, 17, 64); (96, 200, 99) ]
+  (* every [m mod mr] x [n mod nr] remainder of the 2x4 tile, the fallback
+     shapes ([k] < 8, [n] < nr), column-block splits ([k] large enough that
+     the panel holds fewer than [n] columns), and shapes straddling the
+     blocking threshold; each through the plain, workspace and 2-domain
+     pooled paths *)
+  let remainders =
+    List.concat_map (fun m -> List.map (fun n -> (m, 33, n)) [ 64; 65; 66; 67 ]) [ 64; 65 ]
+  in
+  let fallbacks = [ (5, 7, 3); (40, 7, 40); (40, 40, 3); (300, 300, 1) ] in
+  let column_splits = [ (9, 1024, 70); (7, 2000, 37) ] in
+  let straddling = [ (37, 41, 53); (64, 64, 64); (130, 17, 64); (96, 200, 99) ] in
+  let pool = Granii_tensor.Parallel.create ~threads:2 () in
+  Fun.protect
+    ~finally:(fun () -> Granii_tensor.Parallel.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (m, k, n) ->
+          let a = Dense.random ~seed:(m + k) m k and b = Dense.random ~seed:n k n in
+          let plain = Dense.matmul_unblocked a b in
+          let check path (c : Dense.t) =
+            check_true
+              (Printf.sprintf "gemm %dx%dx%d %s = untiled bitwise" m k n path)
+              (c.Dense.rows = m && c.Dense.cols = n
+              && bits_equal plain.Dense.data c.Dense.data)
+          in
+          check "tiled" (Dense.matmul a b);
+          check "ws path" (Dense.matmul ~ws:(Workspace.create ()) a b);
+          check "pooled" (Dense.matmul ~pool a b))
+        (remainders @ fallbacks @ column_splits @ straddling))
 
 let test_tiled_sparse_bitwise () =
   let graph = G.Generators.erdos_renyi ~seed:9 ~n:120 ~avg_degree:6. () in

@@ -144,6 +144,95 @@ let test_sparse_add () =
   check_float "overlapping summed" 3. (Csr.get s 0 0);
   check_float "disjoint kept" 4. (Csr.get s 1 1)
 
+(* The COO construction [Sparse_ops.add] replaced: both operands' entries
+   as one boxed list, sorted and summed by [Coo.make], rebuilt as CSR. Kept
+   as the reference the row merge must match. *)
+let coo_add (a : Csr.t) (b : Csr.t) =
+  let entries = ref [] in
+  Csr.iter (fun i j v -> entries := (i, j, v) :: !entries) a;
+  Csr.iter (fun i j v -> entries := (i, j, v) :: !entries) b;
+  Csr.of_coo (Coo.make ~n_rows:a.Csr.n_rows ~n_cols:a.Csr.n_cols (Array.of_list !entries))
+
+let rows_of ~n row =
+  let row_ptr = Array.make (n + 1) 0 in
+  let rows = Array.init n row in
+  Array.iteri (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + Array.length r) rows;
+  (row_ptr, Array.concat (Array.to_list rows))
+
+(* One square n x n operand of a shape the executor can hand to
+   [Sparse_add]: a star, empty rows, sorted rows, rows left unsorted by
+   [Reorder.permute_csr], arbitrary rows through [Csr.make] (any order,
+   repeated columns), or a diagonal built as dispatch builds it. Weighted
+   with probability 1/2 (the diagonal always is). *)
+let add_operand rng ~n =
+  let module Prng = Granii_tensor.Prng in
+  let value () = Prng.uniform rng (-2.) 2. in
+  let weigh (m : Csr.t) =
+    if Prng.bool rng 0.5 then Csr.with_values m (Array.init (Csr.nnz m) (fun _ -> value ()))
+    else m
+  in
+  let sorted () =
+    let p = Prng.uniform rng 0. 0.5 in
+    let row_ptr, col_idx =
+      rows_of ~n (fun _ ->
+          Array.of_list (List.filter (fun _ -> Prng.bool rng p) (List.init n Fun.id)))
+    in
+    Csr.make ~n_rows:n ~n_cols:n ~row_ptr ~col_idx ~values:None
+  in
+  match Prng.int rng 6 with
+  | 0 when n >= 1 -> weigh (Granii_graph.Generators.star ~n).Granii_graph.Graph.adj
+  | 1 -> Csr.make ~n_rows:n ~n_cols:n ~row_ptr:(Array.make (n + 1) 0) ~col_idx:[||] ~values:None
+  | 2 ->
+      let perm = Array.init n Fun.id in
+      Prng.shuffle_in_place rng perm;
+      Granii_graph.Reorder.permute_csr
+        (Granii_graph.Reorder.of_perm ~strategy:Granii_graph.Reorder.Degree_sort perm)
+        (weigh (sorted ()))
+  | 3 ->
+      let row_ptr, col_idx =
+        rows_of ~n (fun _ -> Array.init (Prng.int rng 6) (fun _ -> Prng.int rng n))
+      in
+      weigh (Csr.make ~n_rows:n ~n_cols:n ~row_ptr ~col_idx ~values:None)
+  | 4 -> Granii_core.Dispatch.diag_to_csr (Array.init n (fun _ -> value ()))
+  | _ -> weigh (sorted ())
+
+let add_pair_gen =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, return 0); (1, return 1); (6, int_range 2 14) ] in
+  let* seed = int_range 0 100_000 in
+  let rng = Granii_tensor.Prng.create seed in
+  let a = add_operand rng ~n in
+  return (a, add_operand rng ~n)
+
+let repeats_a_column (m : Csr.t) =
+  let seen = Hashtbl.create 16 in
+  let rep = ref false in
+  Csr.iter
+    (fun i j _ -> if Hashtbl.mem seen (i, j) then rep := true else Hashtbl.add seen (i, j) ())
+    m;
+  !rep
+
+(* Structure always equal to the COO reference, and the result weighted.
+   Values are bit-equal when no operand row repeats a column (each output is
+   one value or one commutative A + B). With repeats, the reference's
+   unstable heap sort leaves the summation order of 3+ terms undefined, so
+   values agree within 1e-12 relative to max(1, |x|) (operands lie in
+   [-2, 2]). *)
+let test_sparse_add_matches_coo =
+  qtest ~count:400 "add matches the COO construction" add_pair_gen (fun (a, b) ->
+      let got = Sparse_ops.add a b and want = coo_add a b in
+      let gv = Option.get got.Csr.values and wv = Option.get want.Csr.values in
+      let value_ok =
+        if repeats_a_column a || repeats_a_column b then
+          Array.for_all2
+            (fun x y -> Float.abs (x -. y) <= 1e-12 *. Float.max 1. (Float.abs x))
+            gv wv
+        else Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) gv wv
+      in
+      got.Csr.n_rows = want.Csr.n_rows && got.Csr.n_cols = want.Csr.n_cols
+      && got.Csr.row_ptr = want.Csr.row_ptr && got.Csr.col_idx = want.Csr.col_idx
+      && value_ok)
+
 let test_row_softmax () =
   let m =
     Csr.of_coo (Coo.make ~n_rows:2 ~n_cols:3 [| (0, 0, 1.); (0, 2, 1.); (1, 1, 100.) |])
@@ -207,6 +296,7 @@ let suite =
     test_dot_rows_matches_run;
     test_scale_rows_cols;
     Alcotest.test_case "sparse add" `Quick test_sparse_add;
+    test_sparse_add_matches_coo;
     Alcotest.test_case "row softmax" `Quick test_row_softmax;
     test_csc_roundtrip;
     test_csc_dense_agree;
