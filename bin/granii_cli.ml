@@ -233,12 +233,6 @@ let select_cmd =
     Arg.(value & flag
          & info [ "analytic" ] ~doc:"Use the analytic cost model instead of training GBRTs.")
   in
-  let threads =
-    Arg.(value & opt int 1
-         & info [ "threads"; "t" ] ~docv:"N"
-             ~doc:"Thread count of the execution engine the selection targets \
-                   (fed to the featurizer and the cost models).")
-  in
   let env_of graph k_in k_out =
     { Dim.n = G.Graph.n_nodes graph;
       nnz = G.Graph.n_edges graph + G.Graph.n_nodes graph;
@@ -273,7 +267,9 @@ let select_cmd =
              ~doc:
                "Execution-engine configuration for $(b,--execute), as \
                 comma-separated key=value pairs parsed by \
-                $(b,Engine.config_of_string): $(b,threads)=N, \
+                $(b,Engine.config_of_string): $(b,threads)=N (also the \
+                thread count the selection targets, fed to the featurizer \
+                and the cost models), \
                 $(b,workspace)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop, \
@@ -300,14 +296,11 @@ let select_cmd =
                 tiles) or $(b,cbm) (neighbor-dedup delta rows).")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
-      threads models_file execute engine_spec reorder format_
+      models_file execute engine_spec reorder format_
       trace_file metrics_file journal_file =
-    if threads < 1 then begin
-      Printf.eprintf "--threads expects a positive integer\n";
-      exit 1
-    end;
-    (* --engine SPEC configures the execution substrate of --execute; the
-       locality axis stays with selection unless the spec forces it. *)
+    (* --engine SPEC configures the execution substrate of --execute and the
+       thread count selection targets; the locality axis stays with
+       selection unless the spec forces it. *)
     let spec_forces_locality spec =
       String.split_on_char ',' spec |> List.map String.trim
       |> List.exists (fun f ->
@@ -335,6 +328,8 @@ let select_cmd =
          carries a locality= key)";
       exit 0
     end;
+    (* selection targets the engine --execute runs on: one thread count *)
+    let threads = engine_base.Engine.threads in
     (* The --reorder/--format axes restrict the configuration space the
        joint argmin searches; "auto" leaves an axis free. *)
     let strategies =
@@ -514,7 +509,7 @@ let select_cmd =
     (Cmd.info "select"
        ~doc:"Run the online stage: featurize an input and rank the candidates")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ hw $ iterations $ system
-          $ analytic $ auto_calibrate $ threads $ models_file $ execute
+          $ analytic $ auto_calibrate $ models_file $ execute
           $ engine_spec $ reorder $ format_ $ trace_file_arg
           $ metrics_file_arg $ journal_file_arg)
 
@@ -656,9 +651,6 @@ let stats_cmd =
               name count (1000. *. sum) (1000. *. min_) (1000. *. max_))
           (Obs.Metrics.histograms m);
         print_newline ());
-    (match obs.Obs.costmon with
-    | None -> ()
-    | Some cm -> Format.printf "%a@." Obs.Cost_monitor.pp cm);
     (* the engine's oracle saw every (predicted, measured) pair the run
        produced; force one calibration pass so the table shows the fitted
        corrections even on short runs *)
@@ -1007,7 +999,7 @@ let serve_sim_cmd =
     in
     let res = Ssim.run server load in
     Serve.shutdown server;
-    let sketch = Serve.latency_sketch server in
+    let hist = Serve.latency_histogram server in
     let s = res.Ssim.stats in
     Printf.printf
       "serve-sim: %s on %s (n=%d nnz=%d) %d->%d\n\
@@ -1025,14 +1017,14 @@ let serve_sim_cmd =
     Printf.printf "plan cache  %d hits / %d misses / %d evictions\n"
       pc.Plan_cache.hits pc.Plan_cache.misses pc.Plan_cache.evictions;
     Printf.printf "backpressure retries %d\n" res.Ssim.retries;
-    if Obs.Sketch.count sketch > 0 then
+    if Obs.Histogram.count hist > 0 then
       Printf.printf
-        "sketch      p50 %.3f ms   p95 %.3f ms   p99 %.3f ms  (streaming, \
+        "histogram   p50 %.3f ms   p95 %.3f ms   p99 %.3f ms  (bucketed, \
          %d samples)\n"
-        (1000. *. Obs.Sketch.quantile sketch 0.5)
-        (1000. *. Obs.Sketch.quantile sketch 0.95)
-        (1000. *. Obs.Sketch.quantile sketch 0.99)
-        (Obs.Sketch.count sketch);
+        (1000. *. Obs.Histogram.quantile hist 0.5)
+        (1000. *. Obs.Histogram.quantile hist 0.95)
+        (1000. *. Obs.Histogram.quantile hist 0.99)
+        (Obs.Histogram.count hist);
     (match slo with
     | None -> ()
     | Some ms ->

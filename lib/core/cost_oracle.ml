@@ -228,10 +228,10 @@ let plan_adjustment ?threads (p : Hw.t) ~stats ~env ~iterations config
 
 (* ---- scoring: pooled Kendall inversions + mean |log error| ----
 
-   Inversions are counted over pairs distinct on both axes — the same
-   convention as [Obs.Cost_monitor.summarize] — but pooled across
-   primitives, because cross-primitive ordering is what plan selection
-   consumes (a per-primitive monotone correction cannot change
+   Inversions are counted over pairs distinct on both axes. The report
+   counts them per primitive and pooled across primitives; calibration
+   scores the pooled count, because cross-primitive ordering is what plan
+   selection consumes (a per-primitive monotone correction cannot change
    within-primitive order, only how primitives rank against each other). *)
 
 let inversions preds meas n =
@@ -472,7 +472,6 @@ type report = {
 
 let report t =
   let prims = Obs.Cost_monitor.prims t.monitor in
-  let summaries = Obs.Cost_monitor.summaries t.monitor in
   let per_prim =
     List.map
       (fun prim ->
@@ -483,18 +482,8 @@ let report t =
         let corr = Array.map (fun p -> corrected t ~prim p) raw in
         let base_inv, inv_pairs = inversions raw meas n in
         let corr_inv, _ = inversions corr meas n in
-        let runs =
-          match
-            List.find_opt
-              (fun (s : Obs.Cost_monitor.summary) ->
-                s.Obs.Cost_monitor.prim = prim)
-              summaries
-          with
-          | Some s -> s.Obs.Cost_monitor.n
-          | None -> n
-        in
         { rp_prim = prim;
-          rp_runs = runs;
+          rp_runs = Obs.Cost_monitor.runs t.monitor prim;
           rp_pairs = n;
           rp_base_err = mean_abs_log_err raw meas n;
           rp_corrected_err = mean_abs_log_err corr meas n;
@@ -525,13 +514,14 @@ let report t =
 
 let pp_report ppf (r : report) =
   Format.fprintf ppf "calibration v%d@\n" r.report_version;
-  Format.fprintf ppf "%-18s %6s %6s %10s %10s %6s %6s %5s@\n" "primitive"
-    "runs" "pairs" "base|lnE|" "corr|lnE|" "b.inv" "c.inv" "fit";
+  Format.fprintf ppf "%-18s %6s %6s %10s %10s %13s %6s %5s@\n" "primitive"
+    "runs" "pairs" "base|lnE|" "corr|lnE|" "b.inv/pairs" "c.inv" "fit";
   List.iter
     (fun p ->
-      Format.fprintf ppf "%-18s %6d %6d %10.4f %10.4f %6d %6d %5s@\n"
+      Format.fprintf ppf "%-18s %6d %6d %10.4f %10.4f %13s %6d %5s@\n"
         p.rp_prim p.rp_runs p.rp_pairs p.rp_base_err p.rp_corrected_err
-        p.rp_base_inv p.rp_corrected_inv
+        (Printf.sprintf "%d/%d" p.rp_base_inv p.rp_inv_pairs)
+        p.rp_corrected_inv
         (if p.rp_corrected then "yes" else "no"))
     r.per_prim;
   Format.fprintf ppf "pooled: %d pairs, inversions %d -> %d@\n" r.pooled_pairs

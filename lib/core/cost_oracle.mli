@@ -212,11 +212,13 @@ val rollback : t -> bool
     rolled-back oracle with the state it replaced. [false] when there is no
     snapshot. *)
 
-(** {1 Reporting} (the [granii stats] calibration table) *)
+(** {1 Reporting} (the [granii stats] accuracy table — the only one: the
+    pair store keeps no statistics of its own) *)
 
 type prim_report = {
   rp_prim : string;
-  rp_runs : int;          (** total runs recorded (beyond the ring) *)
+  rp_runs : int;          (** {!Granii_obs.Obs.Cost_monitor.runs}: every
+                              recorded pair, held or not *)
   rp_pairs : int;         (** positive pairs currently held *)
   rp_base_err : float;    (** mean |ln (raw/measured)| *)
   rp_corrected_err : float;  (** same, after the current correction *)
@@ -238,3 +240,7 @@ type report = {
 val report : t -> report
 
 val pp_report : Format.formatter -> report -> unit
+(** One row per primitive: runs, held pairs, mean |ln E| raw and corrected,
+    raw inversions over comparable pairs ([b.inv/pairs]), corrected
+    inversions and whether a correction is installed; then the pooled
+    inversion counts. *)

@@ -186,26 +186,125 @@ module Trace = struct
     String.concat "\n" lines ^ if lines = [] then "" else "\n"
 end
 
+(* ---- log-bucketed histograms ---- *)
+
+module Histogram = struct
+  (* Each decade between the bounds below is split into [sub_buckets]
+     log-uniform sub-buckets. The bounds are precomputed once and every
+     decade bound appears among them verbatim, so a sample's decade under
+     the exporters' rule ([v <= bound]) is exactly the decade of its slot.
+     Slot 0 holds the samples <= 1e-6, slot i the samples in
+     (bounds.(i-1), bounds.(i)], and the last slot those above 10. *)
+  let decades = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. |]
+  let sub_buckets = 64
+  let rel_error = (10. ** (1. /. float_of_int sub_buckets)) -. 1.
+
+  let bounds =
+    Array.init
+      (((Array.length decades - 1) * sub_buckets) + 1)
+      (fun i ->
+        if i mod sub_buckets = 0 then decades.(i / sub_buckets)
+        else 10. ** (-6. +. (float_of_int i /. float_of_int sub_buckets)))
+
+  let n_bounds = Array.length bounds
+
+  type t = {
+    mutable count : int;
+    mutable sum : float;
+    mutable mn : float;
+    mutable mx : float;
+    slots : int array;  (* non-cumulative; one per bound, plus overflow *)
+  }
+
+  let create () =
+    { count = 0;
+      sum = 0.;
+      mn = infinity;
+      mx = neg_infinity;
+      slots = Array.make (n_bounds + 1) 0 }
+
+  (* the smallest i with v <= bounds.(i); n_bounds when v > 10 *)
+  let slot_of v =
+    let lo = ref 0 and hi = ref n_bounds in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if v <= bounds.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let add t v =
+    if Float.is_finite v then begin
+      t.count <- t.count + 1;
+      t.sum <- t.sum +. v;
+      if v < t.mn then t.mn <- v;
+      if v > t.mx then t.mx <- v;
+      let i = slot_of v in
+      t.slots.(i) <- t.slots.(i) + 1
+    end
+
+  let count t = t.count
+  let sum t = t.sum
+  let minimum t = if t.count = 0 then nan else t.mn
+  let maximum t = if t.count = 0 then nan else t.mx
+
+  (* Nearest rank r = ceil (q n). The estimate interpolates linearly, by
+     r's position among the samples of the slot holding it, across that
+     slot's edges narrowed to [min, max]. The exact value lies inside the
+     same narrowed edges, so the two are within one sub-bucket ratio. *)
+  let quantile t q =
+    if t.count = 0 then nan
+    else begin
+      let n = t.count in
+      let r = int_of_float (Float.ceil (q *. float_of_int n)) in
+      let r = max 1 (min n r) in
+      let i = ref 0 and below = ref 0 in
+      while !below + t.slots.(!i) < r do
+        below := !below + t.slots.(!i);
+        incr i
+      done;
+      let i = !i in
+      let lo = if i = 0 then t.mn else Float.max t.mn bounds.(i - 1) in
+      let hi = if i = n_bounds then t.mx else Float.min t.mx bounds.(i) in
+      let frac = float_of_int (r - !below) /. float_of_int t.slots.(i) in
+      Float.min hi (Float.max lo (lo +. (frac *. (hi -. lo))))
+    end
+
+  let merge_all hs =
+    let m = create () in
+    List.iter
+      (fun h ->
+        m.count <- m.count + h.count;
+        m.sum <- m.sum +. h.sum;
+        m.mn <- Float.min m.mn h.mn;
+        m.mx <- Float.max m.mx h.mx;
+        Array.iteri (fun i c -> m.slots.(i) <- m.slots.(i) + c) h.slots)
+      hs;
+    m
+
+  let merge a b = merge_all [ a; b ]
+
+  (* Slot i >= 1 lies in decade ceil (i / sub_buckets); slot 0 is the first
+     decade and the overflow slot lands one past the last. *)
+  let decade_counts t =
+    let d = Array.make (Array.length decades + 1) 0 in
+    Array.iteri
+      (fun i c ->
+        let j = (i + sub_buckets - 1) / sub_buckets in
+        d.(j) <- d.(j) + c)
+      t.slots;
+    List.mapi
+      (fun j c ->
+        ((if j < Array.length decades then decades.(j) else infinity), c))
+      (Array.to_list d)
+end
+
 (* ---- metrics registry ---- *)
 
 module Metrics = struct
-  (* log-spaced "less or equal" bucket bounds, in seconds when the metric is
-     a time; the +Inf bucket is implicit *)
-  let default_buckets = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. |]
-
-  type hist = {
-    mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-    bounds : float array;
-    buckets : int array;  (* non-cumulative; one slot per bound + overflow *)
-  }
-
   type t = {
     counters : (string, int ref) Hashtbl.t;
     gauges : (string, float ref) Hashtbl.t;
-    hists : (string, hist) Hashtbl.t;
+    hists : (string, Histogram.t) Hashtbl.t;
   }
 
   let create () =
@@ -287,8 +386,6 @@ module Metrics = struct
     | Some r -> r := !r + n
     | None -> Hashtbl.add t.counters name (ref n)
 
-  let add_labeled t name ~labels n = add t (encode_key name labels) n
-
   let set_gauge t name v =
     match Hashtbl.find_opt t.gauges name with
     | Some r -> r := v
@@ -301,28 +398,11 @@ module Metrics = struct
       match Hashtbl.find_opt t.hists name with
       | Some h -> h
       | None ->
-          let h =
-            { count = 0;
-              sum = 0.;
-              min = infinity;
-              max = neg_infinity;
-              bounds = default_buckets;
-              buckets = Array.make (Array.length default_buckets + 1) 0 }
-          in
+          let h = Histogram.create () in
           Hashtbl.add t.hists name h;
           h
     in
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.min then h.min <- v;
-    if v > h.max then h.max <- v;
-    let rec slot i =
-      if i >= Array.length h.bounds then i
-      else if v <= h.bounds.(i) then i
-      else slot (i + 1)
-    in
-    let i = slot 0 in
-    h.buckets.(i) <- h.buckets.(i) + 1
+    Histogram.add h v
 
   let counter_value t name =
     match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -330,10 +410,9 @@ module Metrics = struct
   let gauge_value t name =
     match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
 
-  let hist_stats t name =
-    match Hashtbl.find_opt t.hists name with
-    | None -> None
-    | Some h -> Some (h.count, h.sum, h.min, h.max)
+  let stats h = Histogram.(count h, sum h, minimum h, maximum h)
+
+  let hist_stats t name = Option.map stats (Hashtbl.find_opt t.hists name)
 
   let sorted_keys tbl =
     Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
@@ -350,7 +429,7 @@ module Metrics = struct
     List.filter_map
       (fun k ->
         match Hashtbl.find_opt t.hists k with
-        | Some h -> Some (display_key k, (h.count, h.sum, h.min, h.max))
+        | Some h -> Some (display_key k, stats h)
         | None -> None)
       (sorted_keys t.hists)
 
@@ -382,19 +461,18 @@ module Metrics = struct
       (fun i k ->
         if i > 0 then Buffer.add_string b ",";
         let h = Hashtbl.find t.hists k in
+        let count, sum, min_, max_ = stats h in
         Buffer.add_string b
           (Printf.sprintf
              "\n    \"%s\": {\"count\": %d, \"sum\": %s, \"min\": %s, \
-              \"max\": %s, \"buckets\": ["
-             (esc (display_key k)) h.count (fnum h.sum)
-             (fnum (if h.count = 0 then 0. else h.min))
-             (fnum (if h.count = 0 then 0. else h.max)));
-        Array.iteri
-          (fun i c ->
-            if i > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b (string_of_int c))
-          h.buckets;
-        Buffer.add_string b "]}")
+              \"max\": %s, \"buckets\": [%s]}"
+             (esc (display_key k)) count (fnum sum)
+             (fnum (if count = 0 then 0. else min_))
+             (fnum (if count = 0 then 0. else max_))
+             (String.concat ", "
+                (List.map
+                   (fun (_, c) -> string_of_int c)
+                   (Histogram.decade_counts h)))))
       (sorted_keys t.hists);
     Buffer.add_string b "\n  }\n}\n";
     Buffer.contents b
@@ -485,20 +563,20 @@ module Metrics = struct
             in
             let plain = prom_labels labels in
             let cum = ref 0 in
-            Array.iteri
-              (fun i bound ->
-                cum := !cum + h.buckets.(i);
+            List.iter
+              (fun (bound, c) ->
+                cum := !cum + c;
+                let le =
+                  if Float.is_finite bound then Printf.sprintf "%.0e" bound
+                  else "+Inf"
+                in
                 Buffer.add_string b
-                  (Printf.sprintf "%s_bucket%s %d\n" n
-                     (with_le (Printf.sprintf "%.0e" bound))
-                     !cum))
-              h.bounds;
+                  (Printf.sprintf "%s_bucket%s %d\n" n (with_le le) !cum))
+              (Histogram.decade_counts h);
             Buffer.add_string b
-              (Printf.sprintf "%s_bucket%s %d\n" n (with_le "+Inf") h.count);
+              (Printf.sprintf "%s_sum%s %.9g\n" n plain (Histogram.sum h));
             Buffer.add_string b
-              (Printf.sprintf "%s_sum%s %.9g\n" n plain h.sum);
-            Buffer.add_string b
-              (Printf.sprintf "%s_count%s %d\n" n plain h.count))
+              (Printf.sprintf "%s_count%s %d\n" n plain (Histogram.count h)))
           samples)
       (families (sorted_keys t.hists));
     Buffer.contents b
@@ -597,69 +675,8 @@ module Cost_monitor = struct
   let prims (t : t) =
     Hashtbl.fold (fun prim _ acc -> prim :: acc) t [] |> List.sort compare
 
-  type summary = {
-    prim : string;
-    n : int;                    (* recorded runs *)
-    mean_abs_log_err : float;   (* mean |ln(predicted / measured)| *)
-    rank_inversions : int;      (* discordant (predicted, measured) pairs *)
-    pairs_compared : int;       (* pair count the inversions are out of *)
-  }
-
-  let summarize prim (s : series) =
-    let pairs = List.filter (fun (p, m) -> p > 0. && m > 0.) (held s) in
-    let k = List.length pairs in
-    let mean_abs_log_err =
-      if k = 0 then nan
-      else
-        List.fold_left (fun acc (p, m) -> acc +. Float.abs (log (p /. m))) 0. pairs
-        /. float_of_int k
-    in
-    let arr = Array.of_list pairs in
-    let inv = ref 0 and total = ref 0 in
-    for i = 0 to Array.length arr - 1 do
-      for j = i + 1 to Array.length arr - 1 do
-        let pi, mi = arr.(i) and pj, mj = arr.(j) in
-        if pi <> pj && mi <> mj then begin
-          incr total;
-          if (pi -. pj) *. (mi -. mj) < 0. then incr inv
-        end
-      done
-    done;
-    { prim;
-      n = s.n;
-      mean_abs_log_err;
-      rank_inversions = !inv;
-      pairs_compared = !total }
-
-  let summaries (t : t) =
-    Hashtbl.fold (fun prim s acc -> summarize prim s :: acc) t []
-    |> List.sort (fun a b -> compare a.prim b.prim)
-
-  let to_json (t : t) =
-    let b = Buffer.create 512 in
-    Buffer.add_string b "{";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n  \"%s\": {\"n\": %d, \"mean_abs_log_err\": %s, \
-              \"rank_inversions\": %d, \"pairs_compared\": %d}"
-             (Trace.json_escape s.prim) s.n
-             (Metrics.fnum s.mean_abs_log_err)
-             s.rank_inversions s.pairs_compared))
-      (summaries t);
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
-
-  let pp ppf (t : t) =
-    Format.fprintf ppf "%-16s %6s %14s %16s@." "primitive" "runs"
-      "mean|log err|" "rank inversions";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-16s %6d %14.3f %10d/%d@." s.prim s.n
-          s.mean_abs_log_err s.rank_inversions s.pairs_compared)
-      (summaries t)
+  let runs (t : t) prim =
+    match Hashtbl.find_opt t prim with None -> 0 | Some s -> s.n
 end
 
 (* ---- lock-free per-domain event journal ---- *)
@@ -884,204 +901,6 @@ module Journal = struct
       (Metrics.fnum e.e_v)
 end
 
-(* ---- streaming quantile sketches (P-squared, Jain & Chlamtac 1985) ---- *)
-
-module Sketch = struct
-  (* One five-marker P² estimator per tracked quantile: fixed memory
-     (5 markers x 4 tracked quantiles), O(1) per observation, no stored
-     samples. The error is not worst-case bounded, but is empirically a few
-     percent relative on smooth unimodal distributions; the tests pin it
-     within the tolerances documented in DESIGN.md §16. *)
-
-  let tracked = [| 0.5; 0.9; 0.95; 0.99 |]
-
-  type pq = {
-    q : float array;    (* marker heights *)
-    np : float array;   (* actual marker positions (1-based) *)
-    dn : float array;   (* desired marker positions *)
-    dnp : float array;  (* desired position increments *)
-  }
-
-  type t = {
-    mutable count : int;
-    head : float array;  (* first five observations, kept for exact start *)
-    qs : pq array;       (* one estimator per tracked quantile *)
-    mutable mn : float;
-    mutable mx : float;
-  }
-
-  let create () =
-    { count = 0;
-      head = Array.make 5 0.;
-      qs =
-        Array.map
-          (fun p ->
-            { q = Array.make 5 0.;
-              np = [| 1.; 2.; 3.; 4.; 5. |];
-              dn = [| 1.; 1. +. (2. *. p); 1. +. (4. *. p); 3. +. (2. *. p); 5. |];
-              dnp = [| 0.; p /. 2.; p; (1. +. p) /. 2.; 1. |] })
-          tracked;
-      mn = infinity;
-      mx = neg_infinity }
-
-  let count t = t.count
-  let minimum t = if t.count = 0 then nan else t.mn
-  let maximum t = if t.count = 0 then nan else t.mx
-
-  let parabolic s d i =
-    let q = s.q and n = s.np in
-    q.(i)
-    +. d /. (n.(i + 1) -. n.(i - 1))
-       *. (((n.(i) -. n.(i - 1) +. d) *. (q.(i + 1) -. q.(i))
-            /. (n.(i + 1) -. n.(i)))
-           +. ((n.(i + 1) -. n.(i) -. d) *. (q.(i) -. q.(i - 1))
-               /. (n.(i) -. n.(i - 1))))
-
-  let linear s d i =
-    let q = s.q and n = s.np in
-    let j = i + int_of_float d in
-    q.(i) +. (d *. (q.(j) -. q.(i)) /. (n.(j) -. n.(i)))
-
-  let add_pq s x =
-    let q = s.q and n = s.np in
-    (* locate the marker cell, stretching the extremes when x escapes them *)
-    let k =
-      if x < q.(0) then begin
-        q.(0) <- x;
-        0
-      end
-      else if x >= q.(4) then begin
-        if x > q.(4) then q.(4) <- x;
-        3
-      end
-      else begin
-        let k = ref 0 in
-        for i = 1 to 3 do
-          if x >= q.(i) then k := i
-        done;
-        !k
-      end
-    in
-    for i = k + 1 to 4 do
-      n.(i) <- n.(i) +. 1.
-    done;
-    for i = 0 to 4 do
-      s.dn.(i) <- s.dn.(i) +. s.dnp.(i)
-    done;
-    (* nudge interior markers toward their desired positions *)
-    for i = 1 to 3 do
-      let d = s.dn.(i) -. n.(i) in
-      if
-        (d >= 1. && n.(i + 1) -. n.(i) > 1.)
-        || (d <= -1. && n.(i - 1) -. n.(i) < -1.)
-      then begin
-        let d = if d >= 0. then 1. else -1. in
-        let q' = parabolic s d i in
-        let q' =
-          if q.(i - 1) < q' && q' < q.(i + 1) then q' else linear s d i
-        in
-        q.(i) <- q';
-        n.(i) <- n.(i) +. d
-      end
-    done
-
-  let add t x =
-    if Float.is_finite x then begin
-      if x < t.mn then t.mn <- x;
-      if x > t.mx then t.mx <- x;
-      if t.count < 5 then begin
-        t.head.(t.count) <- x;
-        t.count <- t.count + 1;
-        if t.count = 5 then begin
-          let sorted = Array.copy t.head in
-          Array.sort compare sorted;
-          Array.iter (fun s -> Array.blit sorted 0 s.q 0 5) t.qs
-        end
-      end
-      else begin
-        t.count <- t.count + 1;
-        Array.iter (fun s -> add_pq s x) t.qs
-      end
-    end
-
-  (* Exact over the first five samples. Past that, a tracked quantile is
-     its estimator's middle marker; any other probability interpolates
-     piecewise-linearly between (0, min), the tracked estimates and
-     (1, max), with the anchors forced monotone (P² markers of different
-     estimators can cross by small amounts). *)
-  let quantile t p =
-    if t.count = 0 then nan
-    else if t.count <= 5 then begin
-      let sorted = Array.sub t.head 0 t.count in
-      Array.sort compare sorted;
-      let rank = int_of_float (Float.round (p *. float_of_int (t.count - 1))) in
-      sorted.(max 0 (min (t.count - 1) rank))
-    end
-    else begin
-      let anchors =
-        Array.concat
-          [ [| (0., t.mn) |];
-            Array.mapi (fun i p' -> (p', t.qs.(i).q.(2))) tracked;
-            [| (1., t.mx) |] ]
-      in
-      for i = 1 to Array.length anchors - 1 do
-        let _, v0 = anchors.(i - 1) in
-        let p1, v1 = anchors.(i) in
-        if v1 < v0 then anchors.(i) <- (p1, v0)
-      done;
-      let p = Float.max 0. (Float.min 1. p) in
-      let rec go i =
-        if i >= Array.length anchors - 1 then snd anchors.(Array.length anchors - 1)
-        else
-          let p0, v0 = anchors.(i) and p1, v1 = anchors.(i + 1) in
-          if p <= p1 then
-            if p1 <= p0 then v1
-            else v0 +. ((p -. p0) /. (p1 -. p0) *. (v1 -. v0))
-          else go (i + 1)
-      in
-      go 0
-    end
-
-  (* Merged view of two sketches: a fresh sketch replayed with stratified
-     synthetic samples drawn from each input's piecewise-linear inverse
-     CDF, counts proportional to the inputs' true counts (at most 512
-     total). An approximation — the tails are linearized — adequate for
-     cross-tenant / cross-domain aggregate gauges; never mutates the
-     inputs. *)
-  let merge a b =
-    let t = create () in
-    let total = a.count + b.count in
-    if total = 0 then t
-    else begin
-      let replay src =
-        if src.count > 0 then begin
-          (* never more synthetic samples than the input saw real ones, so
-             a merge of small sketches keeps an honest count *)
-          let k =
-            max 1
-              (min
-                 (min 256 src.count)
-                 (int_of_float
-                    (Float.round
-                       (512. *. float_of_int src.count /. float_of_int total))))
-          in
-          for j = 0 to k - 1 do
-            let p = (float_of_int j +. 0.5) /. float_of_int k in
-            add t (quantile src p)
-          done
-        end
-      in
-      replay a;
-      replay b;
-      t
-    end
-
-  let merge_all = function
-    | [] -> create ()
-    | [ t ] -> t
-    | t :: rest -> List.fold_left merge t rest
-end
-
 (* ---- drift detectors ---- *)
 
 module Drift = struct
@@ -1206,8 +1025,6 @@ let enabled t =
   t.trace <> None || t.metrics <> None || t.costmon <> None
   || t.journal <> None
 
-let tracing t = t.trace <> None
-
 let span t ?cat ?attrs name f =
   match t.trace with
   | None -> f ()
@@ -1221,11 +1038,6 @@ let gauge t name v =
 
 let observe t name v =
   match t.metrics with None -> () | Some m -> Metrics.observe m name v
-
-let record_cost t ~prim ~predicted ~measured =
-  match t.costmon with
-  | None -> ()
-  | Some cm -> Cost_monitor.record cm ~prim ~predicted ~measured
 
 (* Journal an event. Cold-path convenience: hot paths should guard on
    [t.journal <> None] BEFORE computing the tag/value so a disabled sink

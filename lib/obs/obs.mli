@@ -1,6 +1,9 @@
-(** Telemetry: hierarchical tracing, a metrics registry, a cost-model
-    accuracy monitor, a lock-free per-domain event journal, streaming
-    quantile sketches and drift detectors (DESIGN.md §11, §16).
+(** Telemetry: hierarchical tracing, log-bucketed histograms, a metrics
+    registry, a cost-model pair store, a lock-free per-domain event journal
+    and drift detectors (DESIGN.md §11, §16). Each statistic is kept once:
+    the registry and the serving tenants share {!Histogram}, and the
+    cost-model accuracy table is {!Granii_core.Cost_oracle.report} over the
+    {!Cost_monitor} pairs.
 
     An {!t} is the sink an {!Granii_core.Engine.t} carries; each of its
     four components is independently optional, and {!disabled} — the
@@ -62,6 +65,64 @@ module Trace : sig
       [flamegraph.pl] / speedscope. *)
 end
 
+(** {1 Log-bucketed histograms} *)
+
+module Histogram : sig
+  (** A fixed-memory distribution of samples. Each decade between the
+      bounds [1e-6; 1e-5; …; 1; 10] (seconds when the samples are times) is
+      split into {!sub_buckets} log-uniform sub-buckets, plus one slot for
+      the samples [<= 1e-6] and one for those [> 10]. count, sum, min and
+      max are exact; {!merge} is exact; {!quantile} is within
+      {!rel_error} of the exact value inside the bucketed range. *)
+
+  type t
+
+  val sub_buckets : int
+  (** Sub-buckets per decade: 64. *)
+
+  val rel_error : float
+  (** [10 ** (1 / sub_buckets) - 1 ≈ 0.0366]: the worst-case relative error
+      of {!quantile} (see there). *)
+
+  val create : unit -> t
+
+  val add : t -> float -> unit
+  (** Non-finite samples are ignored. *)
+
+  val count : t -> int
+  val sum : t -> float
+
+  val minimum : t -> float
+  (** [nan] when empty; likewise {!maximum}. *)
+
+  val maximum : t -> float
+
+  val quantile : t -> float -> float
+  (** [quantile t q] estimates the nearest-rank [q]-quantile — the
+      [ceil (q n)]-th smallest sample, rank clamped to [[1, n]] — by
+      linear interpolation inside the sub-bucket that holds it, the
+      bucket's edges narrowed to [[minimum, maximum]] (so a point mass is
+      reported exactly); [nan] when empty. With [v] the exact value:
+      [|estimate - v| <= rel_error * v] when [1e-6 < v <= 10];
+      [minimum <= estimate <= 1e-6] when [v <= 1e-6]; and
+      [10 <= estimate <= maximum] when [v > 10]. *)
+
+  val merge : t -> t -> t
+  (** A fresh histogram: bucket-by-bucket sum of the inputs, so every
+      count, the min, the max and every {!quantile} equal those of one
+      histogram fed both sample streams (the sum up to float rounding).
+      Never mutates the inputs. *)
+
+  val merge_all : t list -> t
+  (** {!merge} folded over the list; a fresh empty histogram for [[]]. *)
+
+  val decade_counts : t -> (float * int) list
+  (** Non-cumulative counts per decade: [(bound, n)] for each bound
+      [1e-6 .. 10] — [n] samples [v <= bound] above the previous bound —
+      then [(infinity, n)] for the samples above [10]. The
+      {!Metrics} exporters print these. *)
+end
+
 (** {1 Metrics registry} *)
 
 module Metrics : sig
@@ -74,22 +135,21 @@ module Metrics : sig
 
   val set_gauge : t -> string -> float -> unit
 
-  val add_labeled : t -> string -> labels:(string * string) list -> int -> unit
-  (** Increment a labeled counter series. Labels are sorted, so the same
-      set in any order addresses the same series; listings and exports
-      render the series as [name{k="v",...}] with label values escaped per
-      the Prometheus exposition format. *)
-
   val set_gauge_labeled :
     t -> string -> labels:(string * string) list -> float -> unit
+  (** Set a labeled gauge series. Labels are sorted, so the same set in any
+      order addresses the same series; listings and exports render the
+      series as [name{k="v",...}] with label values escaped per the
+      Prometheus exposition format. *)
 
   val escape_label_value : string -> string
   (** Prometheus exposition-format label-value escaping: backslash, double
       quote and newline. *)
 
   val observe : t -> string -> float -> unit
-  (** Record a sample into a histogram (log-spaced seconds buckets,
-      [1e-6 .. 10] plus overflow). *)
+  (** Record a sample into a {!Histogram} (created at first use;
+      non-finite samples are ignored). Exports show its decade buckets,
+      [1e-6 .. 10] plus overflow. *)
 
   val counter_value : t -> string -> int
   (** [0] for an unknown counter. *)
@@ -115,7 +175,7 @@ module Metrics : sig
       label values are escaped with {!escape_label_value}. *)
 end
 
-(** {1 Cost-model accuracy monitor} *)
+(** {1 Cost-model pair store} *)
 
 module Cost_monitor : sig
   type t
@@ -128,10 +188,10 @@ module Cost_monitor : sig
       recording order. Past that it becomes a reservoir sample (Vitter's
       Algorithm R over a deterministic per-primitive xorshift stream): each
       subsequent pair lands in a uniformly random slot with probability
-      [4096/n], so the summary statistics (and the
-      {!Granii_core.Cost_oracle} calibration feed) describe the process's
-      {e whole} history with uniform weight rather than one arbitrary
-      window. [n] counts every recorded run. *)
+      [4096/n], so the {!Granii_core.Cost_oracle} accuracy report and
+      calibration feed describe the process's {e whole} history with
+      uniform weight rather than one arbitrary window. {!runs} counts every
+      recorded pair. *)
 
   val series_pairs : t -> string -> (float * float) list
   (** The (predicted, measured) pairs currently held for a primitive,
@@ -143,25 +203,8 @@ module Cost_monitor : sig
   val prims : t -> string list
   (** Primitive names with at least one recorded pair, sorted. *)
 
-  type summary = {
-    prim : string;
-    n : int;                    (** recorded runs *)
-    mean_abs_log_err : float;
-        (** mean [|ln (predicted / measured)|] over positive pairs;
-            [0] = perfect, [ln 2 ≈ 0.69] = off by 2x on average *)
-    rank_inversions : int;
-        (** discordant pairs: the model predicted [a] faster than [b] but
-            [b] measured faster — the quantity selection actually depends
-            on (Kendall-tau numerator) *)
-    pairs_compared : int;       (** pairs with distinct values on both axes *)
-  }
-
-  val summaries : t -> summary list
-  (** Sorted by primitive name. *)
-
-  val to_json : t -> string
-
-  val pp : Format.formatter -> t -> unit
+  val runs : t -> string -> int
+  (** Pairs ever recorded for a primitive, held or not ([0] when unknown). *)
 end
 
 (** {1 Event journal} *)
@@ -230,44 +273,6 @@ module Journal : sig
   val pp_entry : Format.formatter -> entry -> unit
 end
 
-(** {1 Streaming quantile sketches} *)
-
-module Sketch : sig
-  (** P² (Jain & Chlamtac 1985) streaming quantile estimation: five
-      markers per tracked quantile (p50/p90/p95/p99), fixed memory, O(1)
-      per observation, no stored samples. Exact for the first five
-      observations. Estimation error is not worst-case bounded; on smooth
-      unimodal distributions it is empirically within a few percent
-      relative (tolerances pinned by the tests, documented in DESIGN.md
-      §16). *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  (** Non-finite samples are ignored. *)
-
-  val count : t -> int
-  val minimum : t -> float
-  val maximum : t -> float
-
-  val quantile : t -> float -> float
-  (** [nan] when empty. Tracked quantiles (0.5, 0.9, 0.95, 0.99) read
-      their estimator directly; other probabilities interpolate between
-      the tracked estimates and the observed min/max. *)
-
-  val merge : t -> t -> t
-  (** A merged view built by stratified replay through each input's
-      piecewise-linear inverse CDF (≤ 512 synthetic samples, proportional
-      to the inputs' counts and never more than an input's own count, so
-      small merges keep an honest {!count}). Approximate — tails are
-      linearized — and never mutates the inputs. *)
-
-  val merge_all : t list -> t
-  (** Folds {!merge}; a singleton list returns the sketch itself (treat
-      the result as read-only). *)
-end
-
 (** {1 Drift detectors} *)
 
 module Drift : sig
@@ -326,8 +331,6 @@ val create :
 
 val enabled : t -> bool
 
-val tracing : t -> bool
-
 val span : t -> ?cat:string -> ?attrs:(string * string) list -> string ->
   (unit -> 'a) -> 'a
 (** {!Trace.with_span} when tracing, plain call otherwise. *)
@@ -335,7 +338,6 @@ val span : t -> ?cat:string -> ?attrs:(string * string) list -> string ->
 val count : t -> string -> int -> unit
 val gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
-val record_cost : t -> prim:string -> predicted:float -> measured:float -> unit
 
 val event : t -> Journal.kind -> tag:string -> v:float -> unit
 (** Journal an event when the journal is on. Hot paths should guard on

@@ -75,7 +75,7 @@ type tenant = {
   queue : pending Queue.t;  (* arrival order *)
   mutable busy : bool;  (* a job currently uses this arena *)
   ws : Workspace.t;
-  sketch : Obs.Sketch.t;  (* rolling latency quantiles, fixed memory *)
+  latency : Obs.Histogram.t;  (* completion latencies, fixed memory *)
   tdrift : Obs.Drift.t;  (* Page–Hinkley over the tenant's p99 stream *)
 }
 
@@ -289,20 +289,20 @@ let feed_oracle t (p : pending) (plan : Plan.t) dt =
       ~predicted ~measured:dt
   end
 
-(* Per-tenant rolling quantile gauges plus the p99 drift feed. *)
+(* Per-tenant latency quantile gauges plus the p99 drift feed. *)
 let tenant_gauges t (ten : tenant) =
   (match t.obs.Obs.metrics with
   | None -> ()
   | Some m ->
       let labels = [ ("tenant", ten.tname) ] in
       Obs.Metrics.set_gauge_labeled m "serve.latency.p50" ~labels
-        (Obs.Sketch.quantile ten.sketch 0.5);
+        (Obs.Histogram.quantile ten.latency 0.5);
       Obs.Metrics.set_gauge_labeled m "serve.latency.p95" ~labels
-        (Obs.Sketch.quantile ten.sketch 0.95);
+        (Obs.Histogram.quantile ten.latency 0.95);
       Obs.Metrics.set_gauge_labeled m "serve.latency.p99" ~labels
-        (Obs.Sketch.quantile ten.sketch 0.99));
-  if Obs.Sketch.count ten.sketch >= 16 then begin
-    let p99 = Obs.Sketch.quantile ten.sketch 0.99 in
+        (Obs.Histogram.quantile ten.latency 0.99));
+  if Obs.Histogram.count ten.latency >= 16 then begin
+    let p99 = Obs.Histogram.quantile ten.latency 0.99 in
     if Float.is_finite p99 && Obs.Drift.observe ten.tdrift p99 then begin
       Obs.count t.obs "serve.drift.fired" 1;
       Obs.event t.obs Obs.Journal.Drift ~tag:(Obs.Drift.name ten.tdrift)
@@ -319,7 +319,7 @@ let fulfill t (j : job) (plan : Plan.t) value dt =
   Obs.count t.obs "serve.requests.completed" 1;
   Obs.observe t.obs "serve.latency" latency;
   Obs.event t.obs Obs.Journal.Request ~tag:p.powner.tname ~v:latency;
-  Obs.Sketch.add p.powner.sketch latency;
+  Obs.Histogram.add p.powner.latency latency;
   (match t.cfg.slo_ms with
   | Some ms when latency *. 1000. > ms ->
       t.slo_breaches <- t.slo_breaches + 1;
@@ -443,7 +443,7 @@ let tenant_of t name =
           queue = Queue.create ();
           busy = false;
           ws = Workspace.create ();
-          sketch = Obs.Sketch.create ();
+          latency = Obs.Histogram.create ();
           tdrift = Obs.Drift.create ~min_samples:32 ("serve.p99:" ^ name) }
       in
       Hashtbl.replace t.tenants name ten;
@@ -599,13 +599,13 @@ let serve_oracle t = t.oracle
 let tenant_latency t name q =
   locked t (fun () ->
       match Hashtbl.find_opt t.tenants name with
-      | Some ten -> Obs.Sketch.quantile ten.sketch q
+      | Some ten -> Obs.Histogram.quantile ten.latency q
       | None -> Float.nan)
 
-let latency_sketch t =
+let latency_histogram t =
   locked t (fun () ->
-      Obs.Sketch.merge_all
-        (Hashtbl.fold (fun _ ten acc -> ten.sketch :: acc) t.tenants []))
+      Obs.Histogram.merge_all
+        (Hashtbl.fold (fun _ ten acc -> ten.latency :: acc) t.tenants []))
 
 (* The single-threaded reference path: same parameters, same (deterministic)
    selection, a plain sequential engine, no queues and no counter traffic. *)

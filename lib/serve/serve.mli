@@ -51,11 +51,12 @@
 
     {2 Production observability} (DESIGN.md §16)
 
-    Each tenant additionally carries a fixed-memory streaming quantile
-    sketch ({!Granii_obs.Obs.Sketch}) of its completion latencies, exported
-    as [serve.latency.p50/p95/p99] labeled gauges
+    Each tenant additionally carries a fixed-memory log-bucketed
+    histogram ({!Granii_obs.Obs.Histogram}, quantiles within
+    {!Granii_obs.Obs.Histogram.rel_error} of exact) of its completion
+    latencies, exported as [serve.latency.p50/p95/p99] labeled gauges
     ([{tenant="<name>"}]), and a Page–Hinkley drift detector
-    ({!Granii_obs.Obs.Drift}) over its rolling p99 — a sustained latency
+    ({!Granii_obs.Obs.Drift}) over its running p99 — a sustained latency
     regression fires a [serve.drift.fired] counter and a journal [drift]
     event. When the sink has a journal, the server records [request],
     [backpressure], [slo_breach] and [plan_cache_invalidate] events
@@ -210,12 +211,13 @@ val serve_oracle : t -> Granii_core.Cost_oracle.t
 
 val tenant_latency : t -> string -> float -> float
 (** [tenant_latency t name q] — the [q]-quantile (in [0,1]) of a tenant's
-    completion-latency sketch, in seconds; [nan] for an unknown tenant or
+    completion-latency histogram, in seconds; [nan] for an unknown tenant or
     one with no completions yet. *)
 
-val latency_sketch : t -> Granii_obs.Obs.Sketch.t
-(** Merge of every tenant's latency sketch — the server-wide latency
-    distribution (see {!Granii_obs.Obs.Sketch.merge_all}). *)
+val latency_histogram : t -> Granii_obs.Obs.Histogram.t
+(** Merge of every tenant's latency histogram — the server-wide latency
+    distribution. The merge is exact: its count is the number of
+    completions. *)
 
 val oracle :
   t -> graph:string -> model:string -> k_out:int ->

@@ -1,8 +1,9 @@
 (* The observability subsystem: span recorder semantics (nesting, balance
    under exceptions, retro-dated durations), exporter well-formedness,
-   metrics bookkeeping, the cost-monitor statistics, the two-clock timer,
-   and the engine-level guarantees — a disabled sink is bitwise invisible,
-   a live one reconciles its spans with the executor's report. *)
+   metrics bookkeeping, the cost-monitor pair store and the oracle's
+   accuracy report over it, the two-clock timer, and the engine-level
+   guarantees — a disabled sink is bitwise invisible, a live one
+   reconciles its spans with the executor's report. *)
 
 open Granii_core
 open Test_util
@@ -186,6 +187,12 @@ let test_metrics_prometheus () =
 
 (* ---- cost monitor ---- *)
 
+(* The pair store keeps no statistics of its own: the accuracy table is
+   the oracle's report over the store's pairs. *)
+let report_of cm =
+  Cost_oracle.report
+    (Cost_oracle.of_model ~monitor:cm (Cost_model.analytic Granii_hw.Hw_profile.cpu))
+
 let test_costmon_statistics () =
   let cm = Cm.create () in
   (* perfectly ranked but biased 2x: log error ln 2, no inversions *)
@@ -195,26 +202,25 @@ let test_costmon_statistics () =
   (* one clean inversion *)
   Cm.record cm ~prim:"gemm" ~predicted:1. ~measured:2.;
   Cm.record cm ~prim:"gemm" ~predicted:2. ~measured:1.;
-  (* non-positive pairs are excluded from the summary *)
+  (* non-positive pairs are excluded from the statistics *)
   Cm.record cm ~prim:"degree" ~predicted:0. ~measured:1.;
-  match Cm.summaries cm with
+  match (report_of cm).Cost_oracle.per_prim with
   | [ d; g; s ] ->
       check_true "sorted by primitive"
-        (d.Cm.prim = "degree" && g.Cm.prim = "gemm" && s.Cm.prim = "spmm");
-      check_int "spmm runs" 3 s.Cm.n;
+        (d.Cost_oracle.rp_prim = "degree" && g.Cost_oracle.rp_prim = "gemm"
+        && s.Cost_oracle.rp_prim = "spmm");
+      check_int "spmm runs" 3 s.Cost_oracle.rp_runs;
       check_float "spmm mean |log err| is ln 2" ~eps:1e-12 (log 2.)
-        s.Cm.mean_abs_log_err;
-      check_int "spmm has no inversions" 0 s.Cm.rank_inversions;
-      check_int "spmm compares all pairs" 3 s.Cm.pairs_compared;
-      check_int "gemm inversion counted" 1 g.Cm.rank_inversions;
-      check_int "gemm one comparable pair" 1 g.Cm.pairs_compared;
-      check_int "degree pair is recorded" 1 d.Cm.n;
-      check_true "degree summary holds no statistics"
-        (Float.is_nan d.Cm.mean_abs_log_err && d.Cm.pairs_compared = 0);
-      (match Obs.Json.validate (Cm.to_json cm) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("cost monitor JSON: " ^ e))
-  | l -> Alcotest.fail (Printf.sprintf "expected 3 summaries, got %d" (List.length l))
+        s.Cost_oracle.rp_base_err;
+      check_int "spmm has no inversions" 0 s.Cost_oracle.rp_base_inv;
+      check_int "spmm compares all pairs" 3 s.Cost_oracle.rp_inv_pairs;
+      check_int "gemm inversion counted" 1 g.Cost_oracle.rp_base_inv;
+      check_int "gemm one comparable pair" 1 g.Cost_oracle.rp_inv_pairs;
+      check_int "degree pair is recorded" 1 d.Cost_oracle.rp_runs;
+      check_true "degree row holds no statistics"
+        (d.Cost_oracle.rp_pairs = 0 && d.Cost_oracle.rp_inv_pairs = 0);
+      check_int "runs of an unknown primitive" 0 (Cm.runs cm "nope")
+  | l -> Alcotest.fail (Printf.sprintf "expected 3 rows, got %d" (List.length l))
 
 (* The 4096-pair cap is a uniform reservoir (Algorithm R): below the cap
    every pair is held exactly and in recording order; past it, each later
@@ -246,17 +252,13 @@ let test_costmon_cap () =
     | _ -> true
   in
   check_true "held pairs stay in recording order" (increasing pairs);
-  (match Cm.summaries cm with
+  (match (report_of cm).Cost_oracle.per_prim with
   | [ s ] ->
-      check_int "every run counted, sampled or not" 4098 s.Cm.n;
+      check_int "every run counted, sampled or not" 4098 s.Cost_oracle.rp_runs;
       check_float "identity predictions have zero error" ~eps:1e-12 0.
-        s.Cm.mean_abs_log_err;
-      check_int "perfect ranking has no inversions" 0 s.Cm.rank_inversions;
-      (match Obs.Json.validate (Cm.to_json cm) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("capped monitor JSON: " ^ e))
-  | l ->
-      Alcotest.fail (Printf.sprintf "expected 1 summary, got %d" (List.length l)));
+        s.Cost_oracle.rp_base_err;
+      check_int "perfect ranking has no inversions" 0 s.Cost_oracle.rp_base_inv
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l)));
   check_true "prims lists the primitive" (Cm.prims cm = [ "spmm" ])
 
 (* ---- the JSON checker's rejection paths ---- *)

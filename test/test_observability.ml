@@ -1,8 +1,10 @@
 (* The continuous-observability layer (DESIGN.md §16): journal ring
    semantics (wrap-around accounting, concurrent multi-domain writers, the
-   JSONL drain schema), P² sketch accuracy against exact quantiles on known
-   distributions, drift-detector firing and silence, drift-triggered
-   out-of-cadence oracle calibration, the full serving causal chain —
+   JSONL drain schema), histogram quantiles against exact ones on known
+   distributions and as qcheck properties (the stated error bound, exact
+   merge, the exporters' decade rule), drift-detector firing and silence,
+   drift-triggered out-of-cadence oracle calibration, the full serving
+   causal chain —
    drift -> accepted calibration -> version bump -> plan-cache
    invalidation — read back from one drained journal, and the differential
    proving an enabled journal never changes executor outputs. *)
@@ -11,7 +13,7 @@ open Granii_core
 open Test_util
 module Obs = Granii_obs.Obs
 module Journal = Obs.Journal
-module Sketch = Obs.Sketch
+module Histogram = Obs.Histogram
 module Drift = Obs.Drift
 module Metrics = Obs.Metrics
 module Prng = Granii_tensor.Prng
@@ -95,7 +97,7 @@ let test_journal_multidomain () =
         (List.sort compare seqs = List.init per (fun i -> i)))
     tbl
 
-(* ---- P² quantile sketches ---- *)
+(* ---- log-bucketed histograms ---- *)
 
 (* Nearest-rank exact quantile over the full sample. *)
 let exact_quantile xs q =
@@ -105,41 +107,51 @@ let exact_quantile xs q =
   let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
   a.(max 0 (min (n - 1) i))
 
-let test_sketch_exact_small () =
-  let s = Sketch.create () in
-  check_true "empty sketch reports nan" (Float.is_nan (Sketch.quantile s 0.5));
-  List.iter (Sketch.add s) [ 3.; 1.; 2. ];
-  check_int "count" 3 (Sketch.count s);
-  check_float "exact below five samples" ~eps:1e-12 2. (Sketch.quantile s 0.5);
-  check_float "minimum" ~eps:0. 1. (Sketch.minimum s);
-  check_float "maximum" ~eps:0. 3. (Sketch.maximum s);
-  Sketch.add s nan (* ignored *);
-  check_int "non-finite samples are ignored" 3 (Sketch.count s)
+let histogram_of xs =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) xs;
+  h
 
-(* The mli pins no worst-case bound; these tolerances are the documented
-   empirical envelope (DESIGN.md §16) on two shapes — flat and heavy-
-   tailed — with a deterministic stream, so they are regression pins, not
-   statistical hopes. *)
-let test_sketch_accuracy () =
+let test_histogram_basics () =
+  check_true "64 sub-buckets per decade: under 3.7% worst-case error"
+    (Histogram.sub_buckets = 64 && Histogram.rel_error < 0.037);
+  let h = Histogram.create () in
+  check_true "empty histogram reports nan"
+    (Float.is_nan (Histogram.quantile h 0.5));
+  List.iter (Histogram.add h) [ 3.; 1.; 2. ];
+  check_int "count" 3 (Histogram.count h);
+  check_float "sum" ~eps:0. 6. (Histogram.sum h);
+  check_float "minimum" ~eps:0. 1. (Histogram.minimum h);
+  check_float "maximum" ~eps:0. 3. (Histogram.maximum h);
+  Histogram.add h nan (* ignored *);
+  Histogram.add h infinity;
+  check_int "non-finite samples are ignored" 3 (Histogram.count h);
+  check_float "a single sample is its every quantile" ~eps:0. 0.25
+    (Histogram.quantile (histogram_of [ 0.25 ]) 0.99)
+
+(* Regression pins on a deterministic stream, flat and heavy-tailed. Both
+   tolerances sit above Histogram.rel_error, so a failure here means the
+   stated bound broke. *)
+let test_histogram_accuracy () =
   let n = 4000 in
   let rng = Prng.create 42 in
   let run dist rel_tol quantiles =
-    let s = Sketch.create () in
+    let h = Histogram.create () in
     let samples = ref [] in
     for _ = 1 to n do
       let x = dist rng in
       samples := x :: !samples;
-      Sketch.add s x
+      Histogram.add h x
     done;
-    check_int "all samples counted" n (Sketch.count s);
+    check_int "all samples counted" n (Histogram.count h);
     List.iter
       (fun q ->
-        let est = Sketch.quantile s q and exact = exact_quantile !samples q in
+        let est = Histogram.quantile h q and exact = exact_quantile !samples q in
         let rel = Float.abs (est -. exact) /. Float.max exact 1e-9 in
         if rel > rel_tol then
           Alcotest.fail
-            (Printf.sprintf "q=%.2f: sketch %.4f vs exact %.4f (%.1f%% off)" q
-               est exact (100. *. rel)))
+            (Printf.sprintf "q=%.2f: histogram %.4f vs exact %.4f (%.1f%% off)"
+               q est exact (100. *. rel)))
       quantiles
   in
   (* uniform [1, 2): smooth and flat, the friendly case *)
@@ -149,26 +161,118 @@ let test_sketch_accuracy () =
     (fun rng -> -.log (1. -. Prng.uniform rng 0. 0.999999))
     0.15 [ 0.5; 0.9; 0.95; 0.99 ]
 
-let test_sketch_merge () =
+let test_histogram_merge () =
   let rng = Prng.create 7 in
-  let a = Sketch.create () and b = Sketch.create () in
+  let a = Histogram.create () and b = Histogram.create () in
   for _ = 1 to 1000 do
-    Sketch.add a (Prng.uniform rng 0. 1.);
-    Sketch.add b (Prng.uniform rng 1. 2.)
+    Histogram.add a (Prng.uniform rng 0. 1.);
+    Histogram.add b (Prng.uniform rng 1. 2.)
   done;
-  let m = Sketch.merge a b in
+  let m = Histogram.merge a b in
   check_true "inputs are not mutated"
-    (Sketch.count a = 1000 && Sketch.count b = 1000);
+    (Histogram.count a = 1000 && Histogram.count b = 1000);
+  check_int "merged count is exact" 2000 (Histogram.count m);
   check_true "merged median sits between the two populations"
-    (let p50 = Sketch.quantile m 0.5 in
+    (let p50 = Histogram.quantile m 0.5 in
      p50 > 0.8 && p50 < 1.2);
   check_true "merged extremes span both inputs"
-    (Sketch.minimum m < 0.1 && Sketch.maximum m > 1.9);
-  (* merge_all: a singleton folds to itself *)
-  check_true "singleton merge_all is the identity"
-    (Sketch.quantile (Sketch.merge_all [ a ]) 0.5 = Sketch.quantile a 0.5);
-  check_int "empty merge_all is an empty sketch" 0
-    (Sketch.count (Sketch.merge_all []))
+    (Histogram.minimum m < 0.1 && Histogram.maximum m > 1.9);
+  check_true "singleton merge_all answers like its input"
+    (Histogram.quantile (Histogram.merge_all [ a ]) 0.5
+    = Histogram.quantile a 0.5);
+  check_int "empty merge_all is an empty histogram" 0
+    (Histogram.count (Histogram.merge_all []))
+
+(* Samples for the properties: log-uniform over [1e-9, 1e3] (so below
+   1e-6 and above 10 too), exact sub-bucket and decade bounds, and a point
+   mass repeated up to 60 times; sizes down to n = 1. *)
+let decades = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10. |]
+
+let samples_gen =
+  let open QCheck2.Gen in
+  let k = Histogram.sub_buckets in
+  let sample =
+    oneof
+      [ map (fun e -> 10. ** e) (float_range (-9.) 3.);
+        map
+          (fun i ->
+            if i mod k = 0 then decades.(i / k)
+            else 10. ** (-6. +. (float_of_int i /. float_of_int k)))
+          (int_range 0 (7 * k));
+        oneofl [ 0.; 1e-7; 11. ] ]
+  in
+  let* xs = list_size (frequency [ (1, return 0); (3, int_range 0 100) ]) sample in
+  let* mass = sample in
+  let* reps = frequency [ (1, return 1); (1, return 0); (2, int_range 2 60) ] in
+  let xs = List.init reps (fun _ -> mass) @ xs in
+  return (if xs = [] then [ mass ] else xs)
+
+let probes = [ 0.; 0.001; 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1. ]
+
+let test_histogram_quantile_bound =
+  qtest ~count:300 "histogram quantile within the stated bound"
+    QCheck2.Gen.(pair samples_gen (float_range 0. 1.))
+    (fun (xs, q) ->
+      let h = histogram_of xs in
+      List.for_all
+        (fun q ->
+          let v = exact_quantile xs q and est = Histogram.quantile h q in
+          if v > 1e-6 && v <= 10. then
+            Float.abs (est -. v) <= (Histogram.rel_error +. 1e-12) *. v
+          else if v <= 1e-6 then Histogram.minimum h <= est && est <= 1e-6
+          else 10. <= est && est <= Histogram.maximum h)
+        (q :: probes))
+
+let test_histogram_merge_exact =
+  qtest ~count:200 "histogram merge equals the concatenated samples"
+    QCheck2.Gen.(pair samples_gen samples_gen)
+    (fun (xs, ys) ->
+      let m = Histogram.merge (histogram_of xs) (histogram_of ys)
+      and c = histogram_of (xs @ ys) in
+      Histogram.count m = Histogram.count c
+      && Histogram.minimum m = Histogram.minimum c
+      && Histogram.maximum m = Histogram.maximum c
+      && Histogram.decade_counts m = Histogram.decade_counts c
+      && List.for_all
+           (fun q -> Histogram.quantile m q = Histogram.quantile c q)
+           probes
+      && Float.abs (Histogram.sum m -. Histogram.sum c)
+         <= 1e-9 *. Histogram.sum c)
+
+(* The decade rule the registry's exporters always printed: the first
+   bound [v <= bound], else the overflow slot. *)
+let test_histogram_decade_export =
+  qtest ~count:200 "histogram decade export keeps the decade rule"
+    samples_gen
+    (fun xs ->
+      let want = Array.make (Array.length decades + 1) 0 in
+      List.iter
+        (fun v ->
+          let rec slot i =
+            if i >= Array.length decades || v <= decades.(i) then i
+            else slot (i + 1)
+          in
+          let i = slot 0 in
+          want.(i) <- want.(i) + 1)
+        xs;
+      let want = Array.to_list want in
+      let m = Metrics.create () in
+      List.iter (Metrics.observe m "h") xs;
+      let exported =
+        let ( let* ) = Option.bind in
+        let* v = Result.to_option (Obs.Json.parse (Metrics.to_json m)) in
+        let* hs = Obs.Json.member "histograms" v in
+        let* h = Obs.Json.member "h" hs in
+        match Obs.Json.member "buckets" h with
+        | Some (Obs.Json.List l) ->
+            Some
+              (List.map
+                 (function Obs.Json.Num f -> int_of_float f | _ -> -1)
+                 l)
+        | _ -> None
+      in
+      List.map snd (Histogram.decade_counts (histogram_of xs)) = want
+      && exported = Some want)
 
 (* ---- drift detectors ---- *)
 
@@ -358,8 +462,8 @@ let test_serve_drift_chain () =
       check_true "breach events journaled"
         (List.exists (fun e -> e.Journal.e_kind = Journal.Slo_breach) es);
       (* streaming latency state is queryable per tenant and server-wide *)
-      check_int "every completion in the merged sketch" requests
-        (Sketch.count (Serve.latency_sketch server));
+      check_int "every completion in the merged histogram" requests
+        (Histogram.count (Serve.latency_histogram server));
       check_true "tenant quantile answers"
         (Serve.tenant_latency server "t0" 0.5 > 0.);
       check_true "unknown tenant reports nan"
@@ -413,7 +517,9 @@ let test_labeled_prometheus () =
   Metrics.set_gauge_labeled m "serve.latency.p50"
     ~labels:[ ("tenant", "a\"b\\c\nd") ]
     0.5;
-  Metrics.add_labeled m "hits" ~labels:[ ("model", "gcn"); ("graph", "g") ] 3;
+  Metrics.set_gauge_labeled m "hits"
+    ~labels:[ ("model", "gcn"); ("graph", "g") ]
+    3.;
   Metrics.add m "plain" 1;
   let text = Metrics.to_prometheus m in
   check_true "HELP announced for the labeled family"
@@ -427,9 +533,13 @@ let test_labeled_prometheus () =
   check_true "labels render sorted regardless of call order"
     (contains text "granii_hits{graph=\"g\",model=\"gcn\"} 3");
   (* label order must not split the series *)
-  Metrics.add_labeled m "hits" ~labels:[ ("graph", "g"); ("model", "gcn") ] 2;
+  Metrics.set_gauge_labeled m "hits"
+    ~labels:[ ("graph", "g"); ("model", "gcn") ]
+    5.;
+  let text = Metrics.to_prometheus m in
   check_true "same label set in any order addresses one series"
-    (contains (Metrics.to_prometheus m) "granii_hits{graph=\"g\",model=\"gcn\"} 5")
+    (contains text "granii_hits{graph=\"g\",model=\"gcn\"} 5"
+    && not (contains text "granii_hits{graph=\"g\",model=\"gcn\"} 3"))
 
 let test_json_parse () =
   (match Obs.Json.parse "{\"a\": [1, true, \"x\"], \"b\": null}" with
@@ -449,11 +559,14 @@ let suite =
       test_journal_wraparound;
     Alcotest.test_case "journal multi-domain interleaving" `Quick
       test_journal_multidomain;
-    Alcotest.test_case "sketch exact below five samples" `Quick
-      test_sketch_exact_small;
-    Alcotest.test_case "sketch accuracy on known distributions" `Quick
-      test_sketch_accuracy;
-    Alcotest.test_case "sketch merge" `Quick test_sketch_merge;
+    Alcotest.test_case "histogram empty, count, min, max" `Quick
+      test_histogram_basics;
+    Alcotest.test_case "histogram accuracy on known distributions" `Quick
+      test_histogram_accuracy;
+    Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+    test_histogram_quantile_bound;
+    test_histogram_merge_exact;
+    test_histogram_decade_export;
     Alcotest.test_case "drift detector firing and silence" `Quick
       test_drift_detector;
     Alcotest.test_case "drift triggers out-of-cadence calibration" `Quick
