@@ -2,12 +2,23 @@
    analytic [Hw_profile] constants to the actual host (generalizing the
    original parallel micro-bench). Each probe is a tight loop over
    preallocated buffers, repeated until its slice of the time budget is
-   spent, measuring one roofline axis:
+   spent, measuring one roofline axis with the best kernel the repo has for
+   it, so each rate is a peak and a roofline bound built from the four is a
+   bound:
 
-   - dense:  the library GEMM on a 64x64x64 tile       -> dense_gflops
-   - sparse: an 8-per-row indirect multiply-accumulate -> sparse_gflops
-   - stream: a sequential sum over a large array       -> stream_gbps
-   - random: a gather-sum through a shuffled index map -> random_gbps
+   - dense:  the library GEMM on a 64x64x64 tile           -> dense_gflops
+   - sparse: the library SpMM on a cache-resident random CSR -> sparse_gflops
+   - stream: a sequential sum over a large array, eight
+             independent accumulators                        -> stream_gbps
+   - random: whole cache lines gathered through a shuffled
+             line map, eight independent accumulators        -> random_gbps
+
+   A single accumulator would measure the latency of a floating-point add
+   (one element per add latency), not bandwidth. The random probe gathers
+   whole lines from a cache-resident table because that is how the
+   executor's gathers run: SpMM and SDDMM fetch k-wide rows of a dense
+   operand that fits in cache; a word-at-a-time gather would undercount
+   each fetched line eightfold.
 
    The probes are single-core; machine-level profile constants are
    extrapolated with the base profile's core count and a fixed
@@ -26,17 +37,20 @@ type measurement = {
 let default_budget_s = 0.2
 
 (* Repeat [probe] (returning work units done per rep) until [slice] seconds
-   elapse, at least once; the rate is total work / total elapsed. *)
+   elapse, at least once. The rate is the best single rep's, the peak the
+   host reached: a rep slowed by another tenant or a preemption lowers an
+   average but not a peak. *)
 let timed_rate ~slice probe =
   let t0 = Timer.wall () in
-  let work = ref 0. in
+  let best = ref 0. in
   let reps = ref 0 in
   while !reps = 0 || Timer.wall () -. t0 < slice do
-    work := !work +. probe ();
+    let r0 = Timer.wall () in
+    let w = probe () in
+    best := Float.max !best (w /. Float.max 1e-9 (Timer.wall () -. r0));
     incr reps
   done;
-  let dt = Timer.wall () -. t0 in
-  if dt > 0. then !work /. dt else !work /. 1e-9
+  !best
 
 (* The library GEMM itself ([Dense.matmul]'s packed, register-tiled
    kernel), so the dense peak is the rate the executor's GEMM can reach
@@ -58,59 +72,81 @@ let stream_probe () =
   let n = 4 * 1024 * 1024 in
   let x = Array.init n (fun i -> float_of_int (i land 1023)) in
   fun () ->
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. Array.unsafe_get x i
+    let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+    let a4 = ref 0. and a5 = ref 0. and a6 = ref 0. and a7 = ref 0. in
+    let i = ref 0 in
+    while !i < n do
+      let j = !i in
+      a0 := !a0 +. Array.unsafe_get x j;
+      a1 := !a1 +. Array.unsafe_get x (j + 1);
+      a2 := !a2 +. Array.unsafe_get x (j + 2);
+      a3 := !a3 +. Array.unsafe_get x (j + 3);
+      a4 := !a4 +. Array.unsafe_get x (j + 4);
+      a5 := !a5 +. Array.unsafe_get x (j + 5);
+      a6 := !a6 +. Array.unsafe_get x (j + 6);
+      a7 := !a7 +. Array.unsafe_get x (j + 7);
+      i := j + 8
     done;
-    ignore (Sys.opaque_identity !acc);
+    ignore (Sys.opaque_identity (!a0 +. !a1 +. !a2 +. !a3 +. !a4 +. !a5 +. !a6 +. !a7));
     (* bytes streamed *)
     8. *. float_of_int n
 
-(* LCG-shuffled indices: every load misses the prefetcher. *)
-let lcg_indices n =
-  let idx = Array.make n 0 in
+(* LCG-shuffled indices in [0, n): every load misses the prefetcher. *)
+let lcg_indices ~len n =
+  let idx = Array.make len 0 in
   let state = ref 123_456_789 in
-  for i = 0 to n - 1 do
+  for i = 0 to len - 1 do
     state := ((!state * 1_103_515_245) + 12_345) land 0x3FFFFFFF;
     idx.(i) <- !state mod n
   done;
   idx
 
+(* A 512 KB table (the size of a 4,096-row, 16-wide dense operand) read one
+   64-byte line at a time in shuffled order. *)
 let random_probe () =
-  let n = 4 * 1024 * 1024 in
-  let x = Array.init n (fun i -> float_of_int (i land 1023)) in
-  let idx = lcg_indices n in
+  let line = 8 and lines = 8 * 1024 and gathers = 128 * 1024 in
+  let x = Array.init (lines * line) (fun i -> float_of_int (i land 1023)) in
+  let base = Array.map (fun l -> l * line) (lcg_indices ~len:gathers lines) in
   fun () ->
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. Array.unsafe_get x (Array.unsafe_get idx i)
+    let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+    let a4 = ref 0. and a5 = ref 0. and a6 = ref 0. and a7 = ref 0. in
+    for g = 0 to gathers - 1 do
+      let b = Array.unsafe_get base g in
+      a0 := !a0 +. Array.unsafe_get x b;
+      a1 := !a1 +. Array.unsafe_get x (b + 1);
+      a2 := !a2 +. Array.unsafe_get x (b + 2);
+      a3 := !a3 +. Array.unsafe_get x (b + 3);
+      a4 := !a4 +. Array.unsafe_get x (b + 4);
+      a5 := !a5 +. Array.unsafe_get x (b + 5);
+      a6 := !a6 +. Array.unsafe_get x (b + 6);
+      a7 := !a7 +. Array.unsafe_get x (b + 7)
     done;
-    ignore (Sys.opaque_identity !acc);
-    (* randomly-touched bytes (the value loads; index traffic is streamed) *)
-    8. *. float_of_int n
+    ignore (Sys.opaque_identity (!a0 +. !a1 +. !a2 +. !a3 +. !a4 +. !a5 +. !a6 +. !a7));
+    (* randomly-touched bytes (the line loads; the line map is streamed) *)
+    8. *. float_of_int (gathers * line)
 
+(* The library SpMM ([Spmm.run]'s register-strip kernel) on a random
+   2,048-row CSR with 16 entries per row and a 32-wide dense operand: the
+   operand (512 KB) and the structure stay cache-resident. Unweighted, the
+   fastest aggregation, still counted at the kernel model's two flops per
+   (entry, column). The output goes back to a workspace each rep. *)
 let sparse_probe () =
-  let rows = 128 * 1024 and deg = 8 in
+  let rows = 2048 and deg = 16 and k = 32 in
+  let module Csr = Granii_sparse.Csr in
   let nnz = rows * deg in
-  let x = Array.init rows (fun i -> float_of_int (i land 255)) in
-  let vals = Array.make nnz 1.000_01 in
-  let idx = lcg_indices nnz in
-  let idx = Array.map (fun i -> i mod rows) idx in
-  let y = Array.make rows 0. in
+  let a =
+    Csr.make ~n_rows:rows ~n_cols:rows
+      ~row_ptr:(Array.init (rows + 1) (fun i -> i * deg))
+      ~col_idx:(lcg_indices ~len:nnz rows) ~values:None
+  in
+  let b = Granii_tensor.Dense.random ~seed:7 rows k in
+  let ws = Some (Granii_tensor.Workspace.create ()) in
   fun () ->
-    for r = 0 to rows - 1 do
-      let acc = ref 0. in
-      for j = r * deg to ((r + 1) * deg) - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get vals j
-             *. Array.unsafe_get x (Array.unsafe_get idx j))
-      done;
-      Array.unsafe_set y r !acc
-    done;
-    ignore (Sys.opaque_identity y.(0));
+    let c = Granii_sparse.Spmm.run ?ws a b in
+    ignore (Sys.opaque_identity c.Granii_tensor.Dense.data.(0));
+    Granii_tensor.Workspace.give_back ws c.Granii_tensor.Dense.data;
     (* flops *)
-    2. *. float_of_int nnz
+    2. *. float_of_int (nnz * k)
 
 let measure ?(budget_s = default_budget_s) () =
   if budget_s <= 0. then invalid_arg "Calibrate.measure: budget_s must be > 0";

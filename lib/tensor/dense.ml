@@ -212,10 +212,52 @@ let blocked_rows ~ad ~bd ~out ~panel ~acc ~m:_ ~k ~n lo hi =
    the streaming kernel is used instead. *)
 let blocked_flop_threshold = 32_768
 
+(* Narrow outputs (1 to [nr - 1] columns, e.g. the n x k . k x 1 products
+   of GAT's edge scores): one row dot per output row, with up to three
+   accumulators in local float refs (unboxed, in registers) instead of
+   [matmul_unblocked]'s read-modify-write of [out] per (p, j). Same [av <> 0.]
+   skip, same ascending-[p] order from +0.0, so the result is bitwise that of
+   [matmul_unblocked]. The matrix-vector case gets its own loop, free of the
+   per-[p] width tests. *)
+let matmul_narrow ?pool ?ws a b =
+  let m = a.rows and k = a.cols and n = b.cols in
+  let out = Workspace.alloc_uninit ws (m * n) in
+  let ad = a.data and bd = b.data in
+  Parallel.rows ?pool ~n:m (fun lo hi ->
+      for i = lo to hi - 1 do
+        let arow = i * k in
+        if n = 1 then begin
+          let c0 = ref 0. in
+          for p = 0 to k - 1 do
+            let av = Array.unsafe_get ad (arow + p) in
+            if av <> 0. then c0 := !c0 +. (av *. Array.unsafe_get bd p)
+          done;
+          Array.unsafe_set out i !c0
+        end
+        else begin
+          let c0 = ref 0. and c1 = ref 0. and c2 = ref 0. in
+          for p = 0 to k - 1 do
+            let av = Array.unsafe_get ad (arow + p) in
+            if av <> 0. then begin
+              let brow = p * n in
+              c0 := !c0 +. (av *. Array.unsafe_get bd brow);
+              c1 := !c1 +. (av *. Array.unsafe_get bd (brow + 1));
+              if n = 3 then c2 := !c2 +. (av *. Array.unsafe_get bd (brow + 2))
+            end
+          done;
+          let orow = i * n in
+          Array.unsafe_set out orow !c0;
+          Array.unsafe_set out (orow + 1) !c1;
+          if n = 3 then Array.unsafe_set out (orow + 2) !c2
+        end
+      done);
+  { rows = m; cols = n; data = out }
+
 let matmul ?pool ?ws a b =
   if a.cols <> b.rows then invalid_arg "Dense.matmul: inner dimension mismatch";
   let m = a.rows and k = a.cols and n = b.cols in
-  if m * k * n < blocked_flop_threshold || n < nr || k < 8 then
+  if n >= 1 && n < nr then matmul_narrow ?pool ?ws a b
+  else if m * k * n < blocked_flop_threshold || k < 8 then
     matmul_unblocked ?pool ?ws a b
   else begin
     let out = Workspace.alloc_uninit ws (m * n) in

@@ -63,14 +63,16 @@ val matmul : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 (** [matmul a b] is the GEMM {m A \cdot B}. Raises [Invalid_argument] on an
     inner-dimension mismatch. Large products go through a cache-blocked
     kernel (packed B panels, register-tiled micro-kernel) whose result is
-    bitwise identical to {!matmul_unblocked} on finite inputs. With
-    [?pool], output rows are computed in parallel chunks; the result is
+    bitwise identical to {!matmul_unblocked} on finite inputs; products
+    with 1 to 3 output columns run one register-accumulated row dot per
+    output row, also bitwise identical to it. With [?pool], output rows are computed in parallel chunks; the result is
     bitwise identical to the sequential kernel. With [?ws], the output
     (and, sequentially, the packing scratch) comes from the workspace. *)
 
 val matmul_unblocked : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 (** The streaming i-k-j GEMM without cache blocking — the kernel {!matmul}
-    falls back to below its size threshold, exposed for benchmarking the
+    falls back to below its size threshold (outputs at least 4 columns
+    wide), exposed for benchmarking the
     tiled kernel against. *)
 
 val matmul_gen : ?pool:Parallel.t -> ?ws:Workspace.t -> Semiring.t -> t -> t -> t

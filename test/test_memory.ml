@@ -372,20 +372,34 @@ let test_tiled_gemm_bitwise () =
      shapes ([k] < 8, [n] < nr), column-block splits ([k] large enough that
      the panel holds fewer than [n] columns), and shapes straddling the
      blocking threshold; each through the plain, workspace and 2-domain
-     pooled paths *)
+     pooled paths. The narrow shapes (n in 1..3, including k < 8 and
+     products big enough to have been blocked) take an A with exact zeros,
+     which the untiled kernel skips, and also run on a workspace whose
+     recycled output buffer was NaN-filled. *)
   let remainders =
     List.concat_map (fun m -> List.map (fun n -> (m, 33, n)) [ 64; 65; 66; 67 ]) [ 64; 65 ]
   in
   let fallbacks = [ (5, 7, 3); (40, 7, 40); (40, 40, 3); (300, 300, 1) ] in
   let column_splits = [ (9, 1024, 70); (7, 2000, 37) ] in
   let straddling = [ (37, 41, 53); (64, 64, 64); (130, 17, 64); (96, 200, 99) ] in
+  let narrow =
+    List.concat_map
+      (fun n -> List.map (fun (m, k) -> (m, k, n)) [ (1, 1); (5, 3); (37, 7); (64, 33); (130, 300) ])
+      [ 1; 2; 3 ]
+  in
+  let with_zeros (a : Dense.t) =
+    Dense.of_flat ~rows:a.Dense.rows ~cols:a.Dense.cols
+      (Array.mapi (fun i x -> if i mod 3 = 1 then 0. else x) a.Dense.data)
+  in
   let pool = Granii_tensor.Parallel.create ~threads:2 () in
   Fun.protect
     ~finally:(fun () -> Granii_tensor.Parallel.shutdown pool)
     (fun () ->
       List.iter
         (fun (m, k, n) ->
+          let is_narrow = n < 4 in
           let a = Dense.random ~seed:(m + k) m k and b = Dense.random ~seed:n k n in
+          let a = if is_narrow then with_zeros a else a in
           let plain = Dense.matmul_unblocked a b in
           let check path (c : Dense.t) =
             check_true
@@ -395,8 +409,64 @@ let test_tiled_gemm_bitwise () =
           in
           check "tiled" (Dense.matmul a b);
           check "ws path" (Dense.matmul ~ws:(Workspace.create ()) a b);
-          check "pooled" (Dense.matmul ~pool a b))
-        (remainders @ fallbacks @ column_splits @ straddling))
+          check "pooled" (Dense.matmul ~pool a b);
+          if is_narrow then begin
+            let ws = Some (Workspace.create ()) in
+            let buf = Workspace.alloc_uninit ws (m * n) in
+            Array.fill buf 0 (m * n) Float.nan;
+            Workspace.give_back ws buf;
+            let c = Dense.matmul ?ws ~pool a b in
+            check_true
+              (Printf.sprintf "gemm %dx%dx%d wrote the recycled buffer" m k n)
+              (c.Dense.data == buf);
+            check "recycled NaN ws, pooled" c
+          end)
+        (remainders @ fallbacks @ column_splits @ straddling @ narrow))
+
+(* Minor words one call allocates, on a warm workspace: run it once to warm
+   the size class, then measure a second run. *)
+let call_words ws f =
+  Workspace.give_back ws (f ());
+  let before = Gc.minor_words () in
+  let out = f () in
+  let words = Gc.minor_words () -. before in
+  Workspace.give_back ws out;
+  words
+
+let test_register_kernels_allocation () =
+  (* The CSR SpMM's strip accumulators and the narrow GEMM's row-dot
+     accumulators are local float refs that ocamlopt keeps unboxed; boxed,
+     each would allocate per stored entry (per row entry for the GEMM). So a
+     call on a warm workspace allocates the same few words on a small graph
+     as on one with over ten thousand stored entries. *)
+  let graph_words graph =
+    let a = G.Graph.with_self_loops graph in
+    let aw = Granii_sparse.Sparse_ops.scale_rows (G.Graph.norm_inv_sqrt graph) a in
+    let au = Csr.drop_values a in
+    let n = G.Graph.n_nodes graph in
+    let ws = Some (Workspace.create ()) in
+    let spmm =
+      List.concat_map
+        (fun k ->
+          let h = Dense.random ~seed:k n k in
+          List.map
+            (fun m -> call_words ws (fun () -> (Granii_sparse.Spmm.run ?ws m h).Dense.data))
+            [ aw; au ])
+        [ 16; 13 ]
+    in
+    let x = Dense.random ~seed:5 n 64 and w = Dense.random ~seed:6 64 1 in
+    (Csr.nnz a, spmm @ [ call_words ws (fun () -> (Dense.matmul ?ws x w).Dense.data) ])
+  in
+  let small_nnz, small = graph_words (G.Generators.erdos_renyi ~seed:4 ~n:200 ~avg_degree:4. ()) in
+  let big_nnz, big = graph_words (G.Generators.erdos_renyi ~seed:4 ~n:2000 ~avg_degree:8. ()) in
+  check_true (Printf.sprintf "big graph has >= 10k stored entries (%d)" big_nnz) (big_nnz >= 10_000);
+  List.iter2
+    (fun s b ->
+      check_true
+        (Printf.sprintf "%.0f words at nnz %d = %.0f words at nnz %d, and few" s small_nnz b
+           big_nnz)
+        (s = b && b < 256.))
+    small big
 
 let test_tiled_sparse_bitwise () =
   let graph = G.Generators.erdos_renyi ~seed:9 ~n:120 ~avg_degree:6. () in
@@ -439,4 +509,6 @@ let suite =
       Alcotest.test_case "reclaim invalidates previous output" `Quick test_reclaim_invalidates;
       Alcotest.test_case "selector measure sweep" `Quick test_selector_measure;
       Alcotest.test_case "tiled gemm bitwise" `Quick test_tiled_gemm_bitwise;
+      Alcotest.test_case "register kernels allocate per call, not per entry" `Quick
+        test_register_kernels_allocation;
       Alcotest.test_case "tiled sparse kernels bitwise" `Quick test_tiled_sparse_bitwise ]

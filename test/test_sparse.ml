@@ -233,6 +233,114 @@ let test_sparse_add_matches_coo =
       && got.Csr.row_ptr = want.Csr.row_ptr && got.Csr.col_idx = want.Csr.col_idx
       && value_ok)
 
+(* The read-modify-write loop [Spmm.run]'s arithmetic fast path replaced:
+   a zero-filled output, updated once per (stored entry, column). Untiled,
+   since tiling never changed any output element's order of additions.
+   [vals = None] never reads an edge value (unweighted, or plus_rhs). *)
+let rmw_spmm ~vals (a : Csr.t) (b : Dense.t) =
+  let n = a.Csr.n_rows and k = b.Dense.cols in
+  let bd = b.Dense.data in
+  let row_ptr = a.Csr.row_ptr and col_idx = a.Csr.col_idx in
+  let out = Array.make (n * k) 0. in
+  for i = 0 to n - 1 do
+    let obase = i * k in
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let bbase = col_idx.(p) * k in
+      match vals with
+      | Some vals ->
+          let v = vals.(p) in
+          for j = 0 to k - 1 do
+            out.(obase + j) <- out.(obase + j) +. (v *. bd.(bbase + j))
+          done
+      | None ->
+          for j = 0 to k - 1 do
+            out.(obase + j) <- out.(obase + j) +. bd.(bbase + j)
+          done
+    done
+  done;
+  out
+
+type spmm_mode = Weighted | Unweighted | Rhs_on_weighted
+
+(* Operands as for [add]; a dense operand whose entries include exact +0.0
+   and -0.0 (a kernel seeding its accumulator with the first term instead of
+   +0.0 returns -0.0 where the loop returned +0.0); every strip remainder
+   (k = 0..19), tile width, and pool width; and whether the output comes
+   from a workspace whose recycled buffer of that size was NaN-filled. *)
+let spmm_case_gen =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, return 0); (1, return 1); (6, int_range 2 14) ] in
+  let* seed = int_range 0 100_000 in
+  let* k = int_range 0 19 in
+  let* mode = oneofl [ Weighted; Unweighted; Rhs_on_weighted ] in
+  let* tile_k = oneofl [ None; Some 1; Some 7; Some 12 ] in
+  let* width = oneofl [ 1; 2 ] in
+  let* recycled = bool in
+  let rng = Prng.create seed in
+  let a = add_operand rng ~n in
+  let a =
+    match mode with
+    | Unweighted -> Csr.drop_values a
+    | Weighted | Rhs_on_weighted ->
+        if Csr.is_weighted a then a
+        else Csr.with_values a (Array.init (Csr.nnz a) (fun _ -> Prng.uniform rng (-2.) 2.))
+  in
+  let b =
+    Dense.init n k (fun _ _ ->
+        match Prng.int rng 8 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | _ -> Prng.uniform rng (-2.) 2.)
+  in
+  return (a, b, mode, tile_k, width, recycled)
+
+let print_spmm_case (a, (b : Dense.t), mode, tile_k, width, recycled) =
+  Printf.sprintf "n=%d nnz=%d k=%d mode=%s tile_k=%s width=%d recycled=%b" a.Csr.n_rows
+    (Csr.nnz a) b.Dense.cols
+    (match mode with
+    | Weighted -> "weighted"
+    | Unweighted -> "unweighted"
+    | Rhs_on_weighted -> "plus_rhs")
+    (match tile_k with None -> "none" | Some t -> string_of_int t)
+    width recycled
+
+let test_spmm_matches_rmw () =
+  let pools = [ (1, Parallel.create ~threads:1 ()); (2, Parallel.create ~threads:2 ()) ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, p) -> Parallel.shutdown p) pools)
+    (fun () ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:600 ~name:"spmm matches the read-modify-write reference"
+           ~print:print_spmm_case spmm_case_gen
+           (fun (a, b, mode, tile_k, width, recycled) ->
+             let semiring, vals =
+               match mode with
+               | Weighted -> (Semiring.plus_times, a.Csr.values)
+               | Unweighted -> (Semiring.plus_times, None)
+               | Rhs_on_weighted -> (Semiring.plus_rhs, None)
+             in
+             let len = a.Csr.n_rows * b.Dense.cols in
+             let ws, poisoned =
+               if recycled then begin
+                 let ws = Workspace.create () in
+                 let buf = Workspace.alloc_uninit (Some ws) len in
+                 Array.fill buf 0 len Float.nan;
+                 Workspace.give_back (Some ws) buf;
+                 (Some ws, Some buf)
+               end
+               else (None, None)
+             in
+             let got =
+               Spmm.run ~semiring ~pool:(List.assoc width pools) ?ws ?tile_k a b
+             in
+             let want = rmw_spmm ~vals a b in
+             (* the poisoned buffer really was the one written *)
+             Option.fold ~none:true ~some:(fun buf -> got.Dense.data == buf) poisoned
+             && got.Dense.rows = a.Csr.n_rows && got.Dense.cols = b.Dense.cols
+             && Array.for_all2
+                  (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+                  got.Dense.data want)))
+
 let test_row_softmax () =
   let m =
     Csr.of_coo (Coo.make ~n_rows:2 ~n_cols:3 [| (0, 0, 1.); (0, 2, 1.); (1, 1, 100.) |])
@@ -297,6 +405,8 @@ let suite =
     test_scale_rows_cols;
     Alcotest.test_case "sparse add" `Quick test_sparse_add;
     test_sparse_add_matches_coo;
+    Alcotest.test_case "spmm matches the read-modify-write reference" `Quick
+      test_spmm_matches_rmw;
     Alcotest.test_case "row softmax" `Quick test_row_softmax;
     test_csc_roundtrip;
     test_csc_dense_agree;
