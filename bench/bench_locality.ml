@@ -34,7 +34,7 @@ let time_best ?(reps = 3) f =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to reps do
-    let r, t = Granii_hw.Timer.measure f in
+    let r, t = Granii_hw.Timer.measure_wall f in
     if t < !best then best := t;
     result := Some r
   done;
@@ -52,14 +52,14 @@ let kernel_section (graph : G.Graph.t) ~k =
     n nnz k (ms t_csr);
   let report strategy =
     let r, reorder_s =
-      Granii_hw.Timer.measure (fun () -> Reorder.compute strategy m)
+      Granii_hw.Timer.measure_wall (fun () -> Reorder.compute strategy m)
     in
     let pm, permute_s =
       match strategy with
       | Reorder.Identity -> (m, 0.)
-      | _ -> Granii_hw.Timer.measure (fun () -> Reorder.permute_csr r m)
+      | _ -> Granii_hw.Timer.measure_wall (fun () -> Reorder.permute_csr r m)
     in
-    let h, build_s = Granii_hw.Timer.measure (fun () -> Hybrid.of_csr pm) in
+    let h, build_s = Granii_hw.Timer.measure_wall (fun () -> Hybrid.of_csr pm) in
     let pb =
       match strategy with
       | Reorder.Identity -> b

@@ -106,11 +106,11 @@ let run_gemm () =
   let a = Dense.random ~seed:1 s s and b = Dense.random ~seed:2 s s in
   let n = if !smoke then 2 else 3 in
   let t_u =
-    Granii_hw.Timer.measure_n ~warmup:1 ~n (fun () ->
+    Granii_hw.Timer.measure_n_wall ~warmup:1 ~n (fun () ->
         ignore (Dense.matmul_unblocked a b))
   in
   let t_t =
-    Granii_hw.Timer.measure_n ~warmup:1 ~n (fun () -> ignore (Dense.matmul a b))
+    Granii_hw.Timer.measure_n_wall ~warmup:1 ~n (fun () -> ignore (Dense.matmul a b))
   in
   Printf.printf "gemm %dx%dx%d (1 thread): untiled %.2f ms, tiled %.2f ms -> %.2fx\n"
     s s s (ms t_u) (ms t_t) (t_u /. t_t);

@@ -29,7 +29,7 @@ let run () =
   List.iter
     (fun (info, graph) ->
       (* measure real host overheads *)
-      let f, t_feat = Granii_hw.Timer.measure (fun () -> Featurizer.extract graph) in
+      let f, t_feat = Granii_hw.Timer.measure_wall (fun () -> Featurizer.extract graph) in
       let k_in = 256 and k_out = 256 in
       let env = env_of graph ~k_in ~k_out in
       let choice = Selector.select ~oracle:cm ~feats:f ~env ~iterations:100 comp in

@@ -292,8 +292,7 @@ let select_cmd =
              ~doc:
                "Sparse format for the g-kernels: $(b,auto) (cost model \
                 decides), $(b,csr) (forces the legacy path), $(b,hybrid) \
-                (ELL slab + CSR tail), $(b,bsr) (8x8 block-sparse dense \
-                tiles) or $(b,cbm) (neighbor-dedup delta rows).")
+                (ELL slab + CSR tail).")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
       models_file execute engine_spec reorder format_
@@ -348,28 +347,16 @@ let select_cmd =
         match Locality.format_of_string format_ with
         | Some f -> [ f ]
         | None ->
-            Printf.eprintf "--format expects auto, csr, hybrid, bsr or cbm\n";
+            Printf.eprintf "--format expects auto, csr or hybrid\n";
             exit 1
     in
     let configs =
       let cross =
         List.concat_map
           (fun strategy ->
-            List.filter_map
-              (fun format ->
-                let c = { Locality.strategy; format } in
-                (* bsr composes only with the identity ordering *)
-                if Locality.legal c then Some c else None)
-              formats)
+            List.map (fun format -> { Locality.strategy; format }) formats)
           strategies
       in
-      if cross = [] then begin
-        Printf.eprintf
-          "--format bsr requires --reorder identity (or auto): bsr tiles \
-           accumulate in column-sorted order and cannot ride a reordered \
-           matrix\n";
-        exit 1
-      end;
       (* keep the default (legacy) configuration first so it wins ties *)
       if List.exists Locality.is_default cross then
         Locality.default :: List.filter (fun c -> not (Locality.is_default c)) cross

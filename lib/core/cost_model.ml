@@ -81,7 +81,18 @@ let load path =
         (fun entry ->
           match Sexp.list entry with
           | [ Sexp.Atom prim_name; model ] ->
-              Hashtbl.replace table prim_name (Granii_ml.Gbrt.of_sexp model)
+              let model = Granii_ml.Gbrt.of_sexp model in
+              (* a model trained on another feature layout would read the
+                 wrong columns or index past the input vector *)
+              let width = Granii_ml.Gbrt.n_features model in
+              if width <> Featurizer.n_inputs then
+                raise
+                  (Sexp.Parse_error
+                     (Printf.sprintf
+                        "cost model for %s was trained on %d features, the \
+                         featurizer produces %d"
+                        prim_name width Featurizer.n_inputs));
+              Hashtbl.replace table prim_name model
           | _ -> raise (Sexp.Parse_error "malformed cost-model entry"))
         entries;
       Learned { profile; table }

@@ -61,5 +61,7 @@ val save : t -> string -> unit
 val load : string -> t
 (** Reads a model written by {!save}. The hardware profile is resolved by
     name against {!Granii_hw.Hw_profile.all}. Raises
-    [Granii_ml.Sexp_lite.Parse_error] on a malformed file and [Not_found]
-    on an unknown profile name. *)
+    [Granii_ml.Sexp_lite.Parse_error] on a malformed file or on a model
+    whose feature width is not {!Featurizer.n_inputs} (it was saved by a
+    build with another feature layout), and [Not_found] on an unknown
+    profile name. *)

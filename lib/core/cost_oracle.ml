@@ -177,24 +177,10 @@ let kernel_delta ?threads (p : Hw.t) (stats : Gf.t) (config : Locality.config)
       let localized =
         match config.Locality.format with
         | Locality.Hybrid ->
-            K.time ?threads ~gather_discount:d p
-              (K.Spmm_hybrid
-                 { rows; nnz; k; weighted; packing = stats.Gf.ell_packing })
-        | Locality.Bsr ->
-            K.time ?threads ~gather_discount:d p
-              (K.Spmm_bsr
-                 { rows; nnz; k; weighted; fill = stats.Gf.block_fill })
-        | Locality.Cbm ->
-            (* realized dedup: the graph's measured overlap scaled by how
-               much of it this hardware can bank *)
-            let overlap =
-              stats.Gf.neighbor_overlap *. p.Hw.cbm_dedup_efficiency
-            in
-            K.time ?threads ~gather_discount:d p
-              (K.Spmm_cbm { rows; nnz; k; weighted; overlap })
-        | Locality.Csr -> K.time ?threads ~gather_discount:d p kernel
+            K.Spmm_hybrid { rows; nnz; k; weighted; packing = stats.Gf.ell_packing }
+        | Locality.Csr -> kernel
       in
-      localized -. K.time ?threads p kernel
+      K.time ?threads ~gather_discount:d p localized -. K.time ?threads p kernel
   | K.Sddmm _ ->
       (* the dot products gather rows of both dense operands: same locality
          credit, no format-dependent shape change (the hybrid SDDMM writes

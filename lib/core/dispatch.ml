@@ -6,8 +6,6 @@ module Spmm = Granii_sparse.Spmm
 module Sddmm = Granii_sparse.Sddmm
 module Sparse_ops = Granii_sparse.Sparse_ops
 module Hybrid = Granii_sparse.Hybrid
-module Bsr = Granii_sparse.Bsr
-module Cbm = Granii_sparse.Cbm
 module K = Granii_hw.Kernel_model
 
 type value =
@@ -46,17 +44,10 @@ let shares_backing a v = List.exists (fun b -> b == a) (backing_arrays v)
 
 (* ---- execution context ---- *)
 
-(* A localized physical form of a sparse operand: what the Pass layout
-   bracket converted the graph's matrix into for this engine config. *)
-type form =
-  | Fhybrid of Hybrid.t
-  | Fbsr of Bsr.t
-  | Fcbm of Cbm.t
-
 type ctx = {
   pool : Granii_tensor.Parallel.t option;
   ws : Workspace.t option;
-  localize : (Csr.t -> form option) option;
+  localize : (Csr.t -> Hybrid.t option) option;
 }
 
 let plain = { pool = None; ws = None; localize = None }
@@ -110,40 +101,24 @@ let apply_nonlinear ?pool ?ws kind d =
 
    One CPU kernel per primitive, chosen by a direct match. The operand
    format is how the locality engine swaps the g-kernels to the hybrid
-   slab+tail, block-sparse or neighbor-dedup layouts without the executor
-   knowing: the SpMM and rank-1 arms ask [form_of] for a localized form of
-   their sparse operand and fall back to CSR when there is none. *)
+   slab+tail layout without the executor knowing: the SpMM and rank-1 arms
+   ask [form_of] for a hybrid form of their sparse operand and fall back to
+   CSR when there is none. *)
 
-type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
+type fmt = Fmt_csr | Fmt_hybrid
 
-let fmt_to_string = function
-  | Fmt_csr -> "csr"
-  | Fmt_hybrid -> "hybrid"
-  | Fmt_bsr -> "bsr"
-  | Fmt_cbm -> "cbm"
+let fmt_to_string = function Fmt_csr -> "csr" | Fmt_hybrid -> "hybrid"
 
-(* The format a step executes under: non-CSR only when the locality engine
-   has a registered localized form for the step's sparse operand (the lookup
+(* The format a step executes under: hybrid only when the locality engine
+   has a registered hybrid form for the step's sparse operand (the lookup
    is by physical identity, so per-iteration-fresh values fall back to
    CSR). *)
-let fmt_of_form = function
-  | Fhybrid _ -> Fmt_hybrid
-  | Fbsr _ -> Fmt_bsr
-  | Fcbm _ -> Fmt_cbm
-
 let format_of ctx (prim : Primitive.t) (args : value array) =
-  match ctx.localize with
-  | None -> Fmt_csr
-  | Some f -> (
-      let form_fmt m =
-        match f m with Some frm -> Some (fmt_of_form frm) | None -> None
-      in
-      match (prim, args) with
-      | Primitive.Spmm _, [| Vsparse m; _ |] -> (
-          match form_fmt m with Some fmt -> fmt | None -> Fmt_csr)
-      | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] -> (
-          match form_fmt m with Some fmt -> fmt | None -> Fmt_csr)
-      | _ -> Fmt_csr)
+  match (prim, args) with
+  | Primitive.Spmm _, [| Vsparse m; _ |]
+  | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] -> (
+      match form_of ctx m with Some _ -> Fmt_hybrid | None -> Fmt_csr)
+  | _ -> Fmt_csr
 
 let exec ctx (prim : Primitive.t) graph (args : value array) =
   let pool = ctx.pool and ws = ctx.ws in
@@ -154,21 +129,15 @@ let exec ctx (prim : Primitive.t) graph (args : value array) =
       (* both weightednesses share one kernel *)
       let m = sparse a in
       match form_of ctx m with
-      | Some (Fhybrid h) -> Vdense (Hybrid.spmm ?pool ?ws h (dense b))
-      | Some (Fbsr bm) -> Vdense (Bsr.spmm ?pool ?ws bm (dense b))
-      | Some (Fcbm cm) -> Vdense (Cbm.spmm ?pool ?ws cm (dense b))
+      | Some h -> Vdense (Hybrid.spmm ?pool ?ws h (dense b))
       | None -> Vdense (Spmm.run ?pool ?ws m (dense b)))
   | Primitive.Dense_sparse_mm _, [| a; b |] ->
       Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
   | Primitive.Sddmm_rank1, [| dl; a; dr |] -> (
       let m = sparse a in
       match form_of ctx m with
-      | Some (Fhybrid h) ->
-          Vsparse (Hybrid.rank1 ?pool ?ws h (diag dl) (diag dr))
-      | Some (Fbsr _) | Some (Fcbm _) | None ->
-          (* rank-1 gains nothing from tiles or dedup: the k=1 dot is the
-             value read itself *)
-          Vsparse (Sddmm.rank1 ?pool ?ws m (diag dl) (diag dr)))
+      | Some h -> Vsparse (Hybrid.rank1 ?pool ?ws h (diag dl) (diag dr))
+      | None -> Vsparse (Sddmm.rank1 ?pool ?ws m (diag dl) (diag dr)))
   | Primitive.Diag_scale { side = `Left }, [| d; a |] ->
       Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
   | Primitive.Diag_scale { side = `Right }, [| a; d |] ->

@@ -5,8 +5,8 @@
     {!Primitive.t} to concrete operand {!value}s and nothing about plans,
     phases, caching or timing. {!exec} picks the CPU kernel with a direct
     match on the primitive and its operands; the gather-bound g-kernels
-    (SpMM, rank-1 SDDMM) run from a localized hybrid / BSR / CBM form when
-    the context holds one for their sparse operand. *)
+    (SpMM, rank-1 SDDMM) run from a hybrid ELL slab + CSR tail when the
+    context holds one for their sparse operand. *)
 
 type value =
   | Vdense of Granii_tensor.Dense.t
@@ -31,30 +31,23 @@ val shares_backing : float array -> value -> bool
 (** {2 Execution context}
 
     What a kernel may use while running: the domain pool, the workspace
-    arena, and the locality engine's localized-form lookup
-    (physical-identity memo over iteration-stable sparse matrices). Built by
-    {!Executor} from an {!Engine.t}; {!plain} is the bare sequential
-    context. *)
-
-type form =
-  | Fhybrid of Granii_sparse.Hybrid.t
-  | Fbsr of Granii_sparse.Bsr.t
-  | Fcbm of Granii_sparse.Cbm.t
-      (** A localized physical form of a sparse operand — what the [Pass]
-          layout bracket converted a graph matrix into under the engine's
-          locality config. *)
+    arena, and the locality engine's hybrid-form lookup (physical-identity
+    memo over iteration-stable sparse matrices: what the [Pass] layout
+    bracket converted a graph matrix into under a [hybrid] locality
+    config). Built by {!Executor} from an {!Engine.t}; {!plain} is the bare
+    sequential context. *)
 
 type ctx = {
   pool : Granii_tensor.Parallel.t option;
   ws : Granii_tensor.Workspace.t option;
-  localize : (Granii_sparse.Csr.t -> form option) option;
+  localize : (Granii_sparse.Csr.t -> Granii_sparse.Hybrid.t option) option;
 }
 
 val plain : ctx
 
 (** {2 Dispatch} *)
 
-type fmt = Fmt_csr | Fmt_hybrid | Fmt_bsr | Fmt_cbm
+type fmt = Fmt_csr | Fmt_hybrid
 
 val fmt_to_string : fmt -> string
 
@@ -64,7 +57,7 @@ val format_of : ctx -> Primitive.t -> value array -> fmt
 
 val exec : ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
 (** Execute one primitive: SpMM and rank-1 SDDMM run from the context's
-    localized form of their sparse operand when it has one, every other
+    hybrid form of their sparse operand when it has one, every other
     primitive (and those two without a form) from CSR. Raises
     {!Execution_error} on an argument-kind or arity mismatch. *)
 

@@ -22,7 +22,6 @@ let default_config =
 type error =
   | Invalid_threads of int
   | Invalid_format of string
-  | Bsr_with_reorder of Locality.config
 
 exception Error of error
 
@@ -30,14 +29,7 @@ let error_to_string = function
   | Invalid_threads t -> Printf.sprintf "engine: threads must be >= 1 (got %d)" t
   | Invalid_format f ->
       Printf.sprintf
-        "engine: unknown sparse format %s (expected csr, hybrid, bsr or cbm)"
-        f
-  | Bsr_with_reorder c ->
-      Printf.sprintf
-        "engine: the bsr format cannot be combined with ordering %s (tiles \
-         accumulate in column-sorted order, but reordered matrices keep \
-         source entry order — the bitwise contract would break)"
-        (Granii_graph.Reorder.strategy_to_string c.Locality.strategy)
+        "engine: unknown sparse format %s (expected csr or hybrid)" f
 
 let () =
   Printexc.register_printer (function
@@ -56,10 +48,7 @@ type t = {
 }
 
 let validate (cfg : config) =
-  if cfg.threads < 1 then Some (Invalid_threads cfg.threads)
-  else if not (Locality.legal cfg.locality) then
-    Some (Bsr_with_reorder cfg.locality)
-  else None
+  if cfg.threads < 1 then Some (Invalid_threads cfg.threads) else None
 
 let create ?pool ?workspace ?obs ?oracle (cfg : config) =
   (* normalize the config to the resources actually present, so [describe]
@@ -147,7 +136,7 @@ let parse_locality v =
       | None ->
           Result.Error
             (Printf.sprintf
-               "engine spec: locality expects <identity|degree|bfs|rcm>+<csr|hybrid|bsr|cbm> (got %s)"
+               "engine spec: locality expects <identity|degree|bfs|rcm>+<csr|hybrid> (got %s)"
                v)
       | Some strategy -> (
           match Locality.format_of_string f with

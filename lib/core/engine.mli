@@ -4,17 +4,12 @@
     capability that used to travel as independent optional arguments
     through {!Executor}: the domain pool ([threads]), the workspace arena,
     the locality (layout) decision and the liveness policy
-    ([keep_intermediates]). Illegal combinations are rejected at
-    construction with a typed {!error} instead of a mid-run exception, so
-    the legality matrix lives in exactly one place (see DESIGN.md §10):
-
-    {v
-    combination                          verdict
-    ---------------------------------------------------------------------
-    threads < 1                          Invalid_threads
-    bsr format + non-identity order      Bsr_with_reorder
-    everything else                      legal
-    v}
+    ([keep_intermediates]). An invalid config is rejected at construction
+    with a typed {!error} instead of a mid-run exception. Only the thread
+    count can be invalid: every ordering composes with every sparse format
+    ({!Locality.all_configs}), so no pair of axes is illegal together (see
+    DESIGN.md §10). {!Invalid_format} is the parse-time error of
+    {!config_of_string} for an unknown format name.
 
     Every engine also carries a {!Cost_oracle.t} — the single
     cost-prediction layer — whose online-calibration policy is the
@@ -47,11 +42,7 @@ type error =
   | Invalid_threads of int
   | Invalid_format of string
       (** unknown sparse-format name on the locality axis (expected [csr],
-          [hybrid], [bsr] or [cbm]) *)
-  | Bsr_with_reorder of Locality.config
-      (** [bsr] with a non-identity ordering: tiles accumulate in
-          column-sorted order, but reordered matrices keep source entry
-          order — see {!Locality.legal} *)
+          or [hybrid]) *)
 
 exception Error of error
 
@@ -121,7 +112,7 @@ val config_of_string : string -> (config, string) result
 (** Parse a comma-separated [key=value] spec; omitted keys keep their
     {!default_config} values, [""] and ["default"] are the default config.
     Keys: [threads] (int), [workspace] (on|off),
-    [locality] (<identity|degree|bfs|rcm>+<csr|hybrid|bsr|cbm>),
+    [locality] (<identity|degree|bfs|rcm>+<csr|hybrid>),
     [intermediates] (keep|drop), [calibration] (off|affine). Any other key
     is a parse error. An unknown format name reports the {!Invalid_format}
     message. *)

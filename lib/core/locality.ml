@@ -2,7 +2,7 @@ module Hw = Granii_hw.Hw_profile
 module Gf = Granii_graph.Graph_features
 module Reorder = Granii_graph.Reorder
 
-type format = Csr | Hybrid | Bsr | Cbm
+type format = Csr | Hybrid
 
 type config = { strategy : Reorder.strategy; format : format }
 
@@ -13,30 +13,21 @@ let is_default c = c.strategy = Reorder.Identity && c.format = Csr
 let format_to_string = function
   | Csr -> "csr"
   | Hybrid -> "hybrid"
-  | Bsr -> "bsr"
-  | Cbm -> "cbm"
 
 let format_of_string = function
   | "csr" -> Some Csr
   | "hybrid" | "ell" -> Some Hybrid
-  | "bsr" -> Some Bsr
-  | "cbm" -> Some Cbm
   | _ -> None
 
-let all_formats = [ Csr; Hybrid; Bsr; Cbm ]
+let all_formats = [ Csr; Hybrid ]
 
 let config_to_string c =
   Reorder.strategy_to_string c.strategy ^ "+" ^ format_to_string c.format
 
 (* Default config first, so a strict-minimum argmin keeps the legacy path
-   whenever no configuration is predicted strictly cheaper. *)
-(* BSR tiles accumulate each row in ascending block/column order — the CSR
-   kernel order only when rows are column-sorted. Reordered matrices keep
-   source entry order (Reorder.permute_csr), so a non-identity strategy
-   combined with Bsr can never honor the bitwise contract. Hybrid and Cbm
-   preserve per-row storage order and compose with any ordering. *)
-let legal c = c.format <> Bsr || c.strategy = Reorder.Identity
-
+   whenever no configuration is predicted strictly cheaper. Every ordering
+   composes with every format: the hybrid slab and tail keep each row's
+   storage order. *)
 let all_configs =
   default
   :: List.concat_map
@@ -44,7 +35,7 @@ let all_configs =
          List.filter_map
            (fun f ->
              let c = { strategy = s; format = f } in
-             if is_default c || not (legal c) then None else Some c)
+             if is_default c then None else Some c)
            all_formats)
        Reorder.all_strategies
 
@@ -72,25 +63,15 @@ let gather_discount (p : Hw.t) (stats : Gf.t) config =
     match config.format with
     | Csr -> 0.
     | Hybrid -> p.Hw.hybrid_gather_discount *. stats.Gf.ell_packing
-    (* the SDDMM-side credit: dense tiles read their [c] B-rows once per
-       block instead of once per entry, proportionally to how full the
-       blocks are. (The SpMM-side saving is modeled structurally by
-       [Spmm_bsr]/[Spmm_cbm], not by this discount.) *)
-    | Bsr -> p.Hw.bsr_gather_discount *. stats.Gf.block_fill
-    | Cbm -> 0.
   in
   let ord = p.Hw.locality_order_discount *. order_quality stats config.strategy in
   1. -. ((1. -. fmt) *. (1. -. ord))
 
 (* One-time layout work a configuration must amortize: a counting-scatter
-   pass for the permuted re-index, another for the format conversion. The
-   CBM factoring sorts row signatures — charged as two passes. *)
+   pass for the permuted re-index, another for the format conversion. *)
 let layout_kernels ~n ~nnz config =
   let pass = Granii_hw.Kernel_model.Layout_pass { n; nnz } in
   (if config.strategy = Reorder.Identity then [] else [ pass ])
-  @ (match config.format with
-    | Csr -> []
-    | Hybrid | Bsr -> [ pass ]
-    | Cbm -> [ pass; pass ])
+  @ match config.format with Csr -> [] | Hybrid -> [ pass ]
 
 let pp ppf c = Format.pp_print_string ppf (config_to_string c)

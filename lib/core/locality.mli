@@ -1,7 +1,8 @@
 (** Locality configurations: {e data layout} as a cost-modeled decision.
 
     A configuration pairs a vertex ordering ({!Granii_graph.Reorder.strategy})
-    with a sparse format for the g-kernels. The selector ranks
+    with a sparse format for the g-kernels: plain CSR, or the hybrid
+    ELL slab + CSR tail ({!Granii_sparse.Hybrid}). The selector ranks
     {m \{ordering\} \times \{format\} \times \{primitive composition\}}
     jointly per input: each configuration contributes a one-time layout cost
     ({!layout_kernels}) and a per-kernel gather discount
@@ -14,7 +15,7 @@
     hybrid kernels, and inverse-permutes the output (see {!Executor.exec}
     on an engine with a non-default [locality] axis). *)
 
-type format = Csr | Hybrid | Bsr | Cbm
+type format = Csr | Hybrid
 
 type config = { strategy : Granii_graph.Reorder.strategy; format : format }
 
@@ -23,22 +24,17 @@ val default : config
 
 val is_default : config -> bool
 
-val legal : config -> bool
-(** Whether the pair can honor the bitwise contract. [Bsr] tiles accumulate
-    each row in ascending column order — the CSR kernel order only under the
-    identity ordering, because reordered matrices keep {e source} entry
-    order ({!Granii_graph.Reorder.permute_csr}). [Hybrid] and [Cbm]
-    preserve per-row storage order and compose with any strategy. *)
-
 val all_configs : config list
-(** Every {!legal} strategy × format pair, {!default} first. *)
+(** Every strategy × format pair (4 × 2), {!default} first. Both formats
+    keep each row's storage order, so every pair honors the bitwise
+    contract. *)
 
 val all_formats : format list
 
 val format_to_string : format -> string
 
 val format_of_string : string -> format option
-(** Accepts ["csr"], ["hybrid"]/["ell"], ["bsr"], ["cbm"]. *)
+(** Accepts ["csr"] and ["hybrid"]/["ell"]. *)
 
 val config_to_string : config -> string
 (** E.g. ["degree+hybrid"]. *)

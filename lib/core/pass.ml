@@ -35,7 +35,7 @@ module Layout = struct
     | v -> v
 
   (* Mutable locality state for one run: the computed ordering (if any) and
-     the memo of localized-format conversions, keyed by physical identity —
+     the memo of hybrid-format conversions, keyed by physical identity —
      only iteration-stable matrices (bindings, setup-step outputs) are
      registered, so per-iteration-fresh sparse values keep the Csr path and
      never pay a per-iteration conversion. *)
@@ -43,7 +43,7 @@ module Layout = struct
     config : Locality.config;
     reorder : Reorder.t option;
     inverse : Reorder.t option; (* the inverse ordering, for Csr outputs *)
-    mutable forms : (Csr.t * Dispatch.form) list;
+    mutable forms : (Csr.t * Hybrid.t) list;
     mutable layout : float;
   }
 
@@ -80,41 +80,24 @@ module Layout = struct
       (Some st, graph', bindings')
     end
 
-  (* Register an iteration-stable sparse value for localized execution; the
+  (* Register an iteration-stable sparse value for hybrid execution; the
      conversion cost is layout work, not kernel time. *)
-  let convert_for fmt s =
-    match fmt with
-    | Locality.Csr -> None
-    | Locality.Hybrid -> Some (Dispatch.Fhybrid (Hybrid.of_csr s))
-    | Locality.Bsr -> Some (Dispatch.Fbsr (Granii_sparse.Bsr.of_csr s))
-    | Locality.Cbm -> Some (Dispatch.Fcbm (Granii_sparse.Cbm.of_csr s))
-
   let register st v =
-    match st with
-    | None -> ()
-    | Some st ->
-        if st.config.Locality.format <> Locality.Csr then begin
-          match v with
-          | Dispatch.Vsparse s
-            when s.Csr.n_rows = s.Csr.n_cols
-                 && not (List.exists (fun (m, _) -> m == s) st.forms) -> (
-              let frm, t =
-                Granii_hw.Timer.measure_wall (fun () ->
-                    convert_for st.config.Locality.format s)
-              in
-              match frm with
-              | Some frm ->
-                  st.layout <- st.layout +. t;
-                  st.forms <- (s, frm) :: st.forms
-              | None -> ())
-          | _ -> ()
-        end
+    match (st, v) with
+    | Some st, Dispatch.Vsparse s
+      when st.config.Locality.format = Locality.Hybrid
+           && s.Csr.n_rows = s.Csr.n_cols
+           && not (List.exists (fun (m, _) -> m == s) st.forms) ->
+        let h, t = Granii_hw.Timer.measure_wall (fun () -> Hybrid.of_csr s) in
+        st.layout <- st.layout +. t;
+        st.forms <- (s, h) :: st.forms
+    | _ -> ()
 
   let form_of st =
     match st with
     | None -> None
     | Some st ->
-        if st.config.Locality.format <> Locality.Csr then
+        if st.config.Locality.format = Locality.Hybrid then
           Some
             (fun m ->
               List.find_opt (fun (m', _) -> m' == m) st.forms

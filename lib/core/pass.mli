@@ -14,13 +14,13 @@ module Layout : sig
     state option * Granii_graph.Graph.t * (string * Dispatch.value) list
 
   val register : state option -> Dispatch.value -> unit
-  (** Memoize the localized form (hybrid / BSR / CBM, per the config) of an
+  (** Memoize the hybrid form (under a [hybrid] config) of an
       iteration-stable square sparse value (bindings and setup-phase
       outputs), by physical identity. *)
 
   val form_of :
     state option ->
-    (Granii_sparse.Csr.t -> Dispatch.form option) option
+    (Granii_sparse.Csr.t -> Granii_sparse.Hybrid.t option) option
   (** The lookup handed to {!Dispatch.ctx}. *)
 
   val exit_ :

@@ -72,10 +72,15 @@ let make_prepare ~seed ~fanouts ~batch_size ~threads ~graph ~features ~labels
       Timer.measure_wall (fun () ->
           let nodes = sample.G.Sampling.nodes in
           let n_sub = Array.length nodes in
-          let bfeatures =
-            Dense.init n_sub features.Dense.cols (fun i j ->
-                Dense.get features nodes.(i) j)
-          in
+          (* one row blit per sampled node: rows are contiguous in the
+             row-major store *)
+          let cols = features.Dense.cols in
+          let data = Array.create_float (n_sub * cols) in
+          Array.iteri
+            (fun i oi ->
+              Array.blit features.Dense.data (oi * cols) data (i * cols) cols)
+            nodes;
+          let bfeatures = Dense.of_flat ~rows:n_sub ~cols data in
           let blabels = Array.map (fun oi -> labels.(oi)) nodes in
           let bmask =
             Array.init n_sub (fun i -> i < sample.G.Sampling.n_seeds)

@@ -106,36 +106,6 @@ let mycielskian ?(levels = 11) () =
   done;
   Graph.of_edges ~name:(name_of "mycielskian%d" levels) ~n:!n !edges
 
-let blocked ?(seed = 1) ?(block = 8) ~n ~blocks_per_row () =
-  if block < 1 then invalid_arg "Generators.blocked: block must be >= 1";
-  let rng = Prng.create (seed + 505) in
-  let nb = (n + block - 1) / block in
-  let edges = ref [] in
-  (* Each block row picks [blocks_per_row] aligned block columns (its own
-     diagonal block always included) and densifies them fully, so the BSR
-     tiling of the result has fill ~1. Symmetrization keeps tiles full:
-     the transpose of a dense tile is a dense tile. *)
-  for bi = 0 to nb - 1 do
-    let chosen = Hashtbl.create blocks_per_row in
-    Hashtbl.add chosen bi ();
-    let attempts = ref 0 in
-    while Hashtbl.length chosen < min blocks_per_row nb && !attempts < 50 * blocks_per_row do
-      incr attempts;
-      let bj = Prng.int rng nb in
-      if not (Hashtbl.mem chosen bj) then Hashtbl.add chosen bj ()
-    done;
-    Hashtbl.iter
-      (fun bj () ->
-        for i = bi * block to min n ((bi + 1) * block) - 1 do
-          for j = bj * block to min n ((bj + 1) * block) - 1 do
-            if i <> j then edges := (i, j) :: !edges
-          done
-        done)
-      chosen
-  done;
-  Graph.of_edges ~name:(name_of "blocked_n%d_b%d_r%d" n block blocks_per_row)
-    ~n !edges
-
 let community_overlap ?(seed = 1) ~n ~groups ~degree () =
   if groups < 1 then invalid_arg "Generators.community_overlap: groups must be >= 1";
   let rng = Prng.create (seed + 606) in
@@ -143,7 +113,7 @@ let community_overlap ?(seed = 1) ~n ~groups ~degree () =
   let edges = ref [] in
   (* Every member of a contiguous group connects to the same template
      neighbor list, so member rows are exact duplicates (Jaccard 1) up to
-     the symmetrized back-edges — the CBM factoring's best case. *)
+     the symmetrized back-edges. *)
   for g = 0 to groups - 1 do
     let lo = g * size in
     let hi = min n (lo + size) in

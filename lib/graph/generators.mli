@@ -34,14 +34,6 @@ val mycielskian : ?levels:int -> unit -> Graph.t
     [mycielskian17], dense and highly regular. Raises [Invalid_argument] if
     [levels < 2]. *)
 
-val blocked : ?seed:int -> ?block:int -> n:int -> blocks_per_row:int ->
-  unit -> Graph.t
-(** Block-structured graph: each aligned block row of size [block] (default
-    [8], the BSR tile edge) picks [blocks_per_row] aligned block columns —
-    always including its diagonal block — and densifies them fully, so the
-    8x8 BSR tiling has fill close to 1. The dense-hardware best case for the
-    block-sparse format. *)
-
 val community_overlap : ?seed:int -> n:int -> groups:int -> degree:int ->
   unit -> Graph.t
 (** High neighbor-overlap graph: nodes are split into [groups] contiguous
@@ -49,8 +41,8 @@ val community_overlap : ?seed:int -> n:int -> groups:int -> degree:int ->
     [degree] template neighbors drawn from its own community (sampled with
     replacement, so up to [degree] distinct), keeping symmetrized
     back-edges inside the template rows. Every non-template member row is
-    an {e exact} duplicate of its community's template — the best case for
-    the neighbor-dedup (CBM) format. *)
+    an {e exact} duplicate of its community's template: many rows gather
+    the same dense rows. *)
 
 val star : n:int -> Graph.t
 (** One hub connected to [n - 1] leaves: the extreme skew case for tests. *)

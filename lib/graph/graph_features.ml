@@ -15,8 +15,6 @@ type t = {
   avg_bandwidth : float;
   max_bandwidth : float;
   ell_packing : float;
-  block_fill : float;
-  neighbor_overlap : float;
 }
 
 let gini sorted_degrees =
@@ -74,71 +72,6 @@ let extract (g : Graph.t) =
   let ell_packing =
     if n = 0 then 1. else float_of_int packed /. float_of_int (n * width)
   in
-  (* Block density under the BSR candidate shape: nnz over the stored slots
-     of the nonempty [bs x bs] tiles. Counted with a stamp array (stamp =
-     block row id, never reset) in O(n + nnz). *)
-  let bs = 8 in
-  let block_fill =
-    if nnz = 0 then 0.
-    else begin
-      let nb_cols = (n + bs - 1) / bs in
-      let stamp = Array.make (max 1 nb_cols) (-1) in
-      let blocks = ref 0 in
-      let row_ptr = g.Graph.adj.Csr.row_ptr
-      and col_idx = g.Graph.adj.Csr.col_idx in
-      for bi = 0 to ((n + bs - 1) / bs) - 1 do
-        let rmax = min n ((bi + 1) * bs) in
-        for i = bi * bs to rmax - 1 do
-          for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-            let bc = col_idx.(p) / bs in
-            if stamp.(bc) <> bi then begin
-              stamp.(bc) <- bi;
-              incr blocks
-            end
-          done
-        done
-      done;
-      float_of_int nnz /. float_of_int (!blocks * bs * bs)
-    end
-  in
-  (* Neighbor overlap for the CBM candidate: mean Jaccard similarity over up
-     to 256 evenly spaced consecutive row pairs (i, i+1) — deterministic, no
-     sampling noise, and aligned with the prefix factoring's reach (rows
-     with identical neighbor sets sort adjacent, and generators emit
-     communities contiguously). Pairs with an empty union are skipped. *)
-  let neighbor_overlap =
-    if n < 2 then 0.
-    else begin
-      let row_ptr = g.Graph.adj.Csr.row_ptr
-      and col_idx = g.Graph.adj.Csr.col_idx in
-      let pairs = min 256 (n - 1) in
-      let stride = (n - 1) / pairs in
-      let total = ref 0. and counted = ref 0 in
-      for s = 0 to pairs - 1 do
-        let i = s * stride in
-        let a0 = row_ptr.(i) and a1 = row_ptr.(i + 1) in
-        let b0 = row_ptr.(i + 1) and b1 = row_ptr.(i + 2) in
-        let da = a1 - a0 and db = b1 - b0 in
-        if da + db > 0 then begin
-          let inter = ref 0 and pa = ref a0 and pb = ref b0 in
-          while !pa < a1 && !pb < b1 do
-            let ca = col_idx.(!pa) and cb = col_idx.(!pb) in
-            if ca = cb then begin
-              incr inter;
-              incr pa;
-              incr pb
-            end
-            else if ca < cb then incr pa
-            else incr pb
-          done;
-          let union = da + db - !inter in
-          total := !total +. (float_of_int !inter /. float_of_int union);
-          incr counted
-        end
-      done;
-      if !counted = 0 then 0. else !total /. float_of_int !counted
-    end
-  in
   { n_nodes = nf;
     nnz = float_of_int nnz;
     density = (if n = 0 then 0. else float_of_int nnz /. (nf *. nf));
@@ -152,9 +85,7 @@ let extract (g : Graph.t) =
     degree_variance = std *. std;
     avg_bandwidth = avg_bw;
     max_bandwidth = max_bw;
-    ell_packing;
-    block_fill;
-    neighbor_overlap }
+    ell_packing }
 
 let log1 x = log (1. +. x)
 
@@ -172,15 +103,12 @@ let to_array f =
      log1 f.degree_variance;
      f.avg_bandwidth;
      f.max_bandwidth;
-     f.ell_packing;
-     f.block_fill;
-     f.neighbor_overlap |]
+     f.ell_packing |]
 
 let names =
   [| "log_n"; "log_nnz"; "density"; "log_avg_deg"; "log_max_deg"; "min_deg";
      "deg_cv"; "deg_gini"; "skew_frac"; "empty_frac"; "log_deg_var";
-     "avg_bandwidth"; "max_bandwidth"; "ell_packing"; "block_fill";
-     "neighbor_overlap" |]
+     "avg_bandwidth"; "max_bandwidth"; "ell_packing" |]
 
 let pp ppf f =
   Format.fprintf ppf

@@ -21,13 +21,6 @@ type t = {
   avg_bandwidth : float; (** mean [|i - j|] over stored entries, / n *)
   max_bandwidth : float; (** max [|i - j|] over stored entries, / n *)
   ell_packing : float;   (** hybrid slab occupancy at the default width *)
-  block_fill : float;    (** nnz over the stored slots of the nonempty 8x8
-                             tiles (the BSR candidate shape); [0.] when the
-                             graph has no edges *)
-  neighbor_overlap : float;
-  (** mean Jaccard similarity of neighbor sets over up to 256 evenly spaced
-      consecutive row pairs — a cheap deterministic estimator of how much a
-      neighbor-dedup (CBM) format can factor out *)
 }
 
 val extract : Graph.t -> t

@@ -11,9 +11,6 @@ type t = {
   atomic_contention_factor : float;
   hybrid_gather_discount : float;
   locality_order_discount : float;
-  bsr_dense_efficiency : float;
-  bsr_gather_discount : float;
-  cbm_dedup_efficiency : float;
   noise : float;
 }
 
@@ -36,14 +33,6 @@ let cpu =
        recover a sizeable share of the random-gather cost. *)
     hybrid_gather_discount = 0.30;
     locality_order_discount = 0.40;
-    (* Scalar FMA pipes don't widen much on 8x8 tiles: BSR's dense lowering
-       reaches only a modest fraction of GEMM rate, so CSR usually wins on
-       the CPU unless the blocks are nearly full. *)
-    bsr_dense_efficiency = 0.30;
-    bsr_gather_discount = 0.25;
-    (* Delta rows are plain sequential adds on a CPU — nearly the full
-       dedup saving is realized. *)
-    cbm_dedup_efficiency = 0.9;
     noise = 0.08 }
 
 let a100 =
@@ -64,14 +53,6 @@ let a100 =
        layout buys less than on the CPU. *)
     hybrid_gather_discount = 0.20;
     locality_order_discount = 0.30;
-    (* Tensor-core-shaped tiles: the dense pipes eat 8x8 blocks well
-       (Balog et al., 1906.11786), so dense-leaning parts prefer BSR at
-       moderate fill. *)
-    bsr_dense_efficiency = 0.55;
-    bsr_gather_discount = 0.20;
-    (* The base-row broadcast serializes warps: only about half the dedup
-       saving survives. *)
-    cbm_dedup_efficiency = 0.5;
     noise = 0.04 }
 
 let h100 =
@@ -88,9 +69,6 @@ let h100 =
     atomic_contention_factor = 0.012;
     hybrid_gather_discount = 0.15;
     locality_order_discount = 0.25;
-    bsr_dense_efficiency = 0.6;
-    bsr_gather_discount = 0.15;
-    cbm_dedup_efficiency = 0.45;
     noise = 0.04 }
 
 let all = [ cpu; a100; h100 ]

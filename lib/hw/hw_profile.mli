@@ -42,18 +42,6 @@ type t = {
   (** fraction of random-gather traffic a well-chosen vertex ordering
       recovers on a maximally reorderable input; scaled by the ordering's
       measured quality *)
-  bsr_dense_efficiency : float;
-  (** fraction of [dense_gflops] the BSR dense-tile SpMM sustains: the
-      block-sparse format runs its (padded) FLOPs on the dense pipe at this
-      rate instead of [sparse_gflops] (see [Kernel_model.Spmm_bsr]) *)
-  bsr_gather_discount : float;
-  (** fraction of an SDDMM's random traffic the BSR tiling recovers at
-      perfect block fill; scaled by the actual fill ratio *)
-  cbm_dedup_efficiency : float;
-  (** fraction of the CBM format's deduplicated work that translates into
-      saved time (delta-row dependencies cost more on wide machines);
-      scales the graph's measured neighbor overlap in
-      [Kernel_model.Spmm_cbm] *)
   noise : float;
   (** relative amplitude of the deterministic run-to-run jitter *)
 }

@@ -3,10 +3,6 @@ type kernel =
   | Spmm of { rows : int; nnz : int; k : int; weighted : bool }
   | Spmm_hybrid of
       { rows : int; nnz : int; k : int; weighted : bool; packing : float }
-  | Spmm_bsr of
-      { rows : int; nnz : int; k : int; weighted : bool; fill : float }
-  | Spmm_cbm of
-      { rows : int; nnz : int; k : int; weighted : bool; overlap : float }
   | Dense_sparse_mm of { rows : int; nnz : int; cols : int; k : int }
   | Sddmm of { nnz : int; k : int }
   | Row_broadcast of { n : int; k : int }
@@ -25,14 +21,6 @@ let elt_bytes = 4.
 let flops = function
   | Gemm { m; k; n } -> 2. *. f m *. f k *. f n
   | Spmm { nnz; k; _ } | Spmm_hybrid { nnz; k; _ } -> 2. *. f nnz *. f k
-  (* the dense tiles compute their padding too: FLOPs inflate by the
-     reciprocal of the block fill *)
-  | Spmm_bsr { nnz; k; fill; _ } ->
-      2. *. f nnz *. f k /. Float.max 0.05 fill
-  (* delta rows skip their shared prefix: the overlap fraction of the
-     multiply-adds disappears *)
-  | Spmm_cbm { nnz; k; overlap; _ } ->
-      2. *. f nnz *. f k *. (1. -. Float.max 0. (Float.min 1. overlap))
   | Dense_sparse_mm { rows; nnz; _ } -> 2. *. f rows *. f nnz
   | Sddmm { nnz; k } -> 2. *. f nnz *. f k
   | Row_broadcast { n; k } | Col_broadcast { n; k } -> f n *. f k
@@ -57,19 +45,6 @@ let bytes_streamed = function
       let pad = 1. /. Float.max 0.05 packing in
       elt_bytes
       *. ((f nnz *. pad *. if weighted then 2. else 1.) +. (f rows *. f k))
-  | Spmm_bsr { rows; nnz; k; fill; _ } ->
-      (* tile values stream padding included; per-block metadata is one
-         index per block (nnz * pad / (r*c) entries, folded into the value
-         stream), plus the streamed output *)
-      let pad = 1. /. Float.max 0.05 fill in
-      elt_bytes *. ((f nnz *. pad) +. (f rows *. f k))
-  | Spmm_cbm { rows; nnz; k; weighted; overlap } ->
-      (* surviving entries stream as in CSR; every deduplicated row also
-         streams a k-wide copy of its base's output *)
-      let ov = Float.max 0. (Float.min 1. overlap) in
-      elt_bytes
-      *. ((f nnz *. (1. -. ov) *. if weighted then 2. else 1.)
-          +. ((1. +. ov) *. f rows *. f k))
   | Dense_sparse_mm { rows; nnz; cols; k } ->
       elt_bytes *. ((f rows *. f k) +. (2. *. f nnz) +. (f rows *. f cols))
   | Sddmm { nnz; _ } -> elt_bytes *. 2. *. f nnz
@@ -88,13 +63,6 @@ let bytes_random = function
   | Gemm _ -> 0.
   | Spmm { nnz; k; _ } | Spmm_hybrid { nnz; k; _ } ->
       elt_bytes *. f nnz *. f k
-  (* a block gathers [c] consecutive B rows shared by its [r] tile rows:
-     the per-entry gather cost shrinks by the block height, and padding
-     entries gather nothing new *)
-  | Spmm_bsr { nnz; k; _ } -> elt_bytes *. f nnz *. f k /. 8.
-  (* deduplicated entries never gather *)
-  | Spmm_cbm { nnz; k; overlap; _ } ->
-      elt_bytes *. f nnz *. f k *. (1. -. Float.max 0. (Float.min 1. overlap))
   | Dense_sparse_mm { nnz; k; _ } -> elt_bytes *. f nnz *. f k
   | Sddmm { nnz; k } -> elt_bytes *. 2. *. f nnz *. f k
   | Row_broadcast _ | Col_broadcast _ | Diag_combine _ | Elementwise _
@@ -112,10 +80,7 @@ let bytes_random = function
 let random_working_set = function
   | Gemm _ -> 0.
   (* the gathered operand is the full dense matrix B *)
-  | Spmm { rows; k; _ }
-  | Spmm_hybrid { rows; k; _ }
-  | Spmm_bsr { rows; k; _ }
-  | Spmm_cbm { rows; k; _ } ->
+  | Spmm { rows; k; _ } | Spmm_hybrid { rows; k; _ } ->
       elt_bytes *. f rows *. f k
   (* scatter targets are row-local: one output row resident at a time *)
   | Dense_sparse_mm { cols; _ } -> elt_bytes *. f cols
@@ -132,11 +97,7 @@ let random_working_set = function
 
 let is_dense_compute = function
   | Gemm _ -> true
-  (* BSR runs its tiles on the dense pipe, at the profile's
-     [bsr_dense_efficiency] fraction of full GEMM rate (see {!time}) *)
-  | Spmm_bsr _ -> true
-  | Spmm _ | Spmm_hybrid _ | Spmm_cbm _ | Dense_sparse_mm _ | Sddmm _
-  | Row_broadcast _
+  | Spmm _ | Spmm_hybrid _ | Dense_sparse_mm _ | Sddmm _ | Row_broadcast _
   | Col_broadcast _ | Diag_scale_sparse _ | Diag_combine _ | Elementwise _
   | Edge_softmax _ | Degree_binning _ | Degree_rowptr _ | Layout_pass _ ->
       false
@@ -153,14 +114,8 @@ let time ?(threads = 1) ?(gather_discount = 0.) (p : Hw_profile.t) kernel =
   let compute_speedup = 1. +. (compute_efficiency *. float_of_int (t - 1)) in
   let memory_speedup = 1. +. (memory_efficiency *. float_of_int (t - 1)) in
   let compute_throughput =
-    (match kernel with
-    | Spmm_bsr _ ->
-        (* dense tiles, but small and bandwidth-interleaved: a fraction of
-           the full GEMM rate *)
-        p.Hw_profile.dense_gflops *. p.Hw_profile.bsr_dense_efficiency
-    | _ ->
-        if is_dense_compute kernel then p.Hw_profile.dense_gflops
-        else p.Hw_profile.sparse_gflops)
+    (if is_dense_compute kernel then p.Hw_profile.dense_gflops
+     else p.Hw_profile.sparse_gflops)
     *. 1e9
   in
   let compute_t = flops kernel /. compute_throughput /. compute_speedup in
@@ -191,8 +146,7 @@ let time ?(threads = 1) ?(gather_discount = 0.) (p : Hw_profile.t) kernel =
         f nnz *. p.Hw_profile.atomic_ns *. 1e-9
         *. (1. +. (p.Hw_profile.atomic_contention_factor *. avg_collisions))
         *. (1. +. (p.Hw_profile.atomic_contention_factor *. float_of_int (t - 1)))
-    | Gemm _ | Spmm _ | Spmm_hybrid _ | Spmm_bsr _ | Spmm_cbm _
-    | Dense_sparse_mm _ | Sddmm _ | Row_broadcast _ | Col_broadcast _
+    | Gemm _ | Spmm _ | Spmm_hybrid _ | Dense_sparse_mm _ | Sddmm _ | Row_broadcast _ | Col_broadcast _
     | Diag_scale_sparse _ | Diag_combine _ | Elementwise _ | Edge_softmax _
     | Degree_rowptr _ | Layout_pass _ ->
         0.
@@ -218,15 +172,6 @@ let pp ppf = function
         k
         (if weighted then ",w" else "")
         packing
-  | Spmm_bsr { rows; nnz; k; weighted; fill } ->
-      Format.fprintf ppf "spmm_bsr(rows=%d,nnz=%d,k=%d%s,fill=%.2f)" rows nnz
-        k
-        (if weighted then ",w" else "")
-        fill
-  | Spmm_cbm { rows; nnz; k; weighted; overlap } ->
-      Format.fprintf ppf "spmm_cbm(rows=%d,nnz=%d,k=%d%s,ov=%.2f)" rows nnz k
-        (if weighted then ",w" else "")
-        overlap
   | Dense_sparse_mm { rows; nnz; cols; k } ->
       Format.fprintf ppf "dspmm(rows=%d,nnz=%d,cols=%d,k=%d)" rows nnz cols k
   | Sddmm { nnz; k } -> Format.fprintf ppf "sddmm(nnz=%d,k=%d)" nnz k

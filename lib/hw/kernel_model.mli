@@ -22,21 +22,6 @@ type kernel =
       (** sparse-times-dense from the hybrid ELL+tail format: index traffic
           inflates by [1 / packing] (the slab streams its padding), while
           gather traffic earns the locality discount passed to {!time} *)
-  | Spmm_bsr of
-      { rows : int; nnz : int; k : int; weighted : bool; fill : float }
-      (** sparse-times-dense from the block-sparse (BSR) format: FLOPs and
-          the value stream inflate by [1 / fill] (the dense tiles compute
-          their padding) but run on the dense pipe at
-          [Hw_profile.bsr_dense_efficiency] of GEMM rate, and gather traffic
-          shrinks by the block height (a block's [c] B-rows are shared by
-          its [r] tile rows) *)
-  | Spmm_cbm of
-      { rows : int; nnz : int; k : int; weighted : bool; overlap : float }
-      (** sparse-times-dense from the neighbor-dedup (CBM) format:
-          [overlap] is the realized dedup fraction (the graph's measured
-          neighbor overlap scaled by [Hw_profile.cbm_dedup_efficiency]) —
-          that fraction of the multiply-adds and gathers disappears, at the
-          cost of a k-wide base-row copy per deduplicated row *)
   | Dense_sparse_mm of { rows : int; nnz : int; cols : int; k : int }
       (** dense-times-sparse scatter form: {m (rows \times k)} dense by a
           sparse with [nnz] entries and [cols] columns *)

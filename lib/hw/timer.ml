@@ -1,34 +1,5 @@
-(* Two clocks, deliberately kept apart:
-
-   - [now]/[measure]/[measure_n] read [Sys.time], i.e. process CPU time —
-     right for single-threaded kernel microbenches (immune to scheduler
-     noise), but it sums over every running domain, so a run on the
-     multicore engine reports ~threads x the elapsed time;
-   - [wall]/[measure_wall]/[measure_n_wall] read [Unix.gettimeofday], i.e.
-     elapsed real time — what every parallel-path measurement, executor
-     step timing and telemetry span must use. *)
-
-let now () = Sys.time ()
-
-let measure f =
-  let t0 = now () in
-  let x = f () in
-  let t1 = now () in
-  (x, t1 -. t0)
-
-let measure_n ?(warmup = 1) ~n f =
-  if n <= 0 then invalid_arg "Timer.measure_n: n must be positive";
-  for _ = 1 to warmup do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let t0 = now () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let t1 = now () in
-  (t1 -. t0) /. float_of_int n
-
-let wall () = Unix.gettimeofday ()
+(* One clock: CLOCK_MONOTONIC in nanoseconds, read as float seconds. *)
+let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let measure_wall f =
   let t0 = wall () in

@@ -1,31 +1,21 @@
-(** Measurement helpers for real (host-CPU) execution: a CPU-time clock for
-    single-threaded kernel microbenches and a wall clock for everything
-    that may run on more than one domain.
+(** Measurement helpers for real (host-CPU) execution, on one clock.
 
-    [Sys.time] is {e process CPU time}: it sums over every running domain,
-    so timing a run on the multicore engine with it reports roughly
-    [threads x] the elapsed time. All parallel-path measurements — executor
-    step timing, telemetry spans, the parallel-speedup benches — use the
-    [wall] family; the CPU family stays for sequential microbenches, where
-    its immunity to scheduler noise is an asset. *)
-
-val now : unit -> float
-(** Process CPU seconds ([Sys.time]). *)
-
-val measure : (unit -> 'a) -> 'a * float
-(** [measure f] runs [f] once and returns its result with elapsed CPU
-    seconds. *)
-
-val measure_n : ?warmup:int -> n:int -> (unit -> 'a) -> float
-(** [measure_n ~n f] runs [f] [warmup] times (default [1]) untimed, then [n]
-    times timed, returning the {e average} CPU seconds per run. *)
+    Every timing in the library reads the monotonic clock
+    ([CLOCK_MONOTONIC], through [bechamel.monotonic_clock]): elapsed real
+    time that never steps backwards when the system time is adjusted. It is
+    the clock the repository benchmark reads too, so library spans and
+    benchmark spans are directly comparable. Elapsed time (not process CPU
+    time) is the right measure on the multicore engine, whose domains run
+    concurrently. *)
 
 val wall : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]); the clock for all parallel
-    paths and telemetry spans. *)
+(** Monotonic seconds since an arbitrary fixed origin; only differences
+    are meaningful. *)
 
 val measure_wall : (unit -> 'a) -> 'a * float
-(** {!measure} on the wall clock. *)
+(** [measure_wall f] runs [f] once and returns its result with the elapsed
+    seconds. *)
 
 val measure_n_wall : ?warmup:int -> n:int -> (unit -> 'a) -> float
-(** {!measure_n} on the wall clock. *)
+(** [measure_n_wall ~n f] runs [f] [warmup] times (default [1]) untimed,
+    then [n] times timed, returning the {e average} seconds per run. *)

@@ -67,6 +67,8 @@ let predict_many model xs = Array.map (predict model) xs
 
 let n_trees model = Array.length model.trees
 
+let n_features model = model.n_features
+
 let feature_importance model =
   let acc = Array.make model.n_features 0. in
   Array.iter

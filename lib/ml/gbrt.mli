@@ -27,6 +27,9 @@ val predict_many : t -> float array array -> float array
 
 val n_trees : t -> int
 
+val n_features : t -> int
+(** Width of the feature vectors the model was trained on. *)
+
 val feature_importance : t -> float array
 (** Accumulated split gain per feature across all trees. *)
 

@@ -374,11 +374,6 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
     invalid_arg "Serve.create: plan_cache must be >= 0";
   if cfg.iterations < 1 then
     invalid_arg "Serve.create: iterations must be >= 1";
-  if not (Locality.legal cfg.locality) then
-    invalid_arg
-      (Printf.sprintf "Serve.create: illegal locality %s (%s)"
-         (Locality.config_to_string cfg.locality)
-         (Engine.error_to_string (Engine.Bsr_with_reorder cfg.locality)));
   let pool =
     if cfg.workers = 0 && cfg.threads > 1 then
       Some (Parallel.create ~threads:cfg.threads ())

@@ -153,9 +153,8 @@ val create :
     [cfg.profile] with [cfg.calibration]. With an injection the stored
     config's [calibration] is normalized to the oracle's actual policy.
     Raises [Invalid_argument] on a non-positive [queue_bound]/[threads],
-    negative [workers]/[plan_cache], [iterations < 1], a non-positive
-    [slo_ms] or an illegal [locality] (bsr with a non-identity ordering —
-    see {!Granii_core.Locality.legal}). *)
+    negative [workers]/[plan_cache], [iterations < 1] or a non-positive
+    [slo_ms]. *)
 
 val register_graph : t -> name:string -> Granii_graph.Graph.t -> unit
 (** Graphs are server state, named at registration. Registration derives

@@ -19,7 +19,6 @@ let () =
       ("observability", Test_observability.suite);
       ("memory", Test_memory.suite);
       ("locality", Test_locality.suite);
-      ("formats", Test_formats.suite);
       ("serve", Test_serve.suite);
       ("minibatch", Test_minibatch.suite);
       ("calibration", Test_calibration.suite);

@@ -154,9 +154,9 @@ let test_describe_roundtrip () =
         in
         has_sub "off|affine" msg
     | Ok _ -> false);
-  (* the format axis (PR 7): the grid auto-widened over bsr/cbm, the new
-     names parse, and an unknown format gets the typed Invalid_format
-     message rather than generic spec noise *)
+  (* the format axis: the grid covers every format, the names parse, and
+     an unknown format gets the typed Invalid_format message rather than
+     generic spec noise *)
   List.iter
     (fun format ->
       check_true
@@ -165,11 +165,11 @@ let test_describe_roundtrip () =
            (fun c -> c.Engine.locality.Locality.format = format)
            legal_grid))
     Locality.all_formats;
-  check_true "locality=degree+bsr parses"
-    (match Engine.config_of_string "locality=degree+bsr" with
+  check_true "locality=degree+hybrid parses"
+    (match Engine.config_of_string "locality=degree+hybrid" with
     | Ok cfg ->
         cfg.Engine.locality
-        = { Locality.strategy = Reorder.Degree_sort; format = Locality.Bsr }
+        = { Locality.strategy = Reorder.Degree_sort; format = Locality.Hybrid }
     | Error _ -> false);
   check_true "unknown format is the typed Invalid_format error"
     (match Engine.config_of_string "locality=identity+xyz" with
@@ -178,6 +178,20 @@ let test_describe_roundtrip () =
         && String.equal msg
              (Engine.error_to_string (Engine.Invalid_format "xyz"))
     | Ok _ -> false)
+
+(* ---- the layout axis is CSR + hybrid under every ordering ---- *)
+
+let test_layout_axis () =
+  check_int "4 orderings x 2 formats" 8 (List.length Locality.all_configs);
+  check_true "the default layout comes first"
+    (Locality.is_default (List.hd Locality.all_configs));
+  List.iter
+    (fun spec ->
+      check_true (spec ^ " is a parse error")
+        (match Engine.config_of_string spec with
+        | Error msg -> contains msg "unknown sparse format"
+        | Ok _ -> false))
+    [ "locality=identity+bsr"; "locality=degree+cbm" ]
 
 (* ---- the differential acceptance grid ----
 
@@ -303,6 +317,7 @@ let test_injected_resources_normalize () =
 let suite =
   [ Alcotest.test_case "illegal configs are typed errors" `Quick
       test_illegal_typed;
+    Alcotest.test_case "layout axis is csr + hybrid" `Quick test_layout_axis;
     Alcotest.test_case "legal configs round-trip describe" `Quick
       test_describe_roundtrip;
     Alcotest.test_case "differential grid vs seed path" `Quick

@@ -89,10 +89,10 @@ let test_profile_lookup () =
       ignore (Hw_profile.find "tpu"))
 
 let test_timer () =
-  let x, t = Timer.measure (fun () -> 21 * 2) in
+  let x, t = Timer.measure_wall (fun () -> 21 * 2) in
   check_int "result passed through" 42 x;
   check_true "non-negative time" (t >= 0.);
-  let avg = Timer.measure_n ~n:3 (fun () -> ignore (Array.make 100 0)) in
+  let avg = Timer.measure_n_wall ~n:3 (fun () -> ignore (Array.make 100 0)) in
   check_true "average non-negative" (avg >= 0.)
 
 let suite =

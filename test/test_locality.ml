@@ -1,6 +1,7 @@
 (* The locality engine: stable reordering, the hybrid (ELL + CSR tail)
-   format, the CSC counting-sort construction, joint layout selection, and
-   the executor's bitwise round-trip guarantee under a non-default layout. *)
+   format (random, degenerate and pooled inputs), the CSC counting-sort
+   construction, joint layout selection, and the executor's bitwise
+   round-trip guarantee under a non-default layout. *)
 
 open Granii_core
 open Test_util
@@ -148,6 +149,12 @@ let test_strategy_strings () =
     (Reorder.strategy_of_string "none" = Some Reorder.Identity);
   check_true "unknown rejected" (Reorder.strategy_of_string "sorted" = None)
 
+(* The hybrid property tests draw the degenerate matrices first (empty,
+   1x1, one dense row, isolated vertices, duplicate-heavy rows), then
+   random ones. [graft_corners] is stateful: one fresh generator per test. *)
+let with_degenerates gen =
+  QCheck2.Gen.graft_corners gen (List.map snd degenerates) ()
+
 (* ---- conversions: CSC and hybrid round-trips ---- *)
 
 let test_csc_roundtrip =
@@ -171,12 +178,12 @@ let test_csc_columns_sorted =
       !ok)
 
 let test_hybrid_roundtrip =
-  qtest "hybrid: of_csr/to_csr round-trip is exact" csr_gen (fun m ->
-      csr_bits_equal (Hybrid.to_csr (Hybrid.of_csr m)) m)
+  qtest "hybrid: of_csr/to_csr round-trip is exact" (with_degenerates csr_gen)
+    (fun m -> csr_bits_equal (Hybrid.to_csr (Hybrid.of_csr m)) m)
 
 let test_hybrid_widths =
   qtest "hybrid: round-trip and accounting hold at every width"
-    QCheck2.Gen.(pair (int_range 1 8) csr_gen)
+    QCheck2.Gen.(pair (int_range 1 8) (with_degenerates csr_gen))
     (fun (width, m) ->
       let h = Hybrid.of_csr ~width m in
       csr_bits_equal (Hybrid.to_csr h) m
@@ -187,28 +194,29 @@ let test_hybrid_widths =
 
 let test_hybrid_spmm =
   qtest "hybrid: spmm bitwise equals csr spmm"
-    QCheck2.Gen.(pair csr_gen (int_range 1 9))
+    QCheck2.Gen.(pair (with_degenerates csr_gen) (int_range 1 9))
     (fun (m, k) ->
       let b = Dense.random ~seed:3 m.Csr.n_cols k in
       dense_bits_equal (Hybrid.spmm (Hybrid.of_csr m) b) (Spmm.run m b))
 
 let test_hybrid_spmm_weighted =
   qtest "hybrid: weighted spmm bitwise equals csr spmm"
-    QCheck2.Gen.(pair square_weighted_gen (int_range 1 9))
+    QCheck2.Gen.(pair (with_degenerates square_weighted_gen) (int_range 1 9))
     (fun (m, k) ->
       let b = Dense.random ~seed:4 m.Csr.n_cols k in
       dense_bits_equal (Hybrid.spmm (Hybrid.of_csr m) b) (Spmm.run m b))
 
 let test_hybrid_sddmm =
   qtest "hybrid: sddmm bitwise equals csr sddmm"
-    QCheck2.Gen.(pair square_weighted_gen (int_range 1 9))
+    QCheck2.Gen.(pair (with_degenerates square_weighted_gen) (int_range 1 9))
     (fun (m, k) ->
       let a = Dense.random ~seed:5 m.Csr.n_rows k in
       let b = Dense.random ~seed:6 k m.Csr.n_cols in
       csr_bits_equal (Hybrid.sddmm (Hybrid.of_csr m) a b) (Sddmm.run m a b))
 
 let test_hybrid_rank1 =
-  qtest "hybrid: rank1 sddmm bitwise equals csr rank1" square_weighted_gen
+  qtest "hybrid: rank1 sddmm bitwise equals csr rank1"
+    (with_degenerates square_weighted_gen)
     (fun m ->
       let rng = Granii_tensor.Prng.create 9 in
       let dl =
@@ -218,6 +226,23 @@ let test_hybrid_rank1 =
         Array.init m.Csr.n_cols (fun _ -> Granii_tensor.Prng.uniform rng 0.1 2.)
       in
       csr_bits_equal (Hybrid.rank1 (Hybrid.of_csr m) dl dr) (Sddmm.rank1 m dl dr))
+
+let test_hybrid_pooled () =
+  (* a dedicated pool and arena: the chunked paths must stay bitwise
+     because every row's accumulation order is unchanged *)
+  let g = G.Generators.community_overlap ~seed:2 ~n:96 ~groups:8 ~degree:10 () in
+  let m = g.G.Graph.adj in
+  let h = Hybrid.of_csr m in
+  let b = Dense.random ~seed:21 m.Csr.n_cols 16 in
+  let dl = Array.init m.Csr.n_rows (fun i -> 1. /. float_of_int (i + 1)) in
+  let dr = Array.init m.Csr.n_cols (fun j -> 2. /. float_of_int (j + 3)) in
+  let pool = Granii_tensor.Parallel.create ~threads:4 () in
+  let ws = Granii_tensor.Workspace.create () in
+  check_true "pooled hybrid spmm bitwise"
+    (dense_bits_equal (Hybrid.spmm ~pool ~ws h b) (Spmm.run m b));
+  check_true "pooled hybrid rank1 bitwise"
+    (csr_bits_equal (Hybrid.rank1 ~pool ~ws h dl dr) (Sddmm.rank1 m dl dr));
+  Granii_tensor.Parallel.shutdown pool
 
 (* ---- executor: localized run equals the legacy run bitwise ---- *)
 
@@ -373,6 +398,29 @@ let test_selector_flops_degenerates () =
   check_true "flops model keeps the legacy layout"
     (Locality.is_default lc.Selector.config)
 
+let test_selector_flops_never_picks_formats () =
+  (* the same ablation at selection scale, on the two graph families the
+     layout model credits most (overlapping communities, a mesh): the
+     default config must still win *)
+  List.iter
+    (fun graph ->
+      let _, compiled = compile_model (Mp.Mp_models.find "gcn") in
+      let feats = Featurizer.extract graph in
+      let env =
+        { Dim.n = G.Graph.n_nodes graph;
+          nnz = G.Graph.n_edges graph + G.Graph.n_nodes graph;
+          k_in = 256;
+          k_out = 256 }
+      in
+      let lc =
+        Selector.select_localized ~oracle:(Cost_oracle.flops_only ()) ~feats
+          ~env ~iterations:100 compiled
+      in
+      check_true "flops model keeps the legacy layout"
+        (Locality.is_default lc.Selector.config))
+    [ G.Generators.community_overlap ~seed:6 ~n:512 ~groups:16 ~degree:24 ();
+      G.Generators.grid2d ~seed:6 ~rows:24 ~cols:24 () ]
+
 let suite =
   [ test_perm_bijection;
     test_permute_roundtrip;
@@ -388,10 +436,13 @@ let suite =
     test_hybrid_spmm_weighted;
     test_hybrid_sddmm;
     test_hybrid_rank1;
+    Alcotest.test_case "hybrid: pooled kernels bitwise" `Quick test_hybrid_pooled;
     Alcotest.test_case "executor roundtrip gcn" `Quick test_executor_roundtrip_gcn;
     Alcotest.test_case "executor roundtrip gat" `Quick test_executor_roundtrip_gat;
     Alcotest.test_case "run_iterations localized" `Quick test_run_iterations_localized;
     Alcotest.test_case "layout features" `Quick test_layout_features;
     Alcotest.test_case "selector picks hybrid" `Quick test_selector_picks_hybrid;
     Alcotest.test_case "selector forced csr" `Quick test_selector_forced_csr;
-    Alcotest.test_case "selector flops degenerates" `Quick test_selector_flops_degenerates ]
+    Alcotest.test_case "selector flops degenerates" `Quick test_selector_flops_degenerates;
+    Alcotest.test_case "selector flops never picks formats" `Quick
+      test_selector_flops_never_picks_formats ]

@@ -123,6 +123,33 @@ let test_load_rejects_garbage () =
         (try ignore (Cost_model.load path); false
          with Sexp.Parse_error _ -> true))
 
+let test_load_rejects_stale_width () =
+  (* a model saved by a build whose featurizer had another width must be
+     refused, not read with shifted or out-of-range features *)
+  let width = Featurizer.n_inputs + 2 in
+  let rng = Granii_tensor.Prng.create 17 in
+  let features =
+    Array.init 30 (fun _ ->
+        Array.init width (fun _ -> Granii_tensor.Prng.uniform rng 0. 1.))
+  in
+  let labels = Array.map (fun x -> x.(0)) features in
+  let gbrt_params = { Gbrt.default_params with Gbrt.n_trees = 3 } in
+  let cm =
+    Cost_model.train ~gbrt_params ~profile:Granii_hw.Hw_profile.cpu
+      [ ("gemm", Ml_dataset.make features labels) ]
+  in
+  let path = Filename.temp_file "granii" ".gcm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cost_model.save cm path;
+      match Cost_model.load path with
+      | _ -> Alcotest.fail "a model of the wrong feature width was loaded"
+      | exception Sexp.Parse_error msg ->
+          check_true ("the error names both widths: " ^ msg)
+            (contains msg (string_of_int width)
+            && contains msg (string_of_int Featurizer.n_inputs)))
+
 let test_collect_measured () =
   let data =
     Profiling.collect_measured
@@ -156,4 +183,6 @@ let suite =
     Alcotest.test_case "cost model save/load" `Quick test_cost_model_save_load;
     Alcotest.test_case "save rejects ablations" `Quick test_save_rejects_ablations;
     Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+    Alcotest.test_case "load rejects a stale feature width" `Quick
+      test_load_rejects_stale_width;
     Alcotest.test_case "measured profiling" `Quick test_collect_measured ]

@@ -198,7 +198,7 @@ let test_plan_cache_layout_key () =
     { Plan_cache.graph_fp = "fp"; model = "gcn"; k_in = 8; k_out = 4;
       hw = "cpu"; threads = 1; layout }
   in
-  let layouts = [ "identity+csr"; "identity+bsr"; "degree+cbm"; "rcm+hybrid" ] in
+  let layouts = [ "identity+csr"; "identity+hybrid"; "degree+csr"; "rcm+hybrid" ] in
   let pc = Plan_cache.create ~capacity:8 () in
   Plan_cache.add pc (key "identity+csr") lc;
   List.iter
@@ -211,7 +211,7 @@ let test_plan_cache_layout_key () =
     (Plan_cache.length pc);
   (* a locality-configured server still answers bitwise like the oracle *)
   let locality =
-    { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Cbm }
+    { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Hybrid }
   in
   with_server
     ~cfg:{ Serve.default_config with plan_cache = 8; locality }

@@ -384,6 +384,60 @@ let test_degrees_agree () =
   check_true "binned = rowptr degree values"
     (Vector.equal_approx (Sparse_ops.binned_degrees m) (Sparse_ops.row_sums m))
 
+(* ---- counting scatter ---- *)
+
+let test_counting_scatter_csc =
+  (* bucket by column = the CSC construction: per-bucket entries must keep
+     row-major source order (stability), with exact prefix accounting *)
+  qtest "counting_scatter: column buckets are stable and exact" csr_gen
+    (fun m ->
+      let nnz = Csr.nnz m in
+      let ptr, order, src_row =
+        Csr.counting_scatter ~n_buckets:m.Csr.n_cols
+          ~bucket:(fun _ p -> m.Csr.col_idx.(p))
+          m
+      in
+      Array.length ptr = m.Csr.n_cols + 1
+      && ptr.(m.Csr.n_cols) = nnz
+      && Array.length order = nnz
+      && Array.length src_row = nnz
+      && (let ok = ref true in
+          for j = 0 to m.Csr.n_cols - 1 do
+            if ptr.(j) > ptr.(j + 1) then ok := false;
+            for q = ptr.(j) to ptr.(j + 1) - 1 do
+              if m.Csr.col_idx.(order.(q)) <> j then ok := false;
+              (* stability: source positions ascend within a bucket *)
+              if q > ptr.(j) && order.(q - 1) >= order.(q) then ok := false;
+              (* src_row really is the row the entry lives in *)
+              let i = src_row.(q) in
+              if
+                order.(q) < m.Csr.row_ptr.(i)
+                || order.(q) >= m.Csr.row_ptr.(i + 1)
+              then ok := false
+            done
+          done;
+          !ok))
+
+let test_counting_scatter_degenerate () =
+  let empty = Csr.of_coo (Coo.make ~n_rows:4 ~n_cols:4 [||]) in
+  let ptr, order, src_row =
+    Csr.counting_scatter ~n_buckets:3 ~bucket:(fun _ _ -> 0) empty
+  in
+  check_true "empty matrix: all prefixes zero"
+    (ptr = [| 0; 0; 0; 0 |] && order = [||] && src_row = [||]);
+  let m = List.assoc "single dense row" degenerates in
+  let ptr1, order1, _ =
+    Csr.counting_scatter ~n_buckets:1 ~bucket:(fun _ _ -> 0) m
+  in
+  check_true "one bucket: identity order"
+    (ptr1 = [| 0; Csr.nnz m |]
+    && order1 = Array.init (Csr.nnz m) Fun.id);
+  check_true "out-of-range bucket rejected"
+    (try
+       ignore (Csr.counting_scatter ~n_buckets:1 ~bucket:(fun _ _ -> 1) m);
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [ Alcotest.test_case "coo dedup" `Quick test_coo_dedup;
     Alcotest.test_case "coo bounds" `Quick test_coo_bounds;
@@ -412,4 +466,7 @@ let suite =
     test_csc_dense_agree;
     test_csc_spmm_agree;
     test_csc_get;
-    Alcotest.test_case "degree kernels agree" `Quick test_degrees_agree ]
+    Alcotest.test_case "degree kernels agree" `Quick test_degrees_agree;
+    test_counting_scatter_csc;
+    Alcotest.test_case "counting scatter degenerate" `Quick
+      test_counting_scatter_degenerate ]

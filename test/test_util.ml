@@ -47,3 +47,24 @@ let graph_gen =
   let* avg = float_range 1.5 6. in
   let* seed = int_range 0 10_000 in
   return (Granii_graph.Generators.erdos_renyi ~seed ~n ~avg_degree:avg ())
+
+(* Degenerate sparse matrices every format and kernel must handle exactly:
+   empty, 1x1, one dense row, isolated vertices, and duplicate-heavy rows. *)
+let degenerates =
+  let mk n_rows n_cols entries =
+    Granii_sparse.Csr.of_coo
+      (Granii_sparse.Coo.make ~n_rows ~n_cols (Array.of_list entries))
+  in
+  [ ("empty 6x6", mk 6 6 []);
+    ("1x1 empty", mk 1 1 []);
+    ("1x1 entry", mk 1 1 [ (0, 0, 1.5) ]);
+    ( "single dense row",
+      mk 7 7 (List.init 7 (fun j -> (2, j, float_of_int (j + 1)))) );
+    ("isolated vertices", mk 9 9 [ (3, 2, -1.25); (7, 7, 0.5) ]);
+    ( "duplicate-heavy rows",
+      (* four identical rows, one superset row, one empty row *)
+      mk 6 6
+        (List.concat_map
+           (fun i -> [ (i, 1, 2.0); (i, 4, -3.0) ])
+           [ 0; 1; 2; 3 ]
+        @ [ (4, 1, 2.0); (4, 4, -3.0); (4, 5, 1.0) ]) ) ]
