@@ -1,7 +1,8 @@
-(* Memory-system behavior of the executor: per-iteration Gc allocation with
-   and without a workspace arena (must be bitwise identical) and the
-   cache-tiled GEMM vs the untiled kernel. All numbers here are real host-CPU
-   measurements. *)
+(* Memory-system behavior of the executor: per-iteration Gc allocation of a
+   run that reuses nothing (every run on a fresh engine, so a cold arena)
+   against a warm arena's steady state (must be bitwise identical), and the
+   cache-tiled GEMM vs the untiled kernel. All numbers here are real
+   host-CPU measurements. *)
 
 open Bench_common
 open Granii_core
@@ -59,8 +60,12 @@ let run_model (model : Granii_mp.Mp_ast.model) ~k_in ~k_out ~iters graph =
   let h = Dense.random ~seed:10 n k_in in
   let bindings = Gnn.Layer.bindings ~graph ~h params in
   let plan = cand.Codegen.plan in
-  let plain = Engine.default () in
-  let run () = Executor.exec ~engine:plain ~timing:Executor.Measure ~graph ~bindings plan in
+  (* the "alloc" side reuses nothing: each run draws every buffer from the
+     empty arena of a fresh engine *)
+  let run () =
+    Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure ~graph
+      ~bindings plan
+  in
   (* warm up (fills caches, first-touch pages) before any Gc accounting *)
   let baseline = run () in
   let _, alloc_minor, alloc_major =
@@ -69,10 +74,7 @@ let run_model (model : Granii_mp.Mp_ast.model) ~k_in ~k_out ~iters graph =
           ignore (run ())
         done)
   in
-  let ws_engine =
-    Engine.create_exn ~obs:!Bench_common.obs
-      { Engine.default_config with workspace = true }
-  in
+  let ws_engine = Engine.create_exn ~obs:!Bench_common.obs Engine.default_config in
   let run_ws () =
     Executor.exec_iterations ~engine:ws_engine ~timing:Executor.Measure ~graph
       ~bindings ~iterations:iters plan

@@ -145,16 +145,16 @@ let () =
   if !trace_out <> None || !metrics_out <> None then
     Bench_common.obs := Obs.create ~trace:(!trace_out <> None) ();
   let obs = !Bench_common.obs in
-  let t0 = Sys.time () in
+  let t0 = Granii_hw.Timer.wall () in
   List.iter
     (fun (id, _, run) ->
-      let t = Sys.time () in
+      let t = Granii_hw.Timer.wall () in
       Obs.span obs ~cat:"bench" id run;
-      let dt = Sys.time () -. t in
-      Bench_common.(json_add ~bench:id [ ("kind", S "timing"); ("cpu_s", F dt) ]);
-      Printf.printf "\n[%s finished in %.1fs cpu]\n%!" id dt)
+      let dt = Granii_hw.Timer.wall () -. t in
+      Bench_common.(json_add ~bench:id [ ("kind", S "timing"); ("wall_s", F dt) ]);
+      Printf.printf "\n[%s finished in %.1f s]\n%!" id dt)
     to_run;
-  Printf.printf "\nAll benches finished in %.1fs cpu.\n" (Sys.time () -. t0);
+  Printf.printf "\nAll benches finished in %.1f s.\n" (Granii_hw.Timer.wall () -. t0);
   (match (!trace_out, obs.Obs.trace) with
   | Some file, Some t ->
       write_file file

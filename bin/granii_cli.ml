@@ -270,7 +270,6 @@ let select_cmd =
                 $(b,Engine.config_of_string): $(b,threads)=N (also the \
                 thread count the selection targets, fed to the featurizer \
                 and the cost models), \
-                $(b,workspace)=on|off, \
                 $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop, \
                 $(b,calibration)=off|affine. Omitted keys keep their \
@@ -462,8 +461,8 @@ let select_cmd =
           Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph
             ~bindings ~iterations:iters plan
         in
-        (* warm-up run so the measured one sees steady state (and, with a
-           workspace, a warm arena) *)
+        (* warm-up run so the measured one sees steady state and a warm
+           arena *)
         ignore (run_once ());
         let g0 = Gc.quick_stat () in
         let r = run_once () in
@@ -481,14 +480,10 @@ let select_cmd =
           (1000. *. r.Executor.iteration_time)
           (per (g1.Gc.minor_words -. g0.Gc.minor_words))
           (per (g1.Gc.major_words -. g0.Gc.major_words));
-        (match Engine.workspace engine with
-        | None -> ()
-        | Some w ->
-            let s = Granii_tensor.Workspace.stats w in
-            Printf.printf "  arena: %d hits / %d misses, %d words held\n"
-              s.Granii_tensor.Workspace.hits s.Granii_tensor.Workspace.misses
-              (s.Granii_tensor.Workspace.held_words
-              + s.Granii_tensor.Workspace.issued_words));
+        (let module W = Granii_tensor.Workspace in
+         let s = W.stats (Engine.workspace engine) in
+         Printf.printf "  arena: %d hits / %d misses, %d words held\n" s.W.hits
+           s.W.misses (s.W.held_words + s.W.issued_words));
         Engine.shutdown engine);
     export_telemetry obs ~trace_file ~metrics_file ~journal_file
   in

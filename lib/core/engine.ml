@@ -6,7 +6,6 @@ module Obs = Granii_obs.Obs
 
 type config = {
   threads : int;
-  workspace : bool;
   locality : Locality.config;
   keep_intermediates : bool;
   calibration : Cost_oracle.calibration;
@@ -14,7 +13,6 @@ type config = {
 
 let default_config =
   { threads = 1;
-    workspace = false;
     locality = Locality.default;
     keep_intermediates = true;
     calibration = Cost_oracle.Off }
@@ -42,7 +40,7 @@ type t = {
   cfg : config;
   pool : Parallel.t option;
   owns_pool : bool;
-  ws : Workspace.t option;
+  ws : Workspace.t;
   obs : Obs.t;
   oracle : Cost_oracle.t;
 }
@@ -56,7 +54,6 @@ let create ?pool ?workspace ?obs ?oracle (cfg : config) =
   let cfg =
     { cfg with
       threads = (match pool with Some p -> Parallel.threads p | None -> cfg.threads);
-      workspace = cfg.workspace || workspace <> None;
       calibration =
         (match oracle with
         | Some o -> Cost_oracle.calibration o
@@ -73,9 +70,7 @@ let create ?pool ?workspace ?obs ?oracle (cfg : config) =
             else (None, false)
       in
       let ws =
-        match workspace with
-        | Some _ as w -> w
-        | None -> if cfg.workspace then Some (Workspace.create ()) else None
+        match workspace with Some w -> w | None -> Workspace.create ()
       in
       let obs = Option.value obs ~default:Obs.disabled in
       let oracle =
@@ -111,23 +106,14 @@ let shutdown t = if t.owns_pool then Option.iter Parallel.shutdown t.pool
 
 (* ---- rendering / parsing (the CLI's --engine surface) ---- *)
 
-let onoff = function true -> "on" | false -> "off"
-
 let describe_config (cfg : config) =
-  Printf.sprintf
-    "threads=%d,workspace=%s,locality=%s,intermediates=%s,calibration=%s"
-    cfg.threads (onoff cfg.workspace)
+  Printf.sprintf "threads=%d,locality=%s,intermediates=%s,calibration=%s"
+    cfg.threads
     (Locality.config_to_string cfg.locality)
     (if cfg.keep_intermediates then "keep" else "drop")
     (Cost_oracle.calibration_to_string cfg.calibration)
 
 let describe t = describe_config t.cfg
-
-let parse_flag key v =
-  match v with
-  | "on" | "true" | "1" -> Ok true
-  | "off" | "false" | "0" -> Ok false
-  | _ -> Error (Printf.sprintf "engine spec: %s expects on|off (got %s)" key v)
 
 let parse_locality v =
   match String.split_on_char '+' v with
@@ -173,9 +159,6 @@ let config_of_string s =
               | None ->
                   Error
                     (Printf.sprintf "engine spec: threads expects an integer (got %s)" v))
-          | "workspace" ->
-              let* b = parse_flag key v in
-              Ok { cfg with workspace = b }
           | "locality" ->
               let* l = parse_locality v in
               Ok { cfg with locality = l }

@@ -4,11 +4,14 @@
     capability that used to travel as independent optional arguments
     through {!Executor}: the domain pool ([threads]), the workspace arena,
     the locality (layout) decision and the liveness policy
-    ([keep_intermediates]). An invalid config is rejected at construction
-    with a typed {!error} instead of a mid-run exception. Only the thread
-    count can be invalid: every ordering composes with every sparse format
-    ({!Locality.all_configs}), so no pair of axes is illegal together (see
-    DESIGN.md §10). {!Invalid_format} is the parse-time error of
+    ([keep_intermediates]). Every engine executes from its arena (one
+    allocation model, not an axis); the arena keeps only its last run's
+    size classes ({!Granii_tensor.Workspace.reclaim}), and the executor
+    hands the caller a heap copy of each output. An invalid config is
+    rejected at construction with a typed {!error} instead of a mid-run
+    exception. Only the thread count can be invalid: every ordering
+    composes with every sparse format ({!Locality.all_configs}), so no pair
+    of axes is illegal together (see DESIGN.md §10). {!Invalid_format} is the parse-time error of
     {!config_of_string} for an unknown format name.
 
     Every engine also carries a {!Cost_oracle.t} — the single
@@ -22,11 +25,11 @@
 
 type config = {
   threads : int;       (** multicore-engine width; 1 = sequential *)
-  workspace : bool;    (** draw kernel outputs from a buffer-reuse arena *)
   locality : Locality.config;  (** graph layout the plans execute under *)
   keep_intermediates : bool;
-      (** [false] lets the executor recycle each intermediate's buffer the
-          moment its last reader retires (requires the workspace) *)
+      (** [true] when the caller reads the intermediates (the trainer's
+          backward pass does); [false] lets the executor recycle each
+          intermediate's buffer the moment its last reader retires *)
   calibration : Cost_oracle.calibration;
       (** online cost-model calibration policy of the engine's oracle.
           {!Cost_oracle.Off} (the default) makes the oracle a pure reader of
@@ -35,8 +38,8 @@ type config = {
 }
 
 val default_config : config
-(** [threads=1], everything off, {!Locality.default}, keep intermediates,
-    [calibration=Off] — the seed executor's behavior. *)
+(** [threads=1], {!Locality.default}, keep intermediates,
+    [calibration=Off] — the seed executor's results. *)
 
 type error =
   | Invalid_threads of int
@@ -50,7 +53,7 @@ val error_to_string : error -> string
 
 type t
 (** A validated engine. Immutable configuration; the owned resources
-    (pool, arena) are internally mutable as before. *)
+    (pool, arena) are internally mutable. *)
 
 val create :
   ?pool:Granii_tensor.Parallel.t -> ?workspace:Granii_tensor.Workspace.t ->
@@ -61,8 +64,10 @@ val create :
     already-owned resources ({!Selector.measure} does) — an injected
     resource is never shut down by {!shutdown}, and the stored config is
     normalized to reflect it ([threads] from the injected pool's width,
-    [workspace] forced on, [calibration] from the injected oracle's
-    policy). The telemetry sink is [obs] when given and
+    [calibration] from the injected oracle's policy). Without an injected
+    [workspace] the engine creates its own arena; engines may share an
+    injected one (a serving tenant's) one run at a time, never at once.
+    The telemetry sink is [obs] when given and
     {!Granii_obs.Obs.disabled} otherwise — the config never creates one.
     Without an injected [oracle], the engine builds one over the analytic
     host-CPU base model with the config's [calibration] policy, feeding off
@@ -75,7 +80,8 @@ val create_exn :
 (** {!create}, raising {!Error} instead of returning it. *)
 
 val default : unit -> t
-(** [create_exn default_config] — allocates nothing, shuts down nothing. *)
+(** [create_exn default_config]: a sequential engine with a fresh, empty
+    arena; spawns no domain, shuts down nothing. *)
 
 val shutdown : t -> unit
 (** Joins the pool's worker domains {e if the engine spawned them}; injected
@@ -86,7 +92,7 @@ val shutdown : t -> unit
 val config : t -> config
 val threads : t -> int
 val pool : t -> Granii_tensor.Parallel.t option
-val workspace : t -> Granii_tensor.Workspace.t option
+val workspace : t -> Granii_tensor.Workspace.t
 val locality : t -> Locality.config
 val keep_intermediates : t -> bool
 
@@ -105,13 +111,13 @@ val calibration : t -> Cost_oracle.calibration
 val describe : t -> string
 
 val describe_config : config -> string
-(** E.g. ["threads=4,workspace=on,locality=identity+csr,intermediates=keep,calibration=off"].
+(** E.g. ["threads=4,locality=identity+csr,intermediates=keep,calibration=off"].
     Round-trips exactly through {!config_of_string}. *)
 
 val config_of_string : string -> (config, string) result
 (** Parse a comma-separated [key=value] spec; omitted keys keep their
     {!default_config} values, [""] and ["default"] are the default config.
-    Keys: [threads] (int), [workspace] (on|off),
+    Keys: [threads] (int),
     [locality] (<identity|degree|bfs|rcm>+<csr|hybrid>),
     [intermediates] (keep|drop), [calibration] (off|affine). Any other key
     is a parse error. An unknown format name reports the {!Invalid_format}

@@ -1,4 +1,6 @@
 module Workspace = Granii_tensor.Workspace
+module Dense = Granii_tensor.Dense
+module Csr = Granii_sparse.Csr
 module K = Granii_hw.Kernel_model
 module Timer = Granii_hw.Timer
 module Obs = Granii_obs.Obs
@@ -59,7 +61,7 @@ let step_attrs ~threads ~ctx (s : Plan.step) args v =
       ("threads", string_of_int threads) ]
   in
   match v with
-  | Vsparse m -> ("nnz", string_of_int (Granii_sparse.Csr.nnz m)) :: attrs
+  | Vsparse m -> ("nnz", string_of_int (Csr.nnz m)) :: attrs
   | _ -> attrs
 
 let step_span_enter tr (s : Plan.step) =
@@ -123,41 +125,48 @@ let bracket_exit tr sp ?attrs () =
   | _ -> ()
 
 (* Post-run metrics: workspace arena deltas plus a GC snapshot. *)
-let run_metrics (obs : Obs.t) ws before =
+let run_metrics (obs : Obs.t) ws (before : Workspace.stats) =
   match obs.Obs.metrics with
   | None -> ()
   | Some m ->
-      (match (ws, before) with
-      | Some w, Some (b : Workspace.stats) ->
-          let s = Workspace.stats w in
-          Obs.Metrics.add m "workspace.alloc.hits"
-            (s.Workspace.hits - b.Workspace.hits);
-          Obs.Metrics.add m "workspace.alloc.misses"
-            (s.Workspace.misses - b.Workspace.misses);
-          Obs.Metrics.set_gauge m "workspace.bytes.held"
-            (float_of_int (8 * s.Workspace.held_words));
-          Obs.Metrics.set_gauge m "workspace.bytes.issued"
-            (float_of_int (8 * s.Workspace.issued_words))
-      | _ -> ());
+      let s = Workspace.stats ws in
+      Obs.Metrics.add m "workspace.alloc.hits"
+        (s.Workspace.hits - before.Workspace.hits);
+      Obs.Metrics.add m "workspace.alloc.misses"
+        (s.Workspace.misses - before.Workspace.misses);
+      Obs.Metrics.set_gauge m "workspace.bytes.held"
+        (float_of_int (8 * s.Workspace.held_words));
+      Obs.Metrics.set_gauge m "workspace.bytes.issued"
+        (float_of_int (8 * s.Workspace.issued_words));
       let g = Gc.quick_stat () in
       Obs.Metrics.set_gauge m "gc.major_words" g.Gc.major_words;
       Obs.Metrics.add m "engine.runs" 1
 
+(* The caller's copy of the output, off the arena the next run reclaims (CSR
+   structure never comes from the arena). *)
+let copy_value = function
+  | Vdense { Dense.rows; cols; data } ->
+      Vdense (Dense.of_flat ~rows ~cols (Array.copy data))
+  | Vsparse ({ Csr.values = Some v; _ } as s) ->
+      Vsparse (Csr.with_values s (Array.copy v))
+  | Vsparse _ as s -> s
+  | Vdiag d -> Vdiag (Array.copy d)
+
 (* ---- the dispatch loop ----
 
-   All policy lives elsewhere: the engine owns pool/workspace/layout and was
+   All policy lives elsewhere: the engine owns pool/arena/layout and was
    validated at construction. One loop serves a single run and the
    steady state alike — a single run is [iterations = 1]. Argument arrays
    are built once per step with input operands resolved up front, setup
    steps run once, and each further iteration re-executes only the
    per-iteration steps after returning the previous iteration's buffers to
-   the workspace arena, so with a workspace engine the loop body performs
-   no per-step minor allocation beyond what the kernels themselves do.
+   the arena, so the loop body performs no per-step minor allocation beyond
+   what the kernels themselves do.
 
-   Under [workspace=on,intermediates=drop] each value's buffer is recycled
-   after its last reader (in execution order, see {!Liveness}); setup
-   values are read again by every iteration, so they are recycled during
-   the last iteration only. *)
+   Under [intermediates=drop] each value's buffer is recycled after its
+   last reader (in execution order, see {!Liveness}); setup values are read
+   again by every iteration, so they are recycled during the last iteration
+   only. *)
 
 let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     (plan : Plan.t) =
@@ -167,12 +176,11 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   let tr = obs.Obs.trace in
   let exec_span = bracket_span tr ~cat:"engine" "execute" in
   let live =
-    if (not (Engine.keep_intermediates engine)) && ws <> None then
-      Some (Liveness.analyze plan)
-    else None
+    if Engine.keep_intermediates engine then None
+    else Some (Liveness.analyze plan)
   in
-  (match ws with Some w -> Workspace.reclaim w | None -> ());
-  let ws_before = Option.map Workspace.stats ws in
+  Workspace.reclaim ws;
+  let ws_before = Workspace.stats ws in
   let orig_n = Granii_graph.Graph.n_nodes graph in
   let layout_span = bracket_span tr ~cat:"engine" "layout" in
   let lstate, graph, bindings =
@@ -180,7 +188,9 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   in
   List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
   bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
-  let ctx = { Dispatch.pool; ws; localize = Pass.Layout.form_of lstate } in
+  let ctx =
+    { Dispatch.pool; ws = Some ws; localize = Pass.Layout.form_of lstate }
+  in
   let steps = Array.of_list plan.Plan.steps in
   let n = Array.length steps in
   let slots : value option array = Array.make n None in
@@ -242,23 +252,22 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     t
   in
   let give_back_unshared d v =
-    if ws <> None then
-      List.iter
-        (fun a ->
-          (* a fold that degenerates to the identity can make two slots (or a
-             slot and a binding) share one backing array — never recycle an
-             array a live slot still reads. Bindings are safe automatically:
-             the workspace only takes back buffers it issued. *)
-          let shared = ref false in
-          Array.iteri
-            (fun j s ->
-              match s with
-              | Some sv when j <> d && Dispatch.shares_backing a sv ->
-                  shared := true
-              | _ -> ())
-            slots;
-          if not !shared then Workspace.give_back ws a)
-        (Dispatch.backing_arrays v)
+    List.iter
+      (fun a ->
+        (* a fold that degenerates to the identity can make two slots (or a
+           slot and a binding) share one backing array — never recycle an
+           array a live slot still reads. Bindings are safe automatically:
+           the workspace only takes back buffers it issued. *)
+        let shared = ref false in
+        Array.iteri
+          (fun j s ->
+            match s with
+            | Some sv when j <> d && Dispatch.shares_backing a sv ->
+                shared := true
+            | _ -> ())
+          slots;
+        if not !shared then Workspace.give_back ctx.Dispatch.ws a)
+      (Dispatch.backing_arrays v)
   in
   let free_dead_after ~last i =
     match live with
@@ -342,6 +351,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     Pass.Layout.exit_ lstate ~n:orig_n output intermediates
   in
   bracket_exit tr exit_span ~attrs:[ ("stage", "exit") ] ();
+  let output = copy_value output in
   run_metrics obs ws ws_before;
   bracket_exit tr exec_span
     ~attrs:

@@ -5,9 +5,9 @@
     {!exec_iterations}, resolves arguments, routes each step through
     {!Dispatch.exec} and accumulates times; {!exec} is its single-iteration
     case. Setup steps run first, then the per-iteration steps, each in plan
-    order. Everything configurable — pool, workspace arena, locality
-    layout, liveness policy — lives in the {!Engine.t} the caller
-    constructs once.
+    order. Everything configurable — pool, arena, locality layout,
+    liveness policy — lives in the {!Engine.t} the caller constructs
+    once.
 
     Every step is {e always} executed for real (so numerical results can be
     cross-checked between candidates) and timed; what differs is the
@@ -25,16 +25,16 @@
 
     {2 Memory model}
 
-    With a workspace engine, every kernel output comes from a
-    {!Granii_tensor.Workspace.t} arena. {!exec} reclaims the arena on entry,
-    so all values produced by the previous run on the same workspace are
-    invalidated by the next one — copy anything you keep. Outputs are
-    bitwise identical to the allocating path. With
-    [keep_intermediates = false], the executor additionally recycles each
-    intermediate's buffer the moment its last reader retires ({!Liveness};
-    setup values only in the last iteration). The default keeps them alive
-    — {!Granii_gnn.Autodiff} reads every intermediate in its backward
-    pass.
+    Every kernel output comes from the engine's arena
+    ({!Engine.workspace}), bitwise identical to the allocating kernels.
+    {!exec} reclaims the arena on entry. The report's [output] is the
+    caller's own heap copy, taken after the layout's inverse permutation;
+    the [intermediates] stay arena-backed until the engine's next run —
+    copy any you keep. With [keep_intermediates = false], the
+    executor additionally recycles each intermediate's buffer the moment
+    its last reader retires ({!Liveness}; setup values only in the last
+    iteration). The default keeps them alive — {!Granii_gnn.Autodiff}
+    reads every intermediate in its backward pass.
 
     {2 Locality}
 
@@ -103,8 +103,8 @@ val exec_iterations :
   bindings:(string * value) list -> iterations:int -> Plan.t -> report
 (** Executes the plan under the engine's configuration: setup steps run
     once, per-iteration steps run [iterations] times with fixed bindings,
-    re-using preallocated argument arrays and (with a workspace engine) the
-    previous iteration's buffers — the loop the trainer, profiler and
+    re-using preallocated argument arrays and the previous iteration's arena
+    buffers — the loop the trainer, profiler and
     selection micro-benchmarks sit in. Leaf names are resolved in
     [bindings]; the graph's {m \tilde A} and normalization vector are
     available to [Degree] steps. [iteration_time] is the {e mean}

@@ -48,14 +48,23 @@ let forward ?engine ?(keep_reports = true) ~graph ~features stack =
   let engine =
     match engine with Some e -> e | None -> Core.Engine.default ()
   in
+  (* kept intermediates live until their arena's next run: with reports
+     kept, each layer gets an arena of its own *)
+  let layer_engine () =
+    if not keep_reports then engine
+    else
+      let open Core.Engine in
+      create_exn ?pool:(pool engine) ~obs:(obs engine) ~oracle:(oracle engine)
+        (config engine)
+  in
   let h = ref features in
   let reports = ref [] in
   List.iter
     (fun layer ->
       let bindings = Layer.bindings ~graph ~h:!h layer.l_params in
       let report =
-        Core.Executor.exec ~engine ~timing:Core.Executor.Measure ~graph
-          ~bindings layer.l_plan
+        Core.Executor.exec ~engine:(layer_engine ())
+          ~timing:Core.Executor.Measure ~graph ~bindings layer.l_plan
       in
       h := dense_output report;
       if keep_reports then reports := (report, bindings) :: !reports)

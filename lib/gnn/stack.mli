@@ -38,7 +38,9 @@ val forward :
 (** Runs all layers (real execution, under [?engine] when given — default
     {!Granii_core.Engine.default}); returns the final activations and,
     when [keep_reports] (default [true]), each layer's execution report and
-    bindings for use by {!backward}. *)
+    bindings for use by {!backward}. Kept reports stay valid together: each
+    layer then runs in an arena of its own (the engine's pool, sink, oracle
+    and config); without them every layer runs on [?engine] itself. *)
 
 type history = {
   losses : float array;

@@ -26,11 +26,11 @@ let train ?(seed = 0) ?mask ?engine ~epochs ~optimizer ~plan ~graph
   let last_logits = ref None in
   for epoch = 0 to epochs - 1 do
     let bindings = Layer.bindings ~graph ~h:features !params in
-    (* With a workspace engine, each epoch's forward pass reuses the
-       previous epoch's buffers (the arena is reclaimed on entry to
-       [exec]). The epoch body — loss, backward, optimizer step — only
-       reads this epoch's values, all of which stay valid until the next
-       run. *)
+    (* Each epoch's forward pass reuses the previous epoch's buffers (the
+       engine's arena is reclaimed on entry to [exec]). The epoch body —
+       loss, backward, optimizer step — only reads this epoch's values: the
+       logits are the caller's own copy, and the intermediates stay valid
+       until the next run. *)
     let forward =
       Core.Executor.exec ~seed:(seed + epoch) ~engine
         ~timing:(Core.Executor.Simulate Granii_hw.Hw_profile.cpu) ~graph ~bindings plan

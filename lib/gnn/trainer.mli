@@ -23,10 +23,9 @@ val train :
     deterministic given [seed]. [?engine] runs every forward pass under a
     validated {!Granii_core.Engine.t} (default {!Granii_core.Engine.default});
     it must keep intermediates ({!Granii_gnn.Autodiff} reads them in the
-    backward pass — raises [Invalid_argument] otherwise). With a workspace
-    engine, every epoch's forward pass reuses the previous epoch's buffers —
-    numerically identical, allocation-free in steady state. The deprecated
-    [?workspace] argument is gone: pass a workspace through [?engine]. *)
+    backward pass — raises [Invalid_argument] otherwise). Every epoch's
+    forward pass reuses the previous epoch's buffers from the engine's
+    arena — numerically identical, allocation-free in steady state. *)
 
 (** {1 Mini-batch training} *)
 

@@ -234,34 +234,20 @@ let resolve t (j : job) =
 
 (* ---- execution (no lock unless manual mode) ---- *)
 
-(* Arena-backed outputs are invalidated by the tenant's next run: deep-copy
-   before the ticket completes. *)
-let copy_value = function
-  | Executor.Vdense d ->
-      Executor.Vdense
-        (Dense.of_flat ~rows:d.Dense.rows ~cols:d.Dense.cols
-           (Array.copy d.Dense.data))
-  | Executor.Vsparse s -> (
-      match s.Csr.values with
-      | None -> Executor.Vsparse s
-      | Some v -> Executor.Vsparse (Csr.with_values s (Array.copy v)))
-  | Executor.Vdiag d -> Executor.Vdiag (Array.copy d)
-
 (* Every request is one executor run under the configured layout, drawing
-   its buffers from the tenant's arena when no other job holds it. *)
+   its buffers from the tenant's arena when no other job holds it (a fresh
+   arena otherwise). The executor hands back a heap copy of the output, so
+   the tenant's next run cannot touch a completed ticket. *)
 let execute ?pool ~locality (j : job) (plan, params) =
   let p = j.req in
   let bindings = Layer.bindings ~graph:p.gentry.graph ~h:p.features params in
-  let cfg = { Engine.default_config with locality } in
+  let workspace = if j.use_arena then Some p.powner.ws else None in
   let engine =
-    if j.use_arena then Engine.create_exn ?pool ~workspace:p.powner.ws cfg
-    else Engine.create_exn ?pool cfg
+    Engine.create_exn ?pool ?workspace { Engine.default_config with locality }
   in
-  let r =
-    Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
-      ~bindings plan
-  in
-  if j.use_arena then copy_value r.Executor.output else r.Executor.output
+  (Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
+     ~bindings plan)
+    .Executor.output
 
 (* ---- completion (lock held) ---- *)
 

@@ -34,9 +34,9 @@
 
     Each tenant owns a private workspace arena, never shared across
     tenants. A request runs in its tenant's arena unless another worker is
-    already using it, in which case it allocates normally. Response values
-    are copied out of the arena before the ticket completes, so a response
-    is never invalidated by a later request. Serving defaults to the
+    already using it, in which case it runs in a fresh one. The executor
+    hands back a heap copy of every output, so a response is never
+    invalidated by a later request. Serving defaults to the
     default graph layout — per-request reordering rarely amortizes
     (DESIGN.md §12) — but a config may opt into a locality axis.
 

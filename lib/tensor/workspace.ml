@@ -1,4 +1,5 @@
-(* A size-classed pool of float buffers for steady-state plan execution.
+(* A size-classed pool of float buffers: the arena every engine executes
+   from.
 
    Kernels back their outputs with flat [float array]s whose length is
    load-bearing (Dense.of_flat and Csr.with_values reject padding), so a
@@ -15,9 +16,9 @@
      not issue (input bindings, caller-owned arrays), so callers may release
      conservatively.
    - [reclaim] returns {e every} issued buffer at once — the arena reset the
-     executor performs when a new run begins. Anything produced by the
-     previous run on the same workspace (report output, intermediates) is
-     invalidated by the next run.
+     executor performs when a new run begins — and drops every size class
+     no alloc touched since the previous [reclaim], so an arena whose runs
+     see many shapes holds only its last run's classes.
 
    The internal free lists and the issued set are flat grow-only vectors, so
    in steady state (every class warm) an alloc/give_back cycle allocates
@@ -71,8 +72,11 @@ type stats = {
   issued_words : int;    (* words currently handed out *)
 }
 
+(* [touched]: an alloc drew from the class since the last [reclaim]. *)
+type cls = { free : vec; mutable touched : bool }
+
 type t = {
-  classes : (int, vec) Hashtbl.t;
+  classes : (int, cls) Hashtbl.t;
   out : vec;                       (* issued buffers, any class *)
   mutable hits : int;
   mutable misses : int;
@@ -92,14 +96,15 @@ let class_of t len =
   match Hashtbl.find_opt t.classes len with
   | Some v -> v
   | None ->
-      let v = vec_make () in
-      Hashtbl.add t.classes len v;
-      v
+      let c = { free = vec_make (); touched = false } in
+      Hashtbl.add t.classes len c;
+      c
 
 let acquire t len =
   let cls = class_of t len in
+  cls.touched <- true;
   let buf =
-    match vec_pop cls with
+    match vec_pop cls.free with
     | Some a ->
         t.hits <- t.hits + 1;
         t.held_words <- t.held_words - len;
@@ -135,32 +140,29 @@ let alloc_fill ws x len =
       Array.fill a 0 len x;
       a
 
+(* An issued buffer back onto its class's free list. *)
+let park t a =
+  let len = Array.length a in
+  t.issued_words <- t.issued_words - len;
+  t.held_words <- t.held_words + len;
+  vec_push (class_of t len).free a
+
 let give_back ws a =
   match ws with
   | None -> ()
-  | Some t ->
-      if vec_remove t.out a then begin
-        let len = Array.length a in
-        t.issued_words <- t.issued_words - len;
-        t.held_words <- t.held_words + len;
-        vec_push (class_of t len) a
-      end
+  | Some t -> if vec_remove t.out a then park t a
 
+(* Every issued buffer was drawn since the previous reclaim, so its class is
+   touched and survives the sweep. *)
 let reclaim t =
   while t.out.len > 0 do
-    match vec_pop t.out with
-    | None -> ()
-    | Some a ->
-        let len = Array.length a in
-        t.issued_words <- t.issued_words - len;
-        t.held_words <- t.held_words + len;
-        vec_push (class_of t len) a
-  done
-
-let clear t =
-  reclaim t;
-  Hashtbl.reset t.classes;
-  t.held_words <- 0
+    match vec_pop t.out with None -> () | Some a -> park t a
+  done;
+  Hashtbl.filter_map_inplace
+    (fun len c ->
+      if c.touched then (c.touched <- false; Some c)
+      else (t.held_words <- t.held_words - (len * c.free.len); None))
+    t.classes
 
 let stats t =
   { hits = t.hits;
@@ -168,7 +170,3 @@ let stats t =
     issued = t.out.len;
     held_words = t.held_words;
     issued_words = t.issued_words }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "hits=%d misses=%d issued=%d held=%dw out=%dw" s.hits
-    s.misses s.issued s.held_words s.issued_words

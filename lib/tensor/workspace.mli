@@ -1,4 +1,5 @@
-(** Size-classed float-buffer pool for allocation-free steady-state
+(** Size-classed float-buffer pool: the arena every
+    {!Granii_core.Engine.t} executes from, for allocation-free steady-state
     execution.
 
     Kernel output buffers must have exact lengths ([Dense.of_flat],
@@ -15,9 +16,15 @@
       an executor freeing whatever backs a dead intermediate, bindings
       included).
     - {!reclaim} is the arena reset: {!Granii_core.Executor.exec} performs it
-      on entry, so every value produced by the previous run on the same
-      workspace (output and intermediates alike) is invalidated by the next
-      run. Copy anything you need to keep.
+      on entry, so every intermediate the previous run on the same workspace
+      left in the arena is invalidated by the next run. (The executor hands
+      the caller a heap copy of the output; anything else you keep, copy.)
+
+    - Retention: {!reclaim} also drops every size class no allocation
+      touched since the previous {!reclaim}, so an arena holds only its last
+      run's classes. Runs of one shape keep every class warm; a new shape
+      per run (a fresh subgraph per mini-batch) costs one run of misses, not
+      an ever-growing pool.
 
     A workspace is {b not} domain-safe. Only the orchestrating thread may
     call into it; {!Parallel} worker domains merely write into buffers
@@ -54,11 +61,7 @@ val give_back : t option -> float array -> unit
     given back. *)
 
 val reclaim : t -> unit
-(** Move every issued buffer back to the free lists (arena reset). *)
-
-val clear : t -> unit
-(** Drop all pooled buffers (free lists included), keeping counters. *)
+(** Move every issued buffer back to the free lists (arena reset), then drop
+    each size class no allocation touched since the previous [reclaim]. *)
 
 val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit

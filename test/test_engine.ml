@@ -1,7 +1,7 @@
 (* The engine layer: config legality as typed errors, describe/parse
    round-trips, and the differential guarantee — every legal engine
-   configuration executes every model bitwise-identically to the seed
-   (plain) path. *)
+   configuration executes every model bitwise-identically to the heap
+   reference ([Test_util.heap_exec]: every kernel without an arena). *)
 
 open Granii_core
 open Test_util
@@ -84,29 +84,22 @@ let legal_grid =
   List.concat_map
     (fun threads ->
       List.concat_map
-        (fun workspace ->
+        (fun keep_intermediates ->
           List.concat_map
-            (fun keep_intermediates ->
-              List.concat_map
-                (fun locality ->
-                  List.filter_map
-                    (fun calibration ->
-                      let cfg =
-                        { Engine.threads;
-                          workspace;
-                          locality;
-                          keep_intermediates;
-                          calibration }
-                      in
-                      match Engine.create cfg with
-                      | Ok e ->
-                          Engine.shutdown e;
-                          Some cfg
-                      | Error _ -> None)
-                    [ Cost_oracle.Off; Cost_oracle.Affine ])
-                Locality.all_configs)
-            [ true; false ])
-        [ false; true ])
+            (fun locality ->
+              List.filter_map
+                (fun calibration ->
+                  let cfg =
+                    { Engine.threads; locality; keep_intermediates; calibration }
+                  in
+                  match Engine.create cfg with
+                  | Ok e ->
+                      Engine.shutdown e;
+                      Some cfg
+                  | Error _ -> None)
+                [ Cost_oracle.Off; Cost_oracle.Affine ])
+            Locality.all_configs)
+        [ true; false ])
     [ 1; 2 ]
 
 let test_describe_roundtrip () =
@@ -130,7 +123,8 @@ let test_describe_roundtrip () =
     | Ok _ -> false);
   (* serving admission parameters belong to Serve.config, the telemetry
      sink is injected through [create ?obs], calibration is off|affine, and
-     the shared-subtree cache is gone: none of these is an engine key *)
+     the shared-subtree cache and the workspace axis are gone (every engine
+     executes from its arena): none of these is an engine key *)
   List.iter
     (fun spec ->
       check_true (spec ^ " is a parse error")
@@ -138,7 +132,7 @@ let test_describe_roundtrip () =
         | Error _ -> true
         | Ok _ -> false))
     [ "queue_bound=64"; "batch_window=0"; "telemetry=on"; "journal=on";
-      "calibration=refit"; "cache=on" ];
+      "calibration=refit"; "cache=on"; "workspace=on"; "workspace=off" ];
   (* the calibration axis (PR 9): the oracle's online-correction policy *)
   check_true "calibration=affine parses"
     (match Engine.config_of_string "calibration=affine" with
@@ -196,7 +190,7 @@ let test_layout_axis () =
 (* ---- the differential acceptance grid ----
 
    Every legal engine configuration must execute GCN, GAT and GIN
-   bitwise-identically to the pre-refactor (plain, optionless) path.
+   bitwise-identically to the heap reference (no pool, no arena).
    GIN's Sparse_add makes entry order part of the output, so a permuted
    layout legitimately produces a structurally different (equal-as-math)
    sparse sum — non-default localities are skipped for it, exactly as the
@@ -221,14 +215,11 @@ let test_differential_grid () =
       in
       List.iter
         (fun (c : Codegen.ccand) ->
-          let reference =
-            Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure
-              ~graph ~bindings c.Codegen.plan
-          in
+          let reference = heap_exec ~graph ~bindings c.Codegen.plan in
           List.iter
             (fun cfg ->
               let engine = Engine.create_exn cfg in
-              (* two runs so a workspace engine also reuses its arena *)
+              (* two runs so the second reuses the first's arena *)
               ignore
                 (Executor.exec ~engine ~timing:Executor.Measure ~graph
                    ~bindings c.Codegen.plan);
@@ -240,7 +231,7 @@ let test_differential_grid () =
                 (Printf.sprintf "%s/%s under %s bitwise" name
                    c.Codegen.plan.Plan.name
                    (Engine.describe_config cfg))
-                (value_bits_equal reference.Executor.output r.Executor.output);
+                (value_bits_equal reference r.Executor.output);
               Engine.shutdown engine)
             grid)
         compiled.Codegen.candidates)
@@ -254,17 +245,65 @@ let test_multicore_engine_bitwise () =
   let low, compiled = compile_model model in
   let _, bindings = setup_bindings ~k_in:8 ~k_out:8 low graph in
   let plan = (List.hd compiled.Codegen.candidates).Codegen.plan in
-  let reference =
-    Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure ~graph
-      ~bindings plan
-  in
+  let reference = heap_exec ~graph ~bindings plan in
   let engine = Engine.create_exn { Engine.default_config with threads = 2 } in
   let r =
     Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan
   in
   Engine.shutdown engine;
   check_true "threads=2 engine output bitwise"
-    (value_bits_equal reference.Executor.output r.Executor.output)
+    (value_bits_equal reference r.Executor.output)
+
+(* ---- outputs belong to the caller ----
+
+   The arena is reclaimed when the engine's next run begins, so an output
+   that still lived there would be overwritten by the second run, which
+   reads different parameters and features. Checked on a default engine and
+   on one sharing an injected arena, as a serving tenant's requests do. *)
+
+let test_output_survives_next_run () =
+  let graph = G.Generators.erdos_renyi ~seed:23 ~n:40 ~avg_degree:4. () in
+  List.iter
+    (fun name ->
+      let low, compiled = compile_model (Mp.Mp_models.find name) in
+      let _, bindings = setup_bindings ~k_in:6 ~k_out:5 low graph in
+      let _, other = setup_bindings ~seed:97 ~k_in:6 ~k_out:5 low graph in
+      List.iter
+        (fun (c : Codegen.ccand) ->
+          let plan = c.Codegen.plan in
+          List.iter (fun (arena, engine) ->
+          let first =
+            (Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings
+               plan)
+              .Executor.output
+          in
+          let snapshot =
+            match first with
+            | Executor.Vdense d -> Array.copy d.Dense.data
+            | Executor.Vdiag d -> Array.copy d
+            | Executor.Vsparse s ->
+                Option.fold ~none:[||] ~some:Array.copy s.Csr.values
+          in
+          ignore
+            (Executor.exec ~engine ~timing:Executor.Measure ~graph
+               ~bindings:other plan);
+          let after =
+            match first with
+            | Executor.Vdense d -> d.Dense.data
+            | Executor.Vdiag d -> d
+            | Executor.Vsparse s -> Option.value ~default:[||] s.Csr.values
+          in
+          check_true
+            (Printf.sprintf "%s/%s output keeps its bits after a second run (%s)"
+               name plan.Plan.name arena)
+            (bits_equal snapshot after))
+            [ ("own arena", Engine.default ());
+              ( "injected arena",
+                Engine.create_exn
+                  ~workspace:(Granii_tensor.Workspace.create ())
+                  Engine.default_config ) ])
+        compiled.Codegen.candidates)
+    [ "gcn"; "gat"; "gin" ]
 
 (* ---- graph fingerprint ---- *)
 
@@ -303,16 +342,13 @@ let test_injected_resources_normalize () =
   check_true "injecting a sink leaves the config untouched"
     (Engine.config e = Engine.default_config);
   let ws = Granii_tensor.Workspace.create () in
-  let e =
-    Engine.create_exn ~workspace:ws
-      { Engine.default_config with keep_intermediates = false }
-  in
-  check_true "injected workspace forces the axis on"
-    (Engine.config e).Engine.workspace;
-  check_true "liveness policy reflected"
-    (not (Engine.config e).Engine.keep_intermediates);
-  check_true "injected workspace is the one stored"
-    (match Engine.workspace e with Some w -> w == ws | None -> false)
+  let cfg = { Engine.default_config with keep_intermediates = false } in
+  let e = Engine.create_exn ~workspace:ws cfg in
+  check_true "an injected workspace leaves the config untouched"
+    (Engine.config e = cfg);
+  check_true "injected workspace is the one stored" (Engine.workspace e == ws);
+  check_true "every engine owns an arena of its own"
+    (not (Engine.workspace (Engine.default ()) == Engine.workspace (Engine.default ())))
 
 let suite =
   [ Alcotest.test_case "illegal configs are typed errors" `Quick
@@ -324,6 +360,8 @@ let suite =
       test_differential_grid;
     Alcotest.test_case "multicore engine bitwise" `Quick
       test_multicore_engine_bitwise;
+    Alcotest.test_case "output survives the engine's next run" `Quick
+      test_output_survives_next_run;
     Alcotest.test_case "fingerprint digests the full adjacency" `Quick
       test_fingerprint_full_content;
     Alcotest.test_case "injected resources normalize config" `Quick

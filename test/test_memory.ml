@@ -1,6 +1,7 @@
-(* The memory system: workspace arena semantics, liveness analysis, bitwise
-   equality of workspace-backed execution against the allocating path, and
-   the ground-truth selection sweep. *)
+(* The memory system: workspace arena semantics and retention, liveness
+   analysis, bitwise equality of arena-backed execution against the heap
+   reference ([Test_util.heap_exec]), and the ground-truth selection
+   sweep. *)
 
 open Granii_core
 open Test_util
@@ -109,6 +110,51 @@ let test_workspace_foreign_buffer () =
   check_true "None path allocates fresh zeroed arrays"
     (Array.for_all (( = ) 0.) plain)
 
+(* Retention: a reclaim drops every class no alloc touched since the
+   previous one, and [held_words] counts the dropped buffers out. *)
+let test_workspace_retention () =
+  let ws = Workspace.create () in
+  let some = Some ws in
+  let held () = (Workspace.stats ws).Workspace.held_words in
+  ignore (Workspace.alloc_uninit some 100);
+  ignore (Workspace.alloc_uninit some 200);
+  Workspace.reclaim ws;
+  check_int "both classes touched: both kept" 300 (held ());
+  ignore (Workspace.alloc_uninit some 100);
+  Workspace.reclaim ws;
+  check_int "the untouched 200-word class is dropped" 100 (held ());
+  Workspace.reclaim ws;
+  check_int "a reclaim with no alloc drops everything" 0 (held ());
+  let a = Workspace.alloc some 64 in
+  Workspace.give_back some a;
+  check_true "a given-back buffer is reused in the same run"
+    (Workspace.alloc some 64 == a);
+  Workspace.reclaim ws;
+  check_int "a class drawn since the last reclaim is kept" 64 (held ())
+
+(* Driven through executor runs on graphs of different sizes, an arena holds
+   exactly what one run on the last graph leaves in a fresh arena. *)
+let test_workspace_holds_last_run () =
+  let low, compiled = compile_model Mp.Mp_models.gcn in
+  let plan = (List.hd compiled.Codegen.candidates).Codegen.plan in
+  let run ws graph =
+    let _, bindings = setup_bindings ~k_in:9 low graph in
+    ignore
+      (Executor.exec
+         ~engine:(Engine.create_exn ~workspace:ws Engine.default_config)
+         ~timing ~graph ~bindings plan);
+    Workspace.reclaim ws;
+    Workspace.stats ws
+  in
+  let graphs = List.map (fun n -> small_graph ~n ()) [ 90; 60; 30 ] in
+  let ws = Workspace.create () in
+  let last = List.fold_left (fun _ g -> run ws g) (Workspace.stats ws) graphs in
+  let fresh = run (Workspace.create ()) (List.nth graphs 2) in
+  check_true "the last run drew from the arena" (fresh.Workspace.held_words > 0);
+  check_int "held words are exactly one run on the last graph"
+    fresh.Workspace.held_words last.Workspace.held_words;
+  check_int "nothing stays issued after a reclaim" 0 last.Workspace.issued_words
+
 let test_workspace_alloc_fill () =
   let ws = Workspace.create () in
   let some = Some ws in
@@ -159,13 +205,13 @@ let test_workspace_bitwise (m : Mp.Mp_ast.model) () =
   List.iter
     (fun (c : Codegen.ccand) ->
       let plan = c.Codegen.plan in
-      let reference = Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings plan in
+      let reference = heap_exec ~graph ~bindings plan in
       let with_ws = Executor.exec
           ~engine:(Engine.create_exn ~workspace:ws Engine.default_config)
           ~timing ~graph ~bindings plan in
       check_true
         (Printf.sprintf "%s: workspace output bitwise equal" plan.Plan.name)
-        (value_bits_equal reference.Executor.output with_ws.Executor.output);
+        (value_bits_equal reference with_ws.Executor.output);
       (* liveness recycling drops intermediates but must not change the
          output *)
       let recycled =
@@ -177,7 +223,7 @@ let test_workspace_bitwise (m : Mp.Mp_ast.model) () =
       in
       check_true
         (Printf.sprintf "%s: recycled output bitwise equal" plan.Plan.name)
-        (value_bits_equal reference.Executor.output recycled.Executor.output);
+        (value_bits_equal reference recycled.Executor.output);
       check_true "recycling drops intermediates"
         (recycled.Executor.intermediates = []);
       (* steady-state driver, fresh and warm arena *)
@@ -188,22 +234,21 @@ let test_workspace_bitwise (m : Mp.Mp_ast.model) () =
       in
       check_true
         (Printf.sprintf "%s: exec_iterations output bitwise equal" plan.Plan.name)
-        (value_bits_equal reference.Executor.output iterated.Executor.output))
+        (value_bits_equal reference iterated.Executor.output))
     compiled.Codegen.candidates
 
-let test_run_iterations_no_ws () =
+let test_iterations_match_heap () =
   let graph = small_graph () in
   let low, compiled = compile_model Mp.Mp_models.gcn in
   let _, bindings = setup_bindings ~k_in:9 low graph in
   let c = List.hd compiled.Codegen.candidates in
-  let reference = Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings
-      c.Codegen.plan in
+  let reference = heap_exec ~graph ~bindings c.Codegen.plan in
   let iterated =
     Executor.exec_iterations ~engine:(Engine.default ()) ~timing ~graph
       ~bindings ~iterations:2 c.Codegen.plan
   in
-  check_true "exec_iterations without workspace matches exec"
-    (value_bits_equal reference.Executor.output iterated.Executor.output);
+  check_true "exec_iterations on a default engine matches the heap reference"
+    (value_bits_equal reference iterated.Executor.output);
   check_true "iterations must be positive"
     (try
        ignore
@@ -213,7 +258,7 @@ let test_run_iterations_no_ws () =
      with Invalid_argument _ -> true)
 
 (* Liveness recycling in the steady-state driver: under
-   workspace=on,intermediates=drop a three-iteration run keeps every output
+   intermediates=drop a three-iteration run keeps every output
    bit and ends with a smaller arena than the same run keeping its
    intermediates — buffers die at their last reader inside each iteration,
    while setup values survive until the last one. *)
@@ -240,15 +285,12 @@ let test_iterations_recycle () =
       List.iter
         (fun (c : Codegen.ccand) ->
           let plan = c.Codegen.plan in
-          let reference =
-            Executor.exec ~engine:(Engine.default ()) ~timing ~graph ~bindings
-              plan
-          in
+          let reference = heap_exec ~graph ~bindings plan in
           let dropped, dropped_words = arena_words false plan bindings in
           let _, kept_words = arena_words true plan bindings in
           check_true
             (Printf.sprintf "%s/%s: drop x3 output bitwise" name plan.Plan.name)
-            (value_bits_equal reference.Executor.output dropped.Executor.output);
+            (value_bits_equal reference dropped.Executor.output);
           check_true
             (Printf.sprintf "%s/%s: drop x3 never holds more arena words"
                name plan.Plan.name)
@@ -275,33 +317,28 @@ let test_no_stale_aliasing () =
   let ws = Workspace.create () in
   let c = List.hd compiled.Codegen.candidates in
   let plan = c.Codegen.plan in
-  let ref1 =
-    Executor.exec ~engine:(Engine.default ()) ~timing ~graph
-      ~bindings:bindings1 plan
-  in
-  let ref2 =
-    Executor.exec ~engine:(Engine.default ()) ~timing ~graph
-      ~bindings:bindings2 plan
-  in
+  let ref1 = heap_exec ~graph ~bindings:bindings1 plan in
+  let ref2 = heap_exec ~graph ~bindings:bindings2 plan in
   for _ = 1 to 3 do
     let ews () = Engine.create_exn ~workspace:ws Engine.default_config in
     let r1 =
       Executor.exec ~engine:(ews ()) ~timing ~graph ~bindings:bindings1 plan
     in
     check_true "input 1 result uncontaminated"
-      (value_bits_equal ref1.Executor.output r1.Executor.output);
+      (value_bits_equal ref1 r1.Executor.output);
     let r2 =
       Executor.exec ~engine:(ews ()) ~timing ~graph ~bindings:bindings2 plan
     in
     check_true "input 2 result uncontaminated"
-      (value_bits_equal ref2.Executor.output r2.Executor.output)
+      (value_bits_equal ref2 r2.Executor.output)
   done;
   let s = Workspace.stats ws in
   check_true "arena was actually reused (hits observed)" (s.Workspace.hits > 0)
 
-(* The previous run's output physically lives in the arena: the next run on
-   the same workspace recycles it. This documents the invalidation contract
-   (copy anything you keep). *)
+(* The previous run's intermediates physically live in the arena: the next
+   run on the same workspace recycles them. This documents the invalidation
+   contract (copy any intermediate you keep); the output is the caller's
+   own heap copy and never aliases the arena. *)
 let test_reclaim_invalidates () =
   let graph = small_graph () in
   let low, compiled = compile_model Mp.Mp_models.gcn in
@@ -309,18 +346,17 @@ let test_reclaim_invalidates () =
   let ws = Workspace.create () in
   let c = List.hd compiled.Codegen.candidates in
   let ews () = Engine.create_exn ~workspace:ws Engine.default_config in
+  let backing (r : Executor.report) =
+    List.concat_map (fun (_, v) -> Dispatch.backing_arrays v) r.Executor.intermediates
+  in
   let r1 = Executor.exec ~engine:(ews ()) ~timing ~graph ~bindings c.Codegen.plan in
-  let d1 = match r1.Executor.output with
-    | Executor.Vdense d -> d
-    | _ -> Alcotest.fail "dense expected"
-  in
   let r2 = Executor.exec ~engine:(ews ()) ~timing ~graph ~bindings c.Codegen.plan in
-  let d2 = match r2.Executor.output with
-    | Executor.Vdense d -> d
-    | _ -> Alcotest.fail "dense expected"
-  in
-  check_true "second run reuses the first run's output buffer"
-    (d1.Dense.data == d2.Dense.data)
+  check_true "second run reuses the first run's intermediate buffers"
+    (List.exists (fun a -> List.exists (( == ) a) (backing r1)) (backing r2));
+  check_true "the outputs are distinct heap copies"
+    (List.for_all
+       (fun a -> not (List.exists (( == ) a) (Dispatch.backing_arrays r2.Executor.output)))
+       (Dispatch.backing_arrays r1.Executor.output))
 
 (* ---- ground-truth selection sweep ---- *)
 
@@ -500,13 +536,19 @@ let suite =
     Alcotest.test_case "workspace exact size classes" `Quick test_workspace_exact_classes;
     Alcotest.test_case "workspace foreign buffers" `Quick test_workspace_foreign_buffer;
     Alcotest.test_case "workspace alloc_fill" `Quick test_workspace_alloc_fill;
+    Alcotest.test_case "workspace drops untouched classes" `Quick
+      test_workspace_retention;
+    Alcotest.test_case "workspace holds only the last run's classes" `Quick
+      test_workspace_holds_last_run;
     Alcotest.test_case "liveness on GCN candidates" `Quick test_liveness_gcn ]
   @ List.map model_case Mp.Mp_models.all
-  @ [ Alcotest.test_case "run_iterations without workspace" `Quick test_run_iterations_no_ws;
+  @ [ Alcotest.test_case "exec_iterations matches the heap reference" `Quick
+        test_iterations_match_heap;
       Alcotest.test_case "exec_iterations recycles under drop" `Quick
         test_iterations_recycle;
       Alcotest.test_case "no stale aliasing across runs" `Quick test_no_stale_aliasing;
-      Alcotest.test_case "reclaim invalidates previous output" `Quick test_reclaim_invalidates;
+      Alcotest.test_case "reclaim invalidates previous intermediates" `Quick
+        test_reclaim_invalidates;
       Alcotest.test_case "selector measure sweep" `Quick test_selector_measure;
       Alcotest.test_case "tiled gemm bitwise" `Quick test_tiled_gemm_bitwise;
       Alcotest.test_case "register kernels allocate per call, not per entry" `Quick

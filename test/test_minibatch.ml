@@ -4,8 +4,8 @@
    The load-bearing property is the pipelining contract: batch content is a
    pure function of (seed, masked node set, fanouts, batch_size, batch
    index), so the pipelined loader arm must reproduce the sequential arm
-   bitwise — checked here as a differential over engine configurations
-   (threads 1/2, workspace on/off). The sampler is pinned separately
+   bitwise — checked here as a differential over engine widths
+   (threads 1/2). The sampler is pinned separately
    (determinism in seed, compact renumbering against the Hashtbl-based
    induced_subgraph oracle, fanout >= degree and isolated-seed edges), and
    the bucketed plan-cache keying gets its regression: two structurally
@@ -235,10 +235,8 @@ let test_minibatch_bitwise_differential () =
   let env = { Dim.n; nnz = G.Graph.n_edges g + n; k_in; k_out = classes } in
   let params = Gnn.Layer.init_params ~seed:3 ~env low in
   let cm = Cost_oracle.analytic Granii_hw.Hw_profile.cpu in
-  let run ~mode ~threads ~workspace =
-    let engine =
-      Engine.create_exn { Engine.default_config with threads; workspace }
-    in
+  let run ~mode ~threads =
+    let engine = Engine.create_exn { Engine.default_config with threads } in
     Fun.protect ~finally:(fun () -> Engine.shutdown engine) (fun () ->
         Gnn.Trainer.train_minibatch ~seed:1 ~engine ~mode ~classes
           ~fanouts:[ 5; 3 ] ~epochs:2 ~batch_size:64
@@ -246,10 +244,10 @@ let test_minibatch_bitwise_differential () =
           ~oracle:cm ~compiled ~graph:g ~features ~labels ~params ())
   in
   List.iter
-    (fun (threads, workspace) ->
-      let seq = run ~mode:Gnn.Loader.Sequential ~threads ~workspace in
-      let pipe = run ~mode:Gnn.Loader.Pipelined ~threads ~workspace in
-      let tag = Printf.sprintf "t=%d ws=%b" threads workspace in
+    (fun threads ->
+      let seq = run ~mode:Gnn.Loader.Sequential ~threads in
+      let pipe = run ~mode:Gnn.Loader.Pipelined ~threads in
+      let tag = Printf.sprintf "t=%d" threads in
       Array.iteri
         (fun e l ->
           check_true (Printf.sprintf "%s epoch %d loss bitwise" tag e)
@@ -270,7 +268,7 @@ let test_minibatch_bitwise_differential () =
         <> seq.Gnn.Trainer.epoch_losses.(1));
       check_true (tag ^ " no stall in sequential mode")
         (seq.Gnn.Trainer.stall_time = 0.))
-    [ (1, false); (2, false); (1, true); (2, true) ]
+    [ 1; 2 ]
 
 (* the trainer rejects engines autodiff cannot use *)
 let test_minibatch_engine_legality () =
@@ -291,7 +289,7 @@ let test_minibatch_engine_legality () =
   in
   let dropping =
     Engine.create_exn
-      { Engine.default_config with workspace = true; keep_intermediates = false }
+      { Engine.default_config with keep_intermediates = false }
   in
   match attempt dropping with
   | exception Invalid_argument _ -> ()

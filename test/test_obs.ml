@@ -383,7 +383,7 @@ let test_telemetry_describe_roundtrip () =
   (* the sink is an injected resource, not a config axis: a telemetered
      engine describes the same config as a bare one, and that rendering
      parses back to it *)
-  let cfg = { Engine.default_config with workspace = true } in
+  let cfg = { Engine.default_config with keep_intermediates = false } in
   let e = Engine.create_exn ~obs:(Obs.create ()) cfg in
   check_true "the injected sink is live" (Obs.enabled (Engine.obs e));
   let s = Engine.describe e in

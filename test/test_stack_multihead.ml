@@ -60,30 +60,44 @@ let test_stack_forward_shapes () =
 
 let test_stack_matches_manual_two_layer () =
   (* stacking two layers must equal manually feeding layer 1's output into
-     layer 2 *)
+     layer 2, and every kept report must still hold its layer's
+     intermediates after the whole pass (train's backward reads them then);
+     [6; 4; 4] gives both layers same-sized outputs *)
   let graph = Lazy.force graph in
   let n = G.Graph.n_nodes graph in
   let low, compiled = compiled_of Mp.Mp_models.gcn in
-  let stack =
-    Gnn.Stack.build ~seed:5 ~oracle:cm ~graph ~compiled ~lowered:low
-      ~dims:[ 6; 5; 3 ] ()
-  in
-  let features = Dense.random ~seed:8 n 6 in
-  let out, _ = Gnn.Stack.forward ~graph ~features stack in
-  let manual =
-    List.fold_left
-      (fun h (layer : Gnn.Stack.layer) ->
-        let bindings = Gnn.Layer.bindings ~graph ~h layer.Gnn.Stack.l_params in
-        match
-          (Executor.exec ~engine:(Engine.default ())
-             ~timing:Executor.Measure ~graph ~bindings layer.Gnn.Stack.l_plan)
-            .Executor.output
-        with
-        | Executor.Vdense d -> d
-        | _ -> Alcotest.fail "dense expected")
-      features stack.Gnn.Stack.layers
-  in
-  check_true "stack = manual composition" (Dense.equal_approx out manual)
+  List.iter
+    (fun dims ->
+      let stack =
+        Gnn.Stack.build ~seed:5 ~oracle:cm ~graph ~compiled ~lowered:low ~dims ()
+      in
+      let features = Dense.random ~seed:8 n 6 in
+      let out, reports = Gnn.Stack.forward ~graph ~features stack in
+      let manual, manual_reports =
+        List.fold_left
+          (fun (h, acc) (layer : Gnn.Stack.layer) ->
+            let bindings = Gnn.Layer.bindings ~graph ~h layer.Gnn.Stack.l_params in
+            let r =
+              Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure
+                ~graph ~bindings layer.Gnn.Stack.l_plan
+            in
+            match r.Executor.output with
+            | Executor.Vdense d -> (d, r :: acc)
+            | _ -> Alcotest.fail "dense expected")
+          (features, []) stack.Gnn.Stack.layers
+      in
+      check_true "stack = manual composition" (Dense.equal_approx out manual);
+      List.iter2
+        (fun ((r : Executor.report), _) (m : Executor.report) ->
+          check_true "kept intermediates survive the later layers"
+            (List.for_all2
+               (fun (i, v) (j, w) ->
+                 i = j
+                 && List.for_all2 ( = ) (Dispatch.backing_arrays v)
+                      (Dispatch.backing_arrays w))
+               r.Executor.intermediates m.Executor.intermediates))
+        reports (List.rev manual_reports))
+    [ [ 6; 5; 3 ]; [ 6; 4; 4 ] ]
 
 let test_stack_training_converges () =
   let graph = Lazy.force graph in

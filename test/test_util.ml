@@ -68,3 +68,28 @@ let degenerates =
            (fun i -> [ (i, 1, 2.0); (i, 4, -3.0) ])
            [ 0; 1; 2; 3 ]
         @ [ (4, 1, 2.0); (4, 4, -3.0); (4, 5, 1.0) ]) ) ]
+
+(* The heap reference for the engine grids: the plan evaluated step by step
+   through [Executor.apply] with no pool and no arena (every kernel on its
+   [?ws:None] path), under the default layout. Setup steps run first, as in
+   the executor. *)
+let heap_exec ~graph ~bindings (plan : Granii_core.Plan.t) =
+  let module Plan = Granii_core.Plan in
+  let module Executor = Granii_core.Executor in
+  let slots = Hashtbl.create 16 in
+  let arg = function
+    | Plan.Input "__graph__" -> Executor.Vsparse graph.Granii_graph.Graph.adj
+    | Plan.Input name -> List.assoc name bindings
+    | Plan.Computed i -> Hashtbl.find slots i
+  in
+  let run phase =
+    List.iter
+      (fun (s : Plan.step) ->
+        if s.Plan.phase = phase then
+          Hashtbl.replace slots s.Plan.idx
+            (Executor.apply s.Plan.prim graph (List.map arg s.Plan.args)))
+      plan.Plan.steps
+  in
+  run Plan.Setup;
+  run Plan.Per_iteration;
+  arg plan.Plan.output
