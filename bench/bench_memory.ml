@@ -36,14 +36,14 @@ let value_equal (a : Executor.value) (b : Executor.value) =
   | _ -> false
 
 (* Gc words allocated by [f ()], split minor / major (major includes
-   promotions, so "fresh words seen by the collector" on both heaps). *)
+   promotions, so "fresh words seen by the collector" on both heaps). Read
+   from the exact counters: OCaml 5's [Gc.quick_stat] word counts lag
+   behind allocation and read 0 for a call this short. *)
 let alloc_words f =
-  let g0 = Gc.quick_stat () in
+  let minor0 = Gc.minor_words () and major0 = (Gc.stat ()).Gc.major_words in
   let r = f () in
-  let g1 = Gc.quick_stat () in
-  ( r,
-    g1.Gc.minor_words -. g0.Gc.minor_words,
-    g1.Gc.major_words -. g0.Gc.major_words )
+  let minor1 = Gc.minor_words () and major1 = (Gc.stat ()).Gc.major_words in
+  (r, minor1 -. minor0, major1 -. major0)
 
 let candidate_for comp ~k_in ~k_out =
   let scen = Selector.scenario_of ~k_in ~k_out in

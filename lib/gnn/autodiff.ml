@@ -28,22 +28,15 @@ module Acc = struct
     | None, _ -> Hashtbl.replace t src g
     | Some (Ex.Vdense old), Ex.Vdense g -> Hashtbl.replace t src (Ex.Vdense (Dense.add old g))
     | Some (Ex.Vsparse old), Ex.Vsparse g ->
-        let sum =
-          Array.init (Csr.nnz old) (fun p -> Csr.value old p +. Csr.value g p)
-        in
+        let sum = Array.create_float (Csr.nnz old) in
+        for p = 0 to Array.length sum - 1 do
+          sum.(p) <- Csr.value old p +. Csr.value g p
+        done;
         Hashtbl.replace t src (Ex.Vsparse (Csr.with_values old sum))
     | Some _, _ -> err "autodiff: gradient kind mismatch"
 
   let find (t : t) src = Hashtbl.find_opt t src
 end
-
-(* Sparse row/column sums of a weighted CSR, as vectors. *)
-let sparse_row_sums s = Granii_sparse.Sparse_ops.row_sums s
-
-let sparse_col_sums (s : Csr.t) =
-  let acc = Vector.zeros s.Csr.n_cols in
-  Csr.iter (fun _ j v -> acc.(j) <- acc.(j) +. v) s;
-  acc
 
 (* VJP of the row-wise softmax over stored values:
    ds = alpha .* (g - rowsum(alpha .* g)). *)
@@ -61,22 +54,102 @@ let edge_softmax_vjp (alpha : Csr.t) (g : Csr.t) =
   done;
   Csr.with_values alpha out
 
+(* The VJPs below are direct loops over the flat arrays: a closure call per
+   element ([Dense.init], [Dense.map2], [Array.init]) would box every float
+   it passes or returns. Each computes the same operations in the same order
+   as the closure form. *)
+
+(* VJP of an elementwise map, given its input [x] and output cotangent [g]. *)
+let map_vjp kind (x : Dense.t) (g : Dense.t) =
+  if Dense.dims x <> Dense.dims g then err "autodiff: map VJP shape mismatch";
+  let rows, cols = Dense.dims x in
+  let xd = x.Dense.data and gd = g.Dense.data in
+  let out = Array.create_float (rows * cols) in
+  (match kind with
+  | Core.Matrix_ir.Relu ->
+      for i = 0 to Array.length out - 1 do
+        out.(i) <- (if xd.(i) > 0. then gd.(i) else 0.)
+      done
+  | Core.Matrix_ir.Leaky_relu ->
+      for i = 0 to Array.length out - 1 do
+        let gv = gd.(i) in
+        out.(i) <- (if xd.(i) > 0. then gv else 0.2 *. gv)
+      done
+  | Core.Matrix_ir.Sigmoid ->
+      for i = 0 to Array.length out - 1 do
+        let sg = 1. /. (1. +. exp (-.xd.(i))) in
+        out.(i) <- gd.(i) *. sg *. (1. -. sg)
+      done
+  | Core.Matrix_ir.Log_softmax ->
+      (* dx_ij = g_ij - softmax(x)_ij * sum_c g_ic, the row sum taken once *)
+      let sm = (Dense.softmax_rows x).Dense.data in
+      for i = 0 to rows - 1 do
+        let base = i * cols in
+        let gsum = ref 0. in
+        for c = 0 to cols - 1 do
+          gsum := !gsum +. gd.(base + c)
+        done;
+        for j = 0 to cols - 1 do
+          out.(base + j) <- gd.(base + j) -. (sm.(base + j) *. !gsum)
+        done
+      done
+  | Core.Matrix_ir.Edge_softmax -> err "autodiff: edge_softmax on dense");
+  Dense.of_flat ~rows ~cols out
+
+(* [col . row^T] for a vector [col] (n) and a (k x 1) [row]: n x k. *)
 let outer_product (col : Vector.t) (row : Dense.t) =
-  (* col is n, row is k x 1; result n x k = col . row^T *)
-  let k, _ = Dense.dims row in
-  Dense.init (Array.length col) k (fun i j -> col.(i) *. Dense.get row j 0)
+  let n = Array.length col and k = row.Dense.rows in
+  let rd = row.Dense.data in
+  let out = Array.create_float (n * k) in
+  for i = 0 to n - 1 do
+    let ci = col.(i) and base = i * k in
+    for j = 0 to k - 1 do
+      out.(base + j) <- ci *. rd.(j)
+    done
+  done;
+  Dense.of_flat ~rows:n ~cols:k out
 
+(* [m^T . v] as a (k x 1) dense, each entry summed in ascending row order. *)
 let matvec_t (m : Dense.t) (v : Vector.t) =
-  (* m^T . v as a (k x 1) dense *)
   let n, k = Dense.dims m in
-  Dense.init k 1 (fun j _ ->
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. (Dense.get m i j *. v.(i))
-      done;
-      !acc)
+  let md = m.Dense.data in
+  let out = Array.create_float k in
+  for j = 0 to k - 1 do
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (md.((i * k) + j) *. v.(i))
+    done;
+    out.(j) <- !acc
+  done;
+  Dense.of_flat ~rows:k ~cols:1 out
 
-let backward ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.report) ~seed =
+(* The edge-score VJP's per-source and per-destination sums of the score
+   cotangent chained through the leaky relu (the output's sign is the
+   input's): [(row sums, column sums)] of [slope(score) * g] over the
+   scores' structure, each accumulated in storage order. *)
+let edge_score_sums (scores : Csr.t) (g : Csr.t) =
+  let ds = Vector.zeros scores.Csr.n_rows and dt = Vector.zeros scores.Csr.n_cols in
+  for i = 0 to scores.Csr.n_rows - 1 do
+    let acc = ref 0. in
+    for p = scores.Csr.row_ptr.(i) to scores.Csr.row_ptr.(i + 1) - 1 do
+      let slope = if Csr.value scores p >= 0. then 1. else 0.2 in
+      let v = slope *. Csr.value g p in
+      acc := !acc +. v;
+      let j = scores.Csr.col_idx.(p) in
+      dt.(j) <- dt.(j) +. v
+    done;
+    ds.(i) <- !acc
+  done;
+  (ds, dt)
+
+(* Reverse pass for the dense inputs named in [wrt]. A source gets a
+   gradient only if it lies on a path from the output back to one of them:
+   a bound input in [wrt], or a per-iteration step with such an input among
+   its transitive arguments (setup steps are graph-derived constants). Every
+   other VJP term is skipped before it is computed. The wanted sources
+   receive the same terms, in the same order, as under the full pass, so
+   their gradients are bitwise those of {!backward}. *)
+let backward_wrt ~wrt ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.report) ~seed =
   ignore graph;
   let value_of = function
     | Core.Plan.Computed i -> (
@@ -89,18 +162,18 @@ let backward ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.report) ~seed
         | Some v -> v
         | None -> err "autodiff: unbound input %s" name)
   in
-  let phase_of_step =
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun (s : Core.Plan.step) -> Hashtbl.replace tbl s.Core.Plan.idx s.Core.Plan.phase) plan.Core.Plan.steps;
-    fun i -> Hashtbl.find_opt tbl i
-  in
-  (* A source needs a gradient if it is a per-iteration computed step (its
-     producer will consume it) or a bound dense input. *)
+  let reaches = Hashtbl.create 16 in
   let wants_grad = function
-    | Core.Plan.Computed i -> phase_of_step i = Some Core.Plan.Per_iteration
+    | Core.Plan.Computed i -> Hashtbl.mem reaches i
     | Core.Plan.Input "__graph__" -> false
-    | Core.Plan.Input _ -> true
+    | Core.Plan.Input name -> List.mem name wrt
   in
+  List.iter
+    (fun (s : Core.Plan.step) ->
+      if s.Core.Plan.phase = Core.Plan.Per_iteration
+         && List.exists wants_grad s.Core.Plan.args
+      then Hashtbl.replace reaches s.Core.Plan.idx ())
+    plan.Core.Plan.steps;
   let acc = Acc.create () in
   Acc.add acc plan.Core.Plan.output (Ex.Vdense seed);
   let steps_rev = List.rev plan.Core.Plan.steps in
@@ -111,74 +184,47 @@ let backward ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.report) ~seed
         | None -> ()
         | Some g -> (
             let args = s.Core.Plan.args in
-            let push src v = if wants_grad src then Acc.add acc src v in
+            let push src grad = if wants_grad src then Acc.add acc src (grad ()) in
             match (s.Core.Plan.prim, args) with
             | P.Gemm _, [ sa; sb ] ->
-                let a = dense (value_of sa) and b = dense (value_of sb) in
                 let gd = dense g in
-                push sa (Ex.Vdense (Dense.matmul gd (Dense.transpose b)));
-                push sb (Ex.Vdense (Dense.matmul (Dense.transpose a) gd))
+                push sa (fun () ->
+                    Ex.Vdense (Dense.matmul gd (Dense.transpose (dense (value_of sb)))));
+                push sb (fun () ->
+                    Ex.Vdense (Dense.matmul (Dense.transpose (dense (value_of sa))) gd))
             | P.Spmm _, [ ss; sb ] ->
                 let sp = sparse (value_of ss) in
                 let gd = dense g in
-                push sb (Ex.Vdense (Spmm.run (Csr.transpose sp) gd));
-                if wants_grad ss then
-                  (* dS_ij = <dC_i, B_j>: an SDDMM over S's structure. *)
-                  push ss (Ex.Vsparse (Sddmm.dot_rows (Csr.drop_values sp) gd (dense (value_of sb))))
+                push sb (fun () -> Ex.Vdense (Spmm.run (Csr.transpose sp) gd));
+                (* dS_ij = <dC_i, B_j>: an SDDMM over S's structure. *)
+                push ss (fun () ->
+                    Ex.Vsparse (Sddmm.dot_rows (Csr.drop_values sp) gd (dense (value_of sb))))
             | P.Dense_sparse_mm _, [ sb; ss ] ->
                 let sp = sparse (value_of ss) in
-                push sb (Ex.Vdense (Spmm.run_transposed (dense g) (Csr.transpose sp)))
+                push sb (fun () ->
+                    Ex.Vdense (Spmm.run_transposed (dense g) (Csr.transpose sp)))
             | P.Row_broadcast _, [ sd; sx ] ->
-                push sx (Ex.Vdense (Dense.row_broadcast (diag (value_of sd)) (dense g)))
+                push sx (fun () ->
+                    Ex.Vdense (Dense.row_broadcast (diag (value_of sd)) (dense g)))
             | P.Col_broadcast _, [ sx; sd ] ->
-                push sx (Ex.Vdense (Dense.col_broadcast (dense g) (diag (value_of sd))))
-            | P.Dense_add _, parts -> List.iter (fun src -> push src g) parts
+                push sx (fun () ->
+                    Ex.Vdense (Dense.col_broadcast (dense g) (diag (value_of sd))))
+            | P.Dense_add _, parts -> List.iter (fun src -> push src (fun () -> g)) parts
             | P.Dense_map { kind; _ }, [ sx ] ->
-                let x = dense (value_of sx) and gd = dense g in
-                let gx =
-                  match kind with
-                  | Core.Matrix_ir.Relu ->
-                      Dense.map2 (fun xv gv -> if xv > 0. then gv else 0.) x gd
-                  | Core.Matrix_ir.Leaky_relu ->
-                      Dense.map2 (fun xv gv -> if xv > 0. then gv else 0.2 *. gv) x gd
-                  | Core.Matrix_ir.Sigmoid ->
-                      Dense.map2
-                        (fun xv gv ->
-                          let sg = 1. /. (1. +. exp (-.xv)) in
-                          gv *. sg *. (1. -. sg))
-                        x gd
-                  | Core.Matrix_ir.Log_softmax ->
-                      let sm = Dense.softmax_rows x in
-                      let rows, cols = Dense.dims x in
-                      Dense.init rows cols (fun i j ->
-                          let gsum = ref 0. in
-                          for c = 0 to cols - 1 do
-                            gsum := !gsum +. Dense.get gd i c
-                          done;
-                          Dense.get gd i j -. (Dense.get sm i j *. !gsum))
-                  | Core.Matrix_ir.Edge_softmax -> err "autodiff: edge_softmax on dense"
-                in
-                push sx (Ex.Vdense gx)
+                push sx (fun () -> Ex.Vdense (map_vjp kind (dense (value_of sx)) (dense g)))
             | P.Edge_softmax, [ ssc ] ->
-                let alpha = sparse (value_of (Core.Plan.Computed s.Core.Plan.idx)) in
-                push ssc (Ex.Vsparse (edge_softmax_vjp alpha (sparse g)))
+                push ssc (fun () ->
+                    let alpha = sparse (value_of (Core.Plan.Computed s.Core.Plan.idx)) in
+                    Ex.Vsparse (edge_softmax_vjp alpha (sparse g)))
             | P.Edge_score _, [ _mask; sfeats; sasrc; sadst ] ->
                 let theta = dense (value_of sfeats) in
                 let a_src = dense (value_of sasrc) and a_dst = dense (value_of sadst) in
                 let scores = sparse (value_of (Core.Plan.Computed s.Core.Plan.idx)) in
-                let gsc = sparse g in
-                (* chain through leaky_relu: sign of output = sign of input *)
-                let dscore =
-                  Csr.with_values scores
-                    (Array.init (Csr.nnz scores) (fun p ->
-                         let slope = if Csr.value scores p >= 0. then 1. else 0.2 in
-                         slope *. Csr.value gsc p))
-                in
-                let ds = sparse_row_sums dscore and dt = sparse_col_sums dscore in
-                push sfeats
-                  (Ex.Vdense (Dense.add (outer_product ds a_src) (outer_product dt a_dst)));
-                push sasrc (Ex.Vdense (matvec_t theta ds));
-                push sadst (Ex.Vdense (matvec_t theta dt))
+                let ds, dt = edge_score_sums scores (sparse g) in
+                push sfeats (fun () ->
+                    Ex.Vdense (Dense.add (outer_product ds a_src) (outer_product dt a_dst)));
+                push sasrc (fun () -> Ex.Vdense (matvec_t theta ds));
+                push sadst (fun () -> Ex.Vdense (matvec_t theta dt))
             | (P.Sddmm_rank1 | P.Diag_scale _ | P.Diag_combine | P.Sparse_add _
               | P.Degree _), _ ->
                 (* Graph-derived computations carry no data gradient. *)
@@ -192,6 +238,14 @@ let backward ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.report) ~seed
       | Ex.Vdense _, Some (Ex.Vdense g) -> Some (name, g)
       | _, _ -> None)
     bindings
+
+let backward ~plan ~graph ~bindings ~forward ~seed =
+  let dense_inputs =
+    List.filter_map
+      (function name, Ex.Vdense _ -> Some name | _, _ -> None)
+      bindings
+  in
+  backward_wrt ~wrt:dense_inputs ~plan ~graph ~bindings ~forward ~seed
 
 let backward_kernels ~graph ~env (plan : Core.Plan.t) =
   let n = Granii_graph.Graph.n_nodes graph in

@@ -7,7 +7,12 @@
 
     - {!backward}: a real vector-Jacobian reverse pass over any plan
       (including GAT's attention), yielding gradients for the dense
-      parameter leaves — used by {!Trainer} and the training examples;
+      input leaves — used by {!Stack}, which threads the feature gradient
+      down the layers, and the training examples;
+    - {!backward_wrt}: the same pass restricted to named leaves — used by
+      {!Trainer}, which asks for the parameters only and so skips the
+      feature gradient (a whole extra GEMM per batch) and every term that
+      feeds nothing but it;
     - {!backward_kernels}: the kernel workload of that reverse pass, used to
       {e charge} backward time on simulated hardware without running it in
       the sweeps. *)
@@ -25,7 +30,21 @@ val backward :
     [keep_intermediates = true] (the {!Granii_core.Engine.default_config}
     setting). Gradients through the graph structure (adjacency,
     normalization diagonals) are not materialized. Raises
-    [Granii_core.Executor.Execution_error] on malformed plans. *)
+    [Granii_core.Executor.Execution_error] on malformed plans.
+
+    Every VJP is a direct loop over the flat arrays (no per-element
+    closure), and a term is computed only if its target needs a gradient.
+    This is [backward_wrt] with [wrt] the names of the dense bindings. *)
+
+val backward_wrt :
+  wrt:string list -> plan:Granii_core.Plan.t -> graph:Granii_graph.Graph.t ->
+  bindings:(string * Granii_core.Executor.value) list ->
+  forward:Granii_core.Executor.report -> seed:Granii_tensor.Dense.t -> grads
+(** [backward_wrt ~wrt ...] is {!backward} for the dense inputs named in
+    [wrt] only: a source gets a gradient only if it is one of them, or a
+    per-iteration step with one of them among its transitive arguments.
+    Each returned gradient is bitwise the one {!backward} returns for the
+    same name, because it receives the same terms in the same order. *)
 
 val backward_kernels :
   graph:Granii_graph.Graph.t -> env:Granii_core.Dim.env ->

@@ -44,7 +44,10 @@ let train ?(seed = 0) ?mask ?engine ~epochs ~optimizer ~plan ~graph
     last_logits := Some logits;
     let loss, dlogits = Loss.softmax_cross_entropy ?mask ~logits ~labels () in
     losses.(epoch) <- loss;
-    let grads = Autodiff.backward ~plan ~graph ~bindings ~forward ~seed:dlogits in
+    let grads =
+      Autodiff.backward_wrt ~wrt:(List.map fst !params) ~plan ~graph ~bindings
+        ~forward ~seed:dlogits
+    in
     params := Optimizer.step optimizer !params grads
   done;
   let train_accuracy =
@@ -198,9 +201,11 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
                           Loss.softmax_cross_entropy ~mask:b.Loader.mask
                             ~logits ~labels:b.Loader.labels ()
                         in
+                        (* the parameters' gradients only: the features'
+                           would cost a GEMM per batch and nothing reads it *)
                         let grads =
-                          Autodiff.backward ~plan ~graph:sub ~bindings
-                            ~forward ~seed:dlogits
+                          Autodiff.backward_wrt ~wrt:(List.map fst !params)
+                            ~plan ~graph:sub ~bindings ~forward ~seed:dlogits
                         in
                         ( loss,
                           grads,

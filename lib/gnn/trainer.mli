@@ -23,7 +23,9 @@ val train :
     deterministic given [seed]. [?engine] runs every forward pass under a
     validated {!Granii_core.Engine.t} (default {!Granii_core.Engine.default});
     it must keep intermediates ({!Granii_gnn.Autodiff} reads them in the
-    backward pass — raises [Invalid_argument] otherwise). Every epoch's
+    backward pass — raises [Invalid_argument] otherwise). The backward
+    pass asks {!Autodiff.backward_wrt} for the parameters' gradients only,
+    bitwise those of the full pass. Every epoch's
     forward pass reuses the previous epoch's buffers from the engine's
     arena — numerically identical, allocation-free in steady state. *)
 
@@ -56,8 +58,10 @@ val train_minibatch :
     nodes (seeded), cuts them into seed batches of [batch_size], draws every
     batch's layered neighborhood ({!Granii_graph.Sampling.layered_fanout}
     with [fanouts]) and trains on the sampled subgraph: the loss masks
-    everything but the seed rows, gradients accumulate per batch through
-    {!Optimizer.step}. Per batch, the executed plan comes from selection
+    everything but the seed rows, and the backward pass computes the
+    parameters' gradients only ({!Autodiff.backward_wrt}: no feature
+    gradient, bitwise the full pass's parameter gradients), which
+    {!Optimizer.step} applies per batch. Per batch, the executed plan comes from selection
     over [compiled] through [plan_cache] (default: a fresh 16-entry cache),
     keyed on {!Granii_core.Plan_cache.bucketed_fingerprint} of the sampled
     subgraph — structurally similar batches reuse the selected plan, so

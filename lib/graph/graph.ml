@@ -96,7 +96,11 @@ let with_self_loops g = memoized g.memo.tilde (fun () -> build_self_loops g.adj)
 
 let degrees_tilde g =
   let rp = (with_self_loops g).Csr.row_ptr in
-  Vector.init (n_nodes g) (fun i -> float_of_int (rp.(i + 1) - rp.(i)))
+  let d = Array.create_float (n_nodes g) in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- float_of_int (rp.(i + 1) - rp.(i))
+  done;
+  d
 
 let norm_inv_sqrt g = Vector.inv_sqrt (degrees_tilde g)
 

@@ -51,21 +51,36 @@ let random_nodes ?(seed = 0) (g : Graph.t) k =
   let rng = Prng.create (seed + 808) in
   Prng.sample_without_replacement rng k (Graph.n_nodes g)
 
+(* Ascending int sort of [a.(lo .. lo + len - 1)] in place. Sampled rows
+   and per-node draws are short, and an insertion sort of a few ints beats
+   [Array.sort]'s closure-compared merge sort; long rows still take it,
+   with the monomorphic int compare. *)
+let sort_range a lo len =
+  if len <= 32 then
+    for i = lo + 1 to lo + len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let sub = Array.sub a lo len in
+    Array.sort Int.compare sub;
+    Array.blit sub 0 a lo len
+  end
+
 (* Restore the sorted-column CSR invariant per row: a compact renumbering
    (seeds first) is not monotone in the original ids, so the scattered
-   columns arrive unsorted. Rows are small; a per-row sort is cheap. *)
+   columns arrive unsorted. *)
 let sort_rows ~row_ptr col_idx =
-  Array.iteri
-    (fun r lo ->
-      if r < Array.length row_ptr - 1 then begin
-        let len = row_ptr.(r + 1) - lo in
-        if len > 1 then begin
-          let sub = Array.sub col_idx lo len in
-          Array.sort compare sub;
-          Array.blit sub 0 col_idx lo len
-        end
-      end)
-    row_ptr
+  for r = 0 to Array.length row_ptr - 2 do
+    let lo = row_ptr.(r) in
+    let len = row_ptr.(r + 1) - lo in
+    if len > 1 then sort_range col_idx lo len
+  done
 
 let induced_compact (g : Graph.t) nodes =
   let n = Graph.n_nodes g in
@@ -105,6 +120,18 @@ type layered = {
   n_seeds : int;
 }
 
+(* A growable int buffer. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make (2 * Array.length b.a) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  Array.unsafe_set b.a b.len x;
+  b.len <- b.len + 1
+
 let layered_fanout ?(seed = 0) ~fanouts ~seeds (g : Graph.t) =
   if fanouts = [] then
     invalid_arg "Sampling.layered_fanout: fanouts must be non-empty";
@@ -117,87 +144,82 @@ let layered_fanout ?(seed = 0) ~fanouts ~seeds (g : Graph.t) =
   let n_seeds = Array.length seeds in
   if n_seeds = 0 then
     invalid_arg "Sampling.layered_fanout: seeds must be non-empty";
+  (* [nodes.a.(ni)] is the original id of new id [ni]; new ids are given in
+     visit order, seeds first *)
   let newid = Array.make n (-1) in
-  let rev_order = ref [] in
-  let count = ref 0 in
-  let visit oi =
-    if newid.(oi) >= 0 then newid.(oi)
-    else begin
-      let ni = !count in
-      newid.(oi) <- ni;
-      incr count;
-      rev_order := oi :: !rev_order;
-      ni
-    end
-  in
+  let nodes = { a = Array.make (max 16 (4 * n_seeds)) 0; len = 0 } in
   Array.iter
     (fun oi ->
       if oi < 0 || oi >= n then
         invalid_arg "Sampling.layered_fanout: seed node out of range";
       if newid.(oi) >= 0 then
         invalid_arg "Sampling.layered_fanout: duplicate seed node";
-      ignore (visit oi))
+      newid.(oi) <- nodes.len;
+      push nodes oi)
     seeds;
   let adj = g.Graph.adj in
-  let rev_edges = ref [] in
-  let n_edges = ref 0 in
-  let frontier = ref (Array.to_list seeds) in
+  let row_ptr = adj.Csr.row_ptr and adj_col = adj.Csr.col_idx in
+  (* Each layer's frontier is the nodes first visited by the layer before
+     (the seeds for the first), which is a contiguous range of new ids. A
+     node samples once, when it is a frontier member, and the frontiers are
+     visited in new-id order, so the edges arrive grouped by source row in
+     ascending order: [ends.a.(ni)] is where row [ni]'s columns end. *)
+  let cols = { a = Array.make (max 16 (4 * n_seeds)) 0; len = 0 } in
+  let ends = { a = Array.make (max 16 n_seeds) 0; len = 0 } in
+  let pick p =
+    let v = Array.unsafe_get adj_col p in
+    let nv = newid.(v) in
+    if nv >= 0 then push cols nv
+    else begin
+      newid.(v) <- nodes.len;
+      push cols nodes.len;
+      push nodes v
+    end
+  in
+  let lo_f = ref 0 in
   List.iteri
     (fun layer fanout ->
-      let next = ref [] in
-      List.iter
-        (fun u ->
-          let nu = newid.(u) in
-          let lo = adj.Csr.row_ptr.(u) in
-          let deg = adj.Csr.row_ptr.(u + 1) - lo in
-          let pick p =
-            let v = adj.Csr.col_idx.(p) in
-            let fresh = newid.(v) < 0 in
-            let nv = visit v in
-            if fresh then next := v :: !next;
-            rev_edges := (nu, nv) :: !rev_edges;
-            incr n_edges
+      let hi_f = nodes.len in
+      for nu = !lo_f to hi_f - 1 do
+        let u = nodes.a.(nu) in
+        let lo = row_ptr.(u) in
+        let deg = row_ptr.(u + 1) - lo in
+        if deg <= fanout then
+          for p = lo to lo + deg - 1 do
+            pick p
+          done
+        else begin
+          (* one generator per (seed, layer, node): the draw is a pure
+             function of those three, independent of frontier iteration
+             order and of any thread count *)
+          let rng =
+            Prng.create
+              (seed
+              lxor (((layer + 1) * 0x9e3779b1) + (u * 0x85ebca6b) + 0x6d))
           in
-          if deg <= fanout then
-            for p = lo to lo + deg - 1 do
-              pick p
-            done
-          else begin
-            (* one generator per (seed, layer, node): the draw is a pure
-               function of those three, independent of frontier iteration
-               order and of any thread count *)
-            let rng =
-              Prng.create
-                (seed
-                lxor (((layer + 1) * 0x9e3779b1) + (u * 0x85ebca6b) + 0x6d))
-            in
-            let picks = Prng.sample_without_replacement rng fanout deg in
-            Array.sort compare picks;
-            Array.iter (fun off -> pick (lo + off)) picks
-          end)
-        !frontier;
-      frontier := List.rev !next)
+          let pk = Prng.sample_without_replacement rng fanout deg in
+          sort_range pk 0 fanout;
+          for q = 0 to fanout - 1 do
+            pick (lo + pk.(q))
+          done
+        end;
+        push ends cols.len
+      done;
+      lo_f := hi_f)
     fanouts;
-  (* each source samples exactly once (at first visit), and one sampling
-     draws distinct positions, so the edge list has no duplicates *)
-  let k = !count in
-  let m = !n_edges in
-  let row_ptr = Array.make (k + 1) 0 in
-  List.iter (fun (s, _) -> row_ptr.(s + 1) <- row_ptr.(s + 1) + 1) !rev_edges;
-  for i = 0 to k - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let col_idx = Array.make m 0 in
-  let cursor = Array.copy row_ptr in
-  List.iter
-    (fun (s, d) ->
-      col_idx.(cursor.(s)) <- d;
-      cursor.(s) <- cursor.(s) + 1)
-    (List.rev !rev_edges);
+  (* one sampling draws distinct positions, so no row has a duplicate
+     column; rows past the last frontier (the last layer's fresh nodes)
+     are empty *)
+  let k = nodes.len in
+  let m = cols.len in
+  let row_ptr = Array.make (k + 1) m in
+  row_ptr.(0) <- 0;
+  Array.blit ends.a 0 row_ptr 1 ends.len;
+  let col_idx = Array.sub cols.a 0 m in
   sort_rows ~row_ptr col_idx;
   let subgraph =
     Graph.make
       ~name:(Printf.sprintf "%s_layered_seed%d" g.Graph.name seed)
       (Csr.make ~n_rows:k ~n_cols:k ~row_ptr ~col_idx ~values:None)
   in
-  { subgraph; nodes = Array.of_list (List.rev !rev_order); n_seeds }
+  { subgraph; nodes = Array.sub nodes.a 0 k; n_seeds }

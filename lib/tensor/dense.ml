@@ -110,32 +110,10 @@ let mr = 2
 let nr = 4
 let panel_words = 32_768 (* 256 KB of packed B per column block *)
 
-(* Edge tiles ([mb < mr] or [cb < nr]) accumulate in an [mr * nr] scratch
-   array reused across every edge tile of a chunk. *)
-let micro_generic ~acc ~ad ~panel ~out ~k ~n ~i0 ~mb ~pb ~jbase ~cb =
-  Array.fill acc 0 (mr * nr) 0.;
-  for kk = 0 to k - 1 do
-    let pk = pb + (kk * nr) in
-    for r = 0 to mb - 1 do
-      let av = Array.unsafe_get ad (((i0 + r) * k) + kk) in
-      for c = 0 to cb - 1 do
-        let idx = (r * nr) + c in
-        Array.unsafe_set acc idx
-          (Array.unsafe_get acc idx +. (av *. Array.unsafe_get panel (pk + c)))
-      done
-    done
-  done;
-  for r = 0 to mb - 1 do
-    let orow = ((i0 + r) * n) + jbase in
-    for c = 0 to cb - 1 do
-      Array.unsafe_set out (orow + c) (Array.unsafe_get acc ((r * nr) + c))
-    done
-  done
-
 (* Specialized full 2x4 tile: eight accumulators in local float refs, which
    ocamlopt keeps unboxed in registers because they never escape. The four
-   B values are loaded once per k and reused across both rows. Same
-   per-output accumulation order as the generic kernel. The tile shape was
+   B values are loaded once per k and reused across both rows. Each output
+   starts at +0.0 and adds its products in ascending k. The tile shape was
    chosen by measurement: with float-ref accumulators throughout, 2x4 ran
    ~10% faster than 4x2 and ~25% faster than 4x4 on the executor's shapes
    (m in 4096-9216, k and n in 32-256) on an x86-64 host. *)
@@ -169,7 +147,35 @@ let micro_2x4 ~ad ~panel ~out ~k ~n ~i0 ~pb ~jbase =
   Array.unsafe_set out (o1 + 2) !c12;
   Array.unsafe_set out (o1 + 3) !c13
 
-let blocked_rows ~ad ~bd ~out ~panel ~acc ~m:_ ~k ~n lo hi =
+(* Edge tiles ([cb < nr] tail columns, or the last row of an odd row range)
+   run one output column at a time: a 2x1 or 1x1 kernel whose accumulators
+   are again local float refs, reading column [c] of the k-major micro-panel
+   at stride [nr]. Each output still starts at +0.0 and adds its products in
+   ascending k, so edge tiles are bitwise the same as full ones. Narrow
+   outputs such as train's 5-class logits (one 4-wide tile plus a tail
+   column per row pair) would otherwise read-modify-write a scratch array
+   per multiply-add in the tail column. *)
+let micro_2x1 ~ad ~panel ~out ~k ~n ~i0 ~pb ~j ~c =
+  let a0 = i0 * k and a1 = (i0 + 1) * k in
+  let c0 = ref 0. and c1 = ref 0. in
+  for kk = 0 to k - 1 do
+    let b = Array.unsafe_get panel (pb + (kk * nr) + c) in
+    c0 := !c0 +. (Array.unsafe_get ad (a0 + kk) *. b);
+    c1 := !c1 +. (Array.unsafe_get ad (a1 + kk) *. b)
+  done;
+  Array.unsafe_set out ((i0 * n) + j) !c0;
+  Array.unsafe_set out (((i0 + 1) * n) + j) !c1
+
+let micro_1x1 ~ad ~panel ~out ~k ~n ~i0 ~pb ~j ~c =
+  let a0 = i0 * k in
+  let c0 = ref 0. in
+  for kk = 0 to k - 1 do
+    c0 :=
+      !c0 +. (Array.unsafe_get ad (a0 + kk) *. Array.unsafe_get panel (pb + (kk * nr) + c))
+  done;
+  Array.unsafe_set out ((i0 * n) + j) !c0
+
+let blocked_rows ~ad ~bd ~out ~panel ~m:_ ~k ~n lo hi =
   let nc =
     let by_budget = panel_words / max 1 k in
     max nr (min n (by_budget - (by_budget mod nr)))
@@ -201,7 +207,14 @@ let blocked_rows ~ad ~bd ~out ~panel ~acc ~m:_ ~k ~n lo hi =
         let pb = mp * k * nr in
         if mb = mr && cb = nr then
           micro_2x4 ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~jbase
-        else micro_generic ~acc ~ad ~panel ~out ~k ~n ~i0:!i0 ~mb ~pb ~jbase ~cb
+        else if mb = mr then
+          for c = 0 to cb - 1 do
+            micro_2x1 ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~j:(jbase + c) ~c
+          done
+        else
+          for c = 0 to cb - 1 do
+            micro_1x1 ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~j:(jbase + c) ~c
+          done
       done;
       i0 := !i0 + mb
     done;
@@ -273,17 +286,14 @@ let matmul ?pool ?ws a b =
     (match pool with
     | None ->
         let panel = Workspace.alloc_uninit ws panel_len in
-        let acc = Workspace.alloc_uninit ws (mr * nr) in
-        blocked_rows ~ad ~bd ~out ~panel ~acc ~m ~k ~n 0 m;
-        Workspace.give_back ws acc;
+        blocked_rows ~ad ~bd ~out ~panel ~m ~k ~n 0 m;
         Workspace.give_back ws panel
     | Some _ ->
         (* each chunk packs its own panel: the workspace is not domain-safe,
            so parallel scratch comes from the regular allocator *)
         Parallel.rows ?pool ~n:m (fun lo hi ->
             let panel = Array.create_float panel_len in
-            let acc = Array.create_float (mr * nr) in
-            blocked_rows ~ad ~bd ~out ~panel ~acc ~m ~k ~n lo hi));
+            blocked_rows ~ad ~bd ~out ~panel ~m ~k ~n lo hi));
     { rows = m; cols = n; data = out }
   end
 
@@ -308,7 +318,18 @@ let matmul_gen ?pool ?ws (sr : Semiring.t) a b =
     { rows = m; cols = n; data = out }
   end
 
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
+(* A direct loop: [init] with a [get] closure would box every element. *)
+let transpose m =
+  let rows = m.rows and cols = m.cols in
+  let src = m.data in
+  let out = Array.create_float (rows * cols) in
+  for i = 0 to rows - 1 do
+    let base = i * cols in
+    for j = 0 to cols - 1 do
+      Array.unsafe_set out ((j * rows) + i) (Array.unsafe_get src (base + j))
+    done
+  done;
+  { rows = cols; cols = rows; data = out }
 
 let map2 ?pool ?ws f a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Dense.map2: shape mismatch";

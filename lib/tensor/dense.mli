@@ -63,7 +63,11 @@ val matmul : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 (** [matmul a b] is the GEMM {m A \cdot B}. Raises [Invalid_argument] on an
     inner-dimension mismatch. Large products go through a cache-blocked
     kernel (packed B panels, register-tiled micro-kernel) whose result is
-    bitwise identical to {!matmul_unblocked} on finite inputs; products
+    bitwise identical to {!matmul_unblocked} on finite inputs. Its edge
+    tiles (the [n mod 4] tail columns, and an odd row range's last row) run
+    one register-accumulated column at a time, so an output such as 5
+    columns wide costs about what 4 columns do and allocates nothing per
+    multiply-add; products
     with 1 to 3 output columns run one register-accumulated row dot per
     output row, also bitwise identical to it. With [?pool], output rows are computed in parallel chunks; the result is
     bitwise identical to the sequential kernel. With [?ws], the output
@@ -80,6 +84,8 @@ val matmul_gen : ?pool:Parallel.t -> ?ws:Workspace.t -> Semiring.t -> t -> t -> 
     {!matmul}. *)
 
 val transpose : t -> t
+(** [transpose m] is a fresh {m M^T}, copied in a direct loop (no boxing
+    per element). *)
 
 val add : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 

@@ -1,20 +1,30 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes, read and written with the
+   unboxed [Bytes] int64 primitives: a [mutable state : int64] field would
+   allocate a boxed int64 on every draw. [mix] and [int64] are inlined, so a
+   draw's arithmetic stays in registers from load to store. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int (seed * 2654435761 + 12345)) }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 z;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int (seed * 2654435761 + 12345)))
 
-let split t = { state = mix (int64 t) }
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
+  mix z
+
+let split t = of_state (mix (int64 t))
 
 let float t =
   let bits = Int64.shift_right_logical (int64 t) 11 in
@@ -43,6 +53,10 @@ let shuffle_in_place t a =
     a.(j) <- tmp
   done
 
+(* Up to this many draws, the sparse regime tests membership by a linear
+   scan instead of a hash set: a neighbor-sampling fanout draws a handful. *)
+let small_sample = 32
+
 let sample_without_replacement t k n =
   if k >= n then begin
     let all = Array.init n (fun i -> i) in
@@ -59,6 +73,27 @@ let sample_without_replacement t k n =
       all.(j) <- tmp
     done;
     Array.sub all 0 k
+  end
+  else if k <= small_sample then begin
+    (* Sparse regime, few draws: rejection sampling with a linear scan of
+       the values drawn so far, which for a handful of them is cheaper than
+       a hash set. It accepts and rejects exactly the draws the hash set
+       would, so the output is the same. *)
+    let out = Array.make k 0 in
+    let filled = ref 0 in
+    while !filled < k do
+      let x = int t n in
+      let fresh = ref true and i = ref 0 in
+      while !fresh && !i < !filled do
+        if Array.unsafe_get out !i = x then fresh := false;
+        incr i
+      done;
+      if !fresh then begin
+        out.(!filled) <- x;
+        incr filled
+      end
+    done;
+    out
   end
   else begin
     (* Sparse regime: rejection sampling into a hash set. *)

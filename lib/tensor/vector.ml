@@ -54,8 +54,17 @@ let variance v =
 
 let std v = sqrt (variance v)
 let norm2 v = sqrt (dot v v)
-let pow p = map (fun x -> if x = 0. then 0. else Float.pow x p)
-let inv_sqrt = pow (-0.5)
+(* A direct loop: [map] with a closure would box every element. The
+   [Degree] step runs this per served request and per training batch. *)
+let pow p v =
+  let out = Array.create_float (Array.length v) in
+  for i = 0 to Array.length v - 1 do
+    let x = v.(i) in
+    out.(i) <- (if x = 0. then 0. else Float.pow x p)
+  done;
+  out
+
+let inv_sqrt v = pow (-0.5) v
 
 let equal_approx ?(eps = 1e-9) a b =
   Array.length a = Array.length b

@@ -21,5 +21,6 @@ let () =
       ("locality", Test_locality.suite);
       ("serve", Test_serve.suite);
       ("minibatch", Test_minibatch.suite);
+      ("train-path", Test_train_path.suite);
       ("calibration", Test_calibration.suite);
       ("integration", Test_integration.suite) ]

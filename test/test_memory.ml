@@ -418,6 +418,15 @@ let test_tiled_gemm_bitwise () =
   let fallbacks = [ (5, 7, 3); (40, 7, 40); (40, 40, 3); (300, 300, 1) ] in
   let column_splits = [ (9, 1024, 70); (7, 2000, 37) ] in
   let straddling = [ (37, 41, 53); (64, 64, 64); (130, 17, 64); (96, 200, 99) ] in
+  (* tail columns ([n mod nr] > 0, or [n] just above a multiple of nr) on
+     blocked shapes, even and odd [m], including train's logits GEMM and
+     its weight gradient *)
+  let tails =
+    List.concat_map
+      (fun (m, k) -> List.map (fun n -> (m, k, n)) [ 5; 6; 7; 9; 17 ])
+      [ (300, 33); (301, 33); (1000, 8); (1001, 8); (32, 2478); (33, 2478) ]
+    @ [ (2478, 32, 5) ]
+  in
   let narrow =
     List.concat_map
       (fun n -> List.map (fun (m, k) -> (m, k, n)) [ (1, 1); (5, 3); (37, 7); (64, 33); (130, 300) ])
@@ -457,7 +466,7 @@ let test_tiled_gemm_bitwise () =
               (c.Dense.data == buf);
             check "recycled NaN ws, pooled" c
           end)
-        (remainders @ fallbacks @ column_splits @ straddling @ narrow))
+        (remainders @ fallbacks @ column_splits @ straddling @ tails @ narrow))
 
 (* Minor words one call allocates, on a warm workspace: run it once to warm
    the size class, then measure a second run. *)
@@ -503,6 +512,47 @@ let test_register_kernels_allocation () =
            big_nnz)
         (s = b && b < 256.))
     small big
+
+let test_train_path_allocation () =
+  (* The training path's per-batch kernels allocate a fixed handful of minor
+     words per call. Through a closure per element, a transpose would box
+     every element, and the featurizer every degree it sorts or folds; a
+     read-modify-write scratch tile is no allocation, but the GEMM's tail
+     columns must not introduce any either. Outputs here are all larger
+     than the minor heap's size limit, so they are not counted. *)
+  let transpose_words rows =
+    let m = Dense.random ~seed:rows rows 32 in
+    ignore (Dense.transpose m);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Dense.transpose m));
+    Gc.minor_words () -. before
+  in
+  let gemm_words rows =
+    let ws = Some (Workspace.create ()) in
+    let x = Dense.random ~seed:1 rows 32 and w = Dense.random ~seed:2 32 5 in
+    call_words ws (fun () -> (Dense.matmul ?ws x w).Dense.data)
+  in
+  List.iter
+    (fun (what, words) ->
+      let small = words 301 and big = words 3001 in
+      check_true
+        (Printf.sprintf "%s: %.0f words at 301 rows = %.0f at 3001, and few" what small big)
+        (small = big && big < 64.))
+    [ ("transpose", transpose_words); ("gemm n=5", gemm_words) ];
+  List.iter
+    (fun graph ->
+      let nnz = G.Graph.n_edges graph in
+      ignore (G.Graph_features.extract graph);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (G.Graph_features.extract graph));
+      let words = Gc.minor_words () -. before in
+      (* the record, and the degree histogram when it fits the minor heap *)
+      check_true
+        (Printf.sprintf "featurizing %s (nnz %d) allocates %.0f words" graph.G.Graph.name nnz
+           words)
+        (nnz >= 10_000 && words < 300.))
+    [ G.Generators.erdos_renyi ~seed:4 ~n:2000 ~avg_degree:8. ();
+      G.Generators.rmat ~seed:2 ~scale:11 ~edge_factor:8 () ]
 
 let test_tiled_sparse_bitwise () =
   let graph = G.Generators.erdos_renyi ~seed:9 ~n:120 ~avg_degree:6. () in
@@ -553,4 +603,6 @@ let suite =
       Alcotest.test_case "tiled gemm bitwise" `Quick test_tiled_gemm_bitwise;
       Alcotest.test_case "register kernels allocate per call, not per entry" `Quick
         test_register_kernels_allocation;
+      Alcotest.test_case "train path kernels allocate per call, not per element" `Quick
+        test_train_path_allocation;
       Alcotest.test_case "tiled sparse kernels bitwise" `Quick test_tiled_sparse_bitwise ]
