@@ -91,6 +91,37 @@ let export_telemetry obs ~trace_file ~metrics_file ~journal_file =
 
 (* ---- shared argument converters ---- *)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer (got %s)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* --engine SPEC, parsed and validated by [Engine.config_of_string] at the
+   command line, so a bad spec fails before anything runs. A locality= key
+   pins the layout: the config comes with [Some] of it. *)
+let engine_arg =
+  let parse = function
+    | "show" -> Ok `Show
+    | spec -> (
+        match Engine.config_of_string spec with
+        | Error msg -> Error (`Msg msg)
+        | Ok cfg ->
+            let pins =
+              String.split_on_char ',' spec
+              |> List.exists (fun f ->
+                     String.starts_with ~prefix:"locality=" (String.trim f))
+            in
+            Ok (`Config (cfg, if pins then Some cfg.Engine.locality else None)))
+  in
+  let print ppf = function
+    | `Show -> Format.pp_print_string ppf "show"
+    | `Config (cfg, _) -> Format.pp_print_string ppf (Engine.describe_config cfg)
+  in
+  Arg.conv (parse, print)
+
 let model_arg =
   let parse s =
     match Mp.Mp_models.find s with
@@ -217,14 +248,15 @@ let select_cmd =
     Arg.(value & opt graph_arg (G.Datasets.load G.Datasets.reddit)
          & info [ "graph"; "g" ] ~docv:"GRAPH" ~doc:"Input graph (dataset key or generator spec).")
   in
-  let k_in = Arg.(value & opt int 256 & info [ "kin" ] ~doc:"Input embedding size.") in
-  let k_out = Arg.(value & opt int 256 & info [ "kout" ] ~doc:"Output embedding size.") in
+  let k_in = Arg.(value & opt positive_int 256 & info [ "kin" ] ~doc:"Input embedding size.") in
+  let k_out = Arg.(value & opt positive_int 256 & info [ "kout" ] ~doc:"Output embedding size.") in
   let hw =
     Arg.(value & opt hw_arg Granii_hw.Hw_profile.a100
          & info [ "hw" ] ~doc:"Target hardware profile (CPU, A100, H100).")
   in
   let iterations =
-    Arg.(value & opt int 100 & info [ "iterations"; "n" ] ~doc:"Execution horizon.")
+    Arg.(value & opt positive_int 100
+         & info [ "iterations"; "n" ] ~doc:"Execution horizon.")
   in
   let system =
     Arg.(value & opt string "dgl" & info [ "system" ] ~doc:"Host system (wisegraph or dgl).")
@@ -254,7 +286,7 @@ let select_cmd =
                 building the cost model.")
   in
   let execute =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "execute" ] ~docv:"N"
              ~doc:
                "After ranking, actually run the selected plan $(docv) times \
@@ -262,7 +294,7 @@ let select_cmd =
                 times plus per-iteration GC allocation.")
   in
   let engine_spec =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt engine_arg (`Config (Engine.default_config, None))
          & info [ "engine" ] ~docv:"SPEC"
              ~doc:
                "Execution-engine configuration for $(b,--execute), as \
@@ -271,100 +303,31 @@ let select_cmd =
                 thread count the selection targets, fed to the featurizer \
                 and the cost models), \
                 $(b,locality)=<strategy>+<format>, \
-                $(b,intermediates)=keep|drop, \
-                $(b,calibration)=off|affine. Omitted keys keep their \
-                defaults; a $(b,locality) key forces the layout (otherwise \
-                selection's choice is used). Illegal combinations are \
-                rejected up front with a typed error. $(b,--engine show) \
-                prints the engine the run would use and exits.")
-  in
-  let reorder =
-    Arg.(value & opt string "auto"
-         & info [ "reorder" ] ~docv:"STRATEGY"
-             ~doc:
-               "Vertex ordering: $(b,auto) (cost model decides), \
-                $(b,identity), $(b,degree), $(b,bfs) or $(b,rcm).")
-  in
-  let format_ =
-    Arg.(value & opt string "auto"
-         & info [ "format" ] ~docv:"FORMAT"
-             ~doc:
-               "Sparse format for the g-kernels: $(b,auto) (cost model \
-                decides), $(b,csr) (forces the legacy path), $(b,hybrid) \
-                (ELL slab + CSR tail).")
+                $(b,intermediates)=keep|drop. Omitted keys keep their \
+                defaults; a $(b,locality) key pins the layout (otherwise \
+                selection's choice is used). An invalid spec is rejected \
+                before anything runs. $(b,--engine show) prints the engine \
+                the run would use and exits.")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
-      models_file execute engine_spec reorder format_
-      trace_file metrics_file journal_file =
+      models_file execute engine_spec trace_file metrics_file journal_file =
     (* --engine SPEC configures the execution substrate of --execute and the
        thread count selection targets; the locality axis stays with
-       selection unless the spec forces it. *)
-    let spec_forces_locality spec =
-      String.split_on_char ',' spec |> List.map String.trim
-      |> List.exists (fun f ->
-             String.length f >= 9 && String.sub f 0 9 = "locality=")
-    in
-    let engine_base, engine_forces_locality =
+       selection unless the spec pins it. *)
+    let engine_base, pinned =
       match engine_spec with
-      | None | Some "show" -> (Engine.default_config, false)
-      | Some spec -> (
-          match Engine.config_of_string spec with
-          | Ok c -> (c, spec_forces_locality spec)
-          | Error msg ->
-              Printf.eprintf "--engine: %s\n" msg;
-              exit 1)
+      | `Show ->
+          print_endline (Engine.describe_config Engine.default_config);
+          print_endline
+            "(locality is selection's choice at --execute time unless the \
+             spec carries a locality= key)";
+          exit 0
+      | `Config c -> c
     in
-    (match Engine.create engine_base with
-    | Ok e -> Engine.shutdown e
-    | Error e ->
-        Printf.eprintf "--engine: %s\n" (Engine.error_to_string e);
-        exit 1);
-    if engine_spec = Some "show" then begin
-      print_endline (Engine.describe_config engine_base);
-      print_endline
-        "(locality is selection's choice at --execute time unless the spec \
-         carries a locality= key)";
-      exit 0
-    end;
     (* selection targets the engine --execute runs on: one thread count *)
     let threads = engine_base.Engine.threads in
-    (* The --reorder/--format axes restrict the configuration space the
-       joint argmin searches; "auto" leaves an axis free. *)
-    let strategies =
-      if reorder = "auto" then G.Reorder.all_strategies
-      else
-        match G.Reorder.strategy_of_string reorder with
-        | Some s -> [ s ]
-        | None ->
-            Printf.eprintf
-              "--reorder expects auto, identity, degree, bfs or rcm\n";
-            exit 1
-    in
-    let formats =
-      if format_ = "auto" then Locality.all_formats
-      else
-        match Locality.format_of_string format_ with
-        | Some f -> [ f ]
-        | None ->
-            Printf.eprintf "--format expects auto, csr or hybrid\n";
-            exit 1
-    in
-    let configs =
-      let cross =
-        List.concat_map
-          (fun strategy ->
-            List.map (fun format -> { Locality.strategy; format }) formats)
-          strategies
-      in
-      (* keep the default (legacy) configuration first so it wins ties *)
-      if List.exists Locality.is_default cross then
-        Locality.default :: List.filter (fun c -> not (Locality.is_default c)) cross
-      else cross
-    in
-    (* a locality= key in --engine overrides the joint argmin's layout axis *)
-    let configs =
-      if engine_forces_locality then [ engine_base.Engine.locality ] else configs
-    in
+    (* a pinned layout is the only configuration the joint argmin scores *)
+    let configs = Option.map (fun l -> [ l ]) pinned in
     let obs = obs_of_flags ~trace_file ~metrics_file ~journal_file in
     let sys = Sys_.System.find system in
     let low, compiled, _ =
@@ -401,7 +364,7 @@ let select_cmd =
     in
     let localized =
       Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
-        ~threads ~configs compiled
+        ~threads ?configs compiled
     in
     let decision = localized.Granii.ldecision in
     Printf.printf
@@ -434,9 +397,6 @@ let select_cmd =
       ranked;
     (match execute with
     | None -> ()
-    | Some iters when iters < 1 ->
-        Printf.eprintf "--execute expects a positive integer\n";
-        exit 1
     | Some iters ->
         let module Dense = Granii_tensor.Dense in
         let module Gnn = Granii_gnn in
@@ -444,18 +404,10 @@ let select_cmd =
         let params = Gnn.Layer.init_params ~seed:0 ~env low in
         let h = Dense.random ~seed:1 (G.Graph.n_nodes graph) k_in in
         let bindings = Gnn.Layer.bindings ~graph ~h params in
-        let ecfg =
-          { engine_base with
-            Engine.locality =
-              (if engine_forces_locality then engine_base.Engine.locality
-               else localized.Granii.config) }
-        in
+        (* a pinned layout is also the one selection returned *)
         let engine =
-          match Engine.create ~obs ecfg with
-          | Ok e -> e
-          | Error e ->
-              Printf.eprintf "--engine: %s\n" (Engine.error_to_string e);
-              exit 1
+          Engine.create_exn ~obs
+            { engine_base with Engine.locality = localized.Granii.config }
         in
         let run_once () =
           Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph
@@ -464,22 +416,26 @@ let select_cmd =
         (* warm-up run so the measured one sees steady state and a warm
            arena *)
         ignore (run_once ());
-        let g0 = Gc.quick_stat () in
+        (* exact counters: [Gc.minor_words] is this domain's, [Gc.stat]'s
+           major words are the whole program's, pool domains included
+           ([Gc.quick_stat] only moves at a minor collection) *)
+        let minor0 = Gc.minor_words () and major0 = (Gc.stat ()).Gc.major_words in
         let r = run_once () in
-        let g1 = Gc.quick_stat () in
+        let minor1 = Gc.minor_words () and major1 = (Gc.stat ()).Gc.major_words in
         let per x = x /. float_of_int iters in
         Printf.printf
           "executed %s on host CPU: %d iterations\n\
           \  engine: %s\n\
           \  setup %.3f ms, layout %.3f ms, %.3f ms/iteration\n\
-          \  GC: %.0f minor + %.0f major words/iteration\n"
+          \  GC: %.0f minor (this domain) + %.0f major (all domains) \
+           words/iteration\n"
           plan.Plan.name iters
           (Engine.describe engine)
           (1000. *. r.Executor.setup_time)
           (1000. *. r.Executor.layout_time)
           (1000. *. r.Executor.iteration_time)
-          (per (g1.Gc.minor_words -. g0.Gc.minor_words))
-          (per (g1.Gc.major_words -. g0.Gc.major_words));
+          (per (minor1 -. minor0))
+          (per (major1 -. major0));
         (let module W = Granii_tensor.Workspace in
          let s = W.stats (Engine.workspace engine) in
          Printf.printf "  arena: %d hits / %d misses, %d words held\n" s.W.hits
@@ -492,7 +448,7 @@ let select_cmd =
        ~doc:"Run the online stage: featurize an input and rank the candidates")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ hw $ iterations $ system
           $ analytic $ auto_calibrate $ models_file $ execute
-          $ engine_spec $ reorder $ format_ $ trace_file_arg
+          $ engine_spec $ trace_file_arg
           $ metrics_file_arg $ journal_file_arg)
 
 (* granii stats: a fully-telemetered end-to-end run (compile -> featurize ->
@@ -505,31 +461,28 @@ let stats_cmd =
          & info [ "graph"; "g" ] ~docv:"GRAPH"
              ~doc:"Input graph (dataset key or generator spec).")
   in
-  let k_in = Arg.(value & opt int 64 & info [ "kin" ] ~doc:"Input embedding size.") in
-  let k_out = Arg.(value & opt int 64 & info [ "kout" ] ~doc:"Output embedding size.") in
+  let k_in = Arg.(value & opt positive_int 64 & info [ "kin" ] ~doc:"Input embedding size.") in
+  let k_out = Arg.(value & opt positive_int 64 & info [ "kout" ] ~doc:"Output embedding size.") in
   let iterations =
-    Arg.(value & opt int 10
+    Arg.(value & opt positive_int 10
          & info [ "iterations"; "n" ] ~doc:"Measured iterations to execute.")
   in
   let threads =
-    Arg.(value & opt int 1 & info [ "threads"; "t" ] ~doc:"Engine thread count.")
+    Arg.(value & opt positive_int 1
+         & info [ "threads"; "t" ] ~doc:"Engine thread count.")
   in
   let calibration =
     Arg.(value & opt string "affine"
          & info [ "calibration" ] ~docv:"POLICY"
              ~doc:
-               "Online-calibration policy of the engine's cost oracle: \
+               "Online-calibration policy of the selecting cost oracle: \
                 $(b,off) or $(b,affine) (per-primitive corrections fitted \
-                from the live (predicted, measured) stream). A calibration \
-                table (base vs corrected error and rank inversions per \
-                primitive) is reported after the run.")
+                from the run's (predicted, measured) step pairs). A \
+                calibration table (base vs corrected error and rank \
+                inversions per primitive) is reported after the run.")
   in
   let run model graph k_in k_out iterations threads calibration trace_file
       metrics_file journal_file =
-    if iterations < 1 || threads < 1 then begin
-      Printf.eprintf "--iterations and --threads expect positive integers\n";
-      exit 1
-    end;
     let calibration =
       match Cost_oracle.calibration_of_string calibration with
       | Some c -> c
@@ -539,9 +492,13 @@ let stats_cmd =
     in
     let obs = Obs.create () in
     let low, compiled, _ = compile_model ~obs model ~binned:false in
-    (* the analytic host-CPU oracle: the same predictor the cost monitor
-       scores against the measured wall clock *)
-    let oracle = Cost_oracle.analytic Granii_hw.Hw_profile.cpu in
+    (* the analytic host-CPU oracle: the same predictor the executor prices
+       each step with, so its pair store is the sink's cost monitor the run
+       fills *)
+    let oracle =
+      Cost_oracle.of_model ~calibration ~obs ?monitor:obs.Obs.costmon
+        (Cost_model.analytic Granii_hw.Hw_profile.cpu)
+    in
     let localized =
       Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
         ~threads compiled
@@ -559,18 +516,9 @@ let stats_cmd =
     let params = Gnn.Layer.init_params ~seed:0 ~env low in
     let h = Dense.random ~seed:1 (G.Graph.n_nodes graph) k_in in
     let bindings = Gnn.Layer.bindings ~graph ~h params in
-    let ecfg =
-      { Engine.default_config with
-        threads;
-        locality = localized.Granii.config;
-        calibration }
-    in
     let engine =
-      match Engine.create ~obs ecfg with
-      | Ok e -> e
-      | Error e ->
-          Printf.eprintf "engine: %s\n" (Engine.error_to_string e);
-          exit 1
+      Engine.create_exn ~obs
+        { Engine.default_config with threads; locality = localized.Granii.config }
     in
     let r =
       Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph ~bindings
@@ -633,13 +581,11 @@ let stats_cmd =
               name count (1000. *. sum) (1000. *. min_) (1000. *. max_))
           (Obs.Metrics.histograms m);
         print_newline ());
-    (* the engine's oracle saw every (predicted, measured) pair the run
-       produced; force one calibration pass so the table shows the fitted
-       corrections even on short runs *)
-    let eoracle = Engine.oracle engine in
-    if Cost_oracle.calibration eoracle <> Cost_oracle.Off then
-      ignore (Cost_oracle.calibrate eoracle);
-    Format.printf "%a@." Cost_oracle.pp_report (Cost_oracle.report eoracle);
+    (* the oracle's pair store holds every (predicted, measured) pair the
+       run produced; one calibration pass fits the corrections the table
+       shows *)
+    if calibration <> Cost_oracle.Off then ignore (Cost_oracle.calibrate oracle);
+    Format.printf "%a@." Cost_oracle.pp_report (Cost_oracle.report oracle);
     print_journal_summary obs;
     export_telemetry obs ~trace_file ~metrics_file ~journal_file
   in
@@ -652,8 +598,8 @@ let stats_cmd =
           $ calibration $ trace_file_arg $ metrics_file_arg $ journal_file_arg)
 
 let baseline_cmd =
-  let k_in = Arg.(value & opt int 256 & info [ "kin" ] ~doc:"Input embedding size.") in
-  let k_out = Arg.(value & opt int 256 & info [ "kout" ] ~doc:"Output embedding size.") in
+  let k_in = Arg.(value & opt positive_int 256 & info [ "kin" ] ~doc:"Input embedding size.") in
+  let k_out = Arg.(value & opt positive_int 256 & info [ "kout" ] ~doc:"Output embedding size.") in
   let run model k_in k_out =
     List.iter
       (fun sys ->
@@ -683,7 +629,7 @@ let train_costmodel_cmd =
                 primitive on this machine's CPU instead of the simulated profile.")
   in
   let threads_grid =
-    Arg.(value & opt (list int) [ 1 ]
+    Arg.(value & opt (list positive_int) [ 1 ]
          & info [ "threads-grid" ] ~docv:"N,N,..."
              ~doc:
                "Thread counts to profile the simulated kernels at (e.g. \
@@ -691,7 +637,7 @@ let train_costmodel_cmd =
                 as a feature. Ignored with $(b,--measured).")
   in
   let run profile output measured threads_grid =
-    if List.exists (fun t -> t < 1) threads_grid || threads_grid = [] then begin
+    if threads_grid = [] then begin
       Printf.eprintf "--threads-grid expects positive integers\n";
       exit 1
     end;
@@ -729,7 +675,7 @@ let train_cmd =
          & info [ "graph"; "g" ] ~docv:"GRAPH"
              ~doc:"Input graph (dataset key or generator spec).")
   in
-  let k_in = Arg.(value & opt int 32 & info [ "kin" ] ~doc:"Input embedding size.") in
+  let k_in = Arg.(value & opt positive_int 32 & info [ "kin" ] ~doc:"Input embedding size.") in
   let classes =
     Arg.(value & opt int 5 & info [ "classes" ] ~doc:"Number of label classes.")
   in
@@ -761,11 +707,11 @@ let train_cmd =
                 neighbor caps walked backward from each seed batch.")
   in
   let batch_size =
-    Arg.(value & opt int 256
+    Arg.(value & opt positive_int 256
          & info [ "batch-size"; "b" ] ~doc:"Seed nodes per mini-batch.")
   in
   let epochs =
-    Arg.(value & opt int 3 & info [ "epochs" ] ~doc:"Training epochs.")
+    Arg.(value & opt positive_int 3 & info [ "epochs" ] ~doc:"Training epochs.")
   in
   let pipeline =
     Arg.(value & flag
@@ -786,7 +732,7 @@ let train_cmd =
     Arg.(value & opt float 0.01 & info [ "lr" ] ~doc:"Adam learning rate.")
   in
   let threads =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "threads"; "t" ] ~doc:"Execution-engine thread count.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
@@ -803,11 +749,8 @@ let train_cmd =
       Printf.eprintf "--pipeline and --sequential are mutually exclusive\n";
       exit 1
     end;
-    if k_in < 1 || classes < 2 || batch_size < 1 || epochs < 1 || threads < 1
-    then begin
-      Printf.eprintf
-        "--kin, --batch-size, --epochs and --threads expect positive \
-         integers; --classes at least 2\n";
+    if classes < 2 then begin
+      Printf.eprintf "--classes expects at least 2\n";
       exit 1
     end;
     let mode = if sequential then Gnn.Loader.Sequential else Gnn.Loader.Pipelined in
@@ -897,20 +840,20 @@ let serve_sim_cmd =
          & info [ "graph"; "g" ] ~docv:"GRAPH"
              ~doc:"Input graph (dataset key or generator spec).")
   in
-  let k_in = Arg.(value & opt int 32 & info [ "kin" ] ~doc:"Input embedding size.") in
-  let k_out = Arg.(value & opt int 16 & info [ "kout" ] ~doc:"Output embedding size.") in
+  let k_in = Arg.(value & opt positive_int 32 & info [ "kin" ] ~doc:"Input embedding size.") in
+  let k_out = Arg.(value & opt positive_int 16 & info [ "kout" ] ~doc:"Output embedding size.") in
   let requests =
-    Arg.(value & opt int 256
+    Arg.(value & opt positive_int 256
          & info [ "requests"; "n" ] ~doc:"Total requests to serve.")
   in
   let clients =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
          & info [ "clients" ]
              ~doc:"Concurrent closed-loop clients (each keeps one request \
                    outstanding).")
   in
   let tenants =
-    Arg.(value & opt int 2
+    Arg.(value & opt positive_int 2
          & info [ "tenants" ] ~doc:"Tenants the clients are spread across.")
   in
   let workers =
@@ -929,7 +872,7 @@ let serve_sim_cmd =
              ~doc:"Disable the plan cache (selection runs on every request).")
   in
   let threads =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "threads"; "t" ]
              ~doc:"Kernel thread count (manual mode only; worker domains \
                    always run kernels sequentially).")
@@ -947,12 +890,6 @@ let serve_sim_cmd =
   in
   let run model graph k_in k_out requests clients tenants workers queue_bound
       no_plan_cache threads seed slo trace_file metrics_file journal_file =
-    if k_in < 1 || k_out < 1 || requests < 1 || clients < 1 || tenants < 1 then begin
-      Printf.eprintf
-        "--kin, --kout, --requests, --clients and --tenants expect positive \
-         integers\n";
-      exit 1
-    end;
     let obs = obs_of_flags ~trace_file ~metrics_file ~journal_file in
     let cfg =
       { Serve.default_config with

@@ -148,10 +148,6 @@ let analytic_plan ~threads profile ~env ~iterations (plan : Plan.t) =
       | Plan.Per_iteration -> acc +. (float_of_int iterations *. c))
     0. plan.Plan.steps
 
-let predict_kernels t ~threads kernels =
-  let p = match Cost_model.profile t.base with Some p -> p | None -> Hw.cpu in
-  List.fold_left (fun acc k -> acc +. K.time ~threads p k) 0. kernels
-
 let kernel_time ?threads ?gather_discount profile kernel =
   K.time ?threads ?gather_discount profile kernel
 

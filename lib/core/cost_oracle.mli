@@ -25,7 +25,7 @@ type calibration =
   | Affine  (** per-primitive [exp (a + b ln p)] corrections *)
 
 val calibration_to_string : calibration -> string
-(** ["off"] | ["affine"] — the engine config axis rendering. *)
+(** ["off"] | ["affine"] — the [--calibration] flag's rendering. *)
 
 val calibration_of_string : string -> calibration option
 
@@ -41,8 +41,9 @@ val of_model :
     (default [64]) is how many {!observe} calls separate automatic
     calibration passes; [min_pairs] (default [8]) is the fewest positive
     pairs a primitive needs before it participates in a fit. [monitor] is
-    the pair store — inject the engine's live
-    {!Granii_obs.Obs.Cost_monitor} to calibrate from execution telemetry; a
+    the pair store — inject a telemetry sink's live
+    {!Granii_obs.Obs.Cost_monitor}, which the executor fills with per-step
+    pairs, to calibrate from execution telemetry (then call {!calibrate}); a
     fresh private monitor is created otherwise. [obs] (default
     {!Granii_obs.Obs.disabled}) receives the [calibrate.*] spans and
     counters plus the journal's drift/calibrate events. [drift] overrides
@@ -86,8 +87,8 @@ val version : t -> int
 (** Accepted calibration passes so far; [0] = pristine base model. *)
 
 val monitor : t -> Granii_obs.Obs.Cost_monitor.t
-(** The pair store {!observe} feeds (physically the engine's live monitor
-    when one was injected). *)
+(** The pair store {!observe} feeds (physically the injected monitor when
+    one was given). *)
 
 val observed : t -> int
 (** Total {!observe} calls. *)
@@ -124,14 +125,6 @@ val analytic_plan :
   Plan.t -> float
 (** The noise-free analytic plan cost, uncorrected — the reference scale the
     selector's relative layout adjustment is computed against. *)
-
-val predict_kernels :
-  t -> threads:int -> Granii_hw.Kernel_model.kernel list -> float
-(** Analytic time of already-instantiated kernels under the base model's
-    profile ({!Granii_hw.Hw_profile.cpu} for the flops ablation) —
-    {e uncorrected}, because this produces the [predicted] half of the
-    monitor pairs the corrections are fitted against (a corrected feed
-    would chase its own tail). Used by the executor's cost monitor. *)
 
 val kernel_time :
   ?threads:int -> ?gather_discount:float -> Granii_hw.Hw_profile.t ->

@@ -8,14 +8,12 @@ type config = {
   threads : int;
   locality : Locality.config;
   keep_intermediates : bool;
-  calibration : Cost_oracle.calibration;
 }
 
 let default_config =
   { threads = 1;
     locality = Locality.default;
-    keep_intermediates = true;
-    calibration = Cost_oracle.Off }
+    keep_intermediates = true }
 
 type error =
   | Invalid_threads of int
@@ -42,22 +40,18 @@ type t = {
   owns_pool : bool;
   ws : Workspace.t;
   obs : Obs.t;
-  oracle : Cost_oracle.t;
 }
 
 let validate (cfg : config) =
   if cfg.threads < 1 then Some (Invalid_threads cfg.threads) else None
 
-let create ?pool ?workspace ?obs ?oracle (cfg : config) =
-  (* normalize the config to the resources actually present, so [describe]
-     is truthful when resources are injected *)
+let create ?pool ?workspace ?obs (cfg : config) =
+  (* normalize the config to the pool actually present, so [describe] is
+     truthful when one is injected *)
   let cfg =
-    { cfg with
-      threads = (match pool with Some p -> Parallel.threads p | None -> cfg.threads);
-      calibration =
-        (match oracle with
-        | Some o -> Cost_oracle.calibration o
-        | None -> cfg.calibration) }
+    match pool with
+    | Some p -> { cfg with threads = Parallel.threads p }
+    | None -> cfg
   in
   match validate cfg with
   | Some e -> Result.error e
@@ -73,20 +67,10 @@ let create ?pool ?workspace ?obs ?oracle (cfg : config) =
         match workspace with Some w -> w | None -> Workspace.create ()
       in
       let obs = Option.value obs ~default:Obs.disabled in
-      let oracle =
-        match oracle with
-        | Some o -> o
-        | None ->
-            (* the calibration feed is the live monitor when the sink has
-               one, so execution telemetry and the oracle see one pair store *)
-            Cost_oracle.of_model ~calibration:cfg.calibration ~obs
-              ?monitor:obs.Obs.costmon
-              (Cost_model.analytic Granii_hw.Hw_profile.cpu)
-      in
-      Result.ok { cfg; pool; owns_pool; ws; obs; oracle }
+      Result.ok { cfg; pool; owns_pool; ws; obs }
 
-let create_exn ?pool ?workspace ?obs ?oracle cfg =
-  match create ?pool ?workspace ?obs ?oracle cfg with
+let create_exn ?pool ?workspace ?obs cfg =
+  match create ?pool ?workspace ?obs cfg with
   | Ok t -> t
   | Error e -> raise (Error e)
 
@@ -99,19 +83,15 @@ let workspace t = t.ws
 let locality t = t.cfg.locality
 let keep_intermediates t = t.cfg.keep_intermediates
 let obs t = t.obs
-let oracle t = t.oracle
-let calibration t = t.cfg.calibration
 
 let shutdown t = if t.owns_pool then Option.iter Parallel.shutdown t.pool
 
 (* ---- rendering / parsing (the CLI's --engine surface) ---- *)
 
 let describe_config (cfg : config) =
-  Printf.sprintf "threads=%d,locality=%s,intermediates=%s,calibration=%s"
-    cfg.threads
+  Printf.sprintf "threads=%d,locality=%s,intermediates=%s" cfg.threads
     (Locality.config_to_string cfg.locality)
     (if cfg.keep_intermediates then "keep" else "drop")
-    (Cost_oracle.calibration_to_string cfg.calibration)
 
 let describe t = describe_config t.cfg
 
@@ -155,7 +135,8 @@ let config_of_string s =
           match key with
           | "threads" -> (
               match int_of_string_opt v with
-              | Some t -> Ok { cfg with threads = t }
+              | Some t when t >= 1 -> Ok { cfg with threads = t }
+              | Some t -> Error (error_to_string (Invalid_threads t))
               | None ->
                   Error
                     (Printf.sprintf "engine spec: threads expects an integer (got %s)" v))
@@ -170,13 +151,5 @@ let config_of_string s =
                   Error
                     (Printf.sprintf
                        "engine spec: intermediates expects keep|drop (got %s)" v))
-          | "calibration" -> (
-              match Cost_oracle.calibration_of_string v with
-              | Some c -> Ok { cfg with calibration = c }
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "engine spec: calibration expects off|affine (got %s)"
-                       v))
           | _ -> Error (Printf.sprintf "engine spec: unknown key %s" key)))
     (Ok default_config) fields

@@ -14,9 +14,10 @@
     of axes is illegal together (see DESIGN.md §10). {!Invalid_format} is the parse-time error of
     {!config_of_string} for an unknown format name.
 
-    Every engine also carries a {!Cost_oracle.t} — the single
-    cost-prediction layer — whose online-calibration policy is the
-    [calibration] config axis.
+    An engine executes; it does not predict. Selection is the caller's,
+    through a {!Cost_oracle.t} of its own. With a live sink the executor
+    records one (predicted, measured) pair per measured step into the
+    sink's cost monitor, priced by the analytic host-CPU profile.
 
     The config holds only axes that change what the engine computes or
     how it allocates. Serving admission parameters live in
@@ -30,16 +31,11 @@ type config = {
       (** [true] when the caller reads the intermediates (the trainer's
           backward pass does); [false] lets the executor recycle each
           intermediate's buffer the moment its last reader retires *)
-  calibration : Cost_oracle.calibration;
-      (** online cost-model calibration policy of the engine's oracle.
-          {!Cost_oracle.Off} (the default) makes the oracle a pure reader of
-          its base model — predictions bitwise identical to an uncalibrated
-          engine. *)
 }
 
 val default_config : config
-(** [threads=1], {!Locality.default}, keep intermediates,
-    [calibration=Off] — the seed executor's results. *)
+(** [threads=1], {!Locality.default}, keep intermediates — the seed
+    executor's results. *)
 
 type error =
   | Invalid_threads of int
@@ -57,26 +53,20 @@ type t
 
 val create :
   ?pool:Granii_tensor.Parallel.t -> ?workspace:Granii_tensor.Workspace.t ->
-  ?obs:Granii_obs.Obs.t -> ?oracle:Cost_oracle.t ->
-  config -> (t, error) result
+  ?obs:Granii_obs.Obs.t -> config -> (t, error) result
 (** Validates and builds the context. A pool is spawned when
     [config.threads > 1]; the injection parameters let a caller hand in
     already-owned resources ({!Selector.measure} does) — an injected
-    resource is never shut down by {!shutdown}, and the stored config is
-    normalized to reflect it ([threads] from the injected pool's width,
-    [calibration] from the injected oracle's policy). Without an injected
+    resource is never shut down by {!shutdown}, and the stored config's
+    [threads] is normalized to the injected pool's width. Without an injected
     [workspace] the engine creates its own arena; engines may share an
     injected one (a serving tenant's) one run at a time, never at once.
     The telemetry sink is [obs] when given and
-    {!Granii_obs.Obs.disabled} otherwise — the config never creates one.
-    Without an injected [oracle], the engine builds one over the analytic
-    host-CPU base model with the config's [calibration] policy, feeding off
-    the sink's cost monitor when it has one. *)
+    {!Granii_obs.Obs.disabled} otherwise — the config never creates one. *)
 
 val create_exn :
   ?pool:Granii_tensor.Parallel.t -> ?workspace:Granii_tensor.Workspace.t ->
-  ?obs:Granii_obs.Obs.t -> ?oracle:Cost_oracle.t ->
-  config -> t
+  ?obs:Granii_obs.Obs.t -> config -> t
 (** {!create}, raising {!Error} instead of returning it. *)
 
 val default : unit -> t
@@ -100,25 +90,20 @@ val obs : t -> Granii_obs.Obs.t
 (** The telemetry sink; {!Granii_obs.Obs.disabled} unless one was injected
     through [create ?obs]. *)
 
-val oracle : t -> Cost_oracle.t
-(** The engine's cost-prediction layer. Executor telemetry feeds it the
-    per-step (predicted, measured) pairs when calibration is on. *)
-
-val calibration : t -> Cost_oracle.calibration
-
 (** {2 Rendering and parsing} (the CLI's [--engine] surface) *)
 
 val describe : t -> string
 
 val describe_config : config -> string
-(** E.g. ["threads=4,locality=identity+csr,intermediates=keep,calibration=off"].
+(** E.g. ["threads=4,locality=identity+csr,intermediates=keep"].
     Round-trips exactly through {!config_of_string}. *)
 
 val config_of_string : string -> (config, string) result
 (** Parse a comma-separated [key=value] spec; omitted keys keep their
     {!default_config} values, [""] and ["default"] are the default config.
-    Keys: [threads] (int),
+    Keys: [threads] (int >= 1),
     [locality] (<identity|degree|bfs|rcm>+<csr|hybrid>),
-    [intermediates] (keep|drop), [calibration] (off|affine). Any other key
-    is a parse error. An unknown format name reports the {!Invalid_format}
-    message. *)
+    [intermediates] (keep|drop). Any other key is a parse error. A thread
+    count below 1 reports the {!Invalid_threads} message and an unknown
+    format name the {!Invalid_format} one, so a parsed config always
+    passes {!create}'s validation. *)

@@ -89,32 +89,24 @@ let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
   | Some m ->
       Obs.Metrics.observe m ("step." ^ Primitive.name s.Plan.prim) elapsed
 
-(* Predicted-vs-measured pair for the cost oracle and the cost-model
-   monitor: the raw (uncorrected) analytic prediction under the oracle's
-   base profile against the wall clock — only computed when the monitor is
-   live or calibration is on, and only for measured steps. With
-   calibration on, [Cost_oracle.observe] records into the oracle's pair
-   store (physically the live monitor, when telemetry is on) and triggers
-   the periodic fit; a live monitor that is {e not} the oracle's store is
-   still fed directly, so report-only telemetry keeps working alongside a
-   privately-calibrating injected oracle. *)
-let costmon_record ~engine ~threads (s : Plan.step) graph args v measured =
-  let obs = Engine.obs engine in
-  let oracle = Engine.oracle engine in
-  let calibrating = Cost_oracle.calibration oracle <> Cost_oracle.Off in
-  if obs.Obs.costmon <> None || calibrating then begin
-    let prim = Primitive.name s.Plan.prim in
-    let predicted =
-      Cost_oracle.predict_kernels oracle ~threads
-        (Dispatch.kernels_of_step s.Plan.prim graph args v)
-    in
-    if calibrating then Cost_oracle.observe oracle ~prim ~predicted ~measured;
-    match obs.Obs.costmon with
-    | Some cm when (not calibrating) || not (cm == Cost_oracle.monitor oracle)
-      ->
-        Obs.Cost_monitor.record cm ~prim ~predicted ~measured
-    | _ -> ()
-  end
+(* Predicted-vs-measured pair for the cost monitor: the analytic
+   host-CPU prediction of the step's instantiated kernels against the wall
+   clock — only computed when the monitor is live, and only for measured
+   steps. The prediction is uncorrected, so a selecting oracle calibrated
+   from these pairs never chases its own tail. *)
+let costmon_record (obs : Obs.t) ~threads (s : Plan.step) graph args v measured =
+  match obs.Obs.costmon with
+  | None -> ()
+  | Some cm ->
+      let predicted =
+        List.fold_left
+          (fun acc k ->
+            acc +. Cost_oracle.kernel_time ~threads Granii_hw.Hw_profile.cpu k)
+          0.
+          (Dispatch.kernels_of_step s.Plan.prim graph args v)
+      in
+      Obs.Cost_monitor.record cm ~prim:(Primitive.name s.Plan.prim) ~predicted
+        ~measured
 
 let bracket_span tr ~cat name =
   match tr with None -> None | Some t -> Some (Obs.Trace.enter t ~cat name)
@@ -239,7 +231,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
           let t0 = Timer.wall () in
           let v = Dispatch.exec ctx s.Plan.prim graph args in
           let t = Timer.wall () -. t0 in
-          costmon_record ~engine ~threads s graph args v t;
+          costmon_record obs ~threads s graph args v t;
           (v, t)
       | Simulate profile ->
           let v = Dispatch.exec ctx s.Plan.prim graph args in

@@ -60,7 +60,7 @@ val optimize_localized :
 (** {!optimize} with the layout axes in the argmin: every candidate is
     scored under every {!Locality.config} in [configs] (default: all of
     them) via {!Selector.select_localized}. Pass a singleton [configs] to
-    force a layout, or restrict one axis (the CLI's [--reorder]/[--format]).
+    force a layout (the CLI's [--engine locality=...]).
     With a profile-less oracle the layout adjustment is zero and the
     result coincides with {!optimize}. Put [config] in an
     {!Engine.config}'s [locality] axis to execute under the chosen layout. *)

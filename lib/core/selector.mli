@@ -55,7 +55,7 @@ val select_localized :
     path wins all ties; with a profile-less oracle every adjustment is
     zero and the result coincides with {!select}. Pass a singleton
     [configs] to force a configuration (the CLI's
-    [--reorder]/[--format]). *)
+    [--engine locality=...]). *)
 
 val rank_localized :
   oracle:Cost_oracle.t -> feats:Featurizer.t -> env:Dim.env ->

@@ -54,8 +54,7 @@ let forward ?engine ?(keep_reports = true) ~graph ~features stack =
     if not keep_reports then engine
     else
       let open Core.Engine in
-      create_exn ?pool:(pool engine) ~obs:(obs engine) ~oracle:(oracle engine)
-        (config engine)
+      create_exn ?pool:(pool engine) ~obs:(obs engine) (config engine)
   in
   let h = ref features in
   let reports = ref [] in

@@ -39,8 +39,8 @@ val forward :
     {!Granii_core.Engine.default}); returns the final activations and,
     when [keep_reports] (default [true]), each layer's execution report and
     bindings for use by {!backward}. Kept reports stay valid together: each
-    layer then runs in an arena of its own (the engine's pool, sink, oracle
-    and config); without them every layer runs on [?engine] itself. *)
+    layer then runs in an arena of its own (the engine's pool, sink and
+    config); without them every layer runs on [?engine] itself. *)
 
 type history = {
   losses : float array;

@@ -177,27 +177,6 @@ let test_construction_validation () =
         = Some c))
     [ Cost_oracle.Off; Cost_oracle.Affine ]
 
-let test_engine_threads_oracle () =
-  (* the engine owns an oracle configured by the calibration axis, and an
-     injected oracle normalizes the stored config instead *)
-  let e =
-    Engine.create_exn
-      { Engine.default_config with calibration = Cost_oracle.Affine }
-  in
-  check_true "engine oracle carries the config's policy"
-    (Cost_oracle.calibration (Engine.oracle e) = Cost_oracle.Affine);
-  Engine.shutdown e;
-  let injected =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Affine
-      (Cost_model.analytic Hw.Hw_profile.cpu)
-  in
-  let e = Engine.create_exn ~oracle:injected Engine.default_config in
-  check_true "injected oracle is the one stored"
-    (Engine.oracle e == injected);
-  check_true "config normalized from the injected oracle"
-    ((Engine.config e).Engine.calibration = Cost_oracle.Affine);
-  Engine.shutdown e
-
 let test_micro_probe () =
   check_true "non-positive budget rejected"
     (match Hw.Calibrate.measure ~budget_s:0. () with
@@ -252,7 +231,5 @@ let suite =
       test_rollback;
     Alcotest.test_case "construction and policy-string validation" `Quick
       test_construction_validation;
-    Alcotest.test_case "engine threads the calibration axis" `Quick
-      test_engine_threads_oracle;
     Alcotest.test_case "micro-probe is bounded and clamped" `Quick
       test_micro_probe ]

@@ -85,19 +85,14 @@ let legal_grid =
     (fun threads ->
       List.concat_map
         (fun keep_intermediates ->
-          List.concat_map
+          List.filter_map
             (fun locality ->
-              List.filter_map
-                (fun calibration ->
-                  let cfg =
-                    { Engine.threads; locality; keep_intermediates; calibration }
-                  in
-                  match Engine.create cfg with
-                  | Ok e ->
-                      Engine.shutdown e;
-                      Some cfg
-                  | Error _ -> None)
-                [ Cost_oracle.Off; Cost_oracle.Affine ])
+              let cfg = { Engine.threads; locality; keep_intermediates } in
+              match Engine.create cfg with
+              | Ok e ->
+                  Engine.shutdown e;
+                  Some cfg
+              | Error _ -> None)
             Locality.all_configs)
         [ true; false ])
     [ 1; 2 ]
@@ -122,32 +117,28 @@ let test_describe_roundtrip () =
     | Error _ -> true
     | Ok _ -> false);
   (* serving admission parameters belong to Serve.config, the telemetry
-     sink is injected through [create ?obs], calibration is off|affine, and
-     the shared-subtree cache and the workspace axis are gone (every engine
+     sink is injected through [create ?obs], calibration belongs to the
+     selecting oracle (the engine executes and does not predict), and the
+     shared-subtree cache and the workspace axis are gone (every engine
      executes from its arena): none of these is an engine key *)
   List.iter
     (fun spec ->
-      check_true (spec ^ " is a parse error")
+      check_true (spec ^ " is an unknown-key error")
         (match Engine.config_of_string spec with
-        | Error _ -> true
+        | Error msg -> contains msg "unknown key"
         | Ok _ -> false))
     [ "queue_bound=64"; "batch_window=0"; "telemetry=on"; "journal=on";
-      "calibration=refit"; "cache=on"; "workspace=on"; "workspace=off" ];
-  (* the calibration axis (PR 9): the oracle's online-correction policy *)
-  check_true "calibration=affine parses"
-    (match Engine.config_of_string "calibration=affine" with
-    | Ok cfg -> cfg.Engine.calibration = Cost_oracle.Affine
-    | Error _ -> false);
-  check_true "unknown calibration policy is a parse error"
-    (match Engine.config_of_string "calibration=sometimes" with
-    | Error msg ->
-        let has_sub sub s =
-          let n = String.length sub and m = String.length s in
-          let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-          go 0
-        in
-        has_sub "off|affine" msg
-    | Ok _ -> false);
+      "calibration=refit"; "calibration=off"; "calibration=affine";
+      "cache=on"; "workspace=on"; "workspace=off" ];
+  (* a parsed spec always passes [create]: a bad thread count is the typed
+     Invalid_threads message at parse time *)
+  List.iter
+    (fun t ->
+      check_true
+        (Printf.sprintf "threads=%d is a parse error" t)
+        (Engine.config_of_string (Printf.sprintf "threads=%d" t)
+        = Error (Engine.error_to_string (Engine.Invalid_threads t))))
+    [ 0; -2 ];
   (* the format axis: the grid covers every format, the names parse, and
      an unknown format gets the typed Invalid_format message rather than
      generic spec noise *)
@@ -207,9 +198,6 @@ let test_differential_grid () =
         List.filter
           (fun cfg ->
             cfg.Engine.threads = 1
-            (* calibration shapes prediction, never execution; the grid pins
-               the acceptance-gated [Off] arm and stays fast *)
-            && cfg.Engine.calibration = Cost_oracle.Off
             && (name <> "gin" || Locality.is_default cfg.Engine.locality))
           legal_grid
       in
@@ -253,6 +241,91 @@ let test_multicore_engine_bitwise () =
   Engine.shutdown engine;
   check_true "threads=2 engine output bitwise"
     (value_bits_equal reference r.Executor.output)
+
+(* ---- the cost monitor's pairs ----
+
+   The executor prices every measured step with the analytic host-CPU
+   profile, over the step's kernels sized from its actual operands, at the
+   engine's thread count. Rebuild each step's operands from the kept
+   intermediates and check every recorded prediction bitwise, in recording
+   order (setup steps, then the iteration's). *)
+
+let test_costmon_pairs_analytic () =
+  let graph = G.Generators.erdos_renyi ~seed:29 ~n:48 ~avg_degree:5. () in
+  List.iter
+    (fun name ->
+      let low, compiled = compile_model (Mp.Mp_models.find name) in
+      let _, bindings = setup_bindings ~k_in:7 ~k_out:6 low graph in
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun (c : Codegen.ccand) ->
+              let plan = c.Codegen.plan in
+              let obs =
+                Granii_obs.Obs.create ~trace:false ~metrics:false ()
+              in
+              let engine =
+                Engine.create_exn ~obs { Engine.default_config with threads }
+              in
+              let r =
+                Executor.exec ~engine ~timing:Executor.Measure ~graph
+                  ~bindings plan
+              in
+              Engine.shutdown engine;
+              let value = function
+                | Plan.Input "__graph__" -> Executor.Vsparse graph.G.Graph.adj
+                | Plan.Input n -> List.assoc n bindings
+                | Plan.Computed i -> List.assoc i r.Executor.intermediates
+              in
+              let predicted (s : Plan.step) =
+                List.fold_left
+                  (fun acc k ->
+                    acc
+                    +. Cost_oracle.kernel_time ~threads
+                         Granii_hw.Hw_profile.cpu k)
+                  0.
+                  (Dispatch.kernels_of_step s.Plan.prim graph
+                     (Array.of_list (List.map value s.Plan.args))
+                     (value (Plan.Computed s.Plan.idx)))
+              in
+              let in_order =
+                List.filter (fun s -> s.Plan.phase = Plan.Setup) plan.Plan.steps
+                @ List.filter
+                    (fun s -> s.Plan.phase = Plan.Per_iteration)
+                    plan.Plan.steps
+              in
+              let cm = Option.get obs.Granii_obs.Obs.costmon in
+              List.iter
+                (fun prim ->
+                  let expected =
+                    List.filter_map
+                      (fun (s : Plan.step) ->
+                        if Primitive.name s.Plan.prim = prim then
+                          Some (predicted s)
+                        else None)
+                      in_order
+                  in
+                  let got =
+                    List.map fst
+                      (Granii_obs.Obs.Cost_monitor.series_pairs cm prim)
+                  in
+                  check_true
+                    (Printf.sprintf "%s/%s threads=%d %s predictions bitwise"
+                       name plan.Plan.name threads prim)
+                    (bits_equal (Array.of_list expected) (Array.of_list got)))
+                (Granii_obs.Obs.Cost_monitor.prims cm);
+              check_int
+                (Printf.sprintf "%s/%s threads=%d: one pair per step" name
+                   plan.Plan.name threads)
+                (List.length plan.Plan.steps)
+                (List.fold_left
+                   (fun acc p ->
+                     acc + Granii_obs.Obs.Cost_monitor.runs cm p)
+                   0
+                   (Granii_obs.Obs.Cost_monitor.prims cm)))
+            compiled.Codegen.candidates)
+        [ 1; 2 ])
+    [ "gcn"; "gat" ]
 
 (* ---- outputs belong to the caller ----
 
@@ -360,6 +433,8 @@ let suite =
       test_differential_grid;
     Alcotest.test_case "multicore engine bitwise" `Quick
       test_multicore_engine_bitwise;
+    Alcotest.test_case "cost-monitor pairs are analytic host-CPU" `Quick
+      test_costmon_pairs_analytic;
     Alcotest.test_case "output survives the engine's next run" `Quick
       test_output_survives_next_run;
     Alcotest.test_case "fingerprint digests the full adjacency" `Quick

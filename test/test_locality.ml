@@ -355,8 +355,8 @@ let test_selector_picks_hybrid () =
     (ld.Granii.ldecision.Granii.choice.Selector.predicted_cost < ld.Granii.base_cost)
 
 let test_selector_forced_csr () =
-  (* --format csr: restricting the configs to the CSR column must keep the
-     legacy path and reproduce plain Selector.select exactly. *)
+  (* --engine locality=identity+csr: pinning the default layout must keep
+     the legacy path and reproduce plain Selector.select exactly. *)
   let graph = Lazy.force skewed_graph in
   let _, compiled = compile_model (Mp.Mp_models.find "gcn") in
   let cm = Cost_oracle.analytic Granii_hw.Hw_profile.cpu in

@@ -127,7 +127,9 @@ let skewed_graph_gen =
     [ graph_gen;
       (let* scale = int_range 4 9 and* ef = int_range 1 12 and* seed = int_range 0 10_000 in
        return (G.Generators.rmat ~seed ~scale ~edge_factor:ef ()));
-      (let* n = int_range 3 300 and* m = int_range 1 4 and* seed = int_range 0 10_000 in
+      (* barabasi_albert needs n > m *)
+      (let* m = int_range 1 4 in
+       let* n = int_range (max 3 (m + 1)) 300 and* seed = int_range 0 10_000 in
        return (G.Generators.barabasi_albert ~seed ~n ~m ())) ]
 
 let test_features_random =
