@@ -116,7 +116,11 @@ let bracket_exit tr sp ?attrs () =
   | Some t, Some sp -> Obs.Trace.exit_ t ?attrs sp
   | _ -> ()
 
-(* Post-run metrics: workspace arena deltas plus a GC snapshot. *)
+(* Post-run metrics: workspace arena deltas plus the calling domain's
+   major-heap words. [Gc.counters] is exact for this domain without forcing
+   a collection; [Gc.quick_stat]'s OCaml 5 figure sums every domain's
+   words as sampled at their last minor collections, so a gauge read from
+   it can stand still across runs. *)
 let run_metrics (obs : Obs.t) ws (before : Workspace.stats) =
   match obs.Obs.metrics with
   | None -> ()
@@ -130,8 +134,8 @@ let run_metrics (obs : Obs.t) ws (before : Workspace.stats) =
         (float_of_int (8 * s.Workspace.held_words));
       Obs.Metrics.set_gauge m "workspace.bytes.issued"
         (float_of_int (8 * s.Workspace.issued_words));
-      let g = Gc.quick_stat () in
-      Obs.Metrics.set_gauge m "gc.major_words" g.Gc.major_words;
+      let _, _, major_words = Gc.counters () in
+      Obs.Metrics.set_gauge m "gc.major_words" major_words;
       Obs.Metrics.add m "engine.runs" 1
 
 (* The caller's copy of the output, off the arena the next run reclaims (CSR

@@ -113,7 +113,13 @@ val exec_iterations :
     Raises [Invalid_argument] when [iterations < 1] and {!Execution_error}
     on an unbound input or an argument-kind mismatch (which would indicate
     an enumeration bug). Bindings must not be backed by buffers issued from
-    the engine's own workspace. *)
+    the engine's own workspace.
+
+    With the engine's metrics sink live, each run adds the arena's hit and
+    miss counts and sets the [gc.major_words] gauge to the major-heap words
+    the calling domain has allocated so far, read from [Gc.counters]
+    (exact, and it forces no collection). Words allocated on pool domains
+    are not counted. *)
 
 val exec :
   ?seed:int -> engine:Engine.t -> timing:timing ->

@@ -188,18 +188,22 @@ let backward_wrt ~wrt ~(plan : Core.Plan.t) ~graph ~bindings ~(forward : Ex.repo
             match (s.Core.Plan.prim, args) with
             | P.Gemm _, [ sa; sb ] ->
                 let gd = dense g in
+                (* dA = G B^T copies B's transpose, weight-sized on every
+                   plan; dB = A^T G reads the n-row A in place *)
                 push sa (fun () ->
                     Ex.Vdense (Dense.matmul gd (Dense.transpose (dense (value_of sb)))));
-                push sb (fun () ->
-                    Ex.Vdense (Dense.matmul (Dense.transpose (dense (value_of sa))) gd))
+                push sb (fun () -> Ex.Vdense (Dense.matmul_tn (dense (value_of sa)) gd))
             | P.Spmm _, [ ss; sb ] ->
                 let sp = sparse (value_of ss) in
                 let gd = dense g in
-                push sb (fun () -> Ex.Vdense (Spmm.run (Csr.transpose sp) gd));
+                push sb (fun () -> Ex.Vdense (Spmm.run_t sp gd));
                 (* dS_ij = <dC_i, B_j>: an SDDMM over S's structure. *)
                 push ss (fun () ->
                     Ex.Vsparse (Sddmm.dot_rows (Csr.drop_values sp) gd (dense (value_of sb))))
             | P.Dense_sparse_mm _, [ sb; ss ] ->
+                (* G . S^T copies [Csr.transpose]: a gather over S's rows
+                   would add in S's storage order, not in ascending column,
+                   so it would be bitwise only on sorted rows *)
                 let sp = sparse (value_of ss) in
                 push sb (fun () ->
                     Ex.Vdense (Spmm.run_transposed (dense g) (Csr.transpose sp)))

@@ -34,7 +34,25 @@ val backward :
 
     Every VJP is a direct loop over the flat arrays (no per-element
     closure), and a term is computed only if its target needs a gradient.
-    This is [backward_wrt] with [wrt] the names of the dense bindings. *)
+    This is [backward_wrt] with [wrt] the names of the dense bindings.
+
+    Kernels per VJP:
+    - GEMM {m C = A B}: {m dB = A^T G} by {!Granii_tensor.Dense.matmul_tn},
+      reading the n-row {m A} in place; {m dA = G B^T} by
+      {!Granii_tensor.Dense.matmul} of a copied {m B^T}, where {m B} is a
+      weight on every plan (at most k_in x k_out);
+    - SpMM {m C = S B}: {m dB = S^T G} by {!Granii_sparse.Spmm.run_t}, and
+      an attention-valued {m dS} by an SDDMM over {m S}'s structure
+      ({!Granii_sparse.Sddmm.dot_rows});
+    - row and column broadcasts: the same broadcast of {m G};
+    - elementwise maps, edge softmax and edge scores: direct loops.
+
+    The dense-times-sparse VJP {m dB = G S^T} still copies
+    [Csr.transpose S] for {!Granii_sparse.Spmm.run_transposed}: a gather
+    over {m S}'s rows would add in storage order rather than in ascending
+    column, which is bitwise the same only on sorted rows. Each kernel is
+    bitwise the transpose-then-kernel product it replaced, so gradients do
+    not change. *)
 
 val backward_wrt :
   wrt:string list -> plan:Granii_core.Plan.t -> graph:Granii_graph.Graph.t ->

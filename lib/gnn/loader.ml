@@ -44,8 +44,9 @@ let make_prepare ~seed ~fanouts ~batch_size ~threads ~graph ~features ~labels
     ~seed_nodes ~per_epoch =
   let cached_epoch = ref (-1) in
   let cached_order = ref [||] in
-  (* only the preparing domain calls [prepare], so the epoch-order cache is
-     single-owner state *)
+  (* only the preparing domain calls [prepare], so the epoch-order cache and
+     the sampler's scratch are single-owner state *)
+  let scratch = G.Sampling.scratch () in
   let epoch_order epoch =
     if !cached_epoch <> epoch then begin
       let order = Array.copy seed_nodes in
@@ -66,7 +67,8 @@ let make_prepare ~seed ~fanouts ~batch_size ~threads ~graph ~features ~labels
     in
     let sample, sample_time =
       Timer.measure_wall (fun () ->
-          G.Sampling.layered_fanout ~seed:batch_seed ~fanouts ~seeds graph)
+          G.Sampling.layered_fanout ~scratch ~seed:batch_seed ~fanouts ~seeds
+            graph)
     in
     let (feats, bfeatures, blabels, bmask), featurize_time =
       Timer.measure_wall (fun () ->
@@ -85,9 +87,11 @@ let make_prepare ~seed ~fanouts ~batch_size ~threads ~graph ~features ~labels
           let bmask =
             Array.init n_sub (fun i -> i < sample.G.Sampling.n_seeds)
           in
-          let feats =
-            Core.Featurizer.extract ~threads sample.G.Sampling.subgraph
-          in
+          let sub = sample.G.Sampling.subgraph in
+          let feats = Core.Featurizer.extract ~threads sub in
+          (* built here on the loader domain and memoized on the
+             subgraph, so the training domain finds them ready *)
+          G.Graph.build_plan_operands sub;
           (feats, bfeatures, blabels, bmask))
     in
     { epoch;

@@ -9,6 +9,7 @@ module Vector = Granii_tensor.Vector
    [Lazy.t], concurrent forcing from several domains is safe. *)
 type memo = {
   tilde : Csr.t option Atomic.t;
+  inv_sqrt : Vector.t option Atomic.t;
   fingerprint : string option Atomic.t;
 }
 
@@ -18,7 +19,10 @@ let make ~name adj =
   if adj.Csr.n_rows <> adj.Csr.n_cols then invalid_arg "Graph.make: adjacency must be square";
   { name;
     adj = Csr.drop_values adj;
-    memo = { tilde = Atomic.make None; fingerprint = Atomic.make None } }
+    memo =
+      { tilde = Atomic.make None;
+        inv_sqrt = Atomic.make None;
+        fingerprint = Atomic.make None } }
 
 let memoized slot build =
   match Atomic.get slot with
@@ -102,7 +106,12 @@ let degrees_tilde g =
   done;
   d
 
-let norm_inv_sqrt g = Vector.inv_sqrt (degrees_tilde g)
+let norm_inv_sqrt g =
+  memoized g.memo.inv_sqrt (fun () -> Vector.inv_sqrt (degrees_tilde g))
+
+let build_plan_operands g =
+  ignore (with_self_loops g : Csr.t);
+  ignore (norm_inv_sqrt g : Vector.t)
 
 let fingerprint g =
   memoized g.memo.fingerprint (fun () ->

@@ -6,9 +6,14 @@
     {m \tilde D^{-1/2}}. *)
 
 type memo
-(** Per-graph derived operands ({!with_self_loops}, {!fingerprint}), each
-    built on first use and then shared. Safe to fill from several domains
-    at once. *)
+(** Per-graph derived operands ({!with_self_loops}, {!norm_inv_sqrt},
+    {!fingerprint}), each built on first use and then shared: every later
+    call, from any domain, returns the physically same value. Safe to fill
+    from several domains at once (a domain that loses the race drops its
+    own identical copy). The shared values must not be mutated: no kernel
+    writes into an operand, and the executor's arena only takes back
+    buffers it issued, so a memoized vector bound as a [Vdiag] operand
+    survives every run, [intermediates=drop] included. *)
 
 type t = private {
   name : string;
@@ -54,7 +59,19 @@ val degrees_tilde : t -> Granii_tensor.Vector.t
     column) is counted once, as in {m \tilde A}. *)
 
 val norm_inv_sqrt : t -> Granii_tensor.Vector.t
-(** {m \tilde D^{-1/2}}: the GCN normalization vector. *)
+(** {m \tilde D^{-1/2}}: the GCN normalization vector, from
+    {!degrees_tilde}. Memoized like {!with_self_loops}: the first call
+    builds it, every later call returns the physically same vector, which
+    callers must not mutate. The plan's [Degree Inv_sqrt] step reads it,
+    so serve and infer derive it once per graph. *)
+
+val build_plan_operands : t -> unit
+(** Builds the memoized operands a plan run reads: {!with_self_loops}
+    (bound as [A] on every model) and {!norm_inv_sqrt} (read by a
+    [Degree Inv_sqrt] step, and cheap, O(n), where no step reads it).
+    Serve calls it at graph registration and the mini-batch loader on each
+    batch's subgraph, so neither a request nor the training domain builds
+    them. *)
 
 val fingerprint : t -> string
 (** Structural fingerprint: exact node/edge counts plus an MD5 digest of the

@@ -120,6 +120,13 @@ type layered = {
   n_seeds : int;
 }
 
+(* [newid] maps an original id to its new id, -1 when unvisited. Between
+   calls every entry is -1: a call resets exactly the entries it set (the
+   visited nodes), so a batch costs O(batch), not O(graph). *)
+type scratch = { mutable newid : int array }
+
+let scratch () = { newid = [||] }
+
 (* A growable int buffer. *)
 type buf = { mutable a : int array; mutable len : int }
 
@@ -132,22 +139,11 @@ let push b x =
   Array.unsafe_set b.a b.len x;
   b.len <- b.len + 1
 
-let layered_fanout ?(seed = 0) ~fanouts ~seeds (g : Graph.t) =
-  if fanouts = [] then
-    invalid_arg "Sampling.layered_fanout: fanouts must be non-empty";
-  List.iter
-    (fun f ->
-      if f <= 0 then
-        invalid_arg "Sampling.layered_fanout: fanouts must be positive")
-    fanouts;
+(* The sampler proper, on a [newid] that is all -1 on entry; it leaves
+   every visited node's entry set and listed in [nodes]. *)
+let sample_into ~newid ~nodes ~seed ~fanouts ~seeds (g : Graph.t) =
   let n = Graph.n_nodes g in
   let n_seeds = Array.length seeds in
-  if n_seeds = 0 then
-    invalid_arg "Sampling.layered_fanout: seeds must be non-empty";
-  (* [nodes.a.(ni)] is the original id of new id [ni]; new ids are given in
-     visit order, seeds first *)
-  let newid = Array.make n (-1) in
-  let nodes = { a = Array.make (max 16 (4 * n_seeds)) 0; len = 0 } in
   Array.iter
     (fun oi ->
       if oi < 0 || oi >= n then
@@ -223,3 +219,28 @@ let layered_fanout ?(seed = 0) ~fanouts ~seeds (g : Graph.t) =
       (Csr.make ~n_rows:k ~n_cols:k ~row_ptr ~col_idx ~values:None)
   in
   { subgraph; nodes = Array.sub nodes.a 0 k; n_seeds }
+
+let layered_fanout ~scratch ?(seed = 0) ~fanouts ~seeds (g : Graph.t) =
+  if fanouts = [] then
+    invalid_arg "Sampling.layered_fanout: fanouts must be non-empty";
+  List.iter
+    (fun f ->
+      if f <= 0 then
+        invalid_arg "Sampling.layered_fanout: fanouts must be positive")
+    fanouts;
+  let n = Graph.n_nodes g in
+  let n_seeds = Array.length seeds in
+  if n_seeds = 0 then
+    invalid_arg "Sampling.layered_fanout: seeds must be non-empty";
+  if Array.length scratch.newid < n then scratch.newid <- Array.make n (-1);
+  let newid = scratch.newid in
+  (* [nodes.a.(ni)] is the original id of new id [ni]; new ids are given in
+     visit order, seeds first *)
+  let nodes = { a = Array.make (max 16 (4 * n_seeds)) 0; len = 0 } in
+  let reset () =
+    for ni = 0 to nodes.len - 1 do
+      Array.unsafe_set newid (Array.unsafe_get nodes.a ni) (-1)
+    done
+  in
+  Fun.protect ~finally:reset (fun () ->
+      sample_into ~newid ~nodes ~seed ~fanouts ~seeds g)

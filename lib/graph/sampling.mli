@@ -51,11 +51,26 @@ type layered = {
   n_seeds : int;
 }
 
+type scratch
+(** The sampler's reusable node-renumbering map (original id to new id).
+    One scratch serves any number of sequential calls, on any graphs; it is
+    single-owner state, so one domain at a time may use it. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; the first call that uses it sizes it to the graph. *)
+
 val layered_fanout :
-  ?seed:int -> fanouts:int list -> seeds:int array -> Graph.t -> layered
+  scratch:scratch -> ?seed:int -> fanouts:int list -> seeds:int array ->
+  Graph.t -> layered
 (** [layered_fanout ~fanouts ~seeds g] draws the layered neighborhood of
     the seed batch. A node of degree [<= fanout] keeps all its neighbors;
     larger rows draw [fanout] without replacement from a generator keyed on
     [(seed, layer, node)]. Raises [Invalid_argument] on an empty or
     non-positive [fanouts], an empty seed batch, an out-of-range or
-    duplicate seed. *)
+    duplicate seed.
+
+    The renumbering map lives in [scratch] across calls: it grows to the
+    largest graph seen, and each call resets only the entries of the nodes
+    it visited (also when it raises), so a batch costs time in the batch's
+    size, not the graph's. The result does not depend on what earlier
+    calls did with the scratch. *)

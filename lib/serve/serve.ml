@@ -1,5 +1,4 @@
 module Dense = Granii_tensor.Dense
-module Csr = Granii_sparse.Csr
 module Parallel = Granii_tensor.Parallel
 module Workspace = Granii_tensor.Workspace
 module Graph = Granii_graph.Graph
@@ -405,10 +404,10 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
   t
 
 (* Registration derives the graph's memoized operands (fingerprint and
-   self-loop adjacency) outside the lock, so no request pays for them. *)
+   the plan operands) outside the lock, so no request pays for them. *)
 let register_graph t ~name graph =
   ignore (Graph.fingerprint graph : string);
-  ignore (Graph.with_self_loops graph : Csr.t);
+  Graph.build_plan_operands graph;
   locked t (fun () ->
       if Hashtbl.mem t.graphs name then
         invalid_arg

@@ -158,8 +158,9 @@ val create :
 
 val register_graph : t -> name:string -> Granii_graph.Graph.t -> unit
 (** Graphs are server state, named at registration. Registration derives
-    the graph's {!Granii_graph.Graph.fingerprint} and
-    {!Granii_graph.Graph.with_self_loops}, so no request pays for them.
+    the graph's {!Granii_graph.Graph.fingerprint} and its plan operands
+    ({!Granii_graph.Graph.build_plan_operands}), so no request pays for
+    them.
     Re-registering a name raises [Invalid_argument]. *)
 
 val submit :

@@ -211,6 +211,41 @@ let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (a : Csr.t) (b : Den
     Dense.of_flat ~rows:n ~cols:k out
   end
 
+(* [A^T * B] as a scatter in row order: row i of A sends each stored entry
+   (i, c) to output row c. Output row c therefore receives A's column-c
+   entries in ascending source row (storage order within a row) — the order
+   [Csr.transpose]'s stable counting scatter stores them in row c of the
+   transpose — and starts at +0.0, so it adds the same terms in the same
+   order as [run (Csr.transpose a) b]: bitwise equal, without the copy.
+   [Csr.t] is validated on construction and the row counts are checked, so
+   every index below is in bounds. *)
+let run_t (a : Csr.t) (b : Dense.t) =
+  if a.Csr.n_rows <> b.Dense.rows then invalid_arg "Spmm.run_t: row count mismatch";
+  let n = a.Csr.n_cols and k = b.Dense.cols in
+  let out = Array.make (n * k) 0. in
+  let bd = b.Dense.data in
+  let row_ptr = a.Csr.row_ptr and col_idx = a.Csr.col_idx in
+  for i = 0 to a.Csr.n_rows - 1 do
+    let bbase = i * k in
+    for p = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1 do
+      let obase = Array.unsafe_get col_idx p * k in
+      match a.Csr.values with
+      | Some vals ->
+          let v = Array.unsafe_get vals p in
+          for j = 0 to k - 1 do
+            Array.unsafe_set out (obase + j)
+              (Array.unsafe_get out (obase + j) +. (v *. Array.unsafe_get bd (bbase + j)))
+          done
+      | None ->
+          (* unweighted: add B's row directly, as [unweighted_row] does *)
+          for j = 0 to k - 1 do
+            Array.unsafe_set out (obase + j)
+              (Array.unsafe_get out (obase + j) +. Array.unsafe_get bd (bbase + j))
+          done
+    done
+  done;
+  Dense.of_flat ~rows:n ~cols:k out
+
 let run_transposed ?pool ?ws (b : Dense.t) (a : Csr.t) =
   if b.Dense.cols <> a.Csr.n_rows then
     invalid_arg "Spmm.run_transposed: inner dimension mismatch";

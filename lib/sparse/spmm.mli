@@ -19,6 +19,21 @@ val run : ?semiring:Granii_tensor.Semiring.t -> ?pool:Granii_tensor.Parallel.t -
     kernels are all bitwise identical on every semiring. With [?ws], the
     output buffer comes from the workspace. *)
 
+val run_t : Csr.t -> Granii_tensor.Dense.t -> Granii_tensor.Dense.t
+(** [run_t a b] is {m A^T \cdot B} over the arithmetic semiring, without
+    materializing [A]'s transpose: a sequential scatter that walks [a]'s
+    rows in order and adds each stored entry's product into output row
+    [col]. Weighted entries multiply [b]'s row by the value; an unweighted
+    matrix adds [b]'s row directly, as {!run}'s unweighted path does.
+    Raises [Invalid_argument] unless [b] has [a.n_rows] rows.
+
+    Bitwise contract: output row [j] starts at +0.0 and receives [a]'s
+    column-[j] entries in ascending source row (storage order within a
+    row), the order in which [Csr.transpose]'s stable counting scatter
+    stores them, so the result is bitwise [run (Csr.transpose a) b] on
+    every input, unsorted rows and duplicate columns included. It allocates
+    the output only. *)
+
 val run_transposed : ?pool:Granii_tensor.Parallel.t ->
   ?ws:Granii_tensor.Workspace.t -> Granii_tensor.Dense.t ->
   Csr.t -> Granii_tensor.Dense.t

@@ -318,6 +318,103 @@ let matmul_gen ?pool ?ws (sr : Semiring.t) a b =
     { rows = m; cols = n; data = out }
   end
 
+(* ---- transposed-operand GEMM ----
+
+   The reverse pass's weight gradient A^T B, read in place instead of
+   through a copied transpose of A. It keeps the contract of every [matmul]
+   path: each output starts at +0.0 and adds its products in ascending row
+   order, so on finite inputs it is bitwise [matmul (transpose a) b]. (A
+   skipped zero product, as in [matmul_unblocked], never changes an
+   accumulator that starts at +0.0.) *)
+
+(* Rows of A (and B) per block of [matmul_tn]: a 64 x k_in block of A stays
+   in L1 while every output tile walks it. *)
+let tn_rows = 64
+
+(* Output rows [i0, i0 + 1], columns [j, j + 3] of [A^T B], summed over the
+   block's rows [r0, r1) onto the accumulators the previous block stored. *)
+let tn_2x4 ~ad ~bd ~out ~m ~n ~r0 ~r1 ~i0 ~j =
+  let o0 = (i0 * n) + j in
+  let o1 = o0 + n in
+  let c00 = ref (Array.unsafe_get out o0) and c01 = ref (Array.unsafe_get out (o0 + 1)) in
+  let c02 = ref (Array.unsafe_get out (o0 + 2)) and c03 = ref (Array.unsafe_get out (o0 + 3)) in
+  let c10 = ref (Array.unsafe_get out o1) and c11 = ref (Array.unsafe_get out (o1 + 1)) in
+  let c12 = ref (Array.unsafe_get out (o1 + 2)) and c13 = ref (Array.unsafe_get out (o1 + 3)) in
+  for r = r0 to r1 - 1 do
+    let a = (r * m) + i0 and b = (r * n) + j in
+    let b0 = Array.unsafe_get bd b and b1 = Array.unsafe_get bd (b + 1) in
+    let b2 = Array.unsafe_get bd (b + 2) and b3 = Array.unsafe_get bd (b + 3) in
+    let x0 = Array.unsafe_get ad a in
+    c00 := !c00 +. (x0 *. b0);
+    c01 := !c01 +. (x0 *. b1);
+    c02 := !c02 +. (x0 *. b2);
+    c03 := !c03 +. (x0 *. b3);
+    let x1 = Array.unsafe_get ad (a + 1) in
+    c10 := !c10 +. (x1 *. b0);
+    c11 := !c11 +. (x1 *. b1);
+    c12 := !c12 +. (x1 *. b2);
+    c13 := !c13 +. (x1 *. b3)
+  done;
+  Array.unsafe_set out o0 !c00;
+  Array.unsafe_set out (o0 + 1) !c01;
+  Array.unsafe_set out (o0 + 2) !c02;
+  Array.unsafe_set out (o0 + 3) !c03;
+  Array.unsafe_set out o1 !c10;
+  Array.unsafe_set out (o1 + 1) !c11;
+  Array.unsafe_set out (o1 + 2) !c12;
+  Array.unsafe_set out (o1 + 3) !c13
+
+(* The [n mod 4] tail columns: output rows [i0, i0 + 1], column [j]. *)
+let tn_2x1 ~ad ~bd ~out ~m ~n ~r0 ~r1 ~i0 ~j =
+  let o0 = (i0 * n) + j in
+  let c0 = ref (Array.unsafe_get out o0) and c1 = ref (Array.unsafe_get out (o0 + n)) in
+  for r = r0 to r1 - 1 do
+    let a = (r * m) + i0 in
+    let b = Array.unsafe_get bd ((r * n) + j) in
+    c0 := !c0 +. (Array.unsafe_get ad a *. b);
+    c1 := !c1 +. (Array.unsafe_get ad (a + 1) *. b)
+  done;
+  Array.unsafe_set out o0 !c0;
+  Array.unsafe_set out (o0 + n) !c1
+
+(* The last output row when A has an odd column count. *)
+let tn_1x1 ~ad ~bd ~out ~m ~n ~r0 ~r1 ~i0 ~j =
+  let o = (i0 * n) + j in
+  let c = ref (Array.unsafe_get out o) in
+  for r = r0 to r1 - 1 do
+    c := !c +. (Array.unsafe_get ad ((r * m) + i0) *. Array.unsafe_get bd ((r * n) + j))
+  done;
+  Array.unsafe_set out o !c
+
+let matmul_tn a b =
+  if a.rows <> b.rows then invalid_arg "Dense.matmul_tn: row count mismatch";
+  let rows = a.rows and m = a.cols and n = b.cols in
+  let out = Array.make (m * n) 0. in
+  let ad = a.data and bd = b.data in
+  let r0 = ref 0 in
+  while !r0 < rows do
+    let r0v = !r0 in
+    let r1 = min rows (r0v + tn_rows) in
+    let i0 = ref 0 in
+    while !i0 + 1 < m do
+      let j = ref 0 in
+      while !j + 4 <= n do
+        tn_2x4 ~ad ~bd ~out ~m ~n ~r0:r0v ~r1 ~i0:!i0 ~j:!j;
+        j := !j + 4
+      done;
+      for j = !j to n - 1 do
+        tn_2x1 ~ad ~bd ~out ~m ~n ~r0:r0v ~r1 ~i0:!i0 ~j
+      done;
+      i0 := !i0 + 2
+    done;
+    if !i0 < m then
+      for j = 0 to n - 1 do
+        tn_1x1 ~ad ~bd ~out ~m ~n ~r0:r0v ~r1 ~i0:!i0 ~j
+      done;
+    r0 := r1
+  done;
+  { rows = m; cols = n; data = out }
+
 (* A direct loop: [init] with a [get] closure would box every element. *)
 let transpose m =
   let rows = m.rows and cols = m.cols in

@@ -83,6 +83,19 @@ val matmul_gen : ?pool:Parallel.t -> ?ws:Workspace.t -> Semiring.t -> t -> t -> 
 (** GEMM over an arbitrary semiring. [matmul_gen Semiring.plus_times] is
     {!matmul}. *)
 
+val matmul_tn : t -> t -> t
+(** [matmul_tn a b] is {m A^T \cdot B} for [a] of [r]x[m] and [b] of
+    [r]x[n], read in place: no transpose of [a] is copied. Raises
+    [Invalid_argument] if the row counts differ. Sequential, with 2x4
+    register tiles (2x1 for the [n mod 4] tail columns, 1x1 for the last
+    output row when [m] is odd) over blocks of 64 rows of [a] and [b], the
+    accumulators stored to the output between blocks and reloaded.
+
+    Bitwise contract: each output starts at +0.0 and adds its products in
+    ascending row order, so on finite inputs the result is bitwise
+    [matmul (transpose a) b] on every path {!matmul} picks (narrow,
+    unblocked and blocked). It allocates the [m]x[n] output only. *)
+
 val transpose : t -> t
 (** [transpose m] is a fresh {m M^T}, copied in a direct loop (no boxing
     per element). *)

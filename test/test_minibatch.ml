@@ -24,6 +24,10 @@ let graph () = G.Generators.rmat ~seed:3 ~scale:8 ~edge_factor:8 ()
 
 let adj (g : G.Graph.t) = g.G.Graph.adj
 
+(* The sampler on a fresh scratch. *)
+let layered ?seed ~fanouts ~seeds g =
+  G.Sampling.layered_fanout ~scratch:(G.Sampling.scratch ()) ?seed ~fanouts ~seeds g
+
 let graph_bits_equal (a : G.Graph.t) (b : G.Graph.t) =
   (adj a).Csr.row_ptr = (adj b).Csr.row_ptr
   && (adj a).Csr.col_idx = (adj b).Csr.col_idx
@@ -33,8 +37,8 @@ let graph_bits_equal (a : G.Graph.t) (b : G.Graph.t) =
 let test_layered_deterministic () =
   let g = graph () in
   let seeds = G.Sampling.random_nodes ~seed:4 g 40 in
-  let s1 = G.Sampling.layered_fanout ~seed:9 ~fanouts:[ 5; 3 ] ~seeds g in
-  let s2 = G.Sampling.layered_fanout ~seed:9 ~fanouts:[ 5; 3 ] ~seeds g in
+  let s1 = layered ~seed:9 ~fanouts:[ 5; 3 ] ~seeds g in
+  let s2 = layered ~seed:9 ~fanouts:[ 5; 3 ] ~seeds g in
   check_true "same seed: same subgraph"
     (graph_bits_equal s1.G.Sampling.subgraph s2.G.Sampling.subgraph);
   check_true "same seed: same node map"
@@ -43,7 +47,7 @@ let test_layered_deterministic () =
   Array.iteri
     (fun i oi -> check_int "seed order preserved" seeds.(i) oi)
     (Array.sub s1.G.Sampling.nodes 0 40);
-  let s3 = G.Sampling.layered_fanout ~seed:10 ~fanouts:[ 5; 3 ] ~seeds g in
+  let s3 = layered ~seed:10 ~fanouts:[ 5; 3 ] ~seeds g in
   check_true "different seed: different draw"
     (not (graph_bits_equal s1.G.Sampling.subgraph s3.G.Sampling.subgraph)
     || s1.G.Sampling.nodes <> s3.G.Sampling.nodes);
@@ -85,16 +89,15 @@ let test_layered_validation () =
     | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
   in
   expect_invalid "empty fanouts" (fun () ->
-      G.Sampling.layered_fanout ~fanouts:[] ~seeds:[| 0 |] g);
+      layered ~fanouts:[] ~seeds:[| 0 |] g);
   expect_invalid "non-positive fanout" (fun () ->
-      G.Sampling.layered_fanout ~fanouts:[ 5; 0 ] ~seeds:[| 0 |] g);
+      layered ~fanouts:[ 5; 0 ] ~seeds:[| 0 |] g);
   expect_invalid "empty seeds" (fun () ->
-      G.Sampling.layered_fanout ~fanouts:[ 5 ] ~seeds:[||] g);
+      layered ~fanouts:[ 5 ] ~seeds:[||] g);
   expect_invalid "out-of-range seed" (fun () ->
-      G.Sampling.layered_fanout ~fanouts:[ 5 ]
-        ~seeds:[| G.Graph.n_nodes g |] g);
+      layered ~fanouts:[ 5 ] ~seeds:[| G.Graph.n_nodes g |] g);
   expect_invalid "duplicate seed" (fun () ->
-      G.Sampling.layered_fanout ~fanouts:[ 5 ] ~seeds:[| 1; 1 |] g)
+      layered ~fanouts:[ 5 ] ~seeds:[| 1; 1 |] g)
 
 (* fanout >= degree keeps the full frontier neighborhood; isolated seeds
    produce an edge-free subgraph over exactly the seed set *)
@@ -102,7 +105,7 @@ let test_layered_edge_cases () =
   let g = graph () in
   let orig = adj g in
   let seeds = [| 0; 7; 19 |] in
-  let huge = G.Sampling.layered_fanout ~seed:1 ~fanouts:[ 100000 ] ~seeds g in
+  let huge = layered ~seed:1 ~fanouts:[ 100000 ] ~seeds g in
   let sub = adj huge.G.Sampling.subgraph in
   Array.iteri
     (fun i u ->
@@ -116,9 +119,7 @@ let test_layered_edge_cases () =
       (Csr.make ~n_rows:6 ~n_cols:6 ~row_ptr:(Array.make 7 0) ~col_idx:[||]
          ~values:None)
   in
-  let s =
-    G.Sampling.layered_fanout ~seed:1 ~fanouts:[ 4; 4 ] ~seeds:[| 2; 5 |] iso
-  in
+  let s = layered ~seed:1 ~fanouts:[ 4; 4 ] ~seeds:[| 2; 5 |] iso in
   check_int "isolated seeds: only the seeds"
     2 (Array.length s.G.Sampling.nodes);
   check_int "isolated seeds: no edges"
@@ -301,7 +302,7 @@ let test_bucketed_cache_keys () =
   let g = graph () in
   let sample i =
     let seeds = G.Sampling.random_nodes ~seed:i g 48 in
-    (G.Sampling.layered_fanout ~seed:i ~fanouts:[ 6; 3 ] ~seeds g)
+    (layered ~seed:i ~fanouts:[ 6; 3 ] ~seeds g)
       .G.Sampling.subgraph
   in
   (* bucketing is coarse, not exact: same-shape draws near a bucket

@@ -506,6 +506,49 @@ let test_journal_bitwise_invisible () =
   | Some j -> check_true "the journal actually recorded" (Journal.total j > 0)
   | None -> Alcotest.fail "sink should carry a journal by default")
 
+(* The [gc.major_words] gauge tracks the run: it lies between the calling
+   domain's exact major-heap words read just before and just after the run,
+   also when a known major-heap allocation came right before it (a float
+   array past the minor heap's size limit is allocated directly on the
+   major heap). [Gc.quick_stat]'s OCaml 5 figure lands outside the
+   bracket: it adds every domain's words (pool domains, finished ones
+   too), each as sampled at its last minor collection. *)
+let test_gc_gauge_tracks_runs () =
+  let low, compiled = Lazy.force compiled_gcn in
+  let graph = G.Generators.erdos_renyi ~n:150 ~avg_degree:6. ~seed:3 () in
+  let n = G.Graph.n_nodes graph in
+  let env = { Dim.n; nnz = G.Graph.n_edges graph + n; k_in = 9; k_out = 7 } in
+  let params = Gnn.Layer.init_params ~seed:5 ~env low in
+  let bindings = Gnn.Layer.bindings ~graph ~h:(Dense.random ~seed:6 n 9) params in
+  let plan = (List.hd compiled.Codegen.candidates).Codegen.plan in
+  let obs = Obs.create ~trace:false ~costmon:false () in
+  let engine = Engine.create_exn ~obs Engine.default_config in
+  let m = Option.get obs.Obs.metrics in
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let run () =
+    ignore (Executor.exec ~engine ~timing:Executor.Measure ~graph ~bindings plan
+            : Executor.report)
+  in
+  run ();
+  for round = 1 to 3 do
+    let w0 = major_words () in
+    (* ten arrays of 10k floats, each past the minor heap's size limit *)
+    for _ = 1 to 10 do
+      ignore (Sys.opaque_identity (Array.make 10_000 0.) : float array)
+    done;
+    let lo = major_words () in
+    check_true "the arrays went to the major heap" (lo -. w0 >= 100_000.);
+    run ();
+    let hi = major_words () in
+    let gauge = Option.get (Metrics.gauge_value m "gc.major_words") in
+    check_true
+      (Printf.sprintf "round %d: %.0f <= gauge %.0f <= %.0f" round lo gauge hi)
+      (lo <= gauge && gauge <= hi)
+  done
+
 (* ---- exporter details the CI checker depends on ---- *)
 
 let test_labeled_prometheus () =
@@ -575,6 +618,8 @@ let suite =
       test_serve_drift_chain;
     Alcotest.test_case "journal is bitwise invisible" `Quick
       test_journal_bitwise_invisible;
+    Alcotest.test_case "gc.major_words gauge tracks the run" `Quick
+      test_gc_gauge_tracks_runs;
     Alcotest.test_case "prometheus labels, HELP and TYPE" `Quick
       test_labeled_prometheus;
     Alcotest.test_case "json reader" `Quick test_json_parse ]

@@ -290,11 +290,46 @@ let test_sampler_reference =
     (QCheck2.Test.make ~count:200 ~print:print_case
        ~name:"layered_fanout is the list-and-hash-set sampler's output" sampler_case_gen
        (fun (g, fanouts, seed, seeds) ->
-         let s = G.Sampling.layered_fanout ~seed ~fanouts ~seeds g in
+         let s =
+           G.Sampling.layered_fanout ~scratch:(G.Sampling.scratch ()) ~seed ~fanouts ~seeds g
+         in
          let nodes, row_ptr, col_idx = reference_layered_fanout ~seed ~fanouts ~seeds g in
          let adj = s.G.Sampling.subgraph.G.Graph.adj in
          s.G.Sampling.nodes = nodes && adj.Csr.row_ptr = row_ptr && adj.Csr.col_idx = col_idx
          && s.G.Sampling.n_seeds = Array.length seeds))
+
+(* One scratch across back-to-back batches (each resets only the entries
+   it visited), a rejected batch among them, equals a fresh sample each. *)
+let test_sampler_scratch =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~print:print_case
+       ~name:"layered_fanout with a reused scratch equals fresh samples" sampler_case_gen
+       (fun (g, fanouts, seed, seeds) ->
+         let scratch = G.Sampling.scratch () in
+         let same (a : G.Sampling.layered) (b : G.Sampling.layered) =
+           let x = a.G.Sampling.subgraph.G.Graph.adj
+           and y = b.G.Sampling.subgraph.G.Graph.adj in
+           a.G.Sampling.nodes = b.G.Sampling.nodes
+           && x.Csr.row_ptr = y.Csr.row_ptr && x.Csr.col_idx = y.Csr.col_idx
+           && a.G.Sampling.n_seeds = b.G.Sampling.n_seeds
+         in
+         let batch i =
+           let seeds = if i = 1 then Array.sub seeds 0 1 else seeds in
+           let seed = seed + i in
+           same
+             (G.Sampling.layered_fanout ~scratch ~seed ~fanouts ~seeds g)
+             (G.Sampling.layered_fanout ~scratch:(G.Sampling.scratch ()) ~seed ~fanouts ~seeds g)
+         in
+         let rejected =
+           (* a duplicate seed raises after the first copy was numbered *)
+           match
+             G.Sampling.layered_fanout ~scratch ~seed ~fanouts
+               ~seeds:(Array.append seeds [| seeds.(0) |]) g
+           with
+           | _ -> false
+           | exception Invalid_argument _ -> true
+         in
+         batch 0 && batch 1 && rejected && batch 2 && batch 0))
 
 let test_draws_reference =
   qtest ~count:500 "sample_without_replacement draws as the hash-set reference"
@@ -612,11 +647,190 @@ let test_backward_maps () =
     [ ("relu", Matrix_ir.Relu); ("leaky_relu", Matrix_ir.Leaky_relu);
       ("sigmoid", Matrix_ir.Sigmoid); ("log_softmax", Matrix_ir.Log_softmax) ]
 
+(* The parameter-only reverse pass on a GCN batch the size of the train
+   benchmark's (2,478 nodes, 32 input features, 5 classes) allocates no
+   n x k_in array: the weight gradient reads the features in place. Every
+   array it does allocate is n x k_out or smaller, and arrays this large go
+   straight to the major heap, so its major-heap words stay below one
+   n x k_in array's. *)
+let test_backward_allocation () =
+  let low, compiled = compiled_of Mp.Mp_models.gcn in
+  let graph = G.Generators.erdos_renyi ~seed:21 ~n:2478 ~avg_degree:2. () in
+  let n = G.Graph.n_nodes graph and k_in = 32 and k_out = 5 in
+  let env = { Dim.n; nnz = G.Graph.n_edges graph + n; k_in; k_out } in
+  let params = Gnn.Layer.init_params ~seed:7 ~env low in
+  let bindings = Gnn.Layer.bindings ~graph ~h:(Dense.random ~seed:8 n k_in) params in
+  let labels = Array.init n (fun i -> i mod k_out) in
+  let mask = Array.init n (fun i -> i < 256) in
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  List.iter
+    (fun (c : Codegen.ccand) ->
+      let plan = c.Codegen.plan in
+      let forward =
+        Executor.exec ~engine:(Engine.default ()) ~timing:Executor.Measure ~graph ~bindings
+          plan
+      in
+      let _, seed =
+        Gnn.Loss.softmax_cross_entropy ~mask ~logits:(dense forward.Executor.output) ~labels ()
+      in
+      let w0 = major_words () in
+      let grads =
+        Gnn.Autodiff.backward_wrt ~wrt:(List.map fst params) ~plan ~graph ~bindings ~forward
+          ~seed
+      in
+      let words = major_words () -. w0 in
+      ignore (Sys.opaque_identity grads);
+      check_true
+        (Printf.sprintf "%s: %.0f major words < one %dx%d array (%d)" plan.Plan.name words n
+           k_in (n * k_in))
+        (words < float_of_int (n * k_in)))
+    compiled.Codegen.candidates
+
+(* D^-1/2 is memoized on the graph and bound by the plan's [Degree] step;
+   a run that recycles every dead intermediate must leave it untouched. *)
+let test_norm_memo_survives_drop () =
+  let low, compiled = compiled_of Mp.Mp_models.gcn in
+  let graph = G.Generators.rmat ~seed:5 ~scale:7 ~edge_factor:5 () in
+  let n = G.Graph.n_nodes graph in
+  let env = { Dim.n; nnz = G.Graph.n_edges graph + n; k_in = 6; k_out = 4 } in
+  let params = Gnn.Layer.init_params ~seed:2 ~env low in
+  let bindings = Gnn.Layer.bindings ~graph ~h:(Dense.random ~seed:3 n 6) params in
+  let d = G.Graph.norm_inv_sqrt graph in
+  let snapshot = Array.copy d in
+  let keep = Engine.default () in
+  let drop =
+    Engine.create_exn { Engine.default_config with keep_intermediates = false }
+  in
+  List.iter
+    (fun (c : Codegen.ccand) ->
+      let plan = c.Codegen.plan in
+      let run engine =
+        dense (Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph ~bindings
+                 ~iterations:3 plan).Executor.output
+      in
+      let reference = run keep in
+      let dropped = run drop and again = run drop in
+      check_true (plan.Plan.name ^ ": drop runs bitwise the keep run")
+        (dense_bits_equal reference dropped && dense_bits_equal reference again);
+      check_true (plan.Plan.name ^ ": the memo is the same vector, bitwise")
+        (G.Graph.norm_inv_sqrt graph == d && bits_equal d snapshot))
+    compiled.Codegen.candidates;
+  check_true "the memo equals a fresh derivation"
+    (bits_equal d (Vector.inv_sqrt (G.Graph.degrees_tilde graph)))
+
+(* ---- transposed-operand kernels ---- *)
+
+(* Random entries with exact zeros of both signs mixed in (the kernels
+   [matmul] may pick skip a zero multiplier; the transposed kernels add its
+   product). *)
+let dense_with_zeros ~seed rows cols =
+  let d = Dense.random ~seed ~scale:2. rows cols in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      match (i + (3 * j) + seed) mod 7 with
+      | 0 -> Dense.set d i j 0.
+      | 1 -> Dense.set d i j (-0.)
+      | _ -> ()
+    done
+  done;
+  d
+
+(* Row counts 0, 1 and random (up to past [matmul]'s blocked threshold at
+   9 x 9 outputs); column counts 1..9 put the product on [matmul]'s narrow,
+   unblocked and blocked paths. *)
+let tn_case_gen =
+  let open QCheck2.Gen in
+  let* rows = oneof [ return 0; return 1; int_range 2 70; int_range 400 1200 ] in
+  let* m = int_range 1 9 and* n = int_range 1 9 and* seed = int_range 0 100_000 in
+  return (rows, m, n, seed)
+
+let test_matmul_tn =
+  qtest ~count:300 "matmul_tn is bitwise matmul (transpose a) b" tn_case_gen
+    (fun (rows, m, n, seed) ->
+      let a = dense_with_zeros ~seed rows m and b = dense_with_zeros ~seed:(seed + 1) rows n in
+      dense_bits_equal (Dense.matmul_tn a b) (Dense.matmul (Dense.transpose a) b))
+
+(* CSR straight from [Csr.make]: empty rows, rows in random column order
+   with duplicate columns, weighted or not, 0, 1 or many rows. *)
+let raw_csr_gen =
+  let open QCheck2.Gen in
+  let* n_rows = oneof [ return 0; return 1; int_range 2 60 ] in
+  let* n_cols = int_range 1 30 and* seed = int_range 0 100_000 and* weighted = bool in
+  let rng = Prng.create seed in
+  let row_ptr = Array.make (n_rows + 1) 0 in
+  let cols = ref [] in
+  for i = 0 to n_rows - 1 do
+    let len = if Prng.bool rng 0.25 then 0 else Prng.int rng 9 in
+    for _ = 1 to len do
+      cols := Prng.int rng n_cols :: !cols
+    done;
+    row_ptr.(i + 1) <- row_ptr.(i) + len
+  done;
+  let col_idx = Array.of_list (List.rev !cols) in
+  let values =
+    if weighted then
+      Some (Array.init (Array.length col_idx) (fun p ->
+          if p mod 5 = 0 then 0. else Prng.uniform rng (-2.) 2.))
+    else None
+  in
+  let* k = int_range 1 9 in
+  return (Csr.make ~n_rows ~n_cols ~row_ptr ~col_idx ~values, k, seed)
+
+let test_run_t =
+  qtest ~count:300 "Spmm.run_t is bitwise Spmm.run (Csr.transpose a) b" raw_csr_gen
+    (fun (a, k, seed) ->
+      let b = dense_with_zeros ~seed a.Csr.n_rows k in
+      dense_bits_equal (Spmm.run_t a b) (Spmm.run (Csr.transpose a) b))
+
+(* A stably permuted matrix keeps each source row's entry order, so its rows
+   are not sorted by column. *)
+let test_run_t_permuted () =
+  let g = G.Generators.rmat ~seed:4 ~scale:7 ~edge_factor:6 () in
+  let n = G.Graph.n_nodes g in
+  let perm = Array.init n Fun.id in
+  Prng.shuffle_in_place (Prng.create 9) perm;
+  let r = G.Reorder.of_perm ~strategy:G.Reorder.Degree_sort perm in
+  let weighted =
+    Granii_sparse.Sparse_ops.scale_rows (G.Graph.norm_inv_sqrt g) (G.Graph.with_self_loops g)
+  in
+  let unsorted m =
+    let found = ref false in
+    for i = 0 to m.Csr.n_rows - 1 do
+      for p = m.Csr.row_ptr.(i) + 1 to m.Csr.row_ptr.(i + 1) - 1 do
+        if m.Csr.col_idx.(p - 1) > m.Csr.col_idx.(p) then found := true
+      done
+    done;
+    !found
+  in
+  List.iter
+    (fun (what, m) ->
+      let pm = G.Reorder.permute_csr r m in
+      check_true (what ^ ": the permuted rows are unsorted") (unsorted pm);
+      List.iter
+        (fun k ->
+          let b = dense_with_zeros ~seed:k n k in
+          check_true
+            (Printf.sprintf "%s k=%d: run_t bitwise" what k)
+            (dense_bits_equal (Spmm.run_t pm b) (Spmm.run (Csr.transpose pm) b)))
+        [ 1; 4; 5; 8; 9 ])
+    [ ("weighted", weighted); ("unweighted", G.Graph.with_self_loops g) ]
+
 let suite =
   [ Alcotest.test_case "features: degenerate graphs bitwise" `Quick test_features_degenerate;
     test_features_random;
     test_sampler_reference;
+    test_sampler_scratch;
+    test_matmul_tn;
+    test_run_t;
+    Alcotest.test_case "run_t on a permuted CSR with unsorted rows" `Quick test_run_t_permuted;
     test_draws_reference;
     test_loss_reference;
     Alcotest.test_case "backward: GCN, GIN and GAT plans bitwise" `Quick test_backward_models;
-    Alcotest.test_case "backward: elementwise map VJPs bitwise" `Quick test_backward_maps ]
+    Alcotest.test_case "backward: elementwise map VJPs bitwise" `Quick test_backward_maps;
+    Alcotest.test_case "backward: no n x k_in array on a GCN batch" `Quick
+      test_backward_allocation;
+    Alcotest.test_case "D^-1/2 memo survives intermediates=drop" `Quick
+      test_norm_memo_survives_drop ]
