@@ -69,7 +69,9 @@ let diag_to_csr ?ws v =
   Csr.make ~n_rows:n ~n_cols:n ~row_ptr ~col_idx ~values:(Some values)
 
 (* GAT's attention function: per stored edge (i, j),
-   leaky_relu(a_src . feats_i + a_dst . feats_j). *)
+   leaky_relu(a_src . feats_i + a_dst . feats_j). The leaky relu is the
+   branch-free select of [Dense.leaky_relu]: [t.(b) *. x] with
+   [t = [|0.2; 1.|]], bitwise [if x > 0. then x else 0.2 *. x]. *)
 let edge_score ?pool ?ws mask feats a_src a_dst =
   let s = Dense.matmul ?pool ?ws feats a_src and t = Dense.matmul ?pool ?ws feats a_dst in
   let count = Csr.nnz mask in
@@ -78,24 +80,34 @@ let edge_score ?pool ?ws mask feats a_src a_dst =
      call per edge would box its float result in the inner loop *)
   let sd = s.Dense.data and td = t.Dense.data in
   Granii_tensor.Parallel.rows_weighted ?pool ~prefix:mask.Csr.row_ptr (fun lo hi ->
+      let t = [| 0.2; 1. |] in
       for i = lo to hi - 1 do
         let si = Array.unsafe_get sd i in
         for p = mask.Csr.row_ptr.(i) to mask.Csr.row_ptr.(i + 1) - 1 do
           let x = si +. Array.unsafe_get td (Array.unsafe_get mask.Csr.col_idx p) in
-          out.(p) <- (if x > 0. then x else 0.2 *. x)
+          out.(p) <- Array.unsafe_get t (Bool.to_int (x > 0.)) *. x
         done
       done);
   Workspace.give_back ws s.Dense.data;
   Workspace.give_back ws t.Dense.data;
   Csr.with_values mask out
 
+(* GAT's negative slope, for the kernel and its epilogue form alike *)
+let leaky_slope = 0.2
+
 let apply_nonlinear ?pool ?ws kind d =
   match kind with
   | Matrix_ir.Relu -> Dense.relu ?pool ?ws d
-  | Matrix_ir.Leaky_relu -> Dense.leaky_relu ?pool ?ws d
+  | Matrix_ir.Leaky_relu -> Dense.leaky_relu ?pool ?ws ~slope:leaky_slope d
   | Matrix_ir.Sigmoid -> Dense.sigmoid ?pool ?ws d
   | Matrix_ir.Log_softmax -> Dense.log_softmax_rows ?pool ?ws d
   | Matrix_ir.Edge_softmax -> err "edge_softmax reached dense map"
+
+let epilogue_op = function
+  | Matrix_ir.Relu -> Some Dense.Relu
+  | Matrix_ir.Leaky_relu -> Some (Dense.Leaky_relu leaky_slope)
+  | Matrix_ir.Sigmoid -> Some Dense.Sigmoid
+  | Matrix_ir.Log_softmax | Matrix_ir.Edge_softmax -> None
 
 (* ---- kernel dispatch ----
 
@@ -120,17 +132,24 @@ let format_of ctx (prim : Primitive.t) (args : value array) =
       match form_of ctx m with Some _ -> Fmt_hybrid | None -> Fmt_csr)
   | _ -> Fmt_csr
 
-let exec ctx (prim : Primitive.t) graph (args : value array) =
+let exec ?(epilogue = []) ctx (prim : Primitive.t) graph (args : value array) =
   let pool = ctx.pool and ws = ctx.ws in
   match (prim, args) with
   | Primitive.Gemm _, [| a; b |] ->
-      Vdense (Dense.matmul ?pool ?ws (dense a) (dense b))
+      Vdense (Dense.matmul ?pool ?ws ~epilogue (dense a) (dense b))
   | Primitive.Spmm _, [| a; b |] -> (
       (* both weightednesses share one kernel *)
       let m = sparse a in
       match form_of ctx m with
-      | Some h -> Vdense (Hybrid.spmm ?pool ?ws h (dense b))
-      | None -> Vdense (Spmm.run ?pool ?ws m (dense b)))
+      | Some h ->
+          (* the hybrid kernel has no store-time epilogue: a post-pass over
+             its fresh output *)
+          let d = Hybrid.spmm ?pool ?ws h (dense b) in
+          Dense.apply_epilogue ?pool epilogue d;
+          Vdense d
+      | None -> Vdense (Spmm.run ?pool ?ws ~epilogue m (dense b)))
+  | _ when epilogue <> [] ->
+      err "primitive %a takes no row epilogue" Primitive.pp prim
   | Primitive.Dense_sparse_mm _, [| a; b |] ->
       Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
   | Primitive.Sddmm_rank1, [| dl; a; dr |] -> (
@@ -191,10 +210,7 @@ let exec ctx (prim : Primitive.t) graph (args : value array) =
          kernel *)
       match power with
       | Primitive.Inv_sqrt -> Vdiag (Granii_graph.Graph.norm_inv_sqrt graph)
-      | Primitive.Inv ->
-          Vdiag
-            (Granii_tensor.Vector.pow (-1.)
-               (Granii_graph.Graph.degrees_tilde graph)))
+      | Primitive.Inv -> Vdiag (Granii_graph.Graph.norm_inv graph))
   | _ ->
       err "primitive %a applied to %d arguments" Primitive.pp prim
         (Array.length args)

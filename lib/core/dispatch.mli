@@ -55,11 +55,24 @@ val format_of : ctx -> Primitive.t -> value array -> fmt
 (** The operand format {!exec} would dispatch a step under — exposed so the
     telemetry layer can attribute a span to the kernel that actually ran. *)
 
-val exec : ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
+val exec :
+  ?epilogue:Granii_tensor.Dense.epilogue ->
+  ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
 (** Execute one primitive: SpMM and rank-1 SDDMM run from the context's
     hybrid form of their sparse operand when it has one, every other
     primitive (and those two without a form) from CSR. Raises
-    {!Execution_error} on an argument-kind or arity mismatch. *)
+    {!Execution_error} on an argument-kind or arity mismatch.
+
+    [?epilogue] (default [[]]) finishes a [Gemm] or [Spmm] output row by
+    row ({!Granii_tensor.Dense.epilogue}); the hybrid SpMM applies it as a
+    post-pass over its output. Any other primitive with a non-empty
+    epilogue raises {!Execution_error}. *)
+
+val epilogue_op : Matrix_ir.nonlinear -> Granii_tensor.Dense.epilogue_op option
+(** The row-epilogue form of a [Dense_map] step's kernel, bitwise the same
+    map: relu, leaky relu (at the slope the map kernel uses) and sigmoid.
+    [None] for the row-wise and edge maps, which no producer can finish
+    element by element. *)
 
 val kernels_of_step :
   Primitive.t -> Granii_graph.Graph.t -> value array -> value ->

@@ -148,6 +148,76 @@ let copy_value = function
   | Vsparse _ as s -> s
   | Vdiag d -> Vdiag (Array.copy d)
 
+(* ---- row-epilogue fusion ----
+
+   A lowering of the plan's execution, not of the plan: a [Row_broadcast]
+   and/or [Map[relu|leaky_relu|sigmoid]] chain whose input is the dense
+   output of a [Gemm] or [Spmm] runs inside that producer, which finishes
+   each output row with the chain while the row is still in cache
+   ({!Granii_tensor.Dense.epilogue}). Each element sees the same IEEE
+   operations in the same order, so the result is bitwise the unfused one.
+   A link joins the chain only if the value it reads has no other reader
+   (the plan output counts as one), it runs in the producer's phase, and a
+   broadcast's diagonal is computed before the producer runs. The executor
+   fuses only when nothing can observe the skipped values: the engine drops
+   intermediates, and timing is measured (simulated timing prices every
+   plan step as its own kernels). *)
+
+type link = Scale of Plan.source | Op of Dense.epilogue_op
+
+(* [chains.(p)]: the steps absorbed into producer [p], in chain order, each
+   with its link; [absorbed.(i)]: step [i] runs inside its producer. *)
+let fusion_chains (steps : Plan.step array) (output : Plan.source) =
+  let n = Array.length steps in
+  let readers = Array.make n 0 and reader = Array.make n (-1) in
+  Array.iter
+    (fun (s : Plan.step) ->
+      List.iter
+        (function
+          | Plan.Computed c ->
+              readers.(c) <- readers.(c) + 1;
+              reader.(c) <- s.Plan.idx
+          | Plan.Input _ -> ())
+        s.Plan.args)
+    steps;
+  let rank i =
+    match steps.(i).Plan.phase with
+    | Plan.Setup -> i
+    | Plan.Per_iteration -> n + i
+  in
+  let chains = Array.make n [] and absorbed = Array.make n false in
+  Array.iter
+    (fun (s : Plan.step) ->
+      match s.Plan.prim with
+      | Primitive.Gemm _ | Primitive.Spmm _ ->
+          let p = s.Plan.idx in
+          let computed_before = function
+            | Plan.Input _ -> true
+            | Plan.Computed j -> rank j < rank p
+          in
+          let rec extend cur acc =
+            let r = reader.(cur) in
+            if readers.(cur) <> 1 || output = Plan.Computed cur
+               || steps.(r).Plan.phase <> s.Plan.phase
+            then acc
+            else
+              match (steps.(r).Plan.prim, steps.(r).Plan.args) with
+              | Primitive.Row_broadcast _, [ d; Plan.Computed c ]
+                when c = cur && computed_before d ->
+                  extend r ((r, Scale d) :: acc)
+              | Primitive.Dense_map { kind; _ }, [ Plan.Computed _ ] -> (
+                  match Dispatch.epilogue_op kind with
+                  | Some op -> extend r ((r, Op op) :: acc)
+                  | None -> acc)
+              | _ -> acc
+          in
+          let chain = List.rev (extend p []) in
+          chains.(p) <- chain;
+          List.iter (fun (r, _) -> absorbed.(r) <- true) chain
+      | _ -> ())
+    steps;
+  (chains, absorbed)
+
 (* ---- the dispatch loop ----
 
    All policy lives elsewhere: the engine owns pool/arena/layout and was
@@ -189,6 +259,12 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   in
   let steps = Array.of_list plan.Plan.steps in
   let n = Array.length steps in
+  let chains, absorbed =
+    match timing with
+    | Measure when not (Engine.keep_intermediates engine) ->
+        fusion_chains steps plan.Plan.output
+    | Measure | Simulate _ -> (Array.make n [], Array.make n false)
+  in
   let slots : value option array = Array.make n None in
   let graph_token = Vsparse graph.Granii_graph.Graph.adj in
   let resolve name =
@@ -225,6 +301,31 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   in
   let per_step_time = Array.make n 0. in
   let threads = Engine.threads engine in
+  (* a fused producer's value lands in its chain's last slot *)
+  let dest =
+    Array.mapi
+      (fun i chain -> List.fold_left (fun _ (r, _) -> r) i chain)
+      chains
+  in
+  let epilogue_of chain =
+    List.map
+      (fun (_, link) ->
+        match link with
+        | Op op -> op
+        | Scale src -> (
+            let d =
+              match src with
+              | Plan.Input name -> resolve name
+              | Plan.Computed c -> (
+                  match slots.(c) with
+                  | Some v -> v
+                  | None -> err "step t%d used before being computed" c)
+            in
+            match d with
+            | Vdiag d -> Dense.Scale_rows d
+            | v -> err "row_broadcast: expected diagonal, got %a" pp_value v))
+      chain
+  in
   let run_step i =
     let s = Array.unsafe_get steps i in
     let args = refresh_args i in
@@ -233,7 +334,13 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
       match timing with
       | Measure ->
           let t0 = Timer.wall () in
-          let v = Dispatch.exec ctx s.Plan.prim graph args in
+          let v =
+            match chains.(i) with
+            | [] -> Dispatch.exec ctx s.Plan.prim graph args
+            | chain ->
+                Dispatch.exec ~epilogue:(epilogue_of chain) ctx s.Plan.prim
+                  graph args
+          in
           let t = Timer.wall () -. t0 in
           costmon_record obs ~threads s graph args v t;
           (v, t)
@@ -243,7 +350,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     in
     step_span_exit tr sp ~threads ~ctx s args v t;
     step_observe obs s t;
-    slots.(i) <- Some v;
+    slots.(dest.(i)) <- Some v;
     per_step_time.(i) <- t;
     t
   in
@@ -281,7 +388,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   let setup_time = ref 0. in
   for i = 0 to n - 1 do
     if not is_iter.(i) then begin
-      setup_time := !setup_time +. run_step i;
+      if not absorbed.(i) then setup_time := !setup_time +. run_step i;
       (* setup outputs are iteration-stable: candidates for the localized
          form *)
       Option.iter (Pass.Layout.register lstate) slots.(i);
@@ -312,7 +419,8 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     in
     for i = 0 to n - 1 do
       if is_iter.(i) then begin
-        total_iter_time := !total_iter_time +. run_step i;
+        if not absorbed.(i) then
+          total_iter_time := !total_iter_time +. run_step i;
         free_dead_after ~last:(it = iterations) i
       end
     done;

@@ -36,6 +36,27 @@
     iteration). The default keeps them alive — {!Granii_gnn.Autodiff}
     reads every intermediate in its backward pass.
 
+    {2 Row-epilogue fusion}
+
+    With [keep_intermediates = false] and [Measure] timing the executor
+    also fuses: a [Row_broadcast(d, ·)] and/or [Dense_map] relu, leaky relu
+    or sigmoid chain whose input is the dense output of a [Gemm] or [Spmm]
+    runs inside that producer, which finishes each output row with the
+    chain while the row is in cache ({!Granii_tensor.Dense.epilogue}; the
+    hybrid SpMM applies it as a post-pass). A link joins only if the value
+    it reads has no other reader and is not the plan output, it runs in the
+    producer's phase, and a broadcast's [d] is computed before the producer
+    runs. The output is bitwise the unfused one: each element sees the
+    same operations in the same order. The plan is not rewritten, so
+    [per_step] still has one entry per plan step: an absorbed step reads
+    [0.0] and its time is inside its producer's entry. Absorbed steps open
+    no trace span and record no journal or metrics observation, and the
+    cost monitor's (predicted, measured) pair is recorded for the producer
+    only, pricing the producer's own kernels against a time that includes
+    the chain. Keep-intermediates engines and [Simulate] timing never
+    fuse: the first hand their intermediates to the caller, and the second
+    prices every plan step as its own kernels.
+
     {2 Locality}
 
     With a non-default {!Locality.config}, the executor runs the plan under
@@ -109,7 +130,8 @@ val exec_iterations :
     [bindings]; the graph's {m \tilde A} and normalization vector are
     available to [Degree] steps. [iteration_time] is the {e mean}
     per-iteration time; [per_step] lists the steps in plan order, with the
-    last iteration's times, and [intermediates] reflect the last iteration.
+    last iteration's times (0.0 for a step fused into its producer, see
+    above), and [intermediates] reflect the last iteration.
     Raises [Invalid_argument] when [iterations < 1] and {!Execution_error}
     on an unbound input or an argument-kind mismatch (which would indicate
     an enumeration bug). Bindings must not be backed by buffers issued from

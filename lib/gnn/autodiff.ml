@@ -59,7 +59,13 @@ let edge_softmax_vjp (alpha : Csr.t) (g : Csr.t) =
    it passes or returns. Each computes the same operations in the same order
    as the closure form. *)
 
-(* VJP of an elementwise map, given its input [x] and output cotangent [g]. *)
+(* VJP of an elementwise map, given its input [x] and output cotangent [g].
+   Relu and leaky relu pick their result with the forward kernels'
+   branch-free select ([Dense.relu]): both candidates go into a 2-slot table
+   and [Bool.to_int (x > 0.)] indexes it. Each candidate is the branch's own
+   expression, so the result is bitwise the branchy loop's for every input;
+   on random-sign activations that branch mispredicts about half the
+   time. *)
 let map_vjp kind (x : Dense.t) (g : Dense.t) =
   if Dense.dims x <> Dense.dims g then err "autodiff: map VJP shape mismatch";
   let rows, cols = Dense.dims x in
@@ -67,13 +73,18 @@ let map_vjp kind (x : Dense.t) (g : Dense.t) =
   let out = Array.create_float (rows * cols) in
   (match kind with
   | Core.Matrix_ir.Relu ->
+      let t = [| 0.; 0. |] in
       for i = 0 to Array.length out - 1 do
-        out.(i) <- (if xd.(i) > 0. then gd.(i) else 0.)
+        Array.unsafe_set t 1 gd.(i);
+        out.(i) <- Array.unsafe_get t (Bool.to_int (xd.(i) > 0.))
       done
   | Core.Matrix_ir.Leaky_relu ->
+      let t = [| 0.; 0. |] in
       for i = 0 to Array.length out - 1 do
         let gv = gd.(i) in
-        out.(i) <- (if xd.(i) > 0. then gv else 0.2 *. gv)
+        Array.unsafe_set t 0 (0.2 *. gv);
+        Array.unsafe_set t 1 gv;
+        out.(i) <- Array.unsafe_get t (Bool.to_int (xd.(i) > 0.))
       done
   | Core.Matrix_ir.Sigmoid ->
       for i = 0 to Array.length out - 1 do
@@ -123,17 +134,27 @@ let matvec_t (m : Dense.t) (v : Vector.t) =
   done;
   Dense.of_flat ~rows:k ~cols:1 out
 
+(* Stored values as a flat array: an unweighted matrix's are all 1., as
+   [Csr.value] reads them. *)
+let values_of (m : Csr.t) =
+  match m.Csr.values with Some v -> v | None -> Array.make (Csr.nnz m) 1.
+
 (* The edge-score VJP's per-source and per-destination sums of the score
    cotangent chained through the leaky relu (the output's sign is the
    input's): [(row sums, column sums)] of [slope(score) * g] over the
-   scores' structure, each accumulated in storage order. *)
+   scores' structure, each accumulated in storage order. The slope is a
+   branch-free select from [[|0.2; 1.|]] on [score >= 0.], the branch's
+   convention, and the value arrays are read directly ([Csr.value] would
+   box each entry). *)
 let edge_score_sums (scores : Csr.t) (g : Csr.t) =
   let ds = Vector.zeros scores.Csr.n_rows and dt = Vector.zeros scores.Csr.n_cols in
+  let sv = values_of scores and gv = values_of g in
+  let slopes = [| 0.2; 1. |] in
   for i = 0 to scores.Csr.n_rows - 1 do
     let acc = ref 0. in
     for p = scores.Csr.row_ptr.(i) to scores.Csr.row_ptr.(i + 1) - 1 do
-      let slope = if Csr.value scores p >= 0. then 1. else 0.2 in
-      let v = slope *. Csr.value g p in
+      let slope = Array.unsafe_get slopes (Bool.to_int (sv.(p) >= 0.)) in
+      let v = slope *. gv.(p) in
       acc := !acc +. v;
       let j = scores.Csr.col_idx.(p) in
       dt.(j) <- dt.(j) +. v

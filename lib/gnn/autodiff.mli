@@ -45,7 +45,10 @@ val backward :
       an attention-valued {m dS} by an SDDMM over {m S}'s structure
       ({!Granii_sparse.Sddmm.dot_rows});
     - row and column broadcasts: the same broadcast of {m G};
-    - elementwise maps, edge softmax and edge scores: direct loops.
+    - elementwise maps, edge softmax and edge scores: direct loops; the
+      relu and leaky relu VJPs and the edge-score slope pick their value
+      with the forward kernels' branch-free select
+      ({!Granii_tensor.Dense.relu}), bitwise the branch.
 
     The dense-times-sparse VJP {m dB = G S^T} still copies
     [Csr.transpose S] for {!Granii_sparse.Spmm.run_transposed}: a gather
@@ -63,6 +66,16 @@ val backward_wrt :
     per-iteration step with one of them among its transitive arguments.
     Each returned gradient is bitwise the one {!backward} returns for the
     same name, because it receives the same terms in the same order. *)
+
+val edge_score_sums :
+  Granii_sparse.Csr.t -> Granii_sparse.Csr.t ->
+  Granii_tensor.Vector.t * Granii_tensor.Vector.t
+(** [edge_score_sums scores g]: the edge-score VJP's per-source and
+    per-destination sums of [slope(score) *. g] over [scores]' structure
+    (slope [1.] where [score >= 0.], [0.2] elsewhere, NaN included), each
+    accumulated in storage order. [g] shares [scores]' structure; an
+    unweighted matrix reads as all ones. Exposed so its branch-free slope
+    select can be checked against a branchy loop. *)
 
 val backward_kernels :
   graph:Granii_graph.Graph.t -> env:Granii_core.Dim.env ->

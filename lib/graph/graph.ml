@@ -10,6 +10,7 @@ module Vector = Granii_tensor.Vector
 type memo = {
   tilde : Csr.t option Atomic.t;
   inv_sqrt : Vector.t option Atomic.t;
+  inv : Vector.t option Atomic.t;
   fingerprint : string option Atomic.t;
 }
 
@@ -22,6 +23,7 @@ let make ~name adj =
     memo =
       { tilde = Atomic.make None;
         inv_sqrt = Atomic.make None;
+        inv = Atomic.make None;
         fingerprint = Atomic.make None } }
 
 let memoized slot build =
@@ -108,6 +110,8 @@ let degrees_tilde g =
 
 let norm_inv_sqrt g =
   memoized g.memo.inv_sqrt (fun () -> Vector.inv_sqrt (degrees_tilde g))
+
+let norm_inv g = memoized g.memo.inv (fun () -> Vector.pow (-1.) (degrees_tilde g))
 
 let build_plan_operands g =
   ignore (with_self_loops g : Csr.t);

@@ -7,7 +7,7 @@
 
 type memo
 (** Per-graph derived operands ({!with_self_loops}, {!norm_inv_sqrt},
-    {!fingerprint}), each built on first use and then shared: every later
+    {!norm_inv}, {!fingerprint}), each built on first use and then shared: every later
     call, from any domain, returns the physically same value. Safe to fill
     from several domains at once (a domain that loses the race drops its
     own identical copy). The shared values must not be mutated: no kernel
@@ -64,6 +64,13 @@ val norm_inv_sqrt : t -> Granii_tensor.Vector.t
     builds it, every later call returns the physically same vector, which
     callers must not mutate. The plan's [Degree Inv_sqrt] step reads it,
     so serve and infer derive it once per graph. *)
+
+val norm_inv : t -> Granii_tensor.Vector.t
+(** {m \tilde D^{-1}}: each entry of {!degrees_tilde} to the power -1,
+    read by a plan's [Degree Inv] step. Memoized like {!norm_inv_sqrt}, but
+    built only on first use: {!build_plan_operands} does not build it, so a
+    loader whose plans never read it pays nothing. Callers must not mutate
+    it. *)
 
 val build_plan_operands : t -> unit
 (** Builds the memoized operands a plan run reads: {!with_self_loops}

@@ -236,13 +236,17 @@ let resolve t (j : job) =
 (* Every request is one executor run under the configured layout, drawing
    its buffers from the tenant's arena when no other job holds it (a fresh
    arena otherwise). The executor hands back a heap copy of the output, so
-   the tenant's next run cannot touch a completed ticket. *)
+   the tenant's next run cannot touch a completed ticket. A request reads
+   only that output, so the engine drops intermediates: each buffer goes
+   back to the arena after its last reader, and the executor fuses row
+   epilogues into their producers. *)
 let execute ?pool ~locality (j : job) (plan, params) =
   let p = j.req in
   let bindings = Layer.bindings ~graph:p.gentry.graph ~h:p.features params in
   let workspace = if j.use_arena then Some p.powner.ws else None in
   let engine =
-    Engine.create_exn ?pool ?workspace { Engine.default_config with locality }
+    Engine.create_exn ?pool ?workspace
+      { Engine.default_config with locality; keep_intermediates = false }
   in
   (Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
      ~bindings plan)

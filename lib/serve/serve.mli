@@ -36,7 +36,12 @@
     tenants. A request runs in its tenant's arena unless another worker is
     already using it, in which case it runs in a fresh one. The executor
     hands back a heap copy of every output, so a response is never
-    invalidated by a later request. Serving defaults to the
+    invalidated by a later request. A request reads only that output, so
+    its engine drops intermediates ([keep_intermediates = false]): each
+    buffer returns to the arena after its last reader, and the executor
+    fuses row epilogues into their producers
+    ({!Granii_core.Executor.exec_iterations}), bitwise the unfused run.
+    Serving defaults to the
     default graph layout — per-request reordering rarely amortizes
     (DESIGN.md §12) — but a config may opt into a locality axis.
 
@@ -225,5 +230,6 @@ val oracle :
 (** The single-threaded reference: run this one request synchronously
     through {!Granii_core.Executor.exec} on a default engine with the
     server's own parameters and selection (bypassing queues and the plan
-    cache's counters). Differential tests compare every served
-    response against this. *)
+    cache's counters). The default engine keeps intermediates and so runs
+    unfused: differential tests compare every served (fused) response
+    against this. *)

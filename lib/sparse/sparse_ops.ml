@@ -117,7 +117,8 @@ let add (a : Csr.t) (b : Csr.t) =
 
 let row_softmax ?pool ?ws (a : Csr.t) =
   let count = Csr.nnz a in
-  let out = Workspace.alloc ws count in
+  (* every stored entry belongs to a non-empty row and is written below *)
+  let out = Workspace.alloc_uninit ws count in
   (* read the value array directly: a [Csr.value] call per entry would box
      its float result on every inner-loop read *)
   let vals = a.Csr.values in
@@ -133,6 +134,9 @@ let row_softmax ?pool ?ws (a : Csr.t) =
                 out.(p) <- u
               done
           | Some v ->
+              (* the running max keeps its branch: it is taken about
+                 ln(degree) times per row, so it predicts well, and a
+                 select would chain every entry through the table *)
               let mx = ref neg_infinity in
               for p = lo to hi do
                 if Array.unsafe_get v p > !mx then mx := Array.unsafe_get v p

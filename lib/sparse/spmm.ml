@@ -151,10 +151,15 @@ let unweighted_row ~row_ptr ~col_idx ~bd ~out ~k i jlo jhi =
     Array.unsafe_set out (obase + j0) !c
   done
 
-let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (a : Csr.t) (b : Dense.t) =
+let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k ?(epilogue = [])
+    (a : Csr.t) (b : Dense.t) =
   if a.Csr.n_cols <> b.Dense.rows then
     invalid_arg "Spmm.run: inner dimension mismatch";
   let n = a.Csr.n_rows and k = b.Dense.cols in
+  Dense.check_epilogue ~who:"Spmm.run" ~rows:n epilogue;
+  (* a strip of row [i] is final once its row kernel returns: the epilogue
+     runs on it there, while it is still in cache *)
+  let fused = epilogue <> [] in
   let bd = b.Dense.data in
   let row_ptr = a.Csr.row_ptr and col_idx = a.Csr.col_idx in
   let tk = strip_width k tile_k in
@@ -175,11 +180,15 @@ let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (a : Csr.t) (b : Den
           unweighted_row
     in
     Parallel.rows_weighted ?pool ~prefix:row_ptr (fun lo hi ->
+        let st = Dense.epilogue_start epilogue in
         let j0 = ref 0 in
         while !j0 < k do
           let jhi = min k (!j0 + tk) in
           for i = lo to hi - 1 do
-            row ~row_ptr ~col_idx ~bd ~out ~k i !j0 jhi
+            row ~row_ptr ~col_idx ~bd ~out ~k i !j0 jhi;
+            if fused then
+              Dense.epilogue_row st out ~row:i ~lo:((i * k) + !j0)
+                ~hi:((i * k) + jhi)
           done;
           j0 := jhi
         done);
@@ -193,6 +202,7 @@ let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (a : Csr.t) (b : Den
     let sr = semiring in
     let out = Workspace.alloc_fill ws sr.Semiring.zero (n * k) in
     Parallel.rows_weighted ?pool ~prefix:row_ptr (fun lo hi ->
+        let st = Dense.epilogue_start epilogue in
         let j0 = ref 0 in
         while !j0 < k do
           let jhi = min k (!j0 + tk) in
@@ -204,7 +214,10 @@ let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (a : Csr.t) (b : Den
               for j = !j0 to jhi - 1 do
                 out.(obase + j) <- sr.Semiring.add out.(obase + j) (sr.Semiring.mul v bd.(bbase + j))
               done
-            done
+            done;
+            if fused then
+              Dense.epilogue_row st out ~row:i ~lo:(obase + !j0)
+                ~hi:(obase + jhi)
           done;
           j0 := jhi
         done);

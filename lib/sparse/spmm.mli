@@ -7,6 +7,7 @@
 
 val run : ?semiring:Granii_tensor.Semiring.t -> ?pool:Granii_tensor.Parallel.t ->
   ?ws:Granii_tensor.Workspace.t -> ?tile_k:int ->
+  ?epilogue:Granii_tensor.Dense.epilogue ->
   Csr.t -> Granii_tensor.Dense.t -> Granii_tensor.Dense.t
 (** [run a b] is {m A \cdot B}. Defaults to {!Granii_tensor.Semiring.plus_times}.
     When [a] is unweighted and the semiring multiplication is [plus_times] or
@@ -17,7 +18,14 @@ val run : ?semiring:Granii_tensor.Semiring.t -> ?pool:Granii_tensor.Parallel.t -
     dimensions are processed in cache-resident strips ([?tile_k] overrides
     the strip width, mainly for testing). Tiled, untiled, and parallel
     kernels are all bitwise identical on every semiring. With [?ws], the
-    output buffer comes from the workspace. *)
+    output buffer comes from the workspace.
+
+    With [?epilogue] (see {!Granii_tensor.Dense.epilogue}), each output
+    row's strip is finished by the epilogue right after the row kernel
+    stores it, on every semiring and path: the result is bitwise the
+    unfused output followed by one pass of each op, and no second n x k
+    pass reads it back. Raises [Invalid_argument] when a [Scale_rows]
+    vector's length is not [a]'s row count. *)
 
 val run_t : Csr.t -> Granii_tensor.Dense.t -> Granii_tensor.Dense.t
 (** [run_t a b] is {m A^T \cdot B} over the arithmetic semiring, without

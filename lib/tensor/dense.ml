@@ -64,16 +64,162 @@ let row m i = Array.sub m.data (i * m.cols) m.cols
 let col m j = Array.init m.rows (fun i -> get m i j)
 let to_arrays m = Array.init m.rows (fun i -> row m i)
 
-let matmul_unblocked ?pool ?ws a b =
-  if a.cols <> b.rows then invalid_arg "Dense.matmul: inner dimension mismatch";
+(* ---- branch-free selects and row epilogues ----
+
+   [if x > 0. then x else 0.] on data of random sign mispredicts about
+   half the time, and the relu is then bound by the branch unit. Instead
+   each kernel stores the candidate results in a pair of table slots and
+   loads the one [Bool.to_int (x > 0.)] picks: the comparison compiles to
+   a flag set, not a jump. The table is scratch written per element, so
+   every parallel chunk allocates its own and no two domains share one. Each
+   candidate is the branch's own expression, so the selected value is
+   bitwise the one the branch took, for every input: NaN is not [> 0.] and
+   takes the else-value, as before. *)
+
+(* Relu two elements per step, each with its own [0.; x] pair in the
+   4-slot table [t], so the two selects do not wait on one slot. *)
+let relu_span (t : float array) (src : float array) (dst : float array) lo hi =
+  Array.unsafe_set t 0 0.;
+  Array.unsafe_set t 2 0.;
+  let p = ref lo in
+  while !p + 2 <= hi do
+    let q = !p in
+    let x0 = Array.unsafe_get src q and x1 = Array.unsafe_get src (q + 1) in
+    Array.unsafe_set t 1 x0;
+    Array.unsafe_set t 3 x1;
+    Array.unsafe_set dst q (Array.unsafe_get t (Bool.to_int (x0 > 0.)));
+    Array.unsafe_set dst (q + 1) (Array.unsafe_get t (2 + Bool.to_int (x1 > 0.)));
+    p := q + 2
+  done;
+  if !p < hi then begin
+    let x = Array.unsafe_get src !p in
+    Array.unsafe_set t 1 x;
+    Array.unsafe_set dst !p (Array.unsafe_get t (Bool.to_int (x > 0.)))
+  end
+
+(* [relu_span] of [di *. x], in place: GCN's [RowBcast] then [Map[relu]]
+   in one pass over the row. *)
+let scale_relu_span (t : float array) di (out : float array) lo hi =
+  Array.unsafe_set t 0 0.;
+  Array.unsafe_set t 2 0.;
+  let p = ref lo in
+  while !p + 2 <= hi do
+    let q = !p in
+    let x0 = di *. Array.unsafe_get out q
+    and x1 = di *. Array.unsafe_get out (q + 1) in
+    Array.unsafe_set t 1 x0;
+    Array.unsafe_set t 3 x1;
+    Array.unsafe_set out q (Array.unsafe_get t (Bool.to_int (x0 > 0.)));
+    Array.unsafe_set out (q + 1) (Array.unsafe_get t (2 + Bool.to_int (x1 > 0.)));
+    p := q + 2
+  done;
+  if !p < hi then begin
+    let x = di *. Array.unsafe_get out !p in
+    Array.unsafe_set t 1 x;
+    Array.unsafe_set out !p (Array.unsafe_get t (Bool.to_int (x > 0.)))
+  end
+
+(* [row_broadcast]'s [di *. x], in place, four elements per step *)
+let scale_span di (out : float array) lo hi =
+  let p = ref lo in
+  while !p + 4 <= hi do
+    let q = !p in
+    Array.unsafe_set out q (di *. Array.unsafe_get out q);
+    Array.unsafe_set out (q + 1) (di *. Array.unsafe_get out (q + 1));
+    Array.unsafe_set out (q + 2) (di *. Array.unsafe_get out (q + 2));
+    Array.unsafe_set out (q + 3) (di *. Array.unsafe_get out (q + 3));
+    p := q + 4
+  done;
+  for q = !p to hi - 1 do
+    Array.unsafe_set out q (di *. Array.unsafe_get out q)
+  done
+
+(* The table holds the multiplier: [1. *. x] is [x] for every [x > 0.] (no
+   NaN gets there), and the else value is the branchy kernel's own
+   [slope *. x]. *)
+let leaky_span (t : float array) slope (src : float array) (dst : float array) lo hi =
+  Array.unsafe_set t 0 slope;
+  Array.unsafe_set t 1 1.;
+  for i = lo to hi - 1 do
+    let x = Array.unsafe_get src i in
+    Array.unsafe_set dst i (Array.unsafe_get t (Bool.to_int (x > 0.)) *. x)
+  done
+
+let sigmoid_span (src : float array) (dst : float array) lo hi =
+  for i = lo to hi - 1 do
+    let x = Array.unsafe_get src i in
+    Array.unsafe_set dst i (1. /. (1. +. exp (-.x)))
+  done
+
+type epilogue_op =
+  | Scale_rows of Vector.t
+  | Relu
+  | Leaky_relu of float
+  | Sigmoid
+
+type epilogue = epilogue_op list
+
+type epilogue_state = { ops : epilogue; table : float array }
+
+(* [[]] allocates nothing: with no op the table is never written, so the
+   one shared empty state is safe on every domain *)
+let no_epilogue = { ops = []; table = [||] }
+
+let epilogue_start = function
+  | [] -> no_epilogue
+  | ops -> { ops; table = Array.create_float 4 }
+
+let check_epilogue ~who ~rows ep =
+  List.iter
+    (function
+      | Scale_rows d when Array.length d <> rows ->
+          invalid_arg (who ^ ": epilogue row scale dimension mismatch")
+      | Scale_rows _ | Relu | Leaky_relu _ | Sigmoid -> ())
+    ep
+
+(* a direct recursion, not [List.iter]: a closure per row would allocate.
+   A scale followed by a relu runs as one pass. *)
+let rec ops_row table ops (out : float array) row lo hi =
+  match ops with
+  | [] -> ()
+  | Scale_rows d :: Relu :: rest ->
+      scale_relu_span table (Array.unsafe_get d row) out lo hi;
+      ops_row table rest out row lo hi
+  | op :: rest ->
+      (match op with
+      | Scale_rows d -> scale_span (Array.unsafe_get d row) out lo hi
+      | Relu -> relu_span table out out lo hi
+      | Leaky_relu slope -> leaky_span table slope out out lo hi
+      | Sigmoid -> sigmoid_span out out lo hi);
+      ops_row table rest out row lo hi
+
+let epilogue_row st out ~row ~lo ~hi = ops_row st.table st.ops out row lo hi
+
+let apply_epilogue ?pool ep m =
+  check_epilogue ~who:"Dense.apply_epilogue" ~rows:m.rows ep;
+  if ep <> [] then begin
+    let k = m.cols and out = m.data in
+    Parallel.rows ?pool ~n:m.rows (fun lo hi ->
+        let st = epilogue_start ep in
+        for i = lo to hi - 1 do
+          epilogue_row st out ~row:i ~lo:(i * k) ~hi:((i + 1) * k)
+        done)
+  end
+
+(* Every GEMM path below applies its epilogue to an output row (or, in the
+   blocked kernel, a row's column block) right after the row's last store,
+   while it is still in cache. *)
+let unblocked ~ep ?pool ?ws a b =
   let m = a.rows and k = a.cols and n = b.cols in
   let out = Workspace.alloc ws (m * n) in
   let ad = a.data and bd = b.data in
+  let fused = ep <> [] in
   (* i-k-j loop order: the inner loop streams over contiguous rows of B and
      the output, which is the cache-friendly order for row-major storage.
      Parallel path: output rows are partitioned statically, each computed
      exactly as in the sequential loop, so results are bitwise identical. *)
   Parallel.rows ?pool ~n:m (fun lo hi ->
+      let st = epilogue_start ep in
       for i = lo to hi - 1 do
         let arow = i * k and orow = i * n in
         for p = 0 to k - 1 do
@@ -84,9 +230,14 @@ let matmul_unblocked ?pool ?ws a b =
               out.(orow + j) <- out.(orow + j) +. (av *. bd.(brow + j))
             done
           end
-        done
+        done;
+        if fused then epilogue_row st out ~row:i ~lo:orow ~hi:(orow + n)
       done);
   { rows = m; cols = n; data = out }
+
+let matmul_unblocked ?pool ?ws a b =
+  if a.cols <> b.rows then invalid_arg "Dense.matmul: inner dimension mismatch";
+  unblocked ~ep:[] ?pool ?ws a b
 
 (* ---- cache-blocked GEMM ----
 
@@ -175,7 +326,7 @@ let micro_1x1 ~ad ~panel ~out ~k ~n ~i0 ~pb ~j ~c =
   done;
   Array.unsafe_set out ((i0 * n) + j) !c0
 
-let blocked_rows ~ad ~bd ~out ~panel ~m:_ ~k ~n lo hi =
+let blocked_rows ~ad ~bd ~out ~panel ~st ~m:_ ~k ~n lo hi =
   let nc =
     let by_budget = panel_words / max 1 k in
     max nr (min n (by_budget - (by_budget mod nr)))
@@ -216,6 +367,12 @@ let blocked_rows ~ad ~bd ~out ~panel ~m:_ ~k ~n lo hi =
             micro_1x1 ~ad ~panel ~out ~k ~n ~i0:!i0 ~pb ~j:(jbase + c) ~c
           done
       done;
+      (* each output is stored once, by its column block's tile *)
+      if st.ops <> [] then
+        for r = !i0 to !i0 + mb - 1 do
+          let o = (r * n) + !j0 in
+          epilogue_row st out ~row:r ~lo:o ~hi:(o + ncb)
+        done;
       i0 := !i0 + mb
     done;
     j0 := !j0 + ncb
@@ -232,11 +389,13 @@ let blocked_flop_threshold = 32_768
    skip, same ascending-[p] order from +0.0, so the result is bitwise that of
    [matmul_unblocked]. The matrix-vector case gets its own loop, free of the
    per-[p] width tests. *)
-let matmul_narrow ?pool ?ws a b =
+let matmul_narrow ~ep ?pool ?ws a b =
   let m = a.rows and k = a.cols and n = b.cols in
   let out = Workspace.alloc_uninit ws (m * n) in
   let ad = a.data and bd = b.data in
+  let fused = ep <> [] in
   Parallel.rows ?pool ~n:m (fun lo hi ->
+      let st = epilogue_start ep in
       for i = lo to hi - 1 do
         let arow = i * k in
         if n = 1 then begin
@@ -262,16 +421,19 @@ let matmul_narrow ?pool ?ws a b =
           Array.unsafe_set out orow !c0;
           Array.unsafe_set out (orow + 1) !c1;
           if n = 3 then Array.unsafe_set out (orow + 2) !c2
-        end
+        end;
+        if fused then epilogue_row st out ~row:i ~lo:(i * n) ~hi:((i + 1) * n)
       done);
   { rows = m; cols = n; data = out }
 
-let matmul ?pool ?ws a b =
+let matmul ?pool ?ws ?(epilogue = []) a b =
   if a.cols <> b.rows then invalid_arg "Dense.matmul: inner dimension mismatch";
   let m = a.rows and k = a.cols and n = b.cols in
-  if n >= 1 && n < nr then matmul_narrow ?pool ?ws a b
+  let ep = epilogue in
+  check_epilogue ~who:"Dense.matmul" ~rows:m ep;
+  if n >= 1 && n < nr then matmul_narrow ~ep ?pool ?ws a b
   else if m * k * n < blocked_flop_threshold || k < 8 then
-    matmul_unblocked ?pool ?ws a b
+    unblocked ~ep ?pool ?ws a b
   else begin
     let out = Workspace.alloc_uninit ws (m * n) in
     let ad = a.data and bd = b.data in
@@ -286,14 +448,15 @@ let matmul ?pool ?ws a b =
     (match pool with
     | None ->
         let panel = Workspace.alloc_uninit ws panel_len in
-        blocked_rows ~ad ~bd ~out ~panel ~m ~k ~n 0 m;
+        blocked_rows ~ad ~bd ~out ~panel ~st:(epilogue_start ep) ~m ~k ~n 0 m;
         Workspace.give_back ws panel
     | Some _ ->
         (* each chunk packs its own panel: the workspace is not domain-safe,
            so parallel scratch comes from the regular allocator *)
         Parallel.rows ?pool ~n:m (fun lo hi ->
             let panel = Array.create_float panel_len in
-            blocked_rows ~ad ~bd ~out ~panel ~m ~k ~n lo hi));
+            blocked_rows ~ad ~bd ~out ~panel ~st:(epilogue_start ep) ~m ~k ~n
+              lo hi));
     { rows = m; cols = n; data = out }
   end
 
@@ -553,28 +716,17 @@ let split_cols m parts =
   List.init parts (fun p -> init m.rows w (fun i j -> get m i ((p * w) + j)))
 
 (* Direct loops for the same reason as [binop]: a closure call per element
-   boxes its float argument and result. *)
+   boxes its float argument and result. Relu and leaky relu are the
+   branch-free selects above, each chunk with its own table. *)
 let unop ?pool ?ws op m =
   let len = Array.length m.data in
   let out = Workspace.alloc_uninit ws len in
   let src = m.data in
   Parallel.rows ?pool ~n:len (fun lo hi ->
       match op with
-      | `Relu ->
-          for i = lo to hi - 1 do
-            let x = Array.unsafe_get src i in
-            Array.unsafe_set out i (if x > 0. then x else 0.)
-          done
-      | `Leaky slope ->
-          for i = lo to hi - 1 do
-            let x = Array.unsafe_get src i in
-            Array.unsafe_set out i (if x > 0. then x else slope *. x)
-          done
-      | `Sigmoid ->
-          for i = lo to hi - 1 do
-            let x = Array.unsafe_get src i in
-            Array.unsafe_set out i (1. /. (1. +. exp (-.x)))
-          done);
+      | `Relu -> relu_span (Array.create_float 4) src out lo hi
+      | `Leaky slope -> leaky_span (Array.create_float 2) slope src out lo hi
+      | `Sigmoid -> sigmoid_span src out lo hi);
   { m with data = out }
 
 let relu ?pool ?ws m = unop ?pool ?ws `Relu m

@@ -57,9 +57,59 @@ val col : t -> int -> float array
 
 val to_arrays : t -> float array array
 
+(** {1 Row epilogues}
+
+    An epilogue is a chain of row-local elementwise steps that a producing
+    kernel ({!matmul}, [Spmm.run]) applies to each output row once the row
+    holds its final value, while it is still in cache, instead of a later
+    pass re-reading the whole output. *)
+
+type epilogue_op =
+  | Scale_rows of Vector.t
+      (** row [i] times [d.(i)], as {!row_broadcast} computes it
+          ([d.(i) *. x]) *)
+  | Relu  (** as {!relu} *)
+  | Leaky_relu of float  (** as {!leaky_relu} with this slope *)
+  | Sigmoid  (** as {!sigmoid} *)
+
+type epilogue = epilogue_op list
+(** Applied in list order; [[]] is no epilogue.
+
+    Contract: a kernel run with epilogue [ops] returns bitwise what it
+    returns without one, followed by one pass of each op in order (e.g.
+    [relu (row_broadcast d (matmul a b))] for
+    [matmul ~epilogue:[Scale_rows d; Relu] a b]): each element sees the
+    same IEEE operations in the same order. A kernel raises
+    [Invalid_argument] when a [Scale_rows] vector's length is not its
+    output's row count. *)
+
+type epilogue_state
+(** An epilogue with its own select table. The table is scratch written per
+    element, so each parallel chunk starts its own state. *)
+
+val epilogue_start : epilogue -> epilogue_state
+(** A chunk-local state; allocates nothing for [[]]. *)
+
+val epilogue_row :
+  epilogue_state -> float array -> row:int -> lo:int -> hi:int -> unit
+(** [epilogue_row st out ~row ~lo ~hi] applies the ops, in place, to the
+    slots [lo .. hi - 1] of a row-major output, all of them in row [row]
+    (the index [Scale_rows] reads). Indices are not checked: the caller
+    validates with {!check_epilogue}. *)
+
+val check_epilogue : who:string -> rows:int -> epilogue -> unit
+(** Raises [Invalid_argument] (naming [who]) unless every [Scale_rows]
+    vector has length [rows]. *)
+
+val apply_epilogue : ?pool:Parallel.t -> epilogue -> t -> unit
+(** The epilogue as a post-pass, in place over every row: for a producer
+    that cannot apply it at its store (the hybrid-format SpMM). Raises
+    [Invalid_argument] like {!check_epilogue}. *)
+
 (** {1 Linear algebra} *)
 
-val matmul : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
+val matmul :
+  ?pool:Parallel.t -> ?ws:Workspace.t -> ?epilogue:epilogue -> t -> t -> t
 (** [matmul a b] is the GEMM {m A \cdot B}. Raises [Invalid_argument] on an
     inner-dimension mismatch. Large products go through a cache-blocked
     kernel (packed B panels, register-tiled micro-kernel) whose result is
@@ -71,7 +121,10 @@ val matmul : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
     with 1 to 3 output columns run one register-accumulated row dot per
     output row, also bitwise identical to it. With [?pool], output rows are computed in parallel chunks; the result is
     bitwise identical to the sequential kernel. With [?ws], the output
-    (and, sequentially, the packing scratch) comes from the workspace. *)
+    (and, sequentially, the packing scratch) comes from the workspace. With
+    [?epilogue], every path applies it to each output row (the blocked
+    kernel to each row's column block) right after the row's last store,
+    under the epilogue contract. *)
 
 val matmul_unblocked : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t -> t
 (** The streaming i-k-j GEMM without cache blocking — the kernel {!matmul}
@@ -137,11 +190,14 @@ val map : ?pool:Parallel.t -> ?ws:Workspace.t -> (float -> float) -> t -> t
 val map2 : ?pool:Parallel.t -> ?ws:Workspace.t -> (float -> float -> float) -> t -> t -> t
 
 val relu : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t
+(** [x] where [x > 0.], [+0.] elsewhere (NaN included), by a branch-free
+    select. *)
 
 val sigmoid : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t
 
 val leaky_relu : ?pool:Parallel.t -> ?ws:Workspace.t -> ?slope:float -> t -> t
-(** Leaky ReLU with negative [slope] (default [0.2], GAT's choice). *)
+(** Leaky ReLU with negative [slope] (default [0.2], GAT's choice):
+    [x] where [x > 0.], [slope *. x] elsewhere, by a branch-free select. *)
 
 val softmax_rows : ?pool:Parallel.t -> ?ws:Workspace.t -> t -> t
 (** Numerically-stable softmax applied to each row independently. *)

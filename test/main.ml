@@ -23,4 +23,5 @@ let () =
       ("minibatch", Test_minibatch.suite);
       ("train-path", Test_train_path.suite);
       ("calibration", Test_calibration.suite);
+      ("fusion", Test_fusion.suite);
       ("integration", Test_integration.suite) ]
