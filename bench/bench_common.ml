@@ -67,18 +67,8 @@ let cost_model profile =
         Hashtbl.add cost_model_cache key cm;
         cm
 
-(* Oracle wrappers over the cached base models: calibration off, so bench
-   predictions are exactly the base model's. *)
-let oracle_cache : (string, Cost_oracle.t) Hashtbl.t = Hashtbl.create 4
-
-let oracle profile =
-  let key = profile.Hw.Hw_profile.name in
-  match Hashtbl.find_opt oracle_cache key with
-  | Some o -> o
-  | None ->
-      let o = Cost_oracle.of_model (cost_model profile) in
-      Hashtbl.add oracle_cache key o;
-      o
+(* The oracle over a profile's cached base model. *)
+let oracle profile = Cost_oracle.of_model (cost_model profile)
 
 let compiled_cache : (string, Mp.Lower.lowered * Codegen.t * Granii.offline_stats) Hashtbl.t =
   Hashtbl.create 16

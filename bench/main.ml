@@ -25,8 +25,7 @@ let benches =
     ("locality", "Locality: reordering + hybrid format speedups and amortization", Bench_locality.run);
     ("ext", "Extensions: multi-head GAT, executed stacks, deep hops", Bench_ext.run);
     ("serve", "Serving: plan-cache amortization", Bench_serve.run);
-    ("minibatch", "Mini-batch training: pipelined loader vs sequential vs full graph", Bench_minibatch.run);
-    ("calibration", "Calibration: selection regret on a mis-anchored profile, A/B guard", Bench_calibration.run) ]
+    ("minibatch", "Mini-batch training: pipelined loader vs sequential vs full graph", Bench_minibatch.run) ]
 
 let usage () =
   print_endline

@@ -30,8 +30,8 @@ let journal_file_arg =
        & info [ "journal" ] ~docv:"FILE"
            ~doc:
              "Attach the production event journal (lock-free bounded rings; \
-              step executions, plan-cache traffic, calibration swaps, \
-              backpressure, SLO breaches) and drain it to $(docv) as JSONL \
+              step executions, plan-cache traffic, drift, backpressure, SLO \
+              breaches) and drain it to $(docv) as JSONL \
               after the run.")
 
 let write_file path s =
@@ -360,7 +360,7 @@ let select_cmd =
               Cost_model.train ~profile (Profiling.collect ~profile ())
             end
       in
-      Cost_oracle.of_model ~obs base
+      Cost_oracle.of_model base
     in
     let localized =
       Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
@@ -471,34 +471,13 @@ let stats_cmd =
     Arg.(value & opt positive_int 1
          & info [ "threads"; "t" ] ~doc:"Engine thread count.")
   in
-  let calibration =
-    Arg.(value & opt string "affine"
-         & info [ "calibration" ] ~docv:"POLICY"
-             ~doc:
-               "Online-calibration policy of the selecting cost oracle: \
-                $(b,off) or $(b,affine) (per-primitive corrections fitted \
-                from the run's (predicted, measured) step pairs). A \
-                calibration table (base vs corrected error and rank \
-                inversions per primitive) is reported after the run.")
-  in
-  let run model graph k_in k_out iterations threads calibration trace_file
-      metrics_file journal_file =
-    let calibration =
-      match Cost_oracle.calibration_of_string calibration with
-      | Some c -> c
-      | None ->
-          Printf.eprintf "--calibration expects off or affine\n";
-          exit 1
-    in
+  let run model graph k_in k_out iterations threads trace_file metrics_file
+      journal_file =
     let obs = Obs.create () in
     let low, compiled, _ = compile_model ~obs model ~binned:false in
     (* the analytic host-CPU oracle: the same predictor the executor prices
-       each step with, so its pair store is the sink's cost monitor the run
-       fills *)
-    let oracle =
-      Cost_oracle.of_model ~calibration ~obs ?monitor:obs.Obs.costmon
-        (Cost_model.analytic Granii_hw.Hw_profile.cpu)
-    in
+       each step's cost-monitor pair with *)
+    let oracle = Cost_oracle.analytic Granii_hw.Hw_profile.cpu in
     let localized =
       Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
         ~threads compiled
@@ -581,11 +560,13 @@ let stats_cmd =
               name count (1000. *. sum) (1000. *. min_) (1000. *. max_))
           (Obs.Metrics.histograms m);
         print_newline ());
-    (* the oracle's pair store holds every (predicted, measured) pair the
-       run produced; one calibration pass fits the corrections the table
-       shows *)
-    if calibration <> Cost_oracle.Off then ignore (Cost_oracle.calibrate oracle);
-    Format.printf "%a@." Cost_oracle.pp_report (Cost_oracle.report oracle);
+    (* the sink's cost monitor holds every (predicted, measured) step pair
+       the run produced *)
+    Option.iter
+      (fun cm ->
+        Format.printf "%a@." Obs.Cost_monitor.pp_report
+          (Obs.Cost_monitor.report cm))
+      obs.Obs.costmon;
     print_journal_summary obs;
     export_telemetry obs ~trace_file ~metrics_file ~journal_file
   in
@@ -595,7 +576,7 @@ let stats_cmd =
          "Run a fully-telemetered compile/select/execute cycle and report \
           spans, metrics, cost-model accuracy and the event journal")
     Term.(const run $ model_pos $ graph $ k_in $ k_out $ iterations $ threads
-          $ calibration $ trace_file_arg $ metrics_file_arg $ journal_file_arg)
+          $ trace_file_arg $ metrics_file_arg $ journal_file_arg)
 
 let baseline_cmd =
   let k_in = Arg.(value & opt positive_int 256 & info [ "kin" ] ~doc:"Input embedding size.") in

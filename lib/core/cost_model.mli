@@ -9,8 +9,8 @@
     ([Flops]).
 
     This module only carries the trained state (and its persistence);
-    {e all prediction entry points live on} {!Cost_oracle}, which wraps a
-    base model with the online calibration loop. *)
+    {e all prediction entry points live on} {!Cost_oracle}, which reads
+    it. *)
 
 type t
 

@@ -92,8 +92,8 @@ let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
 (* Predicted-vs-measured pair for the cost monitor: the analytic
    host-CPU prediction of the step's instantiated kernels against the wall
    clock — only computed when the monitor is live, and only for measured
-   steps. The prediction is uncorrected, so a selecting oracle calibrated
-   from these pairs never chases its own tail. *)
+   steps. The pairs feed the accuracy table
+   ([Obs.Cost_monitor.report]); nothing selects from them. *)
 let costmon_record (obs : Obs.t) ~threads (s : Plan.step) graph args v measured =
   match obs.Obs.costmon with
   | None -> ()

@@ -182,7 +182,7 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
                   let bindings =
                     Layer.bindings ~graph:sub ~h:b.Loader.features !params
                   in
-                  let (loss, grads, forward_t), exec_t =
+                  let (loss, grads), exec_t =
                     Timer.measure_wall (fun () ->
                         let forward =
                           Core.Executor.exec ~seed:(seed + gidx) ~engine
@@ -207,31 +207,8 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
                           Autodiff.backward_wrt ~wrt:(List.map fst !params)
                             ~plan ~graph:sub ~bindings ~forward ~seed:dlogits
                         in
-                        ( loss,
-                          grads,
-                          forward.Core.Executor.setup_time
-                          +. forward.Core.Executor.iteration_time ))
+                        (loss, grads))
                   in
-                  (* per-batch (predicted, measured) pair — the plan-level
-                     training feed of the calibration loop. [predicted] is the
-                     raw analytic plan cost (uncorrected, so the fit targets
-                     base -> measured); [measured] is the forward execution
-                     only, which is what the plan prediction models. *)
-                  (if Core.Cost_oracle.calibration oracle <> Core.Cost_oracle.Off
-                   then
-                     let prof =
-                       match Core.Cost_oracle.profile oracle with
-                       | Some p -> p
-                       | None -> Granii_hw.Hw_profile.cpu
-                     in
-                     let predicted =
-                       Core.Cost_oracle.analytic_plan
-                         ~threads:(Core.Engine.threads engine) prof ~env
-                         ~iterations:1 plan
-                     in
-                     Core.Cost_oracle.observe oracle
-                       ~prim:("plan:" ^ plan.Core.Plan.name) ~predicted
-                       ~measured:forward_t);
                   retro_span obs "train.exec" exec_t;
                   exec_time := !exec_time +. exec_t;
                   Obs.count obs "train.batches" 1;

@@ -66,15 +66,8 @@ val train_minibatch :
     keyed on {!Granii_core.Plan_cache.bucketed_fingerprint} of the sampled
     subgraph — structurally similar batches reuse the selected plan, so
     selection amortizes to near zero. (The key includes
-    {!Granii_core.Cost_oracle.name}, which changes on every accepted
-    calibration pass — stale plans are never served from a recalibrated
-    oracle.)
-
-    When the oracle's calibration is not {!Granii_core.Cost_oracle.Off},
-    every batch feeds one plan-level (predicted, measured) pair into the
-    oracle via {!Granii_core.Cost_oracle.observe} — predicted is the raw
-    analytic plan cost, measured the forward execution time — so mini-batch
-    training {e is} the calibration loop's data stream.
+    {!Granii_core.Cost_oracle.name}, so oracles over different base models
+    never share a plan.)
 
     [mode] defaults to {!Loader.Pipelined}: a dedicated domain samples and
     featurizes batch [i+1] while batch [i] executes. Batches are pure

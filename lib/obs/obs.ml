@@ -594,8 +594,7 @@ module Cost_monitor = struct
      a long-running serving process keeps a statistically representative
      sample of its whole history instead of freezing on (or thrashing
      through) whichever pairs arrived in one window. [held] orders the
-     sample by recording index, so "newest third" holdout splits remain
-     meaningful. *)
+     sample by recording index. *)
   let max_pairs = 4096
 
   type series = {
@@ -677,6 +676,89 @@ module Cost_monitor = struct
 
   let runs (t : t) prim =
     match Hashtbl.find_opt t prim with None -> 0 | Some s -> s.n
+
+  (* ---- the accuracy table: mean |log error| and Kendall inversions ----
+
+     Inversions are counted over pairs distinct on both axes, per
+     primitive and pooled across primitives: cross-primitive ordering is
+     what plan selection consumes. Only positive pairs carry statistics. *)
+
+  let positive_pairs t prim =
+    List.filter (fun (p, m) -> p > 0. && m > 0.) (series_pairs t prim)
+
+  let inversions preds meas n =
+    let inv = ref 0 and cmp = ref 0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let dp = compare preds.(i) preds.(j)
+        and dm = compare meas.(i) meas.(j) in
+        if dp <> 0 && dm <> 0 then begin
+          incr cmp;
+          if dp * dm < 0 then incr inv
+        end
+      done
+    done;
+    (!inv, !cmp)
+
+  let mean_abs_log_err preds meas n =
+    if n = 0 then 0.
+    else begin
+      let s = ref 0. in
+      for i = 0 to n - 1 do
+        s := !s +. Float.abs (log (preds.(i) /. meas.(i)))
+      done;
+      !s /. float_of_int n
+    end
+
+  type prim_report = {
+    rp_prim : string;
+    rp_runs : int;
+    rp_pairs : int;
+    rp_err : float;
+    rp_inv : int;
+    rp_inv_pairs : int;
+  }
+
+  type report = {
+    per_prim : prim_report list;
+    pooled_inv : int;
+    pooled_pairs : int;
+  }
+
+  let report t =
+    let prims = prims t in
+    let split pairs =
+      ( Array.of_list (List.map fst pairs),
+        Array.of_list (List.map snd pairs),
+        List.length pairs )
+    in
+    let per_prim =
+      List.map
+        (fun prim ->
+          let preds, meas, n = split (positive_pairs t prim) in
+          let inv, inv_pairs = inversions preds meas n in
+          { rp_prim = prim;
+            rp_runs = runs t prim;
+            rp_pairs = n;
+            rp_err = mean_abs_log_err preds meas n;
+            rp_inv = inv;
+            rp_inv_pairs = inv_pairs })
+        prims
+    in
+    let preds, meas, n = split (List.concat_map (positive_pairs t) prims) in
+    { per_prim; pooled_inv = fst (inversions preds meas n); pooled_pairs = n }
+
+  let pp_report ppf r =
+    Format.fprintf ppf "%-18s %6s %6s %10s %13s@\n" "primitive" "runs" "pairs"
+      "|lnE|" "inv/pairs";
+    List.iter
+      (fun p ->
+        Format.fprintf ppf "%-18s %6d %6d %10.4f %13s@\n" p.rp_prim p.rp_runs
+          p.rp_pairs p.rp_err
+          (Printf.sprintf "%d/%d" p.rp_inv p.rp_inv_pairs))
+      r.per_prim;
+    Format.fprintf ppf "pooled: %d pairs, %d inversions@\n" r.pooled_pairs
+      r.pooled_inv
 end
 
 (* ---- lock-free per-domain event journal ---- *)
@@ -687,29 +769,24 @@ module Journal = struct
     | Request
     | Plan_cache_hit
     | Plan_cache_miss
-    | Plan_cache_invalidate
-    | Calibrate
     | Drift
     | Backpressure
     | Slo_breach
     | Mark
 
   let kinds =
-    [| Step; Request; Plan_cache_hit; Plan_cache_miss;
-       Plan_cache_invalidate; Calibrate; Drift; Backpressure; Slo_breach;
-       Mark |]
+    [| Step; Request; Plan_cache_hit; Plan_cache_miss; Drift; Backpressure;
+       Slo_breach; Mark |]
 
   let kind_code = function
     | Step -> 0
     | Request -> 1
     | Plan_cache_hit -> 2
     | Plan_cache_miss -> 3
-    | Plan_cache_invalidate -> 4
-    | Calibrate -> 5
-    | Drift -> 6
-    | Backpressure -> 7
-    | Slo_breach -> 8
-    | Mark -> 9
+    | Drift -> 4
+    | Backpressure -> 5
+    | Slo_breach -> 6
+    | Mark -> 7
 
   let kind_of_code c =
     if c >= 0 && c < Array.length kinds then kinds.(c) else Mark
@@ -719,8 +796,6 @@ module Journal = struct
     | Request -> "request"
     | Plan_cache_hit -> "plan_cache_hit"
     | Plan_cache_miss -> "plan_cache_miss"
-    | Plan_cache_invalidate -> "plan_cache_invalidate"
-    | Calibrate -> "calibrate"
     | Drift -> "drift"
     | Backpressure -> "backpressure"
     | Slo_breach -> "slo_breach"
@@ -904,60 +979,29 @@ end
 (* ---- drift detectors ---- *)
 
 module Drift = struct
-  (* Two complementary tests over one scalar stream:
+  (* Page–Hinkley over one scalar stream: fires when the cumulative
+     deviation above the running mean (minus the insensitivity [delta])
+     exceeds [lambda], i.e. on a sustained upward trend against the
+     stream's own history. Nothing fires before [min_samples]
+     observations; a firing resets the detector so it re-arms against the
+     new regime. *)
 
-     - Page–Hinkley: fires when the cumulative deviation above the running
-       mean (minus the insensitivity [delta]) exceeds [lambda] — catches
-       sustained upward TRENDS against the stream's own history.
-     - Sustained level: fires when the EWMA (smoothing [alpha]) stays above
-       [level] for [patience] consecutive observations — catches streams
-       that are wrong from the very start (e.g. a mis-anchored hardware
-       profile), which present no trend for Page–Hinkley to see.
-
-     Either test firing counts as drift; the detector then resets so it can
-     re-arm against the post-correction stream. Nothing fires before
-     [min_samples] observations. [level <= 0.] disables the level test;
-     [lambda = infinity] disables Page–Hinkley. *)
+  let delta = 0.005
+  let lambda = 25.
+  let min_samples = 32
 
   type t = {
     dname : string;
-    delta : float;
-    lambda : float;
-    level : float;
-    patience : int;
-    min_samples : int;
-    alpha : float;
     mutable n : int;
     mutable mean : float;
     mutable cum : float;      (* Page–Hinkley m_T *)
     mutable cum_min : float;  (* running min of m_T *)
-    mutable ewma : float;
-    mutable streak : int;
     mutable fires : int;      (* total firings over the detector's life *)
     mutable last_stat : float;  (* statistic value at the last firing *)
   }
 
-  let create ?(delta = 0.005) ?(lambda = 25.) ?(level = 0.) ?(patience = 32)
-      ?(min_samples = 32) ?(alpha = 0.1) name =
-    if patience < 1 then invalid_arg "Drift.create: patience must be >= 1";
-    if min_samples < 1 then
-      invalid_arg "Drift.create: min_samples must be >= 1";
-    if not (alpha > 0. && alpha <= 1.) then
-      invalid_arg "Drift.create: alpha must be in (0, 1]";
-    { dname = name;
-      delta;
-      lambda;
-      level;
-      patience;
-      min_samples;
-      alpha;
-      n = 0;
-      mean = 0.;
-      cum = 0.;
-      cum_min = 0.;
-      ewma = 0.;
-      streak = 0;
-      fires = 0;
+  let create name =
+    { dname = name; n = 0; mean = 0.; cum = 0.; cum_min = 0.; fires = 0;
       last_stat = 0. }
 
   let name t = t.dname
@@ -969,9 +1013,7 @@ module Drift = struct
     t.n <- 0;
     t.mean <- 0.;
     t.cum <- 0.;
-    t.cum_min <- 0.;
-    t.ewma <- 0.;
-    t.streak <- 0
+    t.cum_min <- 0.
 
   (* Feed one observation; [true] means drift fired (and the detector
      reset itself). *)
@@ -981,20 +1023,13 @@ module Drift = struct
       t.n <- t.n + 1;
       let n = float_of_int t.n in
       t.mean <- t.mean +. ((x -. t.mean) /. n);
-      t.cum <- t.cum +. (x -. t.mean -. t.delta);
+      t.cum <- t.cum +. (x -. t.mean -. delta);
       if t.cum < t.cum_min then t.cum_min <- t.cum;
-      t.ewma <-
-        (if t.n = 1 then x else (t.alpha *. x) +. ((1. -. t.alpha) *. t.ewma));
-      if t.level > 0. && t.ewma > t.level then t.streak <- t.streak + 1
-      else t.streak <- 0;
       let ph = t.cum -. t.cum_min in
-      let fire =
-        t.n >= t.min_samples
-        && (ph > t.lambda || (t.level > 0. && t.streak >= t.patience))
-      in
+      let fire = t.n >= min_samples && ph > lambda in
       if fire then begin
         t.fires <- t.fires + 1;
-        t.last_stat <- Float.max ph t.ewma;
+        t.last_stat <- ph;
         reset t
       end;
       fire

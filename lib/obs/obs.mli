@@ -2,8 +2,8 @@
     registry, a cost-model pair store, a lock-free per-domain event journal
     and drift detectors (DESIGN.md §11, §16). Each statistic is kept once:
     the registry and the serving tenants share {!Histogram}, and the
-    cost-model accuracy table is {!Granii_core.Cost_oracle.report} over the
-    {!Cost_monitor} pairs.
+    cost-model accuracy table is {!Cost_monitor.report} over the pairs the
+    monitor holds.
 
     An {!t} is the sink an {!Granii_core.Engine.t} carries; each of its
     four components is independently optional, and {!disabled} — the
@@ -188,23 +188,48 @@ module Cost_monitor : sig
       recording order. Past that it becomes a reservoir sample (Vitter's
       Algorithm R over a deterministic per-primitive xorshift stream): each
       subsequent pair lands in a uniformly random slot with probability
-      [4096/n], so the {!Granii_core.Cost_oracle} accuracy report and
-      calibration feed describe the process's {e whole} history with
-      uniform weight rather than one arbitrary window. {!runs} counts every
-      recorded pair. *)
+      [4096/n], so the accuracy {!report} describes the process's
+      {e whole} history with uniform weight rather than one arbitrary
+      window. {!runs} counts every recorded pair. *)
 
   val series_pairs : t -> string -> (float * float) list
   (** The (predicted, measured) pairs currently held for a primitive,
-      ordered by recording index — oldest first — so "newest third"
-      holdout splits stay meaningful ([[]] for an unknown primitive). This
-      is the calibration feed: at most 4096 pairs, a uniform sample of the
-      series history once past the cap. *)
+      ordered by recording index — oldest first ([[]] for an unknown
+      primitive): at most 4096 pairs, a uniform sample of the series
+      history once past the cap. *)
 
   val prims : t -> string list
   (** Primitive names with at least one recorded pair, sorted. *)
 
   val runs : t -> string -> int
   (** Pairs ever recorded for a primitive, held or not ([0] when unknown). *)
+
+  (** {2 The accuracy table} (the [granii stats] table — the only one) *)
+
+  type prim_report = {
+    rp_prim : string;
+    rp_runs : int;       (** {!runs}: every recorded pair, held or not *)
+    rp_pairs : int;      (** positive pairs currently held *)
+    rp_err : float;      (** mean |ln (predicted/measured)| *)
+    rp_inv : int;        (** within-primitive Kendall inversions *)
+    rp_inv_pairs : int;  (** comparable pairs behind [rp_inv] *)
+  }
+
+  type report = {
+    per_prim : prim_report list;  (** sorted by primitive name *)
+    pooled_inv : int;    (** cross-primitive inversions — the ranking
+                             signal selection depends on *)
+    pooled_pairs : int;  (** positive pairs pooled across primitives *)
+  }
+
+  val report : t -> report
+  (** Statistics over the held positive pairs; pairs with a non-positive
+      side are counted in [rp_runs] only. Inversions count pairs distinct
+      on both axes. *)
+
+  val pp_report : Format.formatter -> report -> unit
+  (** One row per primitive: runs, held pairs, mean |ln E| and inversions
+      over comparable pairs; then the pooled inversion count. *)
 end
 
 (** {1 Event journal} *)
@@ -223,8 +248,6 @@ module Journal : sig
     | Request                (** one serving request fulfilled *)
     | Plan_cache_hit
     | Plan_cache_miss
-    | Plan_cache_invalidate  (** oracle version bump invalidated cached plans *)
-    | Calibrate              (** a calibration pass ran (tag: accepted/rejected) *)
     | Drift                  (** a drift detector fired *)
     | Backpressure           (** a submit was rejected with [Queue_full] *)
     | Slo_breach             (** a request latency exceeded the SLO *)
@@ -276,25 +299,15 @@ end
 (** {1 Drift detectors} *)
 
 module Drift : sig
-  (** Change detection over a scalar stream (|log error|, p99 latency, …)
-      combining two tests: Page–Hinkley (cumulative deviation above the
-      running mean minus [delta] exceeds [lambda]) for sustained upward
-      trends, and a sustained-level test (EWMA above [level] for
-      [patience] consecutive observations) for streams that are wrong from
-      the start — e.g. a mis-anchored hardware profile, which never shows
-      a trend. Either firing counts as drift; the detector resets itself
-      afterwards so it re-arms against the corrected stream. *)
+  (** Page–Hinkley change detection over a scalar stream: fires when the
+      cumulative deviation above the running mean, minus an insensitivity
+      of 0.005, exceeds 25 — a sustained upward trend against the stream's
+      own history. Nothing fires before 32 observations; a firing resets
+      the detector so it re-arms against the new regime. *)
 
   type t
 
-  val create :
-    ?delta:float -> ?lambda:float -> ?level:float -> ?patience:int ->
-    ?min_samples:int -> ?alpha:float -> string -> t
-  (** [delta]: PH insensitivity (default 0.005). [lambda]: PH threshold
-      (default 25.; [infinity] disables). [level]: level threshold
-      (default 0. = disabled). [patience]: consecutive EWMA exceedances to
-      fire (default 32). [min_samples]: no firing before this many
-      observations (default 32). [alpha]: EWMA smoothing (default 0.1). *)
+  val create : string -> t
 
   val name : t -> string
 
@@ -309,7 +322,7 @@ module Drift : sig
   (** Observations since the last reset. *)
 
   val last_stat : t -> float
-  (** Statistic value at the last firing. *)
+  (** Page–Hinkley statistic at the last firing. *)
 end
 
 (** {1 The sink} *)

@@ -26,7 +26,6 @@ type config = {
   iterations : int;
   param_seed : int;
   locality : Locality.config;
-  calibration : Cost_oracle.calibration;
   slo_ms : float option;
 }
 
@@ -39,7 +38,6 @@ let default_config =
     iterations = 1;
     param_seed = 11;
     locality = Locality.default;
-    calibration = Cost_oracle.Off;
     slo_ms = None }
 
 type reject = Queue_full of { tenant : string; bound : int } | Shutdown
@@ -118,7 +116,6 @@ type t = {
   mutable rejected : int;
   mutable slo_breaches : int;
   mutable first_breach : float option;  (* clock time of the first breach *)
-  mutable oracle_name : string;  (* last plan-cache key component used *)
 }
 
 let locked t f =
@@ -194,18 +191,10 @@ let feats_of (ge : graph_entry) =
    DESIGN.md §12) is part of the cache key, so engines that localize
    differently never share a plan. *)
 let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
-  let oname = Cost_oracle.name t.oracle in
-  if oname <> t.oracle_name then begin
-    (* an accepted calibration pass renamed the oracle; every cached plan
-       keyed on the old name is now unreachable — record the invalidation *)
-    Obs.count t.obs "serve.plan_cache.invalidated" 1;
-    Obs.event t.obs Obs.Journal.Plan_cache_invalidate ~tag:oname
-      ~v:(float_of_int (Cost_oracle.version t.oracle));
-    t.oracle_name <- oname
-  end;
   let key =
     Plan_cache.key_of ~graph_fp:(Graph.fingerprint ge.graph) ~model ~k_in
-      ~k_out ~hw:oname ~threads:t.cfg.threads ~locality:t.cfg.locality
+      ~k_out ~hw:(Cost_oracle.name t.oracle) ~threads:t.cfg.threads
+      ~locality:t.cfg.locality
   in
   let lc =
     match Plan_cache.find t.pc key with
@@ -254,30 +243,6 @@ let execute ?pool ~locality (j : job) (plan, params) =
 
 (* ---- completion (lock held) ---- *)
 
-(* The serving half of the calibration loop: every request is one clean
-   (predicted, measured) pair at plan granularity, mirroring the trainer's
-   per-batch feed (same raw analytic prediction, same ["plan:<name>"]
-   correction key). *)
-let feed_oracle t (p : pending) (plan : Plan.t) dt =
-  if t.cfg.calibration <> Cost_oracle.Off && dt > 0. then begin
-    let prof =
-      match Cost_oracle.profile t.oracle with
-      | Some pr -> pr
-      | None -> Granii_hw.Hw_profile.cpu
-    in
-    let n = Graph.n_nodes p.gentry.graph in
-    let env =
-      { Dim.n; nnz = Graph.n_edges p.gentry.graph + n; k_in = p.k_in;
-        k_out = p.k_out }
-    in
-    let predicted =
-      Cost_oracle.analytic_plan ~threads:t.cfg.threads prof ~env
-        ~iterations:1 plan
-    in
-    Cost_oracle.observe t.oracle ~prim:("plan:" ^ plan.Plan.name)
-      ~predicted ~measured:dt
-  end
-
 (* Per-tenant latency quantile gauges plus the p99 drift feed. *)
 let tenant_gauges t (ten : tenant) =
   (match t.obs.Obs.metrics with
@@ -299,7 +264,7 @@ let tenant_gauges t (ten : tenant) =
     end
   end
 
-let fulfill t (j : job) (plan : Plan.t) value dt =
+let fulfill t (j : job) value =
   let p = j.req in
   let now = t.clock () in
   let latency = now -. p.t_submit in
@@ -317,7 +282,6 @@ let fulfill t (j : job) (plan : Plan.t) value dt =
       Obs.event t.obs Obs.Journal.Slo_breach ~tag:p.powner.tname ~v:latency
   | _ -> ());
   tenant_gauges t p.powner;
-  feed_oracle t p plan dt;
   if j.use_arena then p.powner.busy <- false;
   Condition.broadcast t.done_cv
 
@@ -338,11 +302,9 @@ let worker_loop t =
         Mutex.unlock t.m;
         (* workers run kernels sequentially: the shared domain pool is not
            reentrant across domains *)
-        let et0 = t.clock () in
         let out = execute ~locality:t.cfg.locality j resolved in
-        let dt = t.clock () -. et0 in
         Mutex.lock t.m;
-        fulfill t j (fst resolved) out dt;
+        fulfill t j out;
         Mutex.unlock t.m;
         next ()
   in
@@ -350,7 +312,7 @@ let worker_loop t =
 
 (* ---- public API ---- *)
 
-let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
+let create ?(obs = Obs.disabled) ?(clock = Timer.wall) cfg =
   if cfg.queue_bound < 1 then
     invalid_arg "Serve.create: queue_bound must be >= 1";
   (match cfg.slo_ms with
@@ -368,21 +330,11 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
       Some (Parallel.create ~threads:cfg.threads ())
     else None
   in
-  let oracle =
-    match oracle with
-    | Some o -> o
-    | None ->
-        Cost_oracle.of_model ~calibration:cfg.calibration ~obs
-          (Granii_core.Cost_model.analytic cfg.profile)
-  in
-  (* normalize, as the engine does for injected resources: the stored config
-     reflects the oracle actually in use *)
-  let cfg = { cfg with calibration = Cost_oracle.calibration oracle } in
   let t =
     { cfg;
       obs;
       clock;
-      oracle;
+      oracle = Cost_oracle.analytic cfg.profile;
       pool;
       pc = Plan_cache.create ~obs ~capacity:cfg.plan_cache ();
       graphs = Hashtbl.create 8;
@@ -400,8 +352,7 @@ let create ?(obs = Obs.disabled) ?(clock = Timer.wall) ?oracle cfg =
       completed = 0;
       rejected = 0;
       slo_breaches = 0;
-      first_breach = None;
-      oracle_name = Cost_oracle.name oracle }
+      first_breach = None }
   in
   t.domains <-
     List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
@@ -428,7 +379,7 @@ let tenant_of t name =
           busy = false;
           ws = Workspace.create ();
           latency = Obs.Histogram.create ();
-          tdrift = Obs.Drift.create ~min_samples:32 ("serve.p99:" ^ name) }
+          tdrift = Obs.Drift.create ("serve.p99:" ^ name) }
       in
       Hashtbl.replace t.tenants name ten;
       ten
@@ -498,13 +449,11 @@ let pump t =
       | None -> false
       | Some j ->
           let resolved = resolve t j in
-          let et0 = t.clock () in
           let out =
             Obs.span t.obs "serve.exec" (fun () ->
                 execute ?pool:t.pool ~locality:t.cfg.locality j resolved)
           in
-          let dt = t.clock () -. et0 in
-          fulfill t j (fst resolved) out dt;
+          fulfill t j out;
           true)
 
 let drain t = while pump t do () done
@@ -577,8 +526,6 @@ let stats t =
         first_breach = t.first_breach })
 
 let obs t = t.obs
-
-let serve_oracle t = t.oracle
 
 let tenant_latency t name q =
   locked t (fun () ->

@@ -63,17 +63,16 @@
     ([{tenant="<name>"}]), and a Page–Hinkley drift detector
     ({!Granii_obs.Obs.Drift}) over its running p99 — a sustained latency
     regression fires a [serve.drift.fired] counter and a journal [drift]
-    event. When the sink has a journal, the server records [request],
-    [backpressure], [slo_breach] and [plan_cache_invalidate] events
-    (plan-cache hit/miss events come from {!Granii_core.Plan_cache}
-    itself).
+    event tagged [serve.p99:<tenant>]. The detector reads the p99 in
+    seconds against {!Granii_obs.Obs.Drift}'s fixed constants, so only a
+    step of tens of milliseconds, after a history of hundreds of requests
+    and sustained over hundreds more, fires it. When the sink has a
+    journal, the server records [request], [backpressure] and [slo_breach]
+    events (plan-cache hit/miss events come from
+    {!Granii_core.Plan_cache} itself).
     An [slo_ms] target turns breach accounting on: per-request latency
     above the target bumps [serve.slo.breaches] and the {!stats} breach
-    fields. Every request also feeds the oracle one plan-level
-    (predicted, measured) pair — the serving half of the calibration loop,
-    mirroring the trainer's per-batch feed — so a calibrating server
-    recalibrates (and, on drift, recalibrates {e out of cadence}) from its
-    own live traffic. *)
+    fields. *)
 
 type config = {
   workers : int;       (** worker domains; [0] = manual (pump-driven) mode *)
@@ -85,7 +84,9 @@ type config = {
           workers always run kernels sequentially); also part of the plan
           cache key — selection is thread-count-aware *)
   profile : Granii_hw.Hw_profile.t;
-      (** hardware profile the selection cost model targets *)
+      (** hardware profile of the server's analytic
+          {!Granii_core.Cost_oracle}, which selection reads; its name is
+          part of the plan cache key *)
   iterations : int;
       (** selection horizon: serving is single-shot inference, so the
           default [1] charges setup steps at full price *)
@@ -98,12 +99,6 @@ type config = {
           key, so engines that localize differently never share a plan.
           Default {!Granii_core.Locality.default} — per-request reordering
           rarely amortizes (DESIGN.md §12). *)
-  calibration : Granii_core.Cost_oracle.calibration;
-      (** calibration policy of the server's {!Granii_core.Cost_oracle}
-          (default {!Granii_core.Cost_oracle.Off}). The plan cache is keyed
-          on {!Granii_core.Cost_oracle.name}, which changes on every
-          accepted calibration pass, so recalibrated oracles never serve a
-          stale plan. *)
   slo_ms : float option;
       (** per-request latency objective in milliseconds; [Some ms] counts
           every completion slower than [ms] as a breach ([serve.slo.breaches]
@@ -114,8 +109,7 @@ type config = {
 
 val default_config : config
 (** [workers=0], [queue_bound=64], [plan_cache=32], [threads=1], host-CPU
-    profile, [iterations=1], [param_seed=11], default locality, calibration
-    off, no SLO. *)
+    profile, [iterations=1], [param_seed=11], default locality, no SLO. *)
 
 type reject =
   | Queue_full of { tenant : string; bound : int }
@@ -148,15 +142,9 @@ type stats = {
 
 type t
 
-val create :
-  ?obs:Granii_obs.Obs.t -> ?clock:(unit -> float) ->
-  ?oracle:Granii_core.Cost_oracle.t -> config -> t
+val create : ?obs:Granii_obs.Obs.t -> ?clock:(unit -> float) -> config -> t
 (** [clock] (default {!Granii_hw.Timer.wall}) timestamps submissions and
     completions — inject a manual clock for scripted-latency tests.
-    [oracle] injects the server's cost oracle (e.g. one with a custom drift
-    detector); by default the server builds one over the analytic model of
-    [cfg.profile] with [cfg.calibration]. With an injection the stored
-    config's [calibration] is normalized to the oracle's actual policy.
     Raises [Invalid_argument] on a non-positive [queue_bound]/[threads],
     negative [workers]/[plan_cache], [iterations < 1] or a non-positive
     [slo_ms]. *)
@@ -210,9 +198,6 @@ val graph_nodes : t -> string -> int
 val stats : t -> stats
 
 val obs : t -> Granii_obs.Obs.t
-
-val serve_oracle : t -> Granii_core.Cost_oracle.t
-(** The server's cost-prediction layer (injected or built at {!create}). *)
 
 val tenant_latency : t -> string -> float -> float
 (** [tenant_latency t name q] — the [q]-quantile (in [0,1]) of a tenant's

@@ -22,6 +22,5 @@ let () =
       ("serve", Test_serve.suite);
       ("minibatch", Test_minibatch.suite);
       ("train-path", Test_train_path.suite);
-      ("calibration", Test_calibration.suite);
       ("fusion", Test_fusion.suite);
       ("integration", Test_integration.suite) ]

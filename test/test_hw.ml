@@ -95,6 +95,46 @@ let test_timer () =
   let avg = Timer.measure_n_wall ~n:3 (fun () -> ignore (Array.make 100 0)) in
   check_true "average non-negative" (avg >= 0.)
 
+(* The startup micro-probe behind [--auto-calibrate]: bounded by its
+   budget, and the re-anchored profile lands inside the clamp ranges. *)
+let test_micro_probe () =
+  check_true "non-positive budget rejected"
+    (match Calibrate.measure ~budget_s:0. () with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let m = Calibrate.measure ~budget_s:0.02 () in
+  List.iter
+    (fun (label, v) ->
+      check_true (label ^ " is positive and finite")
+        (Float.is_finite v && v > 0.))
+    [ ("dense_gflops", m.Calibrate.dense_gflops);
+      ("sparse_gflops", m.Calibrate.sparse_gflops);
+      ("stream_gbps", m.Calibrate.stream_gbps);
+      ("random_gbps", m.Calibrate.random_gbps) ];
+  (* bounded: four probes in a 20 ms budget may overshoot by one repetition
+     each, but never run away *)
+  check_true "the pass is bounded"
+    (m.Calibrate.elapsed_s >= 0. && m.Calibrate.elapsed_s < 5.);
+  let base = Hw_profile.cpu in
+  let p = Calibrate.reanchor ~base m in
+  check_true "re-anchored profile is host-suffixed"
+    (p.Hw_profile.name = base.Hw_profile.name ^ "-host");
+  check_true "core count preserved" (p.Hw_profile.cores = base.Hw_profile.cores);
+  check_true "dense rate clamped into range"
+    (p.Hw_profile.dense_gflops >= 1. && p.Hw_profile.dense_gflops <= 1e5);
+  check_true "sparse rate clamped into range"
+    (p.Hw_profile.sparse_gflops >= 0.1 && p.Hw_profile.sparse_gflops <= 1e4);
+  check_true "stream bandwidth clamped into range"
+    (p.Hw_profile.stream_gbps >= 1. && p.Hw_profile.stream_gbps <= 1e4);
+  check_true "random bandwidth clamped into range"
+    (p.Hw_profile.random_gbps >= 0.05 && p.Hw_profile.random_gbps <= 1e3);
+  (* the re-anchored profile drives the analytic model like any other *)
+  let t =
+    Granii_core.Cost_oracle.kernel_time p
+      (Kernel_model.Elementwise { n = 1000; k = 8; flops_per_elt = 2. })
+  in
+  check_true "re-anchored profile prices kernels" (Float.is_finite t && t > 0.)
+
 let suite =
   [ Alcotest.test_case "kernel flops" `Quick test_flops;
     Alcotest.test_case "positive times" `Quick test_positive_times;
@@ -105,4 +145,6 @@ let suite =
     test_noise_bounded;
     Alcotest.test_case "noise determinism" `Quick test_noise_deterministic;
     Alcotest.test_case "profile lookup" `Quick test_profile_lookup;
-    Alcotest.test_case "timer" `Quick test_timer ]
+    Alcotest.test_case "timer" `Quick test_timer;
+    Alcotest.test_case "micro-probe is bounded and clamped" `Quick
+      test_micro_probe ]

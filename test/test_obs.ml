@@ -1,7 +1,7 @@
 (* The observability subsystem: span recorder semantics (nesting, balance
    under exceptions, retro-dated durations), exporter well-formedness,
-   metrics bookkeeping, the cost-monitor pair store and the oracle's
-   accuracy report over it, the two-clock timer, and the engine-level
+   metrics bookkeeping, the cost-monitor pair store and its accuracy
+   report, the two-clock timer, and the engine-level
    guarantees — a disabled sink is bitwise invisible, a live one
    reconciles its spans with the executor's report. *)
 
@@ -187,12 +187,6 @@ let test_metrics_prometheus () =
 
 (* ---- cost monitor ---- *)
 
-(* The pair store keeps no statistics of its own: the accuracy table is
-   the oracle's report over the store's pairs. *)
-let report_of cm =
-  Cost_oracle.report
-    (Cost_oracle.of_model ~monitor:cm (Cost_model.analytic Granii_hw.Hw_profile.cpu))
-
 let test_costmon_statistics () =
   let cm = Cm.create () in
   (* perfectly ranked but biased 2x: log error ln 2, no inversions *)
@@ -204,21 +198,26 @@ let test_costmon_statistics () =
   Cm.record cm ~prim:"gemm" ~predicted:2. ~measured:1.;
   (* non-positive pairs are excluded from the statistics *)
   Cm.record cm ~prim:"degree" ~predicted:0. ~measured:1.;
-  match (report_of cm).Cost_oracle.per_prim with
+  let r = Cm.report cm in
+  (* pooled over gemm and spmm, gemm's (2, 1) inverts against both (1, 2)
+     pairs: its own and spmm's *)
+  check_int "pooled pairs" 5 r.Cm.pooled_pairs;
+  check_int "pooled inversions across primitives" 2 r.Cm.pooled_inv;
+  match r.Cm.per_prim with
   | [ d; g; s ] ->
       check_true "sorted by primitive"
-        (d.Cost_oracle.rp_prim = "degree" && g.Cost_oracle.rp_prim = "gemm"
-        && s.Cost_oracle.rp_prim = "spmm");
-      check_int "spmm runs" 3 s.Cost_oracle.rp_runs;
+        (d.Cm.rp_prim = "degree" && g.Cm.rp_prim = "gemm"
+        && s.Cm.rp_prim = "spmm");
+      check_int "spmm runs" 3 s.Cm.rp_runs;
       check_float "spmm mean |log err| is ln 2" ~eps:1e-12 (log 2.)
-        s.Cost_oracle.rp_base_err;
-      check_int "spmm has no inversions" 0 s.Cost_oracle.rp_base_inv;
-      check_int "spmm compares all pairs" 3 s.Cost_oracle.rp_inv_pairs;
-      check_int "gemm inversion counted" 1 g.Cost_oracle.rp_base_inv;
-      check_int "gemm one comparable pair" 1 g.Cost_oracle.rp_inv_pairs;
-      check_int "degree pair is recorded" 1 d.Cost_oracle.rp_runs;
+        s.Cm.rp_err;
+      check_int "spmm has no inversions" 0 s.Cm.rp_inv;
+      check_int "spmm compares all pairs" 3 s.Cm.rp_inv_pairs;
+      check_int "gemm inversion counted" 1 g.Cm.rp_inv;
+      check_int "gemm one comparable pair" 1 g.Cm.rp_inv_pairs;
+      check_int "degree pair is recorded" 1 d.Cm.rp_runs;
       check_true "degree row holds no statistics"
-        (d.Cost_oracle.rp_pairs = 0 && d.Cost_oracle.rp_inv_pairs = 0);
+        (d.Cm.rp_pairs = 0 && d.Cm.rp_inv_pairs = 0);
       check_int "runs of an unknown primitive" 0 (Cm.runs cm "nope")
   | l -> Alcotest.fail (Printf.sprintf "expected 3 rows, got %d" (List.length l))
 
@@ -244,20 +243,19 @@ let test_costmon_cap () =
        (fun (p, m) ->
          p = m && ((p >= 1. && p <= 4096.) || p = 5000. || p = 6000.))
        pairs);
-  (* recording order is preserved (oldest first): the calibration holdout
-     slice (newest third) depends on it. With a strictly increasing stream
-     that means strictly increasing values. *)
+  (* recording order is preserved (oldest first). With a strictly
+     increasing stream that means strictly increasing values. *)
   let rec increasing = function
     | (a, _) :: ((b, _) :: _ as tl) -> a < b && increasing tl
     | _ -> true
   in
   check_true "held pairs stay in recording order" (increasing pairs);
-  (match (report_of cm).Cost_oracle.per_prim with
+  (match (Cm.report cm).Cm.per_prim with
   | [ s ] ->
-      check_int "every run counted, sampled or not" 4098 s.Cost_oracle.rp_runs;
+      check_int "every run counted, sampled or not" 4098 s.Cm.rp_runs;
       check_float "identity predictions have zero error" ~eps:1e-12 0.
-        s.Cost_oracle.rp_base_err;
-      check_int "perfect ranking has no inversions" 0 s.Cost_oracle.rp_base_inv
+        s.Cm.rp_err;
+      check_int "perfect ranking has no inversions" 0 s.Cm.rp_inv
   | l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l)));
   check_true "prims lists the primitive" (Cm.prims cm = [ "spmm" ])
 

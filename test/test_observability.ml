@@ -3,11 +3,9 @@
    JSONL drain schema), histogram quantiles against exact ones on known
    distributions and as qcheck properties (the stated error bound, exact
    merge, the exporters' decade rule), drift-detector firing and silence,
-   drift-triggered out-of-cadence oracle calibration, the full serving
-   causal chain —
-   drift -> accepted calibration -> version bump -> plan-cache
-   invalidation — read back from one drained journal, and the differential
-   proving an enabled journal never changes executor outputs. *)
+   serving SLO breaches and tenant latencies read back from one live sink,
+   and the differential proving an enabled journal never changes executor
+   outputs. *)
 
 open Granii_core
 open Test_util
@@ -274,10 +272,10 @@ let test_histogram_decade_export =
       List.map snd (Histogram.decade_counts (histogram_of xs)) = want
       && exported = Some want)
 
-(* ---- drift detectors ---- *)
+(* ---- the drift detector ---- *)
 
 let test_drift_detector () =
-  (* stationary noise must never fire the default detector *)
+  (* stationary noise must never fire the detector *)
   let rng = Prng.create 9 in
   let d = Drift.create "noise" in
   for _ = 1 to 2000 do
@@ -295,119 +293,37 @@ let test_drift_detector () =
          +. Prng.uniform rng (-0.05) 0.05))
   done;
   check_true "fires on a sustained trend" (Drift.fired d2 >= 1);
-  (* the sustained-level test: wrong from the start, no trend at all *)
-  let d3 =
-    Drift.create ~level:0.5 ~patience:8 ~min_samples:8 ~lambda:infinity
-      "level"
-  in
-  for _ = 1 to 100 do
-    ignore (Drift.observe d3 1.0)
+  (* a step far past the threshold from the second sample on: only the
+     32-sample minimum holds it back *)
+  let d3 = Drift.create "gated" in
+  ignore (Drift.observe d3 0.);
+  for _ = 2 to 31 do
+    if Drift.observe d3 1000. then Alcotest.fail "fired before min_samples"
   done;
-  check_true "level test fires on a constant-high stream" (Drift.fired d3 >= 1);
-  let d4 =
-    Drift.create ~level:0.5 ~patience:8 ~min_samples:8 ~lambda:infinity
-      "quiet"
-  in
-  for _ = 1 to 100 do
-    ignore (Drift.observe d4 0.2)
-  done;
-  check_int "level test silent below the level" 0 (Drift.fired d4);
-  (* min_samples gates both tests *)
-  let d5 =
-    Drift.create ~level:0.1 ~patience:1 ~min_samples:50 ~lambda:infinity
-      "gated"
-  in
-  for _ = 1 to 49 do
-    if Drift.observe d5 10. then Alcotest.fail "fired before min_samples"
-  done;
-  check_int "no firing before min_samples" 0 (Drift.fired d5);
-  check_true "samples are counted" (Drift.samples d5 = 49);
+  check_int "no firing before min_samples" 0 (Drift.fired d3);
+  check_true "samples are counted" (Drift.samples d3 = 31);
   check_true "non-finite observations are ignored"
-    (not (Drift.observe d5 nan) && Drift.samples d5 = 49)
+    (not (Drift.observe d3 nan) && Drift.samples d3 = 31);
+  check_true "the 32nd sample fires" (Drift.observe d3 1000.);
+  check_true "a firing resets the detector" (Drift.samples d3 = 0);
+  check_true "the statistic at the firing is past the threshold"
+    (Drift.last_stat d3 > 25.)
 
-(* ---- drift-triggered out-of-cadence calibration (the oracle loop) ---- *)
+(* ---- serving telemetry, end to end ---- *)
 
-let test_drift_triggered_calibration () =
-  let obs = Obs.create ~trace:false ~costmon:false () in
-  (* fit_every is effectively infinite: only the drift detector can start a
-     calibration pass here *)
-  let drift =
-    Drift.create ~level:0.3 ~patience:4 ~min_samples:4 ~lambda:infinity
-      "oracle.logerr"
-  in
-  let oracle =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Affine
-      ~fit_every:1_000_000 ~obs ~drift
-      (Cost_model.analytic Granii_hw.Hw_profile.cpu)
-  in
-  check_int "pristine oracle" 0 (Cost_oracle.version oracle);
-  (* a consistent 8x misprediction: |log err| ~ 2.08, far above the level *)
-  for i = 1 to 64 do
-    let p = 1e-3 *. (1. +. (float_of_int i /. 64.)) in
-    Cost_oracle.observe oracle ~prim:"spmm" ~predicted:p ~measured:(8. *. p)
-  done;
-  let m = match obs.Obs.metrics with Some m -> m | None -> assert false in
-  check_true "the drift detector fired"
-    (Metrics.counter_value m "calibrate.drift.fired" >= 1);
-  check_true "a calibration pass ran without waiting for fit_every"
-    (Metrics.counter_value m "calibrate.passes" >= 1);
-  check_true "the pass was accepted: version bumped"
-    (Cost_oracle.version oracle >= 1);
-  check_true "the accepted correction quiets the stream"
-    (Float.abs (log (Cost_oracle.corrected oracle ~prim:"spmm" 1e-3 /. 8e-3))
-    < 0.3);
-  (* journal ordering: drift precedes the accepted calibrate event *)
-  let j = match obs.Obs.journal with Some j -> j | None -> assert false in
-  let es = Journal.entries j in
-  let index_of pred =
-    let rec go i = function
-      | [] -> None
-      | e :: tl -> if pred e then Some i else go (i + 1) tl
-    in
-    go 0 es
-  in
-  match
-    ( index_of (fun e -> e.Journal.e_kind = Journal.Drift),
-      index_of (fun e ->
-          e.Journal.e_kind = Journal.Calibrate && e.Journal.e_tag = "accepted")
-    )
-  with
-  | Some di, Some ci ->
-      check_true "drift event precedes the accepted calibrate event" (di < ci)
-  | _ -> Alcotest.fail "journal must hold drift and accepted-calibrate events"
-
-(* ---- the serving causal chain, end to end ---- *)
-
-(* A server anchored to an H100 profile while executing on the host CPU:
-   predictions are wrong from the first request, with no trend — exactly
-   the case the sustained-level test exists for. The chain the issue
-   demands must be readable from ONE drained journal: drift fires ->
-   calibration pass accepted -> oracle version bump -> plan-cache
-   invalidation on the next selection. *)
-let test_serve_drift_chain () =
+(* SLO breach accounting and the tenants' streaming latency state, read
+   from one live sink. *)
+let test_serve_slo_and_latency () =
   let obs = Obs.create ~trace:false ~journal_capacity:4096 () in
-  let drift =
-    Drift.create ~level:0.3 ~patience:4 ~min_samples:4 ~lambda:infinity
-      "oracle.logerr"
-  in
-  let oracle =
-    Cost_oracle.of_model ~calibration:Cost_oracle.Affine
-      ~fit_every:1_000_000 ~obs ~drift
-      (Cost_model.analytic Granii_hw.Hw_profile.h100)
-  in
   let cfg =
     { Serve.default_config with
-      profile = Granii_hw.Hw_profile.h100;
       slo_ms = Some 1e-4 (* sub-microsecond: every completion breaches *) }
   in
-  let server = Serve.create ~obs ~oracle cfg in
+  let server = Serve.create ~obs cfg in
   Fun.protect
     ~finally:(fun () -> Serve.shutdown server)
     (fun () ->
-      (* large enough that the CPU's kernel work, not fixed per-request
-         overhead, is what the H100 profile mispredicts: on a tiny graph
-         both sides are a few launch-sized tens of microseconds *)
-      let graph = G.Generators.erdos_renyi ~n:1000 ~avg_degree:4. ~seed:2 () in
+      let graph = G.Generators.erdos_renyi ~n:200 ~avg_degree:4. ~seed:2 () in
       Serve.register_graph server ~name:"g" graph;
       let n = G.Graph.n_nodes graph in
       let requests = 30 in
@@ -421,37 +337,8 @@ let test_serve_drift_chain () =
         | Error r -> Alcotest.fail (Serve.reject_to_string r)
       done;
       let m = match obs.Obs.metrics with Some m -> m | None -> assert false in
-      check_true "drift fired under the mis-anchored profile"
-        (Metrics.counter_value m "calibrate.drift.fired" >= 1);
-      check_true "the out-of-cadence calibration was accepted"
-        (Cost_oracle.version (Serve.serve_oracle server) >= 1);
-      (* the causal chain, in order, in one journal *)
       let j = match obs.Obs.journal with Some j -> j | None -> assert false in
       let es = Journal.entries j in
-      let index_of pred =
-        let rec go i = function
-          | [] -> None
-          | e :: tl -> if pred e then Some i else go (i + 1) tl
-        in
-        go 0 es
-      in
-      (match
-         ( index_of (fun e -> e.Journal.e_kind = Journal.Drift),
-           index_of (fun e ->
-               e.Journal.e_kind = Journal.Calibrate
-               && e.Journal.e_tag = "accepted"),
-           index_of (fun e ->
-               e.Journal.e_kind = Journal.Plan_cache_invalidate) )
-       with
-      | Some di, Some ci, Some ii ->
-          check_true "drift -> calibrate" (di < ci);
-          check_true "calibrate -> plan-cache invalidation" (ci < ii)
-      | d, c, i ->
-          Alcotest.fail
-            (Printf.sprintf
-               "chain incomplete: drift=%b calibrate.accepted=%b \
-                invalidate=%b"
-               (d <> None) (c <> None) (i <> None)));
       (* SLO accounting: the absurd target makes every completion a breach *)
       let s = Serve.stats server in
       check_int "every completion breached the SLO" requests
@@ -612,10 +499,8 @@ let suite =
     test_histogram_decade_export;
     Alcotest.test_case "drift detector firing and silence" `Quick
       test_drift_detector;
-    Alcotest.test_case "drift triggers out-of-cadence calibration" `Quick
-      test_drift_triggered_calibration;
-    Alcotest.test_case "serving drift causal chain in one journal" `Slow
-      test_serve_drift_chain;
+    Alcotest.test_case "serving SLO and latency histograms" `Quick
+      test_serve_slo_and_latency;
     Alcotest.test_case "journal is bitwise invisible" `Quick
       test_journal_bitwise_invisible;
     Alcotest.test_case "gc.major_words gauge tracks the run" `Quick

@@ -2,8 +2,9 @@
 
    Manual mode (workers = 0) makes every interleaving scripted — nothing
    executes until the test pumps the scheduler — so plan-cache counters,
-   backpressure at the exact queue bound, arena isolation, the oracle feed
-   and graceful shutdown are all checked against hand counts. Every served
+   backpressure at the exact queue bound, arena isolation, the tenant p99
+   drift detector and graceful shutdown are all checked against hand
+   counts. Every served
    request is one executor run. The threaded scheduler is covered by a
    randomized stress test (2-4 worker domains, mixed graphs/widths/tenants)
    where every response is compared against the single-threaded oracle;
@@ -331,26 +332,42 @@ let test_manual_clock () =
       check_float "latency measured on the injected clock" 1.0 r.Serve.latency;
       check_float "second submission's scripted latency" 0.75 r2.Serve.latency)
 
-(* ---- the oracle feed: one (predicted, measured) pair per request ---- *)
+(* ---- the tenant p99 drift detector, on scripted latencies ---- *)
 
-let test_oracle_feed () =
-  with_server
-    ~cfg:{ Serve.default_config with calibration = Cost_oracle.Affine }
-    (fun t graph ->
-      let n = G.Graph.n_nodes graph in
-      let oracle = Serve.serve_oracle t in
-      let before = Cost_oracle.observed oracle in
-      let tickets =
-        List.init 4 (fun i ->
-            submit_exn t ~tenant:(Printf.sprintf "t%d" (i mod 2)) ~k_out:4
-              ~features:(Dense.random ~seed:(10 + i) n 8))
-      in
-      Serve.drain t;
-      List.iter
-        (fun tk -> check_true "drained" (Serve.poll t tk <> None))
-        tickets;
-      check_int "one oracle observation per request" 4
-        (Cost_oracle.observed oracle - before))
+(* Requests served one at a time with the injected clock advanced by each
+   one's scripted latency: 500 at 1 ms, then (with [step]) 1500 at 50 ms.
+   The detector watches the tenant's running p99 in seconds against
+   Page–Hinkley's fixed constants, so it needs a long quiet history before
+   the step and hundreds of slow requests after it. *)
+let serve_scripted ~step =
+  let obs = Obs.create ~trace:false ~journal_capacity:8192 () in
+  let now = ref 0. in
+  with_server ~obs ~clock:(fun () -> !now) (fun t graph ->
+      let f = Dense.random ~seed:1 (G.Graph.n_nodes graph) 8 in
+      for i = 1 to 2000 do
+        let tk = submit_exn t ~tenant:"t0" ~k_out:4 ~features:f in
+        now := !now +. (if step && i > 500 then 0.05 else 0.001);
+        ignore (Serve.await t tk : Serve.response)
+      done);
+  let fired =
+    Obs.Metrics.counter_value (Option.get obs.Obs.metrics) "serve.drift.fired"
+  in
+  let drifts =
+    List.filter
+      (fun e -> e.Obs.Journal.e_kind = Obs.Journal.Drift)
+      (Obs.Journal.entries (Option.get obs.Obs.journal))
+  in
+  (fired, drifts)
+
+let test_serve_drift () =
+  let fired, drifts = serve_scripted ~step:true in
+  check_true "a 1 ms -> 50 ms step fires serve.drift.fired" (fired >= 1);
+  check_int "one journal drift event per firing" fired (List.length drifts);
+  check_true "drift events are tagged with the tenant's p99 stream"
+    (List.for_all (fun e -> e.Obs.Journal.e_tag = "serve.p99:t0") drifts);
+  let fired, drifts = serve_scripted ~step:false in
+  check_int "a flat stream fires nothing" 0 fired;
+  check_int "and journals no drift event" 0 (List.length drifts)
 
 (* ---- config plumbing and argument validation ---- *)
 
@@ -539,8 +556,8 @@ let suite =
       test_shutdown;
     Alcotest.test_case "injected clock scripts latencies" `Quick
       test_manual_clock;
-    Alcotest.test_case "calibrating server feeds one pair per request" `Quick
-      test_oracle_feed;
+    Alcotest.test_case "tenant p99 drift fires on a latency step" `Quick
+      test_serve_drift;
     Alcotest.test_case "config and argument validation" `Quick
       test_config;
     Alcotest.test_case "serving metrics reach the registry" `Quick
