@@ -47,11 +47,11 @@ let run () =
 
   (* full-graph baseline: one selection, every epoch touches all n nodes *)
   let env = env_of graph ~k_in ~k_out:classes in
-  let lc =
-    Selector.select_localized ~oracle:cm
-      ~feats:(Featurizer.extract graph) ~env ~iterations:1 compiled
+  let choice =
+    Selector.select ~oracle:cm ~feats:(Featurizer.extract graph) ~env
+      ~iterations:1 compiled
   in
-  let plan = lc.Selector.lchoice.Selector.candidate.Codegen.plan in
+  let plan = choice.Selector.candidate.Codegen.plan in
   let params = Gnn.Layer.init_params ~seed:5 ~env low in
   let optimizer () = Gnn.Optimizer.adam ~lr:0.01 () in
   let full, full_t =

@@ -22,7 +22,6 @@ let benches =
     ("real", "Validation: measured host CPU vs simulator", Bench_real.run);
     ("micro", "Bechamel microbenchmarks of the real kernels", Bench_micro.run);
     ("mem", "Memory: workspace reuse, tiled GEMM", Bench_memory.run);
-    ("locality", "Locality: reordering + hybrid format speedups and amortization", Bench_locality.run);
     ("ext", "Extensions: multi-head GAT, executed stacks, deep hops", Bench_ext.run);
     ("serve", "Serving: plan-cache amortization", Bench_serve.run);
     ("minibatch", "Mini-batch training: pipelined loader vs sequential vs full graph", Bench_minibatch.run) ]

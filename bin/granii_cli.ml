@@ -100,25 +100,18 @@ let positive_int =
   Arg.conv (parse, Format.pp_print_int)
 
 (* --engine SPEC, parsed and validated by [Engine.config_of_string] at the
-   command line, so a bad spec fails before anything runs. A locality= key
-   pins the layout: the config comes with [Some] of it. *)
+   command line, so a bad spec fails before anything runs. *)
 let engine_arg =
   let parse = function
     | "show" -> Ok `Show
     | spec -> (
         match Engine.config_of_string spec with
         | Error msg -> Error (`Msg msg)
-        | Ok cfg ->
-            let pins =
-              String.split_on_char ',' spec
-              |> List.exists (fun f ->
-                     String.starts_with ~prefix:"locality=" (String.trim f))
-            in
-            Ok (`Config (cfg, if pins then Some cfg.Engine.locality else None)))
+        | Ok cfg -> Ok (`Config cfg))
   in
   let print ppf = function
     | `Show -> Format.pp_print_string ppf "show"
-    | `Config (cfg, _) -> Format.pp_print_string ppf (Engine.describe_config cfg)
+    | `Config cfg -> Format.pp_print_string ppf (Engine.describe_config cfg)
   in
   Arg.conv (parse, print)
 
@@ -294,7 +287,7 @@ let select_cmd =
                 times plus per-iteration GC allocation.")
   in
   let engine_spec =
-    Arg.(value & opt engine_arg (`Config (Engine.default_config, None))
+    Arg.(value & opt engine_arg (`Config Engine.default_config)
          & info [ "engine" ] ~docv:"SPEC"
              ~doc:
                "Execution-engine configuration for $(b,--execute), as \
@@ -302,32 +295,24 @@ let select_cmd =
                 $(b,Engine.config_of_string): $(b,threads)=N (also the \
                 thread count the selection targets, fed to the featurizer \
                 and the cost models), \
-                $(b,locality)=<strategy>+<format>, \
                 $(b,intermediates)=keep|drop. Omitted keys keep their \
-                defaults; a $(b,locality) key pins the layout (otherwise \
-                selection's choice is used). An invalid spec is rejected \
+                defaults. An invalid spec is rejected \
                 before anything runs. $(b,--engine show) prints the engine \
                 the run would use and exits.")
   in
   let run model graph k_in k_out profile iterations system analytic auto_calibrate
       models_file execute engine_spec trace_file metrics_file journal_file =
     (* --engine SPEC configures the execution substrate of --execute and the
-       thread count selection targets; the locality axis stays with
-       selection unless the spec pins it. *)
-    let engine_base, pinned =
+       thread count selection targets *)
+    let engine_cfg =
       match engine_spec with
       | `Show ->
           print_endline (Engine.describe_config Engine.default_config);
-          print_endline
-            "(locality is selection's choice at --execute time unless the \
-             spec carries a locality= key)";
           exit 0
       | `Config c -> c
     in
     (* selection targets the engine --execute runs on: one thread count *)
-    let threads = engine_base.Engine.threads in
-    (* a pinned layout is the only configuration the joint argmin scores *)
-    let configs = Option.map (fun l -> [ l ]) pinned in
+    let threads = engine_cfg.Engine.threads in
     let obs = obs_of_flags ~trace_file ~metrics_file ~journal_file in
     let sys = Sys_.System.find system in
     let low, compiled, _ =
@@ -362,11 +347,10 @@ let select_cmd =
       in
       Cost_oracle.of_model base
     in
-    let localized =
-      Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
-        ~threads ?configs compiled
+    let decision =
+      Granii.optimize ~obs ~oracle ~graph ~k_in ~k_out ~iterations ~threads
+        compiled
     in
-    let decision = localized.Granii.ldecision in
     Printf.printf
       "input: %s (n=%d nnz=%d), %d -> %d, cost model %s, %d iterations, %d thread%s\n"
       graph.G.Graph.name (G.Graph.n_nodes graph) (G.Graph.n_edges graph) k_in k_out
@@ -376,12 +360,6 @@ let select_cmd =
       (1000. *. decision.Granii.overhead)
       (1000. *. decision.Granii.feats.Featurizer.extraction_time)
       (1000. *. decision.Granii.choice.Selector.selection_time);
-    Printf.printf "layout: %s" (Locality.config_to_string localized.Granii.config);
-    if not (Locality.is_default localized.Granii.config) then
-      Printf.printf " (%.3f ms predicted vs %.3f ms legacy)"
-        (1000. *. decision.Granii.choice.Selector.predicted_cost)
-        (1000. *. localized.Granii.base_cost);
-    print_newline ();
     let env = env_of graph k_in k_out in
     let ranked =
       Selector.rank ~oracle ~feats:decision.Granii.feats ~env ~iterations compiled
@@ -404,11 +382,7 @@ let select_cmd =
         let params = Gnn.Layer.init_params ~seed:0 ~env low in
         let h = Dense.random ~seed:1 (G.Graph.n_nodes graph) k_in in
         let bindings = Gnn.Layer.bindings ~graph ~h params in
-        (* a pinned layout is also the one selection returned *)
-        let engine =
-          Engine.create_exn ~obs
-            { engine_base with Engine.locality = localized.Granii.config }
-        in
+        let engine = Engine.create_exn ~obs engine_cfg in
         let run_once () =
           Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph
             ~bindings ~iterations:iters plan
@@ -426,13 +400,12 @@ let select_cmd =
         Printf.printf
           "executed %s on host CPU: %d iterations\n\
           \  engine: %s\n\
-          \  setup %.3f ms, layout %.3f ms, %.3f ms/iteration\n\
+          \  setup %.3f ms, %.3f ms/iteration\n\
           \  GC: %.0f minor (this domain) + %.0f major (all domains) \
            words/iteration\n"
           plan.Plan.name iters
           (Engine.describe engine)
           (1000. *. r.Executor.setup_time)
-          (1000. *. r.Executor.layout_time)
           (1000. *. r.Executor.iteration_time)
           (per (minor1 -. minor0))
           (per (major1 -. major0));
@@ -478,11 +451,10 @@ let stats_cmd =
     (* the analytic host-CPU oracle: the same predictor the executor prices
        each step's cost-monitor pair with *)
     let oracle = Cost_oracle.analytic Granii_hw.Hw_profile.cpu in
-    let localized =
-      Granii.optimize_localized ~obs ~oracle ~graph ~k_in ~k_out ~iterations
-        ~threads compiled
+    let decision =
+      Granii.optimize ~obs ~oracle ~graph ~k_in ~k_out ~iterations ~threads
+        compiled
     in
-    let decision = localized.Granii.ldecision in
     let plan = decision.Granii.choice.Selector.candidate.Codegen.plan in
     let env =
       { Dim.n = G.Graph.n_nodes graph;
@@ -495,10 +467,7 @@ let stats_cmd =
     let params = Gnn.Layer.init_params ~seed:0 ~env low in
     let h = Dense.random ~seed:1 (G.Graph.n_nodes graph) k_in in
     let bindings = Gnn.Layer.bindings ~graph ~h params in
-    let engine =
-      Engine.create_exn ~obs
-        { Engine.default_config with threads; locality = localized.Granii.config }
-    in
+    let engine = Engine.create_exn ~obs { Engine.default_config with threads } in
     let r =
       Executor.exec_iterations ~engine ~timing:Executor.Measure ~graph ~bindings
         ~iterations plan
@@ -506,12 +475,11 @@ let stats_cmd =
     Engine.shutdown engine;
     Printf.printf
       "%s on %s (n=%d nnz=%d) %d->%d, %d iterations, engine %s\n\
-       selected %s: setup %.3f ms, layout %.3f ms, %.3f ms/iteration\n\n"
+       selected %s: setup %.3f ms, %.3f ms/iteration\n\n"
       compiled.Codegen.model_name graph.G.Graph.name (G.Graph.n_nodes graph)
       (G.Graph.n_edges graph) k_in k_out iterations (Engine.describe engine)
       plan.Plan.name
       (1000. *. r.Executor.setup_time)
-      (1000. *. r.Executor.layout_time)
       (1000. *. r.Executor.iteration_time);
     (match obs.Obs.trace with
     | None -> ()

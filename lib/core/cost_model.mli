@@ -41,8 +41,7 @@ val name : t -> string
 
 val profile : t -> Granii_hw.Hw_profile.t option
 (** The hardware profile the model targets; [None] for {!flops_only}, which
-    has no hardware terms (the locality adjustment is then zero and joint
-    selection degenerates to the legacy per-primitive choice). *)
+    has no hardware terms. *)
 
 val models : t -> (string * Granii_ml.Gbrt.t) list
 (** The underlying learned models ([[]] for ablations) — exposed for

@@ -5,7 +5,6 @@ module Csr = Granii_sparse.Csr
 module Spmm = Granii_sparse.Spmm
 module Sddmm = Granii_sparse.Sddmm
 module Sparse_ops = Granii_sparse.Sparse_ops
-module Hybrid = Granii_sparse.Hybrid
 module K = Granii_hw.Kernel_model
 
 type value =
@@ -44,16 +43,9 @@ let shares_backing a v = List.exists (fun b -> b == a) (backing_arrays v)
 
 (* ---- execution context ---- *)
 
-type ctx = {
-  pool : Granii_tensor.Parallel.t option;
-  ws : Workspace.t option;
-  localize : (Csr.t -> Hybrid.t option) option;
-}
+type ctx = { pool : Granii_tensor.Parallel.t option; ws : Workspace.t option }
 
-let plain = { pool = None; ws = None; localize = None }
-
-let form_of ctx m =
-  match ctx.localize with None -> None | Some f -> f m
+let plain = { pool = None; ws = None }
 
 (* ---- shared kernel helpers ---- *)
 
@@ -111,52 +103,22 @@ let epilogue_op = function
 
 (* ---- kernel dispatch ----
 
-   One CPU kernel per primitive, chosen by a direct match. The operand
-   format is how the locality engine swaps the g-kernels to the hybrid
-   slab+tail layout without the executor knowing: the SpMM and rank-1 arms
-   ask [form_of] for a hybrid form of their sparse operand and fall back to
-   CSR when there is none. *)
-
-type fmt = Fmt_csr | Fmt_hybrid
-
-let fmt_to_string = function Fmt_csr -> "csr" | Fmt_hybrid -> "hybrid"
-
-(* The format a step executes under: hybrid only when the locality engine
-   has a registered hybrid form for the step's sparse operand (the lookup
-   is by physical identity, so per-iteration-fresh values fall back to
-   CSR). *)
-let format_of ctx (prim : Primitive.t) (args : value array) =
-  match (prim, args) with
-  | Primitive.Spmm _, [| Vsparse m; _ |]
-  | Primitive.Sddmm_rank1, [| _; Vsparse m; _ |] -> (
-      match form_of ctx m with Some _ -> Fmt_hybrid | None -> Fmt_csr)
-  | _ -> Fmt_csr
+   One CPU kernel per primitive, chosen by a direct match. *)
 
 let exec ?(epilogue = []) ctx (prim : Primitive.t) graph (args : value array) =
   let pool = ctx.pool and ws = ctx.ws in
   match (prim, args) with
   | Primitive.Gemm _, [| a; b |] ->
       Vdense (Dense.matmul ?pool ?ws ~epilogue (dense a) (dense b))
-  | Primitive.Spmm _, [| a; b |] -> (
+  | Primitive.Spmm _, [| a; b |] ->
       (* both weightednesses share one kernel *)
-      let m = sparse a in
-      match form_of ctx m with
-      | Some h ->
-          (* the hybrid kernel has no store-time epilogue: a post-pass over
-             its fresh output *)
-          let d = Hybrid.spmm ?pool ?ws h (dense b) in
-          Dense.apply_epilogue ?pool epilogue d;
-          Vdense d
-      | None -> Vdense (Spmm.run ?pool ?ws ~epilogue m (dense b)))
+      Vdense (Spmm.run ?pool ?ws ~epilogue (sparse a) (dense b))
   | _ when epilogue <> [] ->
       err "primitive %a takes no row epilogue" Primitive.pp prim
   | Primitive.Dense_sparse_mm _, [| a; b |] ->
       Vdense (Spmm.run_transposed ?pool ?ws (dense a) (sparse b))
-  | Primitive.Sddmm_rank1, [| dl; a; dr |] -> (
-      let m = sparse a in
-      match form_of ctx m with
-      | Some h -> Vsparse (Hybrid.rank1 ?pool ?ws h (diag dl) (diag dr))
-      | None -> Vsparse (Sddmm.rank1 ?pool ?ws m (diag dl) (diag dr)))
+  | Primitive.Sddmm_rank1, [| dl; a; dr |] ->
+      Vsparse (Sddmm.rank1 ?pool ?ws (sparse a) (diag dl) (diag dr))
   | Primitive.Diag_scale { side = `Left }, [| d; a |] ->
       Vsparse (Sparse_ops.scale_rows ?pool ?ws (diag d) (sparse a))
   | Primitive.Diag_scale { side = `Right }, [| a; d |] ->

@@ -4,9 +4,7 @@
     ([Dispatch] < {!Engine} < {!Executor}): it knows how to apply one
     {!Primitive.t} to concrete operand {!value}s and nothing about plans,
     phases, caching or timing. {!exec} picks the CPU kernel with a direct
-    match on the primitive and its operands; the gather-bound g-kernels
-    (SpMM, rank-1 SDDMM) run from a hybrid ELL slab + CSR tail when the
-    context holds one for their sparse operand. *)
+    match on the primitive and its operands. *)
 
 type value =
   | Vdense of Granii_tensor.Dense.t
@@ -30,43 +28,28 @@ val shares_backing : float array -> value -> bool
 
 (** {2 Execution context}
 
-    What a kernel may use while running: the domain pool, the workspace
-    arena, and the locality engine's hybrid-form lookup (physical-identity
-    memo over iteration-stable sparse matrices: what the [Pass] layout
-    bracket converted a graph matrix into under a [hybrid] locality
-    config). Built by {!Executor} from an {!Engine.t}; {!plain} is the bare
+    What a kernel may use while running: the domain pool and the workspace
+    arena. Built by {!Executor} from an {!Engine.t}; {!plain} is the bare
     sequential context. *)
 
 type ctx = {
   pool : Granii_tensor.Parallel.t option;
   ws : Granii_tensor.Workspace.t option;
-  localize : (Granii_sparse.Csr.t -> Granii_sparse.Hybrid.t option) option;
 }
 
 val plain : ctx
 
 (** {2 Dispatch} *)
 
-type fmt = Fmt_csr | Fmt_hybrid
-
-val fmt_to_string : fmt -> string
-
-val format_of : ctx -> Primitive.t -> value array -> fmt
-(** The operand format {!exec} would dispatch a step under — exposed so the
-    telemetry layer can attribute a span to the kernel that actually ran. *)
-
 val exec :
   ?epilogue:Granii_tensor.Dense.epilogue ->
   ctx -> Primitive.t -> Granii_graph.Graph.t -> value array -> value
-(** Execute one primitive: SpMM and rank-1 SDDMM run from the context's
-    hybrid form of their sparse operand when it has one, every other
-    primitive (and those two without a form) from CSR. Raises
-    {!Execution_error} on an argument-kind or arity mismatch.
+(** Execute one primitive from CSR. Raises {!Execution_error} on an
+    argument-kind or arity mismatch.
 
     [?epilogue] (default [[]]) finishes a [Gemm] or [Spmm] output row by
-    row ({!Granii_tensor.Dense.epilogue}); the hybrid SpMM applies it as a
-    post-pass over its output. Any other primitive with a non-empty
-    epilogue raises {!Execution_error}. *)
+    row ({!Granii_tensor.Dense.epilogue}). Any other primitive with a
+    non-empty epilogue raises {!Execution_error}. *)
 
 val epilogue_op : Matrix_ir.nonlinear -> Granii_tensor.Dense.epilogue_op option
 (** The row-epilogue form of a [Dense_map] step's kernel, bitwise the same

@@ -1,6 +1,5 @@
 module Parallel = Granii_tensor.Parallel
 module Workspace = Granii_tensor.Workspace
-module Reorder = Granii_graph.Reorder
 
 module Obs = Granii_obs.Obs
 
@@ -15,17 +14,12 @@ let default_config =
     locality = Locality.default;
     keep_intermediates = true }
 
-type error =
-  | Invalid_threads of int
-  | Invalid_format of string
+type error = Invalid_threads of int
 
 exception Error of error
 
 let error_to_string = function
   | Invalid_threads t -> Printf.sprintf "engine: threads must be >= 1 (got %d)" t
-  | Invalid_format f ->
-      Printf.sprintf
-        "engine: unknown sparse format %s (expected csr or hybrid)" f
 
 let () =
   Printexc.register_printer (function
@@ -89,31 +83,10 @@ let shutdown t = if t.owns_pool then Option.iter Parallel.shutdown t.pool
 (* ---- rendering / parsing (the CLI's --engine surface) ---- *)
 
 let describe_config (cfg : config) =
-  Printf.sprintf "threads=%d,locality=%s,intermediates=%s" cfg.threads
-    (Locality.config_to_string cfg.locality)
+  Printf.sprintf "threads=%d,intermediates=%s" cfg.threads
     (if cfg.keep_intermediates then "keep" else "drop")
 
 let describe t = describe_config t.cfg
-
-let parse_locality v =
-  match String.split_on_char '+' v with
-  | [ s; f ] -> (
-      match Reorder.strategy_of_string s with
-      | None ->
-          Result.Error
-            (Printf.sprintf
-               "engine spec: locality expects <identity|degree|bfs|rcm>+<csr|hybrid> (got %s)"
-               v)
-      | Some strategy -> (
-          match Locality.format_of_string f with
-          | Some format -> Ok { Locality.strategy; format }
-          (* unknown format names get the typed error so callers can
-             distinguish a bad format axis from general spec noise *)
-          | None -> Error (error_to_string (Invalid_format f))))
-  | _ ->
-      Error
-        (Printf.sprintf
-           "engine spec: locality expects <strategy>+<format> (got %s)" v)
 
 let config_of_string s =
   let ( let* ) = Result.bind in
@@ -140,9 +113,6 @@ let config_of_string s =
               | None ->
                   Error
                     (Printf.sprintf "engine spec: threads expects an integer (got %s)" v))
-          | "locality" ->
-              let* l = parse_locality v in
-              Ok { cfg with locality = l }
           | "intermediates" -> (
               match v with
               | "keep" -> Ok { cfg with keep_intermediates = true }

@@ -2,17 +2,15 @@
 
     An engine is built once from a {!config} and owns every runtime
     capability that used to travel as independent optional arguments
-    through {!Executor}: the domain pool ([threads]), the workspace arena,
-    the locality (layout) decision and the liveness policy
-    ([keep_intermediates]). Every engine executes from its arena (one
+    through {!Executor}: the domain pool ([threads]), the workspace arena
+    and the liveness policy ([keep_intermediates]). Every engine executes from its arena (one
     allocation model, not an axis); the arena keeps only its last run's
     size classes ({!Granii_tensor.Workspace.reclaim}), and the executor
     hands the caller a heap copy of each output. An invalid config is
     rejected at construction with a typed {!error} instead of a mid-run
-    exception. Only the thread count can be invalid: every ordering
-    composes with every sparse format ({!Locality.all_configs}), so no pair
-    of axes is illegal together (see DESIGN.md §10). {!Invalid_format} is the parse-time error of
-    {!config_of_string} for an unknown format name.
+    exception. Only the thread count can be invalid; no pair of axes is
+    illegal together (see DESIGN.md §10). Every plan runs on the input's
+    own vertex order, in CSR (DESIGN.md §9).
 
     An engine executes; it does not predict. Selection is the caller's,
     through a {!Cost_oracle.t} of its own. With a live sink the executor
@@ -26,7 +24,8 @@
 
 type config = {
   threads : int;       (** multicore-engine width; 1 = sequential *)
-  locality : Locality.config;  (** graph layout the plans execute under *)
+  locality : Locality.config;
+      (** always {!Locality.default}; kept because perfbench names it *)
   keep_intermediates : bool;
       (** [true] when the caller reads the intermediates (the trainer's
           backward pass does); [false] lets the executor recycle each
@@ -37,11 +36,7 @@ val default_config : config
 (** [threads=1], {!Locality.default}, keep intermediates — the seed
     executor's results. *)
 
-type error =
-  | Invalid_threads of int
-  | Invalid_format of string
-      (** unknown sparse-format name on the locality axis (expected [csr],
-          or [hybrid]) *)
+type error = Invalid_threads of int
 
 exception Error of error
 
@@ -83,8 +78,11 @@ val config : t -> config
 val threads : t -> int
 val pool : t -> Granii_tensor.Parallel.t option
 val workspace : t -> Granii_tensor.Workspace.t
-val locality : t -> Locality.config
 val keep_intermediates : t -> bool
+
+val locality : t -> Locality.config
+(** Always {!Locality.default}; kept because perfbench's train workload
+    keys its plan cache with it. *)
 
 val obs : t -> Granii_obs.Obs.t
 (** The telemetry sink; {!Granii_obs.Obs.disabled} unless one was injected
@@ -95,15 +93,13 @@ val obs : t -> Granii_obs.Obs.t
 val describe : t -> string
 
 val describe_config : config -> string
-(** E.g. ["threads=4,locality=identity+csr,intermediates=keep"].
+(** E.g. ["threads=4,intermediates=keep"].
     Round-trips exactly through {!config_of_string}. *)
 
 val config_of_string : string -> (config, string) result
 (** Parse a comma-separated [key=value] spec; omitted keys keep their
     {!default_config} values, [""] and ["default"] are the default config.
-    Keys: [threads] (int >= 1),
-    [locality] (<identity|degree|bfs|rcm>+<csr|hybrid>),
-    [intermediates] (keep|drop). Any other key is a parse error. A thread
-    count below 1 reports the {!Invalid_threads} message and an unknown
-    format name the {!Invalid_format} one, so a parsed config always
-    passes {!create}'s validation. *)
+    Keys: [threads] (int >= 1) and [intermediates] (keep|drop). Any other
+    key is a parse error. A thread count below 1 reports the
+    {!Invalid_threads} message, so a parsed config always passes
+    {!create}'s validation. *)

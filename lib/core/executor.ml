@@ -29,8 +29,7 @@ let shape_of = Dispatch.shape_of
 let pp_value = Dispatch.pp_value
 
 let apply ?pool ?ws prim graph args =
-  Dispatch.exec { Dispatch.pool; ws; localize = None } prim graph
-    (Array.of_list args)
+  Dispatch.exec { Dispatch.pool; ws } prim graph (Array.of_list args)
 
 (* Analytic time of one executed step: the kernel-model prediction for its
    instantiated kernels, with deterministic jitter seeded per step index. *)
@@ -50,13 +49,11 @@ let phase_name = function
   | Plan.Setup -> "setup"
   | Plan.Per_iteration -> "iteration"
 
-let step_attrs ~threads ~ctx (s : Plan.step) args v =
+let step_attrs ~threads (s : Plan.step) v =
   let r, c = Dispatch.shape_of v in
   let attrs =
     [ ("prim", Primitive.name s.Plan.prim);
       ("phase", phase_name s.Plan.phase);
-      ("format",
-       Dispatch.fmt_to_string (Dispatch.format_of ctx s.Plan.prim args));
       ("shape", Printf.sprintf "%dx%d" r c);
       ("threads", string_of_int threads) ]
   in
@@ -69,11 +66,10 @@ let step_span_enter tr (s : Plan.step) =
   | None -> None
   | Some t -> Some (Obs.Trace.enter t ~cat:"step" (Primitive.name s.Plan.prim))
 
-let step_span_exit tr sp ~threads ~ctx (s : Plan.step) args v elapsed =
+let step_span_exit tr sp ~threads (s : Plan.step) v elapsed =
   match (tr, sp) with
   | Some t, Some sp ->
-      Obs.Trace.exit_ t ~dur:elapsed ~attrs:(step_attrs ~threads ~ctx s args v)
-        sp
+      Obs.Trace.exit_ t ~dur:elapsed ~attrs:(step_attrs ~threads s v) sp
   | _ -> ()
 
 let step_observe (obs : Obs.t) (s : Plan.step) elapsed =
@@ -220,7 +216,7 @@ let fusion_chains (steps : Plan.step array) (output : Plan.source) =
 
 (* ---- the dispatch loop ----
 
-   All policy lives elsewhere: the engine owns pool/arena/layout and was
+   All policy lives elsewhere: the engine owns pool/arena/liveness and was
    validated at construction. One loop serves a single run and the
    steady state alike — a single run is [iterations = 1]. Argument arrays
    are built once per step with input operands resolved up front, setup
@@ -247,16 +243,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   in
   Workspace.reclaim ws;
   let ws_before = Workspace.stats ws in
-  let orig_n = Granii_graph.Graph.n_nodes graph in
-  let layout_span = bracket_span tr ~cat:"engine" "layout" in
-  let lstate, graph, bindings =
-    Pass.Layout.enter ~locality:(Engine.locality engine) ~graph ~bindings
-  in
-  List.iter (fun (_, v) -> Pass.Layout.register lstate v) bindings;
-  bracket_exit tr layout_span ~attrs:[ ("stage", "enter") ] ();
-  let ctx =
-    { Dispatch.pool; ws = Some ws; localize = Pass.Layout.form_of lstate }
-  in
+  let ctx = { Dispatch.pool; ws = Some ws } in
   let steps = Array.of_list plan.Plan.steps in
   let n = Array.length steps in
   let chains, absorbed =
@@ -348,7 +335,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
           let v = Dispatch.exec ctx s.Plan.prim graph args in
           (v, analytic_time ~threads ~seed profile s graph args v)
     in
-    step_span_exit tr sp ~threads ~ctx s args v t;
+    step_span_exit tr sp ~threads s v t;
     step_observe obs s t;
     slots.(dest.(i)) <- Some v;
     per_step_time.(i) <- t;
@@ -389,9 +376,6 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   for i = 0 to n - 1 do
     if not is_iter.(i) then begin
       if not absorbed.(i) then setup_time := !setup_time +. run_step i;
-      (* setup outputs are iteration-stable: candidates for the localized
-         form *)
-      Option.iter (Pass.Layout.register lstate) slots.(i);
       free_dead_after ~last:true i
     end
   done;
@@ -450,11 +434,6 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
     end
     else []
   in
-  let exit_span = bracket_span tr ~cat:"engine" "layout" in
-  let output, intermediates, layout_time =
-    Pass.Layout.exit_ lstate ~n:orig_n output intermediates
-  in
-  bracket_exit tr exit_span ~attrs:[ ("stage", "exit") ] ();
   let output = copy_value output in
   run_metrics obs ws ws_before;
   bracket_exit tr exec_span
@@ -464,7 +443,7 @@ let exec_iterations ?(seed = 0) ~engine ~timing ~graph ~bindings ~iterations
   { output;
     setup_time = !setup_time;
     iteration_time = !total_iter_time /. float_of_int iterations;
-    layout_time;
+    layout_time = 0.;
     per_step;
     intermediates }
 

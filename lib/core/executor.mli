@@ -5,9 +5,9 @@
     {!exec_iterations}, resolves arguments, routes each step through
     {!Dispatch.exec} and accumulates times; {!exec} is its single-iteration
     case. Setup steps run first, then the per-iteration steps, each in plan
-    order. Everything configurable — pool, arena, locality layout,
-    liveness policy — lives in the {!Engine.t} the caller constructs
-    once.
+    order. Everything configurable — pool, arena, liveness policy —
+    lives in the {!Engine.t} the caller constructs once. Every plan runs
+    on the input's own vertex order, in CSR (DESIGN.md §9).
 
     Every step is {e always} executed for real (so numerical results can be
     cross-checked between candidates) and timed; what differs is the
@@ -28,8 +28,7 @@
     Every kernel output comes from the engine's arena
     ({!Engine.workspace}), bitwise identical to the allocating kernels.
     {!exec} reclaims the arena on entry. The report's [output] is the
-    caller's own heap copy, taken after the layout's inverse permutation;
-    the [intermediates] stay arena-backed until the engine's next run —
+    caller's own heap copy; the [intermediates] stay arena-backed until the engine's next run —
     copy any you keep. With [keep_intermediates = false], the
     executor additionally recycles each intermediate's buffer the moment
     its last reader retires ({!Liveness}; setup values only in the last
@@ -42,11 +41,10 @@
     also fuses: a [Row_broadcast(d, ·)] and/or [Dense_map] relu, leaky relu
     or sigmoid chain whose input is the dense output of a [Gemm] or [Spmm]
     runs inside that producer, which finishes each output row with the
-    chain while the row is in cache ({!Granii_tensor.Dense.epilogue}; the
-    hybrid SpMM applies it as a post-pass). A link joins only if the value
-    it reads has no other reader and is not the plan output, it runs in the
-    producer's phase, and a broadcast's [d] is computed before the producer
-    runs. The output is bitwise the unfused one: each element sees the
+    chain while the row is in cache ({!Granii_tensor.Dense.epilogue}). A
+    link joins only if the value it reads has no other reader and is not
+    the plan output, it runs in the producer's phase, and a broadcast's [d]
+    is computed before the producer runs. The output is bitwise the unfused one: each element sees the
     same operations in the same order. The plan is not rewritten, so
     [per_step] still has one entry per plan step: an absorbed step reads
     [0.0] and its time is inside its producer's entry. Absorbed steps open
@@ -55,33 +53,7 @@
     only, pricing the producer's own kernels against a time that includes
     the chain. Keep-intermediates engines and [Simulate] timing never
     fuse: the first hand their intermediates to the caller, and the second
-    prices every plan step as its own kernels.
-
-    {2 Locality}
-
-    With a non-default {!Locality.config}, the executor runs the plan under
-    a graph layout chosen by the cost model: the graph (and every
-    n-row/n-sized binding) is symmetrically permuted by the configured
-    {!Granii_graph.Reorder} strategy before execution, square sparse
-    operands are converted to the {!Granii_sparse.Hybrid} format when the
-    configured format asks for it, and the output plus all intermediates are
-    inverse-permuted back to the original vertex order before the report is
-    built. The permutation is {e stable} (each row keeps its entry order),
-    so for structure-preserving plans (every GCN/GAT composition) the
-    returned values are bitwise identical to an unpermuted run. GIN's
-    [Sparse_add] is the exception: [Sparse_ops.add] emits every row sorted by
-    column, so under a layout a row's entry order (and with it the
-    accumulation order of the SpMM that consumes the sum) differs from the
-    unpermuted run's; results may differ in the last bits but not in
-    semantics. Bindings are classified by shape: n×_ dense
-    values are row-permuted, n×n sparse values symmetrically permuted,
-    length-n diagonals permuted, everything else passed through — a k×k
-    weight matrix is only at risk when k = n, which the compositions never
-    produce. Layout work (reordering, hybrid conversion, inverse
-    permutation) is timed into [layout_time], never into setup or iteration
-    time. Hybrid conversion is memoized per physical value and applied to
-    bindings and setup-phase outputs only; per-iteration sparse values fall
-    back to CSR. *)
+    prices every plan step as its own kernels. *)
 
 type value = Dispatch.value =
   | Vdense of Granii_tensor.Dense.t
@@ -95,9 +67,8 @@ type report = {
   setup_time : float;
   iteration_time : float;
   layout_time : float;
-      (** time spent on locality work: graph reordering, binding
-          permutation, hybrid-format conversion and the final inverse
-          permutation; [0.] under {!Locality.default} *)
+      (** always [0.]: no run lays the graph out anew. Kept because
+          perfbench reports it as [executor.layout_ms]. *)
   per_step : (Primitive.t * Plan.phase * float) list;
   intermediates : (int * value) list;
       (** every step's output, by step index — consumed by the reverse pass

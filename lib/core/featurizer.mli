@@ -9,9 +9,7 @@
 type t = private {
   graph_features : float array;
   stats : Granii_graph.Graph_features.t;
-      (** the raw statistics behind [graph_features] — the locality model
-          reads packing/skew/bandwidth from here instead of re-inspecting
-          the graph *)
+      (** the raw statistics behind [graph_features] *)
   extraction_time : float;  (** seconds of wall-clock spent extracting *)
   threads : int;
       (** thread count of the execution engine the prediction targets; a

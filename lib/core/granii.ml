@@ -78,42 +78,6 @@ let optimize ?obs ~oracle ~graph ~k_in ~k_out ?(iterations = 100) ?(threads = 1)
     feats;
     overhead = feats.Featurizer.extraction_time +. choice.Selector.selection_time }
 
-type localized_decision = {
-  ldecision : decision;
-  config : Locality.config;
-  base_cost : float;
-}
-
-let optimize_localized ?obs ~oracle ~graph ~k_in ~k_out ?(iterations = 100)
-    ?(threads = 1) ?configs compiled =
-  let feats = featurize ?obs ~threads graph in
-  let env =
-    { Dim.n = Granii_graph.Graph.n_nodes graph;
-      nnz = Granii_graph.Graph.n_edges graph + Granii_graph.Graph.n_nodes graph;
-      k_in;
-      k_out }
-  in
-  let lc =
-    Selector.select_localized ?obs ~oracle ~feats ~env ~iterations ?configs
-      compiled
-  in
-  let choice = lc.Selector.lchoice in
-  Log.info (fun m ->
-      m
-        "selected %s under %s for %s (n=%d nnz=%d %d->%d, %d iterations): \
-         %.3e s predicted (%.3e s legacy)"
-        choice.Selector.candidate.Codegen.plan.Plan.name
-        (Locality.config_to_string lc.Selector.config)
-        compiled.Codegen.model_name env.Dim.n env.Dim.nnz k_in k_out iterations
-        choice.Selector.predicted_cost lc.Selector.base_cost);
-  { ldecision =
-      { choice;
-        feats;
-        overhead =
-          feats.Featurizer.extraction_time +. choice.Selector.selection_time };
-    config = lc.Selector.config;
-    base_cost = lc.Selector.base_cost }
-
 let execute_with ?seed ~engine ~timing ~graph ~bindings decision =
   Executor.exec ?seed ~engine ~timing ~graph ~bindings
     decision.choice.Selector.candidate.Codegen.plan

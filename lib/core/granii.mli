@@ -43,28 +43,6 @@ val optimize :
     it enters the cost-model features, so selection can rank compositions
     differently at different parallelism levels. *)
 
-type localized_decision = {
-  ldecision : decision;      (** the winning candidate, scored jointly *)
-  config : Locality.config;  (** the winning {e ordering × format} layout *)
-  base_cost : float;
-      (** the winner's predicted cost under {!Locality.default}; the
-          difference to [ldecision.choice.predicted_cost] is the layout gain
-          the model claims *)
-}
-
-val optimize_localized :
-  ?obs:Granii_obs.Obs.t -> oracle:Cost_oracle.t ->
-  graph:Granii_graph.Graph.t -> k_in:int ->
-  k_out:int -> ?iterations:int -> ?threads:int ->
-  ?configs:Locality.config list -> Codegen.t -> localized_decision
-(** {!optimize} with the layout axes in the argmin: every candidate is
-    scored under every {!Locality.config} in [configs] (default: all of
-    them) via {!Selector.select_localized}. Pass a singleton [configs] to
-    force a layout (the CLI's [--engine locality=...]).
-    With a profile-less oracle the layout adjustment is zero and the
-    result coincides with {!optimize}. Put [config] in an
-    {!Engine.config}'s [locality] axis to execute under the chosen layout. *)
-
 val execute_with :
   ?seed:int -> engine:Engine.t ->
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->

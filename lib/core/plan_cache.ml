@@ -8,7 +8,6 @@ type key = {
   k_out : int;
   hw : string;
   threads : int;
-  layout : string;
 }
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -99,14 +98,8 @@ let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions }
 
 (* ---- the shared keying policy ---- *)
 
-let key_of ~graph_fp ~model ~k_in ~k_out ~hw ~threads ~locality =
-  { graph_fp;
-    model = String.lowercase_ascii model;
-    k_in;
-    k_out;
-    hw;
-    threads;
-    layout = Locality.config_to_string locality }
+let key_of ~graph_fp ~model ~k_in ~k_out ~hw ~threads ~locality:_ =
+  { graph_fp; model = String.lowercase_ascii model; k_in; k_out; hw; threads }
 
 (* Floor of log2, with ilog2 0 = 0: the bucket index of a count. *)
 let ilog2 v =

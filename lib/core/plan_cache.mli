@@ -1,11 +1,12 @@
 (** The plan cache: selection runs once per distinct input shape.
 
-    GRANII's online stage ({!Selector.select_localized}) is the per-input
+    GRANII's online stage ({!Selector.select}) is the per-input
     overhead the paper reports; at serving scale — and at mini-batch
     training rate, where every batch is a different small graph — it must
     be amortized across invocations, not repeated per call. The cache maps
     a {!key} — everything selection's answer depends on — to the
-    {!Selector.localized_choice} it produced, so a stream of requests (or
+    {!Selector.localized_choice} it produced (the value type perfbench's
+    train workload stores and reads back), so a stream of requests (or
     training batches) against the same (graph, model, K_in, K_out,
     hardware) pays selection exactly once.
 
@@ -44,11 +45,6 @@ type key = {
   k_out : int;
   hw : string;        (** {!Granii_hw.Hw_profile.t} / cost-model name *)
   threads : int;      (** selection is thread-count-aware *)
-  layout : string;
-      (** {!Locality.config_to_string} of the engine's locality axis — two
-          engine configs that localize differently (ordering or sparse
-          format) rank candidates differently, so they must never share a
-          plan *)
 }
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -82,8 +78,10 @@ val stats : t -> stats
 val key_of :
   graph_fp:string -> model:string -> k_in:int -> k_out:int -> hw:string ->
   threads:int -> locality:Locality.config -> key
-(** The one place a cache key is assembled: lowercases the model name and
-    stringifies the locality axis, so serve and trainer cannot drift. *)
+(** The one place a cache key is assembled: lowercases the model name, so
+    serve and trainer cannot drift. [locality] is ignored
+    ({!Locality.config} has one value); perfbench's train workload passes
+    it. *)
 
 val bucketed_fingerprint : Granii_graph.Graph.t -> string
 (** O(1) bucketed structural fingerprint for sampled subgraphs:

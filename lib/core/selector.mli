@@ -14,14 +14,6 @@ type choice = {
   used_cost_models : bool; (** [false] on the embedding-size fast path *)
 }
 
-type localized_choice = {
-  lchoice : choice;          (** the winning candidate, scored jointly *)
-  config : Locality.config;  (** the winning layout configuration *)
-  base_cost : float;
-      (** the same candidate's predicted cost under {!Locality.default} —
-          [predicted_cost - base_cost] is the layout gain the model claims *)
-}
-
 val scenario_of : k_in:int -> k_out:int -> Dim.scenario
 
 val select :
@@ -40,30 +32,6 @@ val rank :
 (** All scenario-compatible candidates with predicted costs, cheapest first
     (diagnostic view of the same decision). *)
 
-val select_localized :
-  ?obs:Granii_obs.Obs.t -> oracle:Cost_oracle.t -> feats:Featurizer.t ->
-  env:Dim.env -> iterations:int -> ?configs:Locality.config list ->
-  Codegen.t -> localized_choice
-(** Joint {e {ordering × format × candidate}} selection: every candidate is
-    scored under every configuration in [configs] (default:
-    {!Locality.all_configs}), where a configuration's score is the base
-    plan prediction scaled by the {e relative} analytic layout change
-    ({!Cost_oracle.plan_adjustment} over the analytic plan cost — exactly
-    [base + adjustment] for the analytic model, and scale-invariant for
-    learned models whose predictions live on their own scale).
-    Strict-minimum with the default configuration first, so the legacy
-    path wins all ties; with a profile-less oracle every adjustment is
-    zero and the result coincides with {!select}. Pass a singleton
-    [configs] to force a configuration (the CLI's
-    [--engine locality=...]). *)
-
-val rank_localized :
-  oracle:Cost_oracle.t -> feats:Featurizer.t -> env:Dim.env ->
-  iterations:int -> ?configs:Locality.config list -> Codegen.t ->
-  (Codegen.ccand * Locality.config * float * float) list
-(** Every (candidate, config) pair as [(cand, config, base, adjusted)],
-    cheapest adjusted cost first. *)
-
 val measure :
   ?seed:int -> ?pool:Granii_tensor.Parallel.t -> ?obs:Granii_obs.Obs.t ->
   timing:Executor.timing -> graph:Granii_graph.Graph.t ->
@@ -76,3 +44,22 @@ val measure :
     first. Every step of every candidate executes and is timed on one
     plain {!Engine.t}, so a live [obs] cost monitor receives one
     (predicted, measured) pair per step of each candidate. *)
+
+(** {2 Kept for perfbench}
+
+    perfbench's infer, serve and train workloads call [select_localized]
+    and read [lchoice] and [config], and train stores the result in a
+    {!Plan_cache}; they are kept in their smallest form until a benchmark
+    change drops them. *)
+
+type localized_choice = {
+  lchoice : choice;          (** {!select}'s result *)
+  config : Locality.config;  (** always {!Locality.default} *)
+}
+
+val select_localized :
+  ?obs:Granii_obs.Obs.t -> oracle:Cost_oracle.t -> feats:Featurizer.t ->
+  env:Dim.env -> iterations:int -> ?configs:Locality.config list ->
+  Codegen.t -> localized_choice
+(** {!select}, wrapped. [configs] is ignored: {!Locality.config} has one
+    value. *)

@@ -157,7 +157,7 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
                       ~k_out:classes
                       ~hw:(Core.Cost_oracle.name oracle)
                       ~threads:(Core.Engine.threads engine)
-                      ~locality:(Core.Engine.locality engine)
+                      ~locality:Core.Locality.default
                   in
                   let lc, select_t =
                     Timer.measure_wall (fun () ->
@@ -167,7 +167,6 @@ let train_minibatch ?(seed = 0) ?mask ?engine ?plan_cache
                             let lc =
                               Core.Selector.select_localized ~oracle
                                 ~feats:b.Loader.feats ~env ~iterations:1
-                                ~configs:[ Core.Engine.locality engine ]
                                 compiled
                             in
                             Core.Plan_cache.add cache key lc;

@@ -60,8 +60,8 @@ let extract (g : Graph.t) =
   let nf = float_of_int n in
   let avg = if n = 0 then 0. else float_of_int nnz /. nf in
   (* one pass over the row lengths: extremes, the sum for the mean, the
-     skew and empty counts, and the slab occupancy a hybrid split at the
-     default width (mean degree, rounded up) would achieve *)
+     skew and empty counts, and the occupancy of an ELL slab as wide as the
+     mean degree (rounded up) *)
   let width = max 1 (int_of_float (Float.ceil avg)) in
   let mx = ref 0 and mn = ref max_int and sum = ref 0. in
   let skew = ref 0 and empty = ref 0 and packed = ref 0 in
@@ -95,9 +95,8 @@ let extract (g : Graph.t) =
     let d = row_ptr.(i + 1) - row_ptr.(i) in
     counts.(d) <- counts.(d) + 1
   done;
-  (* Layout statistics for the locality model. Bandwidths are normalized by n
-     so they read as "how far across the matrix an average/worst edge
-     reaches" in [0, 1]. *)
+  (* Bandwidth statistics, normalized by n so they read as "how far across
+     the matrix an average/worst edge reaches" in [0, 1]. *)
   let band_sum = ref 0 and band_max = ref 0 in
   for i = 0 to n - 1 do
     for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do

@@ -4,7 +4,10 @@
     runtime; concatenated with the embedding sizes they form the input of the
     learned per-primitive cost models. The feature set follows the paper's
     description ("sparsity of the graph", Appendix E): size, density, and
-    degree-distribution shape. *)
+    degree-distribution shape, plus the bandwidth and ELL-packing
+    statistics. No layout decision reads those any more; they stay because
+    they are cost-model inputs, and dropping them would change every learned
+    model's input width. *)
 
 type t = {
   n_nodes : float;
@@ -20,7 +23,9 @@ type t = {
   degree_variance : float; (** variance of the row-length distribution *)
   avg_bandwidth : float; (** mean [|i - j|] over stored entries, / n *)
   max_bandwidth : float; (** max [|i - j|] over stored entries, / n *)
-  ell_packing : float;   (** hybrid slab occupancy at the default width *)
+  ell_packing : float;
+      (** occupancy of an ELL slab as wide as the mean degree (rounded up):
+          [sum_i min(deg_i, width) / (n * width)] *)
 }
 
 val extract : Graph.t -> t

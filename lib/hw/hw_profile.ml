@@ -9,8 +9,6 @@ type t = {
   launch_overhead_s : float;
   atomic_ns : float;
   atomic_contention_factor : float;
-  hybrid_gather_discount : float;
-  locality_order_discount : float;
   noise : float;
 }
 
@@ -28,11 +26,6 @@ let cpu =
     (* Sequential scatter-adds have no contention at all. *)
     atomic_ns = 1.;
     atomic_contention_factor = 0.;
-    (* Short out-of-order windows and scalar gathers leave the most on the
-       table for layout: a packed slab and a hub-clustering order each
-       recover a sizeable share of the random-gather cost. *)
-    hybrid_gather_discount = 0.30;
-    locality_order_discount = 0.40;
     noise = 0.08 }
 
 let a100 =
@@ -49,10 +42,6 @@ let a100 =
        binning kernel; the A100 pays the most for contended atomics. *)
     atomic_ns = 2.2;
     atomic_contention_factor = 0.1;
-    (* Warp-level coalescing already hides much of the irregularity, so
-       layout buys less than on the CPU. *)
-    hybrid_gather_discount = 0.20;
-    locality_order_discount = 0.30;
     noise = 0.04 }
 
 let h100 =
@@ -67,8 +56,6 @@ let h100 =
     launch_overhead_s = 5e-6;
     atomic_ns = 0.35;
     atomic_contention_factor = 0.012;
-    hybrid_gather_discount = 0.15;
-    locality_order_discount = 0.25;
     noise = 0.04 }
 
 let all = [ cpu; a100; h100 ]

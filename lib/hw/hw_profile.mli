@@ -34,14 +34,6 @@ type t = {
   (** multiplier growth per unit of average bin collision: an atomic update
       into a bin shared by [d] writers costs
       [atomic_ns * (1 + factor * d)] *)
-  hybrid_gather_discount : float;
-  (** fraction of a sparse kernel's random-gather traffic the hybrid
-      (ELL + tail) format recovers at perfect slab packing; scaled down by
-      the actual packing efficiency (see [Granii_core.Locality]) *)
-  locality_order_discount : float;
-  (** fraction of random-gather traffic a well-chosen vertex ordering
-      recovers on a maximally reorderable input; scaled by the ordering's
-      measured quality *)
   noise : float;
   (** relative amplitude of the deterministic run-to-run jitter *)
 }

@@ -17,11 +17,6 @@ type kernel =
       (** dense {m (m \times k) \cdot (k \times n)} *)
   | Spmm of { rows : int; nnz : int; k : int; weighted : bool }
       (** sparse-times-dense; [weighted = false] skips the value stream *)
-  | Spmm_hybrid of
-      { rows : int; nnz : int; k : int; weighted : bool; packing : float }
-      (** sparse-times-dense from the hybrid ELL+tail format: index traffic
-          inflates by [1 / packing] (the slab streams its padding), while
-          gather traffic earns the locality discount passed to {!time} *)
   | Dense_sparse_mm of { rows : int; nnz : int; cols : int; k : int }
       (** dense-times-sparse scatter form: {m (rows \times k)} dense by a
           sparse with [nnz] entries and [cols] columns *)
@@ -40,10 +35,6 @@ type kernel =
           proportional to the average writers per bin (Sec. VI-C1) *)
   | Degree_rowptr of { n : int }
       (** degree from CSR row pointers: a cheap streaming diff *)
-  | Layout_pass of { n : int; nnz : int }
-      (** one-time layout work (ordering computation, permuted re-index, or
-          hybrid split): counting-scatter passes over the structure — the
-          setup cost reordering must amortize *)
 
 val flops : kernel -> float
 (** Floating-point operations the kernel performs. *)
@@ -65,7 +56,7 @@ val random_working_set : kernel -> float
 val is_dense_compute : kernel -> bool
 (** Whether the kernel runs at dense ([Gemm]) or irregular throughput. *)
 
-val time : ?threads:int -> ?gather_discount:float -> Hw_profile.t -> kernel -> float
+val time : ?threads:int -> Hw_profile.t -> kernel -> float
 (** Predicted runtime in seconds, noise-free. [?threads] (default [1])
     models the multicore engine: the compute term scales by
     [1 + 0.85 (t - 1)], the memory term by the much flatter
@@ -74,13 +65,13 @@ val time : ?threads:int -> ?gather_discount:float -> Hw_profile.t -> kernel -> f
     cache residency: the fraction [min 1 (cache_bytes / working_set)] of
     {!bytes_random} is charged at streaming rate, the rest at random rate —
     this makes sparse kernel cost input-size-aware (small graphs keep their
-    gathered operands cache-resident; large ones pay full gather cost).
-    [?gather_discount] (default [0.], clamped to [[0, 1]]) scales
-    {!bytes_random} down by [1 - d]: the locality engine's per-format /
-    per-ordering credit (see [Granii_core.Locality]). *)
+    gathered operands cache-resident; large ones pay full gather cost). *)
 
 val time_noisy : ?threads:int -> Hw_profile.t -> seed:int -> kernel -> float
 (** {!time} scaled by a deterministic jitter in
-    [[1 - noise, 1 + noise]] derived from [seed] and the kernel. *)
+    [[1 - noise, 1 + noise]] derived from [seed] and the kernel. The
+    kernel's hash is taken as the variant was laid out before the
+    hybrid-format SpMM constructor was deleted, so every jitter, and every
+    simulated table built on one, keeps its value. *)
 
 val pp : Format.formatter -> kernel -> unit

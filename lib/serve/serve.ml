@@ -9,7 +9,6 @@ module Executor = Granii_core.Executor
 module Selector = Granii_core.Selector
 module Featurizer = Granii_core.Featurizer
 module Cost_oracle = Granii_core.Cost_oracle
-module Locality = Granii_core.Locality
 module Plan = Granii_core.Plan
 module Plan_cache = Granii_core.Plan_cache
 module Dim = Granii_core.Dim
@@ -25,7 +24,6 @@ type config = {
   profile : Granii_hw.Hw_profile.t;
   iterations : int;
   param_seed : int;
-  locality : Locality.config;
   slo_ms : float option;
 }
 
@@ -37,7 +35,6 @@ let default_config =
     profile = Granii_hw.Hw_profile.cpu;
     iterations = 1;
     param_seed = 11;
-    locality = Locality.default;
     slo_ms = None }
 
 type reject = Queue_full of { tenant : string; bound : int } | Shutdown
@@ -73,7 +70,9 @@ type tenant = {
   mutable busy : bool;  (* a job currently uses this arena *)
   ws : Workspace.t;
   latency : Obs.Histogram.t;  (* completion latencies, fixed memory *)
-  tdrift : Obs.Drift.t;  (* Page–Hinkley over the tenant's p99 stream *)
+  warmup : float array;  (* the first [baseline_window] p99 observations *)
+  mutable n_warmup : int;
+  tdrift : Obs.Drift.t;  (* Page–Hinkley over p99 / baseline *)
 }
 
 and pending = {
@@ -186,15 +185,12 @@ let feats_of (ge : graph_entry) =
       f
 
 (* Selection, amortized through the plan cache: one counting lookup per
-   executor invocation. The configured layout axis (default unless the
-   caller opted in — per-request graph reordering rarely amortizes,
-   DESIGN.md §12) is part of the cache key, so engines that localize
-   differently never share a plan. *)
+   executor invocation. *)
 let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
   let key =
     Plan_cache.key_of ~graph_fp:(Graph.fingerprint ge.graph) ~model ~k_in
       ~k_out ~hw:(Cost_oracle.name t.oracle) ~threads:t.cfg.threads
-      ~locality:t.cfg.locality
+      ~locality:Granii_core.Locality.default
   in
   let lc =
     match Plan_cache.find t.pc key with
@@ -207,8 +203,7 @@ let select_plan t (ge : graph_entry) ~model ~k_in ~k_out =
         let lc =
           Obs.span t.obs "serve.select" (fun () ->
               Selector.select_localized ~obs:t.obs ~oracle:t.oracle
-                ~feats ~env ~iterations:t.cfg.iterations
-                ~configs:[ t.cfg.locality ] compiled)
+                ~feats ~env ~iterations:t.cfg.iterations compiled)
         in
         Plan_cache.add t.pc key lc;
         lc
@@ -222,20 +217,20 @@ let resolve t (j : job) =
 
 (* ---- execution (no lock unless manual mode) ---- *)
 
-(* Every request is one executor run under the configured layout, drawing
+(* Every request is one executor run, drawing
    its buffers from the tenant's arena when no other job holds it (a fresh
    arena otherwise). The executor hands back a heap copy of the output, so
    the tenant's next run cannot touch a completed ticket. A request reads
    only that output, so the engine drops intermediates: each buffer goes
    back to the arena after its last reader, and the executor fuses row
    epilogues into their producers. *)
-let execute ?pool ~locality (j : job) (plan, params) =
+let execute ?pool (j : job) (plan, params) =
   let p = j.req in
   let bindings = Layer.bindings ~graph:p.gentry.graph ~h:p.features params in
   let workspace = if j.use_arena then Some p.powner.ws else None in
   let engine =
     Engine.create_exn ?pool ?workspace
-      { Engine.default_config with locality; keep_intermediates = false }
+      { Engine.default_config with keep_intermediates = false }
   in
   (Executor.exec ~engine ~timing:Executor.Measure ~graph:p.gentry.graph
      ~bindings plan)
@@ -243,7 +238,24 @@ let execute ?pool ~locality (j : job) (plan, params) =
 
 (* ---- completion (lock held) ---- *)
 
-(* Per-tenant latency quantile gauges plus the p99 drift feed. *)
+(* Per-tenant latency quantile gauges plus the p99 drift feed. Page–Hinkley's
+   constants are in its stream's units, so the detector reads the p99 as a
+   ratio to the tenant's baseline: the (upper) median of its first
+   [baseline_window] p99 observations. A doubling then adds about 1 per
+   request to the statistic; read in seconds, a 7 -> 14 ms step added at
+   most 0.014 - 0.007 - 0.005 = 0.002. *)
+let baseline_window = 32
+
+let drift_feed (ten : tenant) p99 =
+  if ten.n_warmup < baseline_window then begin
+    ten.warmup.(ten.n_warmup) <- p99;
+    ten.n_warmup <- ten.n_warmup + 1;
+    (* sorted once full, so the baseline is its middle entry *)
+    if ten.n_warmup = baseline_window then Array.sort Float.compare ten.warmup;
+    false
+  end
+  else Obs.Drift.observe ten.tdrift (p99 /. ten.warmup.(baseline_window / 2))
+
 let tenant_gauges t (ten : tenant) =
   (match t.obs.Obs.metrics with
   | None -> ()
@@ -257,7 +269,7 @@ let tenant_gauges t (ten : tenant) =
         (Obs.Histogram.quantile ten.latency 0.99));
   if Obs.Histogram.count ten.latency >= 16 then begin
     let p99 = Obs.Histogram.quantile ten.latency 0.99 in
-    if Float.is_finite p99 && Obs.Drift.observe ten.tdrift p99 then begin
+    if Float.is_finite p99 && drift_feed ten p99 then begin
       Obs.count t.obs "serve.drift.fired" 1;
       Obs.event t.obs Obs.Journal.Drift ~tag:(Obs.Drift.name ten.tdrift)
         ~v:(Obs.Drift.last_stat ten.tdrift)
@@ -302,7 +314,7 @@ let worker_loop t =
         Mutex.unlock t.m;
         (* workers run kernels sequentially: the shared domain pool is not
            reentrant across domains *)
-        let out = execute ~locality:t.cfg.locality j resolved in
+        let out = execute j resolved in
         Mutex.lock t.m;
         fulfill t j out;
         Mutex.unlock t.m;
@@ -379,6 +391,8 @@ let tenant_of t name =
           busy = false;
           ws = Workspace.create ();
           latency = Obs.Histogram.create ();
+          warmup = Array.make baseline_window 0.;
+          n_warmup = 0;
           tdrift = Obs.Drift.create ("serve.p99:" ^ name) }
       in
       Hashtbl.replace t.tenants name ten;
@@ -451,7 +465,7 @@ let pump t =
           let resolved = resolve t j in
           let out =
             Obs.span t.obs "serve.exec" (fun () ->
-                execute ?pool:t.pool ~locality:t.cfg.locality j resolved)
+                execute ?pool:t.pool j resolved)
           in
           fulfill t j out;
           true)
@@ -556,12 +570,11 @@ let oracle t ~graph ~model ~k_out ~features =
         let n = Graph.n_nodes ge.graph in
         let env = { Dim.n; nnz = Graph.n_edges ge.graph + n; k_in; k_out } in
         let lc =
-          Selector.select_localized ~oracle:t.oracle ~feats ~env
-            ~iterations:t.cfg.iterations ~configs:[ t.cfg.locality ]
-            compiled
+          Selector.select ~oracle:t.oracle ~feats ~env
+            ~iterations:t.cfg.iterations compiled
         in
         ( ge,
-          lc.Selector.lchoice.Selector.candidate.Codegen.plan,
+          lc.Selector.candidate.Codegen.plan,
           params_for t ge ~model ~k_in ~k_out ))
   in
   let bindings = Layer.bindings ~graph:ge.graph ~h:features params in

@@ -41,9 +41,8 @@
     buffer returns to the arena after its last reader, and the executor
     fuses row epilogues into their producers
     ({!Granii_core.Executor.exec_iterations}), bitwise the unfused run.
-    Serving defaults to the
-    default graph layout — per-request reordering rarely amortizes
-    (DESIGN.md §12) — but a config may opt into a locality axis.
+    Every request runs on the registered graph's own vertex order, in CSR
+    (DESIGN.md §9).
 
     {2 Telemetry}
 
@@ -63,10 +62,12 @@
     ([{tenant="<name>"}]), and a Page–Hinkley drift detector
     ({!Granii_obs.Obs.Drift}) over its running p99 — a sustained latency
     regression fires a [serve.drift.fired] counter and a journal [drift]
-    event tagged [serve.p99:<tenant>]. The detector reads the p99 in
-    seconds against {!Granii_obs.Obs.Drift}'s fixed constants, so only a
-    step of tens of milliseconds, after a history of hundreds of requests
-    and sustained over hundreds more, fires it. When the sink has a
+    event tagged [serve.p99:<tenant>]. The detector reads the p99 as a
+    ratio to the tenant's baseline, the upper median of its first 32 p99
+    observations (taken from the 16th completion on), so its fixed
+    constants mean the same for a 1 ms and a 100 ms tenant: a sustained
+    doubling fires within a few dozen requests of the p99 moving, and
+    ±10% jitter does not fire. When the sink has a
     journal, the server records [request], [backpressure] and [slo_breach]
     events (plan-cache hit/miss events come from
     {!Granii_core.Plan_cache} itself).
@@ -94,11 +95,6 @@ type config = {
       (** server-side parameters are Glorot-initialized per
           (model, K_in, K_out) from this seed and shared by every tenant:
           weights are server state *)
-  locality : Granii_core.Locality.config;
-      (** layout axis for selection and execution; part of the plan cache
-          key, so engines that localize differently never share a plan.
-          Default {!Granii_core.Locality.default} — per-request reordering
-          rarely amortizes (DESIGN.md §12). *)
   slo_ms : float option;
       (** per-request latency objective in milliseconds; [Some ms] counts
           every completion slower than [ms] as a breach ([serve.slo.breaches]
@@ -109,7 +105,7 @@ type config = {
 
 val default_config : config
 (** [workers=0], [queue_bound=64], [plan_cache=32], [threads=1], host-CPU
-    profile, [iterations=1], [param_seed=11], default locality, no SLO. *)
+    profile, [iterations=1], [param_seed=11], no SLO. *)
 
 type reject =
   | Queue_full of { tenant : string; bound : int }

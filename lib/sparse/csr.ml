@@ -99,10 +99,8 @@ let transpose m =
 
 (* Shared counting-sort pass: distribute the stored entries of [m] into
    [n_buckets] stable buckets. Entries are visited in row-major storage order,
-   so within a bucket they keep that order — the property both consumers rely
-   on: CSC construction gets row indices sorted per column, and the reorder
-   engine gets a permuted matrix whose per-row entry order (and therefore
-   per-element FP accumulation order) matches the source row exactly. *)
+   so within a bucket they keep that order: CSC construction, for one, gets
+   row indices sorted per column. *)
 let counting_scatter ~n_buckets ~bucket m =
   let count = nnz m in
   let ptr = Array.make (n_buckets + 1) 0 in

@@ -59,9 +59,9 @@ val counting_scatter :
     [n_buckets + 1]), and for each destination slot [q],
     [order.(q)] is the source entry position and [src_row.(q)] its source
     row. Entries are scattered in row-major storage order, so each bucket
-    preserves that order — {!Csc.of_csr} gets per-column sorted rows and the
-    reorder engine gets permuted rows whose entry (and FP accumulation)
-    order matches the source bit for bit. *)
+    preserves that order: {!Csc.of_csr} gets per-column sorted rows, and a
+    stable row permutation keeps each row's entry (and FP accumulation)
+    order bit for bit. *)
 
 val get : t -> int -> int -> float
 (** [get m i j] is the entry at [(i, j)], [0.] if not stored. Binary search

@@ -103,6 +103,10 @@ let run ?(semiring = Semiring.plus_times) ?pool ?ws ?tile_k (mask : Csr.t)
       end);
   Csr.with_values mask out
 
+(* The mask's weightedness is matched once per call, not per entry: each
+   stored position still computes [(m_p *. dl) *. d_right.(j)], with
+   [m_p = 1.] for an unweighted mask, so the product is bitwise the
+   per-entry [Csr.value] loop's. *)
 let rank1 ?pool ?ws (mask : Csr.t) d_left d_right =
   if Array.length d_left <> mask.Csr.n_rows then
     invalid_arg "Sddmm.rank1: left vector dimension mismatch";
@@ -110,13 +114,24 @@ let rank1 ?pool ?ws (mask : Csr.t) d_left d_right =
     invalid_arg "Sddmm.rank1: right vector dimension mismatch";
   let count = Csr.nnz mask in
   let out = Workspace.alloc_uninit ws count in
-  Parallel.rows_weighted ?pool ~prefix:mask.Csr.row_ptr (fun lo hi ->
-      for i = lo to hi - 1 do
-        let dl = d_left.(i) in
-        for p = mask.Csr.row_ptr.(i) to mask.Csr.row_ptr.(i + 1) - 1 do
-          out.(p) <- Csr.value mask p *. dl *. d_right.(mask.Csr.col_idx.(p))
-        done
-      done);
+  let row_ptr = mask.Csr.row_ptr and col_idx = mask.Csr.col_idx in
+  (match mask.Csr.values with
+  | Some v ->
+      Parallel.rows_weighted ?pool ~prefix:row_ptr (fun lo hi ->
+          for i = lo to hi - 1 do
+            let dl = d_left.(i) in
+            for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+              out.(p) <- v.(p) *. dl *. d_right.(col_idx.(p))
+            done
+          done)
+  | None ->
+      Parallel.rows_weighted ?pool ~prefix:row_ptr (fun lo hi ->
+          for i = lo to hi - 1 do
+            let dl = 1. *. d_left.(i) in
+            for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+              out.(p) <- dl *. d_right.(col_idx.(p))
+            done
+          done));
   Csr.with_values mask out
 
 let dot_rows ?pool ?ws ?tile_k (mask : Csr.t) (x : Dense.t) (y : Dense.t) =

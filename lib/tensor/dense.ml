@@ -195,17 +195,6 @@ let rec ops_row table ops (out : float array) row lo hi =
 
 let epilogue_row st out ~row ~lo ~hi = ops_row st.table st.ops out row lo hi
 
-let apply_epilogue ?pool ep m =
-  check_epilogue ~who:"Dense.apply_epilogue" ~rows:m.rows ep;
-  if ep <> [] then begin
-    let k = m.cols and out = m.data in
-    Parallel.rows ?pool ~n:m.rows (fun lo hi ->
-        let st = epilogue_start ep in
-        for i = lo to hi - 1 do
-          epilogue_row st out ~row:i ~lo:(i * k) ~hi:((i + 1) * k)
-        done)
-  end
-
 (* Every GEMM path below applies its epilogue to an output row (or, in the
    blocked kernel, a row's column block) right after the row's last store,
    while it is still in cache. *)

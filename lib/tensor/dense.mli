@@ -101,11 +101,6 @@ val check_epilogue : who:string -> rows:int -> epilogue -> unit
 (** Raises [Invalid_argument] (naming [who]) unless every [Scale_rows]
     vector has length [rows]. *)
 
-val apply_epilogue : ?pool:Parallel.t -> epilogue -> t -> unit
-(** The epilogue as a post-pass, in place over every row: for a producer
-    that cannot apply it at its store (the hybrid-format SpMM). Raises
-    [Invalid_argument] like {!check_epilogue}. *)
-
 (** {1 Linear algebra} *)
 
 val matmul :

@@ -18,7 +18,6 @@ let () =
       ("obs", Test_obs.suite);
       ("observability", Test_observability.suite);
       ("memory", Test_memory.suite);
-      ("locality", Test_locality.suite);
       ("serve", Test_serve.suite);
       ("minibatch", Test_minibatch.suite);
       ("train-path", Test_train_path.suite);

@@ -8,7 +8,6 @@ open Test_util
 module Dense = Granii_tensor.Dense
 module Csr = Granii_sparse.Csr
 module G = Granii_graph
-module Reorder = G.Reorder
 module Mp = Granii_mp
 module Gnn = Granii_gnn
 
@@ -75,7 +74,7 @@ let test_illegal_typed () =
       expect
         (Printf.sprintf "threads=%d" t)
         { Engine.default_config with threads = t }
-        (function Engine.Invalid_threads n -> n = t | _ -> false))
+        (fun (Engine.Invalid_threads n) -> n = t))
     [ 0; -1; -8 ]
 
 (* ---- every legal config round-trips through describe ---- *)
@@ -83,22 +82,22 @@ let test_illegal_typed () =
 let legal_grid =
   List.concat_map
     (fun threads ->
-      List.concat_map
+      List.filter_map
         (fun keep_intermediates ->
-          List.filter_map
-            (fun locality ->
-              let cfg = { Engine.threads; locality; keep_intermediates } in
-              match Engine.create cfg with
-              | Ok e ->
-                  Engine.shutdown e;
-                  Some cfg
-              | Error _ -> None)
-            Locality.all_configs)
+          let cfg =
+            { Engine.default_config with threads; keep_intermediates }
+          in
+          match Engine.create cfg with
+          | Ok e ->
+              Engine.shutdown e;
+              Some cfg
+          | Error _ -> None)
         [ true; false ])
     [ 1; 2 ]
 
 let test_describe_roundtrip () =
-  check_true "the legal grid is non-trivial" (List.length legal_grid > 10);
+  check_int "every threads x intermediates pair is legal" 4
+    (List.length legal_grid);
   List.iter
     (fun cfg ->
       let s = Engine.describe_config cfg in
@@ -118,9 +117,10 @@ let test_describe_roundtrip () =
     | Ok _ -> false);
   (* serving admission parameters belong to Serve.config, the telemetry
      sink is injected through [create ?obs], calibration belongs to the
-     selecting oracle (the engine executes and does not predict), and the
+     selecting oracle (the engine executes and does not predict), the
      shared-subtree cache and the workspace axis are gone (every engine
-     executes from its arena): none of these is an engine key *)
+     executes from its arena), and every plan runs on the input's own
+     vertex order in CSR: none of these is an engine key *)
   List.iter
     (fun spec ->
       check_true (spec ^ " is an unknown-key error")
@@ -129,7 +129,8 @@ let test_describe_roundtrip () =
         | Ok _ -> false))
     [ "queue_bound=64"; "batch_window=0"; "telemetry=on"; "journal=on";
       "calibration=refit"; "calibration=off"; "calibration=affine";
-      "cache=on"; "workspace=on"; "workspace=off" ];
+      "cache=on"; "workspace=on"; "workspace=off"; "locality=identity+csr";
+      "locality=degree+hybrid" ];
   (* a parsed spec always passes [create]: a bad thread count is the typed
      Invalid_threads message at parse time *)
   List.iter
@@ -138,54 +139,12 @@ let test_describe_roundtrip () =
         (Printf.sprintf "threads=%d is a parse error" t)
         (Engine.config_of_string (Printf.sprintf "threads=%d" t)
         = Error (Engine.error_to_string (Engine.Invalid_threads t))))
-    [ 0; -2 ];
-  (* the format axis: the grid covers every format, the names parse, and
-     an unknown format gets the typed Invalid_format message rather than
-     generic spec noise *)
-  List.iter
-    (fun format ->
-      check_true
-        (Locality.format_to_string format ^ " configs are in the legal grid")
-        (List.exists
-           (fun c -> c.Engine.locality.Locality.format = format)
-           legal_grid))
-    Locality.all_formats;
-  check_true "locality=degree+hybrid parses"
-    (match Engine.config_of_string "locality=degree+hybrid" with
-    | Ok cfg ->
-        cfg.Engine.locality
-        = { Locality.strategy = Reorder.Degree_sort; format = Locality.Hybrid }
-    | Error _ -> false);
-  check_true "unknown format is the typed Invalid_format error"
-    (match Engine.config_of_string "locality=identity+xyz" with
-    | Error msg ->
-        contains msg "unknown sparse format"
-        && String.equal msg
-             (Engine.error_to_string (Engine.Invalid_format "xyz"))
-    | Ok _ -> false)
-
-(* ---- the layout axis is CSR + hybrid under every ordering ---- *)
-
-let test_layout_axis () =
-  check_int "4 orderings x 2 formats" 8 (List.length Locality.all_configs);
-  check_true "the default layout comes first"
-    (Locality.is_default (List.hd Locality.all_configs));
-  List.iter
-    (fun spec ->
-      check_true (spec ^ " is a parse error")
-        (match Engine.config_of_string spec with
-        | Error msg -> contains msg "unknown sparse format"
-        | Ok _ -> false))
-    [ "locality=identity+bsr"; "locality=degree+cbm" ]
+    [ 0; -2 ]
 
 (* ---- the differential acceptance grid ----
 
    Every legal engine configuration must execute GCN, GAT and GIN
-   bitwise-identically to the heap reference (no pool, no arena).
-   GIN's Sparse_add makes entry order part of the output, so a permuted
-   layout legitimately produces a structurally different (equal-as-math)
-   sparse sum — non-default localities are skipped for it, exactly as the
-   locality suite always has. *)
+   bitwise-identically to the heap reference (no pool, no arena). *)
 
 let test_differential_grid () =
   let graph = G.Generators.erdos_renyi ~seed:17 ~n:50 ~avg_degree:5. () in
@@ -194,13 +153,7 @@ let test_differential_grid () =
       let model = Mp.Mp_models.find name in
       let low, compiled = compile_model model in
       let _, bindings = setup_bindings ~k_in:9 ~k_out:7 low graph in
-      let grid =
-        List.filter
-          (fun cfg ->
-            cfg.Engine.threads = 1
-            && (name <> "gin" || Locality.is_default cfg.Engine.locality))
-          legal_grid
-      in
+      let grid = List.filter (fun cfg -> cfg.Engine.threads = 1) legal_grid in
       List.iter
         (fun (c : Codegen.ccand) ->
           let reference = heap_exec ~graph ~bindings c.Codegen.plan in
@@ -426,7 +379,6 @@ let test_injected_resources_normalize () =
 let suite =
   [ Alcotest.test_case "illegal configs are typed errors" `Quick
       test_illegal_typed;
-    Alcotest.test_case "layout axis is csr + hybrid" `Quick test_layout_axis;
     Alcotest.test_case "legal configs round-trip describe" `Quick
       test_describe_roundtrip;
     Alcotest.test_case "differential grid vs seed path" `Quick

@@ -217,11 +217,7 @@ let test_spmm_epilogue =
       let b = dense_specials ~seed a.Csr.n_cols k in
       let expect = apply_ref ep (Spmm.run ~semiring ?tile_k a b) in
       with_pools (fun pool ->
-          dense_equal expect (Spmm.run ~semiring ?pool ?tile_k ~epilogue:ep a b)
-          &&
-          let post = Spmm.run ~semiring ?tile_k a b in
-          Dense.apply_epilogue ?pool ep post;
-          dense_equal expect post))
+          dense_equal expect (Spmm.run ~semiring ?pool ?tile_k ~epilogue:ep a b)))
 
 let test_epilogue_dimension_check () =
   let a = Dense.random 4 3 and b = Dense.random 3 5 in
@@ -238,8 +234,7 @@ let test_epilogue_dimension_check () =
             (Spmm.run ~epilogue:bad
                (Csr.make ~n_rows:4 ~n_cols:3 ~row_ptr:[| 0; 0; 0; 0; 0 |] ~col_idx:[||]
                   ~values:None)
-               b) );
-      ("apply_epilogue", fun () -> Dense.apply_epilogue bad (Dense.random 4 5)) ]
+               b) ) ]
 
 (* ---- the executor's fusion rule ---- *)
 

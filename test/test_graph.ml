@@ -54,7 +54,7 @@ let sorted_rows rng ~n ~p =
 
 (* Adjacencies the linear build must handle: n = 0 and n = 1, stars,
    isolated nodes and stored diagonals in sorted rows, rows left unsorted
-   by [Reorder.permute_csr], and arbitrary rows (any order, duplicate
+   by [Test_util.permute_csr], and arbitrary rows (any order, duplicate
    columns, diagonals, empty rows) through [Csr.make]. *)
 let adjacency_gen =
   let open QCheck2.Gen in
@@ -73,10 +73,7 @@ let adjacency_gen =
         let g = graph_of_rows ~name:"sorted" (sorted_rows rng ~n ~p:0.2) in
         let perm = Array.init n Fun.id in
         Prng.shuffle_in_place rng perm;
-        Graph.make ~name:"permuted"
-          (Reorder.permute_csr
-             (Reorder.of_perm ~strategy:Reorder.Degree_sort perm)
-             g.Graph.adj)
+        Graph.make ~name:"permuted" (permute_csr perm g.Graph.adj)
     | _ -> graph_of_rows ~name:"sorted" (sorted_rows rng ~n ~p:0.15))
 
 let test_self_loops_match_coo =
@@ -229,6 +226,21 @@ let test_features_encoding =
       Array.length arr = Array.length Graph_features.names
       && Array.for_all (fun x -> Float.is_finite x) arr)
 
+let test_features_layout () =
+  let g = Generators.barabasi_albert ~seed:1 ~n:200 ~m:5 () in
+  let s = Graph_features.extract g in
+  check_true "packing in (0, 1]"
+    (s.Graph_features.ell_packing > 0. && s.Graph_features.ell_packing <= 1.);
+  check_true "bandwidth normalized"
+    (s.Graph_features.avg_bandwidth >= 0.
+    && s.Graph_features.avg_bandwidth <= s.Graph_features.max_bandwidth
+    && s.Graph_features.max_bandwidth <= 1.);
+  check_true "degree variance positive on a power-law graph"
+    (s.Graph_features.degree_variance > 0.);
+  check_int "feature vector matches names"
+    (Array.length Graph_features.names)
+    (Array.length (Graph_features.to_array s))
+
 let suite =
   [ Alcotest.test_case "of_edges" `Quick test_of_edges;
     Alcotest.test_case "self loops and norm" `Quick test_self_loops_and_norm;
@@ -249,4 +261,5 @@ let suite =
     Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
     Alcotest.test_case "features: star" `Quick test_features_star;
     Alcotest.test_case "features: ring" `Quick test_features_ring;
+    Alcotest.test_case "features: layout statistics" `Quick test_features_layout;
     test_features_encoding ]

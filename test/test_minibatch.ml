@@ -350,8 +350,7 @@ let test_bucketed_cache_keys () =
   let lc g_ =
     Selector.select_localized
       ~oracle:(Cost_oracle.analytic Granii_hw.Hw_profile.cpu)
-      ~feats:(Featurizer.extract g_) ~env:(env g_) ~iterations:1
-      ~configs:[ Locality.default ] compiled
+      ~feats:(Featurizer.extract g_) ~env:(env g_) ~iterations:1 compiled
   in
   let key g_ =
     Plan_cache.key_of ~graph_fp:(Plan_cache.bucketed_fingerprint g_)

@@ -57,11 +57,11 @@ let test_plan_cache_unit () =
   let lc =
     Selector.select_localized
       ~oracle:(Cost_oracle.analytic Granii_hw.Hw_profile.cpu)
-      ~feats ~env ~iterations:1 ~configs:[ Locality.default ] compiled
+      ~feats ~env ~iterations:1 compiled
   in
   let key i =
     { Plan_cache.graph_fp = "fp"; model = "gcn"; k_in = 8; k_out = i;
-      hw = "cpu"; threads = 1; layout = "identity+csr" }
+      hw = "cpu"; threads = 1 }
   in
   (match Plan_cache.create ~capacity:(-1) () with
   | exception Invalid_argument _ -> ()
@@ -107,12 +107,12 @@ let test_batch_differential () =
       let env, bindings =
         Test_engine.setup_bindings ~k_in ~k_out low graph
       in
-      let lc =
-        Selector.select_localized
+      let choice =
+        Selector.select
           ~oracle:(Cost_oracle.analytic Granii_hw.Hw_profile.cpu)
-          ~feats ~env ~iterations:1 ~configs:[ Locality.default ] compiled
+          ~feats ~env ~iterations:1 compiled
       in
-      let plan = lc.Selector.lchoice.Selector.candidate.Codegen.plan in
+      let plan = choice.Selector.candidate.Codegen.plan in
       let shared = List.filter (fun (name, _) -> name <> "H") bindings in
       let features =
         List.init b (fun i ->
@@ -174,59 +174,6 @@ let test_plan_cache_counts () =
       let pc = (Serve.stats t).Serve.plan_cache in
       check_int "second shape misses once" 2 pc.Plan_cache.misses;
       check_int "hits unchanged" 4 pc.Plan_cache.hits)
-
-(* ---- plan cache: the layout axis is part of the key (regression) ---- *)
-
-let test_plan_cache_layout_key () =
-  (* regression: two engine configs that localize differently (ordering or
-     sparse format) must never share a plan — keys identical except for
-     [layout] are distinct entries, not hits *)
-  let graph = small_graph () in
-  let _, compiled = Test_engine.compile_model (Mp.Mp_models.find "gcn") in
-  let feats = Featurizer.extract graph in
-  let env =
-    { Dim.n = G.Graph.n_nodes graph;
-      nnz = G.Graph.n_edges graph + G.Graph.n_nodes graph;
-      k_in = 8;
-      k_out = 4 }
-  in
-  let lc =
-    Selector.select_localized
-      ~oracle:(Cost_oracle.analytic Granii_hw.Hw_profile.cpu)
-      ~feats ~env ~iterations:1 ~configs:[ Locality.default ] compiled
-  in
-  let key layout =
-    { Plan_cache.graph_fp = "fp"; model = "gcn"; k_in = 8; k_out = 4;
-      hw = "cpu"; threads = 1; layout }
-  in
-  let layouts = [ "identity+csr"; "identity+hybrid"; "degree+csr"; "rcm+hybrid" ] in
-  let pc = Plan_cache.create ~capacity:8 () in
-  Plan_cache.add pc (key "identity+csr") lc;
-  List.iter
-    (fun l ->
-      check_true (l ^ " does not hit another layout's plan")
-        (Plan_cache.find pc (key l) = None))
-    (List.tl layouts);
-  List.iter (fun l -> Plan_cache.add pc (key l) lc) (List.tl layouts);
-  check_int "each layout is its own entry" (List.length layouts)
-    (Plan_cache.length pc);
-  (* a locality-configured server still answers bitwise like the oracle *)
-  let locality =
-    { Locality.strategy = G.Reorder.Degree_sort; format = Locality.Hybrid }
-  in
-  with_server
-    ~cfg:{ Serve.default_config with plan_cache = 8; locality }
-    (fun t graph ->
-      let n = G.Graph.n_nodes graph in
-      let f = Dense.random ~seed:61 n 8 in
-      let tk = submit_exn t ~tenant:"a" ~k_out:4 ~features:f in
-      Serve.drain t;
-      match Serve.poll t tk with
-      | None -> Alcotest.fail "ticket not completed"
-      | Some r ->
-          check_true "localized serving bitwise equals the oracle"
-            (Test_engine.value_bits_equal r.Serve.value
-               (Serve.oracle t ~graph:"g" ~model:"gcn" ~k_out:4 ~features:f)))
 
 (* ---- backpressure: typed rejection at the exact bound ---- *)
 
@@ -334,40 +281,60 @@ let test_manual_clock () =
 
 (* ---- the tenant p99 drift detector, on scripted latencies ---- *)
 
-(* Requests served one at a time with the injected clock advanced by each
-   one's scripted latency: 500 at 1 ms, then (with [step]) 1500 at 50 ms.
-   The detector watches the tenant's running p99 in seconds against
-   Page–Hinkley's fixed constants, so it needs a long quiet history before
-   the step and hundreds of slow requests after it. *)
-let serve_scripted ~step =
+(* Requests [1..n] served one at a time, the injected clock advanced by
+   each one's scripted [latency i] seconds. Returns the index of every
+   request whose completion fired the detector, and the journal's drift
+   events. *)
+let serve_scripted ~n latency =
   let obs = Obs.create ~trace:false ~journal_capacity:8192 () in
-  let now = ref 0. in
-  with_server ~obs ~clock:(fun () -> !now) (fun t graph ->
-      let f = Dense.random ~seed:1 (G.Graph.n_nodes graph) 8 in
-      for i = 1 to 2000 do
-        let tk = submit_exn t ~tenant:"t0" ~k_out:4 ~features:f in
-        now := !now +. (if step && i > 500 then 0.05 else 0.001);
-        ignore (Serve.await t tk : Serve.response)
-      done);
-  let fired =
+  let fired () =
     Obs.Metrics.counter_value (Option.get obs.Obs.metrics) "serve.drift.fired"
   in
+  let now = ref 0. and fired_at = ref [] in
+  with_server ~obs ~clock:(fun () -> !now) (fun t graph ->
+      let f = Dense.random ~seed:1 (G.Graph.n_nodes graph) 8 in
+      for i = 1 to n do
+        let tk = submit_exn t ~tenant:"t0" ~k_out:4 ~features:f in
+        now := !now +. latency i;
+        ignore (Serve.await t tk : Serve.response);
+        if fired () > List.length !fired_at then fired_at := i :: !fired_at
+      done);
   let drifts =
     List.filter
       (fun e -> e.Obs.Journal.e_kind = Obs.Journal.Drift)
       (Obs.Journal.entries (Option.get obs.Obs.journal))
   in
-  (fired, drifts)
+  (List.rev !fired_at, drifts)
+
+let step ~at ~before ~after i = if i > at then after else before
 
 let test_serve_drift () =
-  let fired, drifts = serve_scripted ~step:true in
-  check_true "a 1 ms -> 50 ms step fires serve.drift.fired" (fired >= 1);
-  check_int "one journal drift event per firing" fired (List.length drifts);
+  let fired, drifts =
+    serve_scripted ~n:2000 (step ~at:500 ~before:0.001 ~after:0.05)
+  in
+  check_true "a 1 ms -> 50 ms step fires serve.drift.fired" (fired <> []);
+  check_int "one journal drift event per firing" (List.length fired)
+    (List.length drifts);
   check_true "drift events are tagged with the tenant's p99 stream"
     (List.for_all (fun e -> e.Obs.Journal.e_tag = "serve.p99:t0") drifts);
-  let fired, drifts = serve_scripted ~step:false in
-  check_int "a flat stream fires nothing" 0 fired;
+  let fired, drifts = serve_scripted ~n:2000 (fun _ -> 0.001) in
+  check_int "a flat stream fires nothing" 0 (List.length fired);
   check_int "and journals no drift event" 0 (List.length drifts)
+
+(* The detector reads the p99 against the tenant's own baseline, so a
+   doubling is heard at any latency scale, and jitter is not. *)
+let test_serve_drift_doubling () =
+  (match serve_scripted ~n:1000 (step ~at:500 ~before:0.007 ~after:0.014) with
+  | first :: _, _ ->
+      check_true
+        (Printf.sprintf "a 7 -> 14 ms step fires within 200 requests (at %d)"
+           first)
+        (first > 500 && first <= 700)
+  | [], _ -> Alcotest.fail "a 7 -> 14 ms step never fired");
+  let rng = Granii_tensor.Prng.create 7 in
+  let jitter _ = 0.007 *. Granii_tensor.Prng.uniform rng 0.9 1.1 in
+  let fired, _ = serve_scripted ~n:2000 jitter in
+  check_int "2,000 requests at 7 ms +-10% fire nothing" 0 (List.length fired)
 
 (* ---- config plumbing and argument validation ---- *)
 
@@ -546,8 +513,6 @@ let suite =
       test_batch_differential;
     Alcotest.test_case "plan cache: served hits/misses vs hand count" `Quick
       test_plan_cache_counts;
-    Alcotest.test_case "plan cache: layout axis keys plans" `Quick
-      test_plan_cache_layout_key;
     Alcotest.test_case "backpressure: typed rejection at the bound" `Quick
       test_backpressure;
     Alcotest.test_case "arena isolation across requests" `Quick
@@ -558,6 +523,8 @@ let suite =
       test_manual_clock;
     Alcotest.test_case "tenant p99 drift fires on a latency step" `Quick
       test_serve_drift;
+    Alcotest.test_case "tenant p99 drift hears a doubling, not jitter" `Quick
+      test_serve_drift_doubling;
     Alcotest.test_case "config and argument validation" `Quick
       test_config;
     Alcotest.test_case "serving metrics reach the registry" `Quick

@@ -161,7 +161,7 @@ let rows_of ~n row =
 
 (* One square n x n operand of a shape the executor can hand to
    [Sparse_add]: a star, empty rows, sorted rows, rows left unsorted by
-   [Reorder.permute_csr], arbitrary rows through [Csr.make] (any order,
+   [Test_util.permute_csr], arbitrary rows through [Csr.make] (any order,
    repeated columns), or a diagonal built as dispatch builds it. Weighted
    with probability 1/2 (the diagonal always is). *)
 let add_operand rng ~n =
@@ -185,9 +185,7 @@ let add_operand rng ~n =
   | 2 ->
       let perm = Array.init n Fun.id in
       Prng.shuffle_in_place rng perm;
-      Granii_graph.Reorder.permute_csr
-        (Granii_graph.Reorder.of_perm ~strategy:Granii_graph.Reorder.Degree_sort perm)
-        (weigh (sorted ()))
+      permute_csr perm (weigh (sorted ()))
   | 3 ->
       let row_ptr, col_idx =
         rows_of ~n (fun _ -> Array.init (Prng.int rng 6) (fun _ -> Prng.int rng n))
@@ -379,6 +377,87 @@ let test_csc_get =
       done;
       !ok && Csc.nnz c = Csr.nnz m)
 
+(* Same structure and the same value bits. *)
+let csr_bits_equal (a : Csr.t) (b : Csr.t) =
+  let bits = Array.map Int64.bits_of_float in
+  a.Csr.n_rows = b.Csr.n_rows && a.Csr.n_cols = b.Csr.n_cols
+  && a.Csr.row_ptr = b.Csr.row_ptr && a.Csr.col_idx = b.Csr.col_idx
+  && Option.map bits a.Csr.values = Option.map bits b.Csr.values
+
+let test_csc_roundtrip_exact =
+  qtest "csc: of_csr/to_csr round-trip is exact" csr_gen (fun m ->
+      csr_bits_equal (Csc.to_csr (Csc.of_csr m)) m)
+
+(* A random graph's adjacency with random values attached. *)
+let square_weighted_gen =
+  let open QCheck2.Gen in
+  let* g = graph_gen in
+  let* seed = int_range 0 10_000 in
+  let adj = g.Granii_graph.Graph.adj in
+  let rng = Prng.create seed in
+  return (Csr.with_values adj (Array.init (Csr.nnz adj) (fun _ -> Prng.uniform rng (-2.) 2.)))
+
+let test_csc_columns_sorted =
+  (* the counting-scatter construction must emit sorted row ids per column
+     even when fed unsorted (permuted) rows *)
+  qtest "csc: per-column row ids ascend even from permuted input"
+    QCheck2.Gen.(pair (int_range 0 10_000) square_weighted_gen)
+    (fun (seed, m) ->
+      let perm = Array.init m.Csr.n_rows Fun.id in
+      Prng.shuffle_in_place (Prng.create seed) perm;
+      let c = Csc.of_csr (permute_csr perm m) in
+      let ok = ref true in
+      for j = 0 to c.Csc.n_cols - 1 do
+        for p = c.Csc.col_ptr.(j) to c.Csc.col_ptr.(j + 1) - 2 do
+          if c.Csc.row_idx.(p) >= c.Csc.row_idx.(p + 1) then ok := false
+        done
+      done;
+      !ok)
+
+(* The rank-1 SDDMM loop that reads the mask value through [Csr.value] at
+   every entry: [Sddmm.rank1] must match it bit for bit. *)
+let rank1_per_entry (mask : Csr.t) d_left d_right =
+  let out = Array.make (Csr.nnz mask) 0. in
+  for i = 0 to mask.Csr.n_rows - 1 do
+    let dl = d_left.(i) in
+    for p = mask.Csr.row_ptr.(i) to mask.Csr.row_ptr.(i + 1) - 1 do
+      out.(p) <- Csr.value mask p *. dl *. d_right.(mask.Csr.col_idx.(p))
+    done
+  done;
+  Csr.with_values mask out
+
+(* Scale vectors with signed zeros, infinities and NaNs among the finite
+   draws. *)
+let scale_vector rng n =
+  Array.init n (fun _ ->
+      match Prng.int rng 12 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | 2 -> Float.infinity
+      | 3 -> Float.nan
+      | _ -> Prng.uniform rng (-2.) 2.)
+
+let test_rank1_matches_per_entry () =
+  let pools = [ Parallel.create ~threads:1 (); Parallel.create ~threads:2 () ] in
+  let corners = List.map snd degenerates in
+  Fun.protect
+    ~finally:(fun () -> List.iter Parallel.shutdown pools)
+    (fun () ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:300
+           ~name:"rank-1 SDDMM is bitwise the per-entry loop"
+           QCheck2.Gen.(
+             triple (graft_corners csr_gen corners ()) bool (int_range 0 10_000))
+           (fun (m, unweighted, seed) ->
+             let mask = if unweighted then Csr.drop_values m else m in
+             let rng = Prng.create seed in
+             let dl = scale_vector rng mask.Csr.n_rows in
+             let dr = scale_vector rng mask.Csr.n_cols in
+             let want = rank1_per_entry mask dl dr in
+             List.for_all
+               (fun pool -> csr_bits_equal (Sddmm.rank1 ?pool mask dl dr) want)
+               (None :: List.map Option.some pools))))
+
 let test_degrees_agree () =
   let m = Csr.drop_values (small_csr ()) in
   check_true "binned = rowptr degree values"
@@ -466,6 +545,10 @@ let suite =
     test_csc_dense_agree;
     test_csc_spmm_agree;
     test_csc_get;
+    test_csc_roundtrip_exact;
+    test_csc_columns_sorted;
+    Alcotest.test_case "rank-1 SDDMM is bitwise the per-entry loop" `Quick
+      test_rank1_matches_per_entry;
     Alcotest.test_case "degree kernels agree" `Quick test_degrees_agree;
     test_counting_scatter_csc;
     Alcotest.test_case "counting scatter degenerate" `Quick

@@ -69,10 +69,22 @@ let degenerates =
            [ 0; 1; 2; 3 ]
         @ [ (4, 1, 2.0); (4, 4, -3.0); (4, 5, 1.0) ]) ) ]
 
+(* The stable symmetric permutation P·A·Pᵀ of a square matrix, with
+   [perm] mapping old ids to new: row [perm.(i)] holds row [i]'s entries in
+   their storage order, with columns renamed through [perm], so the rows
+   come out unsorted. [perm] must be a permutation of the row ids. *)
+let permute_csr perm (m : Granii_sparse.Csr.t) =
+  let module Csr = Granii_sparse.Csr in
+  let row_ptr, order, _ =
+    Csr.counting_scatter ~n_buckets:m.Csr.n_rows ~bucket:(fun i _ -> perm.(i)) m
+  in
+  let col_idx = Array.map (fun p -> perm.(m.Csr.col_idx.(p))) order in
+  let values = Option.map (fun v -> Array.map (fun p -> v.(p)) order) m.Csr.values in
+  Csr.make ~n_rows:m.Csr.n_rows ~n_cols:m.Csr.n_cols ~row_ptr ~col_idx ~values
+
 (* The heap reference for the engine grids: the plan evaluated step by step
    through [Executor.apply] with no pool and no arena (every kernel on its
-   [?ws:None] path), under the default layout. Setup steps run first, as in
-   the executor. *)
+   [?ws:None] path). Setup steps run first, as in the executor. *)
 let heap_exec ~graph ~bindings (plan : Granii_core.Plan.t) =
   let module Plan = Granii_core.Plan in
   let module Executor = Granii_core.Executor in
